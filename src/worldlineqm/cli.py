@@ -1,9 +1,11 @@
 """Batch command-line front end.
 
 Subcommands map one-to-one onto module operations; parameters come from
-flags or a JSON config file (flags override file values).  Complex inputs
-use "re,im" syntax; four-vectors are comma-separated with the time component
-first.  Results are written as JSON records or CSV tables (see records.py);
+flags or a JSON config file (flags override file values).  The PARAMETERS
+table below is the reference for every key, its type and its default.
+Four-vectors are comma-separated with the time component first; the only
+complex input is the Fock state `coefficient`, an [re, im] list in the states
+file.  Results are written as JSON records or CSV tables (see records.py);
 outputs are byte-stable for fixed inputs and seed.  Exit codes: 0 success,
 2 configuration error, 3 numerical-accuracy or I/O error, 4 domain or
 contract violation.  WORLDLINEQM_OUTDIR names the default output directory.
@@ -33,7 +35,7 @@ from .errors import (
 )
 from .geometry import FourVector, ParticleType
 from .lattice import LatticeSpec
-from .records import ResultRecord, RunConfig, emit
+from .records import ResultRecord, emit
 
 _DOMAIN_ERRORS = (ContractViolation, DomainError, UnsupportedSpecError,
                   DegeneratePathError, LapsePositivityError,
@@ -48,6 +50,66 @@ def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in str(text).split(","))
 
 
+def _json(value):
+    """Structured JSON value: settable from a config file only, not cast."""
+    return value
+
+
+_MODES = ("euclidean", "minkowski")
+_SIGNS = (-1, 1)
+
+# subcommand -> key -> (kind, static default[, flag help]).  A kind is a cast
+# (int, float, str, _floats, _ints, bool, _json) or a tuple of allowed values.
+# A key with default None is left out of the typed values when not given: it is
+# required (the runner's KeyError exits 2), or the runner derives its default.
+PARAMETERS = {
+    "kernel": {
+        "dim": (int, 2), "mode": (_MODES, "euclidean"), "mass": (float, 1.0),
+        "tau": (float, 1.0, "intrinsic length T"),
+        "dx": (_floats, None, "separation, time first: t,x[,y,z]"),
+        "method": (("closed", "discretized", "mc"), "closed"),
+        "segments": (int, 8), "samples": (int, 10000), "seed": (int, 0),
+    },
+    "propagator": {
+        "kind": (("position", "momentum", "onshell-part"), "position"),
+        "dim": (int, 2), "mode": (_MODES, "euclidean"), "mass": (float, 1.0),
+        "dx": (_floats, None), "p": (_floats, None), "epsilon": (float, 1e-6),
+        "weight": (("uniform", "gaussian"), "uniform"), "dlam": (float, 10.0),
+        "delta": (float, 0.01), "damping": (float, None), "sign": (_SIGNS, 1),
+    },
+    "evolve": {
+        "shape": (_ints, (16, 16)), "extent": (_floats, (8.0, 8.0)),
+        "mass": (float, 1.0), "dlam": (float, 0.01), "steps": (int, 100),
+        "center": (_floats, None), "width": (float, 1.0), "momentum": (_floats, None),
+    },
+    "onshell": {
+        "p": (_floats, (0.0,), "spatial momentum components"), "mass": (float, 1.0),
+        "sign": (_SIGNS, 1), "epsilon": (float, 1e-2), "t": (float, 0.0),
+        "window": (float, 1.0), "p0_halfrange": (float, 60.0), "p0_points": (int, 120001),
+    },
+    "fock": {
+        "states": (str, None, "JSON file with types, bra, ket"),
+        "shape": (_ints, (4, 4)), "extent": (_floats, (4.0, 4.0)), "epsilon": (float, 1e-2),
+    },
+    "scatter": {
+        "coupling": (float, None), "mass_a": (float, 1.0), "mass_b": (float, 1.0),
+        "epsilon": (float, 1e-3), "grid": (_json, None), "incoming": (_json, None),
+        "outgoing": (_json, None),
+    },
+    "selfenergy": {
+        "dim": (int, 2), "p": (_floats, None), "ma": (float, 1.0), "mb": (float, 1.0),
+        "cutoff": (float, np.inf), "regulated": (bool, False), "dlam": (float, 10.0),
+        "delta": (float, 0.01), "route": (("lambda", "mass-spectrum"), "lambda"),
+    },
+    "scan": {
+        "dim": (int, 4), "p": (_floats, None), "ma": (float, 1.0), "mb": (float, 1.0),
+        "deltas": (_floats, (0.02, 0.01, 0.005, 0.0025),
+                   "comma-separated decreasing thresholds"),
+        "dlam": (float, 1e3), "cutoff": (float, None),
+    },
+}
+
+
 def _output_path(args, default_name: str) -> Path:
     if args.output:
         return Path(args.output)
@@ -57,107 +119,106 @@ def _output_path(args, default_name: str) -> Path:
 
 def _merge_config(args, subcommand: str) -> dict:
     """File values first, then flag overrides; unknown file keys rejected."""
+    keys = PARAMETERS[subcommand]
     params = {}
     if args.config:
         raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
         if not isinstance(raw, dict):
             raise ContractViolation("config file must hold a JSON object")
+        unknown = set(raw) - set(keys)
+        if unknown:
+            raise ContractViolation(
+                f"unknown config keys for {subcommand}: {sorted(unknown)}")
         params.update(raw)
-    for key in RunConfig.ALLOWED[subcommand]:
+    for key in keys:
         value = getattr(args, key, None)
         if value is not None:
             params[key] = value
-    RunConfig(subcommand, params, args.output, args.format)
     return params
 
 
+def _resolve(params: dict, subcommand: str) -> dict:
+    """Cast and check each given key; a null or absent key takes its default."""
+    typed = {}
+    for key, (kind, default, *_) in PARAMETERS[subcommand].items():
+        value = params.get(key)
+        if value is None:
+            value = default
+        elif isinstance(kind, tuple):
+            value = type(kind[0])(value)
+            if value not in kind:
+                raise ContractViolation(
+                    f"{key} must be one of {list(kind)}, not {value!r}")
+        else:
+            value = kind(value)
+        if value is not None:
+            typed[key] = value
+    return typed
+
+
 # ---------------------------------------------------------------------------
-# subcommand implementations
+# subcommand implementations; each takes the typed values from _resolve
 
 
-def _run_kernel(params):
-    dim = int(params.get("dim", 2))
-    mode = params.get("mode", "euclidean")
-    mass = float(params.get("mass", 1.0))
-    tau = float(params.get("tau", 1.0))
-    dx = FourVector(_floats(params.get("dx", ",".join(["0"] * dim))))
-    method = params.get("method", "closed")
-    kp = kernel.KernelParams(mass, tau, dim, mode)
+def _run_kernel(c):
+    dim, tau = c["dim"], c["tau"]
+    origin = FourVector((0.0,) * dim)
+    dx = FourVector(c["dx"]) if "dx" in c else origin
+    kp = kernel.KernelParams(c["mass"], tau, dim, c["mode"])
     outputs, provenance = {}, {"module": "kernel"}
     seed = None
-    if method == "closed":
+    if c["method"] == "closed":
         outputs["value"] = kernel.kernel_closed(dx, kp)
         provenance["operation"] = "kernel_closed"
-    elif method == "discretized":
-        n = int(params.get("segments", 8))
-        origin = FourVector((0.0,) * dim)
+    elif c["method"] == "discretized":
+        n = c["segments"]
         outputs["value"] = kernel.kernel_discretized(dx, origin, np.full(n, tau / n), kp)
         provenance["operation"] = "kernel_discretized"
         provenance["oracle_checks"] = ["closed-form kernel at equal T"]
         outputs["closed_form"] = kernel.kernel_closed(dx, kp)
-    elif method == "mc":
-        seed = int(params.get("seed", 0))
-        res = kernel.kernel_mc(dx, FourVector((0.0,) * dim), kp,
-                               int(params.get("segments", 8)),
-                               int(params.get("samples", 10000)), seed)
+    else:
+        seed = c["seed"]
+        res = kernel.kernel_mc(dx, origin, kp, c["segments"], c["samples"], seed)
         outputs["value"] = res.estimate
         outputs["stderr"] = res.stderr
         outputs["closed_form"] = kernel.kernel_closed(dx, kp)
         provenance["operation"] = "kernel_mc"
         provenance["oracle_checks"] = ["closed-form kernel at equal T"]
-    else:
-        raise ContractViolation(f"unknown kernel method {method!r}")
     return outputs, provenance, seed, None
 
 
-def _run_propagator(params):
-    kind = params.get("kind", "position")
-    dim = int(params.get("dim", 2))
-    mass = float(params.get("mass", 1.0))
-    eps = float(params.get("epsilon", 1e-6))
+def _run_propagator(c):
+    kind, dim, mass, eps = c["kind"], c["dim"], c["mass"], c["epsilon"]
+    damping = c.get("damping", 1e-2 if kind == "onshell-part" else 0.0)
     provenance = {"module": "kernel"}
     outputs = {}
     if kind == "momentum":
-        p = FourVector(_floats(params["p"]))
-        outputs["value"] = kernel.propagator_momentum(p, mass, eps)
+        outputs["value"] = kernel.propagator_momentum(FourVector(c["p"]), mass, eps)
         provenance["operation"] = "propagator_momentum"
     elif kind == "position":
-        dx = FourVector(_floats(params["dx"]))
-        mode = params.get("mode", "euclidean")
-        if params.get("weight", "uniform") == "gaussian":
-            weight = kernel.WeightFunction.gaussian(
-                float(params.get("dlam", 10.0)), float(params.get("delta", 0.01)))
+        if c["weight"] == "gaussian":
+            weight = kernel.WeightFunction.gaussian(c["dlam"], c["delta"])
         else:
             weight = kernel.WeightFunction.uniform()
         outputs["value"] = kernel.propagator_position(
-            dx, mass, eps, weight, dim, mode,
-            damping=float(params.get("damping", 0.0)))
+            FourVector(c["dx"]), mass, eps, weight, dim, c["mode"], damping=damping)
         provenance["operation"] = "propagator_position"
-    elif kind == "onshell-part":
-        dx = FourVector(_floats(params["dx"]))
-        outputs["value"] = kernel.propagator_onshell_part(
-            dx, mass, int(params.get("sign", 1)),
-            float(params.get("damping", 1e-2)), dim)
-        provenance["operation"] = "propagator_onshell_part"
     else:
-        raise ContractViolation(f"unknown propagator kind {kind!r}")
+        outputs["value"] = kernel.propagator_onshell_part(
+            FourVector(c["dx"]), mass, c["sign"], damping, dim)
+        provenance["operation"] = "propagator_onshell_part"
     return outputs, provenance, None, None
 
 
-def _run_evolve(params):
-    shape = _ints(params.get("shape", "16,16"))
-    extent = _floats(params.get("extent", "8,8"))
+def _run_evolve(c):
+    shape, extent = c["shape"], c["extent"]
     spec = LatticeSpec(shape, extent)
-    mass = float(params.get("mass", 1.0))
-    dlam = float(params.get("dlam", 0.01))
-    steps = int(params.get("steps", 100))
-    center = _floats(params.get("center", ",".join(str(e / 2) for e in extent)))
-    width = float(params.get("width", 1.0))
-    momentum = _floats(params.get("momentum", ",".join(["0"] * len(shape))))
-    psi = evolution.gaussian_packet(spec, center, width, momentum, mass)
+    center = c.get("center", tuple(e / 2 for e in extent))
+    momentum = c.get("momentum", (0.0,) * len(shape))
+    psi = evolution.gaussian_packet(spec, center, c["width"], momentum, c["mass"])
     n0 = evolution.norm(psi)
-    for _ in range(steps):
-        psi = evolution.evolve(psi, dlam)
+    for _ in range(c["steps"]):
+        psi = evolution.evolve(psi, c["dlam"])
     n1 = evolution.norm(psi)
     outputs = {"norm_initial": n0, "norm_final": n1, "norm_drift": abs(n1 - n0),
                "lambda_final": psi.lam,
@@ -166,18 +227,12 @@ def _run_evolve(params):
                      "oracle_checks": ["norm conservation"]}, None, None
 
 
-def _run_onshell(params):
-    p_spatial = _floats(params.get("p", "0"))
-    mass = float(params.get("mass", 1.0))
-    sign = int(params.get("sign", 1))
-    eps = float(params.get("epsilon", 1e-2))
-    t = float(params.get("t", 0.0))
-    window = float(params.get("window", 1.0))
-    halfrange = float(params.get("p0_halfrange", 60.0))
-    points = int(params.get("p0_points", 120001))
+def _run_onshell(c):
+    p_spatial, mass, sign, eps = c["p"], c["mass"], c["sign"], c["epsilon"]
+    halfrange, window = c["p0_halfrange"], c["window"]
     e = float(np.sqrt(sum(x * x for x in p_spatial) + mass * mass))
-    grid = sign * e + np.linspace(-halfrange, halfrange, points)
-    prof = onshell.momentum_state_profile(p_spatial, mass, sign, t, eps, grid)
+    grid = sign * e + np.linspace(-halfrange, halfrange, c["p0_points"])
+    prof = onshell.momentum_state_profile(p_spatial, mass, sign, c["t"], eps, grid)
     conc = onshell.concentration(prof, window)
     peak = prof.p0[int(np.argmax(np.abs(prof.amplitude)))]
     pole = onshell.onshell_propagator_momentum((sign * e,) + tuple(p_spatial),
@@ -197,14 +252,12 @@ def _parse_state(data, tag_default):
     return fock.symmetrize(entries, complex(coeff[0], coeff[1]))
 
 
-def _run_fock(params):
-    payload = json.loads(Path(params["states"]).read_text(encoding="utf-8"))
-    shape = _ints(params.get("shape", "4,4"))
-    extent = _floats(params.get("extent", "4,4"))
-    spec = LatticeSpec(shape, extent)
+def _run_fock(c):
+    payload = json.loads(Path(c["states"]).read_text(encoding="utf-8"))
+    spec = LatticeSpec(c["shape"], c["extent"])
     types = {name: ParticleType(name, spc["mass"], spc.get("conjugate", "plain"))
              for name, spc in payload["types"].items()}
-    algebra = fock.FieldAlgebra(spec, types, epsilon=float(params.get("epsilon", 1e-2)))
+    algebra = fock.FieldAlgebra(spec, types, epsilon=c["epsilon"])
     bra = _parse_state(payload["bra"], "integrated")
     ket = _parse_state(payload["ket"], "start")
     outputs = {"inner_product": fock.fock_inner(bra, ket, algebra),
@@ -212,34 +265,27 @@ def _run_fock(params):
     return outputs, {"module": "fock", "operation": "fock_inner"}, None, None
 
 
-def _run_scatter(params):
-    grid_spec = params["grid"]
+def _run_scatter(c):
+    grid_spec = c["grid"]
     grid = onshell.MomentumGrid(int(grid_spec.get("spatial_dimension", 1)),
                                 int(grid_spec["points"]), float(grid_spec["spacing"]))
-    model = interaction.InteractionModel.ab_model(
-        float(params["coupling"]), float(params.get("mass_a", 1.0)),
-        float(params.get("mass_b", 1.0)))
+    model = interaction.InteractionModel.ab_model(c["coupling"], c["mass_a"], c["mass_b"])
     def legs(rows):
         return tuple(interaction.ScatterLeg(tuple(r["p"]), r.get("type", "A"),
                                             int(r.get("sign", 1))) for r in rows)
-    spec = interaction.ScatterSpec(legs(params["incoming"]),
-                                   legs(params["outgoing"]), grid)
-    amp = interaction.scatter_tree_2to2(spec, model, float(params.get("epsilon", 1e-3)))
+    spec = interaction.ScatterSpec(legs(c["incoming"]), legs(c["outgoing"]), grid)
+    amp = interaction.scatter_tree_2to2(spec, model, c["epsilon"])
     return ({"amplitude": amp},
             {"module": "interaction", "operation": "scatter_tree_2to2"}, None, None)
 
 
-def _run_selfenergy(params):
-    dim = int(params.get("dim", 2))
-    p = FourVector(_floats(params.get("p", ",".join(["0"] * dim))))
-    m_a = float(params.get("ma", 1.0))
-    m_b = float(params.get("mb", 1.0))
-    cutoff = float(params.get("cutoff", np.inf))
-    if params.get("regulated"):
-        spec = regularization.RegulatorSpec(float(params.get("dlam", 10.0)),
-                                            float(params.get("delta", 0.01)), m_a)
+def _run_selfenergy(c):
+    dim, m_a, m_b, cutoff = c["dim"], c["ma"], c["mb"], c["cutoff"]
+    p = FourVector(c.get("p", (0.0,) * dim))
+    if c["regulated"]:
+        spec = regularization.RegulatorSpec(c["dlam"], c["delta"], m_a)
         res = regularization.self_energy_regulated(
-            p, m_a, m_b, dim, spec, params.get("route", "lambda"),
+            p, m_a, m_b, dim, spec, c["route"],
             cutoff=None if np.isinf(cutoff) else cutoff)
         operation = "self_energy_regulated"
     else:
@@ -250,29 +296,27 @@ def _run_selfenergy(params):
                      "operation": operation}, None, None
 
 
-def _run_scan(params):
-    dim = int(params.get("dim", 4))
-    p = FourVector(_floats(params.get("p", ",".join(["0"] * dim))))
-    deltas = list(_floats(params.get("deltas", "0.02,0.01,0.005,0.0025")))
+def _run_scan(c):
+    dim = c["dim"]
+    p = FourVector(c.get("p", (0.0,) * dim))
     scan = regularization.divergence_scan(
-        p, float(params.get("ma", 1.0)), float(params.get("mb", 1.0)), dim,
-        deltas, correlation_length=float(params.get("dlam", 1e3)),
-        cutoff=None if params.get("cutoff") is None else float(params["cutoff"]))
+        p, c["ma"], c["mb"], dim, list(c["deltas"]),
+        correlation_length=c["dlam"], cutoff=c.get("cutoff"))
     outputs = {"slope": scan.slope, "slope_stderr": scan.slope_stderr,
                "intercept": scan.intercept, "r_squared": scan.r_squared}
     return (outputs, {"module": "regularization", "operation": "divergence_scan"},
             None, scan.table())
 
 
-_RUNNERS = {
-    "kernel": _run_kernel,
-    "propagator": _run_propagator,
-    "evolve": _run_evolve,
-    "onshell": _run_onshell,
-    "fock": _run_fock,
-    "scatter": _run_scatter,
-    "selfenergy": _run_selfenergy,
-    "scan": _run_scan,
+_SUBCOMMANDS = {
+    "kernel": (_run_kernel, "fixed-length kernel values"),
+    "propagator": (_run_propagator, "proper-time and momentum propagators"),
+    "evolve": (_run_evolve, "parameter evolution of a packet"),
+    "onshell": (_run_onshell, "frequency profiles and concentration"),
+    "fock": (_run_fock, "multiparticle pairings from a state file"),
+    "scatter": (_run_scatter, "tree-level 2->2 amplitude"),
+    "selfenergy": (_run_selfenergy, "one-loop self-energy"),
+    "scan": (_run_scan, "threshold divergence scan (CSV table)"),
 }
 
 
@@ -281,94 +325,24 @@ def build_parser() -> argparse.ArgumentParser:
         prog="worldlineqm",
         description="Worldline relativistic quantum mechanics batch runner.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p):
+    for name, (_, help_text) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file; flags override its values")
         p.add_argument("--output", help="output file path")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--timing", action="store_true",
                        help="embed wall time in the record (breaks byte stability)")
-
-    p = sub.add_parser("kernel", help="fixed-length kernel values")
-    common(p)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--mode", choices=("euclidean", "minkowski"))
-    p.add_argument("--mass", type=float)
-    p.add_argument("--tau", type=float, help="intrinsic length T")
-    p.add_argument("--dx", help="separation, time first: t,x[,y,z]")
-    p.add_argument("--method", choices=("closed", "discretized", "mc"))
-    p.add_argument("--segments", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int)
-
-    p = sub.add_parser("propagator", help="proper-time and momentum propagators")
-    common(p)
-    p.add_argument("--kind", choices=("position", "momentum", "onshell-part"))
-    p.add_argument("--dim", type=int)
-    p.add_argument("--mode", choices=("euclidean", "minkowski"))
-    p.add_argument("--mass", type=float)
-    p.add_argument("--dx")
-    p.add_argument("--p")
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--weight", choices=("uniform", "gaussian"))
-    p.add_argument("--dlam", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--damping", type=float)
-    p.add_argument("--sign", type=int, choices=(-1, 1))
-
-    p = sub.add_parser("evolve", help="parameter evolution of a packet")
-    common(p)
-    p.add_argument("--shape")
-    p.add_argument("--extent")
-    p.add_argument("--mass", type=float)
-    p.add_argument("--dlam", type=float)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--center")
-    p.add_argument("--width", type=float)
-    p.add_argument("--momentum")
-
-    p = sub.add_parser("onshell", help="frequency profiles and concentration")
-    common(p)
-    p.add_argument("--p", help="spatial momentum components")
-    p.add_argument("--mass", type=float)
-    p.add_argument("--sign", type=int, choices=(-1, 1))
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--t", type=float)
-    p.add_argument("--window", type=float)
-    p.add_argument("--p0-halfrange", dest="p0_halfrange", type=float)
-    p.add_argument("--p0-points", dest="p0_points", type=int)
-
-    p = sub.add_parser("fock", help="multiparticle pairings from a state file")
-    common(p)
-    p.add_argument("--states", help="JSON file with types, bra, ket")
-    p.add_argument("--shape")
-    p.add_argument("--extent")
-    p.add_argument("--epsilon", type=float)
-
-    p = sub.add_parser("scatter", help="tree-level 2->2 amplitude")
-    common(p)
-
-    p = sub.add_parser("selfenergy", help="one-loop self-energy")
-    common(p)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--p")
-    p.add_argument("--ma", type=float)
-    p.add_argument("--mb", type=float)
-    p.add_argument("--cutoff", type=float)
-    p.add_argument("--regulated", action="store_true", default=None)
-    p.add_argument("--dlam", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--route", choices=("lambda", "mass-spectrum"))
-
-    p = sub.add_parser("scan", help="threshold divergence scan (CSV table)")
-    common(p)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--p")
-    p.add_argument("--ma", type=float)
-    p.add_argument("--mb", type=float)
-    p.add_argument("--deltas", help="comma-separated decreasing thresholds")
-    p.add_argument("--dlam", type=float)
-    p.add_argument("--cutoff", type=float)
+        for key, (kind, _, *flag_help) in PARAMETERS[name].items():
+            if kind is _json:
+                continue
+            opts = {"dest": key, "help": flag_help[0] if flag_help else None}
+            if kind is bool:
+                opts.update(action="store_true", default=None)
+            elif isinstance(kind, tuple):
+                opts.update(choices=kind, type=int if isinstance(kind[0], int) else None)
+            else:
+                opts["type"] = kind if kind in (int, float) else None
+            p.add_argument("--" + key.replace("_", "-"), **opts)
     return parser
 
 
@@ -380,16 +354,17 @@ def run(argv) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         params = _merge_config(args, args.subcommand)
-    except (ContractViolation, json.JSONDecodeError, OSError, ValueError) as exc:
+        values = _resolve(params, args.subcommand)
+    except (ContractViolation, OSError, TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     started = time.perf_counter()
     try:
-        outputs, provenance, seed, table = _RUNNERS[args.subcommand](params)
+        outputs, provenance, seed, table = _SUBCOMMANDS[args.subcommand][0](values)
     except _DOMAIN_ERRORS as exc:
         print(f"domain/contract error: {exc}", file=sys.stderr)
         return 4
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except AccuracyError as exc:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
+from .kernel import lattice_momentum_phase
 from .lattice import ComplexField, LatticeSpec, spectral_transform
 
 
@@ -49,14 +50,10 @@ def norm(psi: ParametrizedWavefunction) -> float:
     return psi.field.norm_squared()
 
 
-def _phase_multiplier(spec: LatticeSpec, dlam: float, mass: float) -> np.ndarray:
-    return np.exp(-1j * dlam * (spec.p_squared("minkowski") + mass * mass))
-
-
 def evolve(psi: ParametrizedWavefunction, dlam: float) -> ParametrizedWavefunction:
     """Advance psi by dlam (any sign) with the exact spectral phase."""
     tilde = spectral_transform(psi.field, "forward")
-    tilde.values *= _phase_multiplier(psi.spec, dlam, psi.mass)
+    tilde.values *= lattice_momentum_phase(psi.spec, dlam, psi.mass)
     out = spectral_transform(tilde, "inverse")
     return ParametrizedWavefunction(out, psi.lam + dlam, psi.mass)
 

@@ -542,12 +542,6 @@ def euclidean_mass_propagator_batch(dx: FourVector, mass_squared, dimension: int
     return out
 
 
-def euclidean_mass_propagator(dx: FourVector, mass_squared: complex,
-                              dimension: int) -> complex:
-    """Euclidean propagator at a single complex mass squared with Re > 0."""
-    return complex(euclidean_mass_propagator_batch(dx, [mass_squared], dimension)[0])
-
-
 def kernel_mass_superposition(dx: FourVector, total_length: float, mass: float,
                               epsilon: float, mass_sq_grid, dimension: int,
                               damping: float = 1e-3,

@@ -1,9 +1,10 @@
-"""Run configuration and result records for the batch front end.
+"""Result records for the batch front end.
 
-Records serialize deterministically: keys are sorted, complex values are
+Records serialize deterministically: keys are sorted, complex outputs are
 stored as [re, im] pairs, and the volatile wall time is kept out of the
 emitted bytes unless explicitly requested, so identical inputs and seed
-produce byte-identical outputs.
+produce byte-identical outputs.  Inputs come from JSON and flags and hold no
+complex values, so they are read back exactly as written.
 """
 
 from __future__ import annotations
@@ -39,43 +40,6 @@ def decode_value(value):
 
 
 @dataclass
-class RunConfig:
-    """Validated parameters of one subcommand invocation."""
-
-    subcommand: str
-    parameters: dict
-    output: str | None = None
-    fmt: str = "json"
-
-    ALLOWED = {
-        "kernel": {"dim", "mode", "mass", "tau", "dx", "method", "segments",
-                   "samples", "seed"},
-        "propagator": {"kind", "dim", "mode", "mass", "dx", "p", "epsilon",
-                       "weight", "dlam", "delta", "damping", "sign"},
-        "evolve": {"shape", "extent", "mass", "dlam", "steps", "center",
-                   "width", "momentum"},
-        "onshell": {"p", "mass", "sign", "epsilon", "t", "window",
-                    "p0_halfrange", "p0_points"},
-        "fock": {"states", "shape", "extent", "epsilon"},
-        "scatter": {"coupling", "mass_a", "mass_b", "epsilon", "grid",
-                    "incoming", "outgoing"},
-        "selfenergy": {"dim", "p", "ma", "mb", "cutoff", "regulated", "dlam",
-                       "delta", "route"},
-        "scan": {"dim", "p", "ma", "mb", "deltas", "dlam", "cutoff"},
-    }
-
-    def __post_init__(self):
-        if self.subcommand not in self.ALLOWED:
-            raise ContractViolation(f"unknown subcommand {self.subcommand!r}")
-        if self.fmt not in ("json", "csv"):
-            raise ContractViolation(f"unknown format {self.fmt!r}")
-        unknown = set(self.parameters) - self.ALLOWED[self.subcommand]
-        if unknown:
-            raise ContractViolation(
-                f"unknown config keys for {self.subcommand}: {sorted(unknown)}")
-
-
-@dataclass
 class ResultRecord:
     """Inputs echo, named outputs, provenance, and reproducibility fields."""
 
@@ -103,7 +67,7 @@ class ResultRecord:
     @classmethod
     def from_json_dict(cls, data: dict) -> "ResultRecord":
         return cls(subcommand=data["subcommand"],
-                   inputs=decode_value(data["inputs"]),
+                   inputs=data["inputs"],
                    outputs=decode_value(data["outputs"]),
                    provenance=decode_value(data.get("provenance", {})),
                    table=decode_value(data["table"]) if "table" in data else None,

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from worldlineqm.cli import run
+from worldlineqm.cli import PARAMETERS, run
 from worldlineqm.records import ResultRecord, emit, load_record
 
 
@@ -193,3 +193,87 @@ def test_onshell_subcommand_concentration(tmp_path):
     conc = record["outputs"]["concentration"]
     oracle = record["outputs"]["lorentzian_oracle"]
     assert abs(conc - oracle) / oracle < 1e-2
+
+
+def test_scatter_d3_inputs_round_trip(tmp_path):
+    config = {
+        "coupling": 0.9, "mass_a": 1.0, "mass_b": 1.5, "epsilon": 1e-3,
+        "grid": {"spatial_dimension": 2, "points": 9, "spacing": 0.5},
+        "incoming": [{"p": [1.0, 0.5], "type": "A"}, {"p": [-0.5, 0.0], "type": "A"}],
+        "outgoing": [{"p": [0.5, 0.5], "type": "A"}, {"p": [0.0, 0.0], "type": "A"}],
+    }
+    cfg = tmp_path / "scatter.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "amp.json"
+    assert run(["scatter", "--config", str(cfg), "--output", str(out)]) == 0
+    assert load_record(out).inputs == config
+
+
+@pytest.mark.parametrize("subcommand, config", [
+    ("propagator", {"kind": "position", "dx": "0.5,1", "weight": "gausian"}),
+    ("kernel", {"method": "montecarlo"}),
+    ("selfenergy", {"regulated": True, "route": "mass_spectrum"}),
+])
+def test_config_file_values_checked_against_choices(tmp_path, subcommand, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "x.json"
+    assert run([subcommand, "--config", str(cfg), "--output", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_unreadable_states_file_exits_2(tmp_path):
+    out = tmp_path / "fock.json"
+    code = run(["fock", "--states", str(tmp_path / "missing.json"), "--output", str(out)])
+    assert code == 2
+    assert not out.exists()
+
+
+_SCATTER_STRUCTURE = {
+    "grid": {"spatial_dimension": 1, "points": 9, "spacing": 0.5},
+    "incoming": [{"p": [1.0], "type": "A"}, {"p": [-0.5], "type": "A"}],
+    "outgoing": [{"p": [0.5], "type": "A"}, {"p": [0.0], "type": "A"}],
+}
+
+# every flag of each subcommand, with the value argparse gives it
+_ALL_FLAGS = {
+    "kernel": {"dim": 2, "mode": "euclidean", "mass": 1.0, "tau": 1.0, "dx": "0.5,0.2",
+               "method": "mc", "segments": 4, "samples": 2000, "seed": 5},
+    "propagator": {"kind": "onshell-part", "dim": 2, "mode": "euclidean", "mass": 1.0,
+                   "dx": "0.5,0.2", "p": "0,0", "epsilon": 1e-6, "weight": "uniform",
+                   "dlam": 10.0, "delta": 0.01, "damping": 0.01, "sign": -1},
+    "evolve": {"shape": "8,8", "extent": "8,8", "mass": 1.0, "dlam": 0.05, "steps": 5,
+               "center": "4,4", "width": 1.2, "momentum": "0,0.5"},
+    "onshell": {"p": "0.3", "mass": 1.0, "sign": 1, "epsilon": 0.01, "t": 0.0,
+                "window": 1.0, "p0_halfrange": 20.0, "p0_points": 2001},
+    "fock": {"states": None, "shape": "4,4", "extent": "4,4", "epsilon": 0.01},
+    "scatter": {"coupling": 0.9, "mass_a": 1.0, "mass_b": 1.5, "epsilon": 0.001},
+    "selfenergy": {"dim": 2, "p": "0.1,0", "ma": 1.0, "mb": 1.0, "cutoff": 200.0,
+                   "regulated": True, "dlam": 10.0, "delta": 0.01, "route": "lambda"},
+    "scan": {"dim": 2, "p": "0,0", "ma": 1.0, "mb": 1.0, "deltas": "0.02,0.01",
+             "dlam": 100.0, "cutoff": 200.0},
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(_ALL_FLAGS))
+def test_flag_and_file_records_identical(tmp_path, subcommand):
+    values = dict(_ALL_FLAGS[subcommand])
+    if subcommand == "fock":
+        values["states"] = str(tmp_path / "states.json")
+        (tmp_path / "states.json").write_text(json.dumps({
+            "types": {"A": {"mass": 1.0}},
+            "bra": {"entries": [{"site": [2, 3], "type": "A"}]},
+            "ket": {"entries": [{"site": [0, 1], "type": "A"}]},
+        }), encoding="utf-8")
+    structure = _SCATTER_STRUCTURE if subcommand == "scatter" else {}
+    assert set(values) | set(structure) == set(PARAMETERS[subcommand])
+    flags = [f"--{key.replace('_', '-')}" if value is True
+             else f"--{key.replace('_', '-')}={value}" for key, value in values.items()]
+    (tmp_path / "structure.json").write_text(json.dumps(structure), encoding="utf-8")
+    (tmp_path / "all.json").write_text(json.dumps({**values, **structure}), encoding="utf-8")
+    by_flags, by_file = tmp_path / "flags.json", tmp_path / "file.json"
+    assert run([subcommand, "--config", str(tmp_path / "structure.json"), *flags,
+                "--output", str(by_flags)]) == 0
+    assert run([subcommand, "--config", str(tmp_path / "all.json"),
+                "--output", str(by_file)]) == 0
+    assert by_flags.read_bytes() == by_file.read_bytes()
