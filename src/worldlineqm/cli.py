@@ -50,16 +50,59 @@ def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in str(text).split(","))
 
 
-def _json(value):
-    """Structured JSON value: settable from a config file only, not cast."""
-    return value
+def _check_json(value, shape, where: str):
+    """Raise ContractViolation unless a JSON value has the given shape.
+
+    A shape is a type or tuple of types; [s] for a list of s, or [s1, s2] for
+    a list of exactly those items; or a dict for an object, where a key ending
+    in "?" is optional and the key `str` stands for every key.
+    """
+    if isinstance(shape, list):
+        if not isinstance(value, list) or len(shape) > 1 and len(value) != len(shape):
+            raise ContractViolation(f"{where} must be a list"
+                                    + (f" of {len(shape)} items" if len(shape) > 1 else ""))
+        for i, item in enumerate(value):
+            _check_json(item, shape[min(i, len(shape) - 1)], f"{where}[{i}]")
+    elif isinstance(shape, dict):
+        if not isinstance(value, dict):
+            raise ContractViolation(f"{where} must be a JSON object")
+        for key, sub in shape.items():
+            if key is str:
+                for name, item in value.items():
+                    _check_json(item, sub, f"{where}.{name}")
+            elif key.rstrip("?") in value:
+                _check_json(value[key.rstrip("?")], sub, f"{where}.{key.rstrip('?')}")
+            elif not key.endswith("?"):
+                raise ContractViolation(f"{where} needs the key {key!r}")
+    elif not isinstance(value, shape):
+        kinds = shape if isinstance(shape, tuple) else (shape,)
+        raise ContractViolation(f"{where} must be {' or '.join(k.__name__ for k in kinds)}, "
+                                f"not {type(value).__name__}")
+
+
+_NUMBER = (int, float)
+_CAST = (int, float, str)  # a scalar the runner passes through int() or float()
+_LEG = {"p": [_CAST], "type?": str, "sign?": _CAST}
+_STATE = {"entries": [{"site": [_CAST], "type": str, "tag?": str}],
+          "coefficient?": [_NUMBER, _NUMBER]}
+_STATES_SHAPE = {"types": {str: {"mass": _NUMBER, "conjugate?": str}},
+                 "bra": _STATE, "ket": _STATE}
+
+
+def _states_file(path: str) -> dict:
+    """The Fock states file, read and shape-checked before the run."""
+    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    _check_json(payload, _STATES_SHAPE, "states")
+    return payload
 
 
 _MODES = ("euclidean", "minkowski")
 _SIGNS = (-1, 1)
 
 # subcommand -> key -> (kind, static default[, flag help]).  A kind is a cast
-# (int, float, str, _floats, _ints, bool, _json) or a tuple of allowed values.
+# (int, float, str, _floats, _ints, bool, _states_file), a tuple of allowed
+# values, or the dict or list shape (see _check_json) of a structured JSON
+# value, which is settable from a config file only and is not cast.
 # A key with default None is left out of the typed values when not given: it is
 # required (the runner's KeyError exits 2), or the runner derives its default.
 PARAMETERS = {
@@ -88,13 +131,14 @@ PARAMETERS = {
         "window": (float, 1.0), "p0_halfrange": (float, 60.0), "p0_points": (int, 120001),
     },
     "fock": {
-        "states": (str, None, "JSON file with types, bra, ket"),
+        "states": (_states_file, None, "JSON file with types, bra, ket"),
         "shape": (_ints, (4, 4)), "extent": (_floats, (4.0, 4.0)), "epsilon": (float, 1e-2),
     },
     "scatter": {
         "coupling": (float, None), "mass_a": (float, 1.0), "mass_b": (float, 1.0),
-        "epsilon": (float, 1e-3), "grid": (_json, None), "incoming": (_json, None),
-        "outgoing": (_json, None),
+        "epsilon": (float, 1e-3),
+        "grid": ({"points": _CAST, "spacing": _CAST, "spatial_dimension?": _CAST}, None),
+        "incoming": ([_LEG], None), "outgoing": ([_LEG], None),
     },
     "selfenergy": {
         "dim": (int, 2), "p": (_floats, None), "ma": (float, 1.0), "mb": (float, 1.0),
@@ -149,6 +193,8 @@ def _resolve(params: dict, subcommand: str) -> dict:
             if value not in kind:
                 raise ContractViolation(
                     f"{key} must be one of {list(kind)}, not {value!r}")
+        elif isinstance(kind, (dict, list)):
+            _check_json(value, kind, key)
         else:
             value = kind(value)
         if value is not None:
@@ -253,7 +299,7 @@ def _parse_state(data, tag_default):
 
 
 def _run_fock(c):
-    payload = json.loads(Path(c["states"]).read_text(encoding="utf-8"))
+    payload = c["states"]
     spec = LatticeSpec(c["shape"], c["extent"])
     types = {name: ParticleType(name, spc["mass"], spc.get("conjugate", "plain"))
              for name, spc in payload["types"].items()}
@@ -333,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--timing", action="store_true",
                        help="embed wall time in the record (breaks byte stability)")
         for key, (kind, _, *flag_help) in PARAMETERS[name].items():
-            if kind is _json:
+            if isinstance(kind, (dict, list)):
                 continue
             opts = {"dest": key, "help": flag_help[0] if flag_help else None}
             if kind is bool:

@@ -12,6 +12,15 @@ conjugate partner for any non-self-conjugate term.  On a truncated sector
 these statements become matrix identities, exact per order in g wherever the
 repeated application of V stays inside the sector.
 
+A sector holds each basis state as a count vector: its occupation numbers
+over (type, tag, site) slots.  An operator expression is represented by
+index arithmetic on the count vectors of the whole basis at once (creators
+add to a slot, annihilators branch over the occupied slots with a tabulated
+two-point factor), and the images are found in the basis by exact row
+lookup.  The result is a scipy.sparse matrix; the Dyson series and its
+unitarity residuals are sparse products, and only the public return values
+(`represent`, the DysonOperator coefficients and matrices) are made dense.
+
 The cubic A-B model couples a conserved A line to a self-conjugate B field
 psi'(x, B) = psi(x, B) + psidag(x, B; start).
 """
@@ -19,14 +28,17 @@ psi'(x, B) = psi(x, B) + psidag(x, B; start).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations_with_replacement
 from math import factorial
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, sparse
 
-from .errors import ContractViolation, LeakageError
+from .errors import ContractViolation, LeakageError, SectorOverflowError
 from .fock import (
+    INTEGRATED,
+    START,
     Entry,
     FieldAlgebra,
     FockState,
@@ -98,11 +110,20 @@ class InteractionModel:
 # truncated sectors
 
 
+def _row_keys(counts: np.ndarray) -> np.ndarray:
+    """One exact, sortable void scalar per count-vector row."""
+    counts = np.ascontiguousarray(counts)
+    return counts.view(np.dtype((np.void, counts.shape[1] * counts.itemsize))).ravel()
+
+
 @dataclass
 class Sector:
     """Enumerated basis of start-labeled multisets with per-type count bounds.
 
-    content maps a type label to (min_count, max_count).
+    content maps a type label to (min_count, max_count).  Each basis state is
+    also held as a row of `counts`, its occupation numbers over the slots
+    (label, tag, site): label-major over `labels`, and within a label the
+    start block of all sites before the integrated block.
     """
 
     algebra: FieldAlgebra
@@ -132,10 +153,47 @@ class Sector:
                                    tuple(e.sort_key() for e in st.entries)))
         self.basis = basis
         self.index = {st.entries: i for i, st in enumerate(basis)}
+        self.sites = sites
+        self.labels = sorted(set(self.algebra.types) | set(self.content))
+        self.counts = np.zeros((len(basis), 2 * len(self.labels) * len(sites)), np.uint16)
+        for i, st in enumerate(basis):
+            for e in st.entries:
+                self.counts[i, self.block(e.type_label) + self.site_index(e.site)] += 1
+        keys = _row_keys(self.counts)
+        self._order = np.argsort(keys)
+        self._sorted_keys = keys[self._order]
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
+
+    def block(self, label: str, start: bool = True) -> int:
+        """First count slot of a label's start (or integrated) entries."""
+        return (2 * self.labels.index(label) + (not start)) * len(self.sites)
+
+    def site_index(self, site) -> int:
+        try:
+            return int(np.ravel_multi_index(tuple(site), self.algebra.spec.shape))
+        except ValueError:
+            raise ContractViolation(f"site {tuple(site)} is outside the lattice") from None
+
+    def lookup(self, counts: np.ndarray) -> np.ndarray:
+        """Basis index of each count-vector row, -1 where it is not in the basis."""
+        keys = _row_keys(counts)
+        pos = np.minimum(np.searchsorted(self._sorted_keys, keys), self.dimension - 1)
+        found = self._sorted_keys[pos] == keys
+        return np.where(found, self._order[pos], -1)
+
+    def state_of(self, counts: np.ndarray, coefficient: complex) -> FockState:
+        """The FockState of one count vector (which need not be in the basis)."""
+        n_sites = len(self.sites)
+        entries = []
+        for slot in np.flatnonzero(counts):
+            label, rest = divmod(int(slot), 2 * n_sites)
+            entry = Entry(self.sites[rest % n_sites], self.labels[label],
+                          START if rest < n_sites else INTEGRATED)
+            entries += [entry] * int(counts[slot])
+        return symmetrize(entries, coefficient)
 
     def state_index(self, state: FockState) -> int:
         try:
@@ -149,34 +207,83 @@ class Sector:
         return v
 
 
+def _sector_matrix(expr: OperatorExpr, sector: Sector):
+    """Sparse matrix of an operator expression on the sector basis, and its leaks.
+
+    Each generator string acts right to left on the count vectors of the
+    whole basis at once.  A creator adds one to its slot.  An annihilator of
+    type t at x branches once per type-t particle, so a slot (t, y) holding c
+    particles contributes c D_t(x, y) in all, with D_t(x, y) the two-point
+    pairing; the start annihilator pairs only with slot (t, x), by the lattice
+    delta 1/cellvol.  Contracting against an integrated entry raises
+    ContractViolation, and creation runs with headroom above n_max equal to
+    the most creators in one string.  The final count vectors are looked up
+    exactly in the basis: a miss is a leak (every image holding an integrated
+    entry is one).  The leaks map each leaking column to the count vector and
+    coefficient of its first miss; Sector.state_of turns that into a FockState.
+    """
+    alg = sector.algebra
+    n, n_sites = sector.dimension, len(sector.sites)
+    n_cap = alg.n_max + max((sum(g.create for g in gens) for _, gens in expr.terms),
+                            default=0)
+    contracted = {g.type_label for _, gens in expr.terms for g in gens
+                  if not (g.create or g.start) and g.type_label in alg.types}
+    pairing = {t: np.array([[alg.two_point(t, x, y) for y in sector.sites]
+                            for x in sector.sites]) for t in contracted}
+    images = [(sector.counts[:0], np.zeros(0, complex), np.zeros(0, int))]
+    for coeff, gens in expr.terms:
+        counts, values, cols = sector.counts, np.full(n, complex(coeff)), np.arange(n)
+        for gen in reversed(gens):
+            if not len(cols):
+                break
+            alg.check_label(gen.type_label)
+            own = sector.block(gen.type_label)
+            x = sector.site_index(gen.site)
+            if gen.create:
+                if counts.sum(axis=1).max() + 1 > n_cap:
+                    raise SectorOverflowError(
+                        f"creation would exceed the sector bound {n_cap}")
+                counts = counts.copy()
+                counts[:, sector.block(gen.type_label, gen.start) + x] += 1
+                continue
+            if counts[:, own + n_sites:own + 2 * n_sites].any():
+                raise ContractViolation(
+                    "contraction against an integrated-label entry is not defined")
+            if gen.start:
+                parent = np.repeat(np.arange(len(cols)), counts[:, own + x])
+                y = np.full(len(parent), x)
+                factor = 1.0 / alg.spec.cell_volume
+            else:
+                occupied = counts[:, own:own + n_sites].ravel()
+                parent, y = np.divmod(np.repeat(np.arange(occupied.size), occupied), n_sites)
+                factor = pairing[gen.type_label][x, y]
+            counts = counts[parent]
+            counts[np.arange(len(parent)), own + y] -= 1
+            values = values[parent] * factor
+            cols = cols[parent]
+        images.append((counts, values, cols))
+    counts, values, cols = (np.concatenate(parts) for parts in zip(*images))
+    rows = sector.lookup(counts)
+    hit = rows >= 0
+    matrix = sparse.csr_array((values[hit], (rows[hit], cols[hit])), shape=(n, n))
+    miss = np.flatnonzero(~hit)
+    leaky, first = np.unique(cols[miss], return_index=True)
+    leaks = {int(j): (counts[miss[i]], values[miss[i]]) for j, i in zip(leaky, first)}
+    return matrix, leaks
+
+
 @dataclass
 class TruncatedOperator:
-    """Matrix on a sector basis with leak bookkeeping.
+    """Dense matrix on a sector basis with leak bookkeeping.
 
     matrix[i, j] is the amplitude of basis state i in (op applied to basis
     state j); columns whose image had any component outside the sector are
-    recorded in leaky_columns together with one offending image state.
+    recorded in leaky_columns together with their first offending image state.
     """
 
     sector: Sector
     matrix: np.ndarray
     leaky_columns: dict[int, FockState]
-
-    def clean_columns(self, applications: int) -> np.ndarray:
-        """Columns from which `applications` repeated uses never touch a leak.
-
-        A column is dirty if it leaks itself or if any state reachable within
-        applications - 1 further uses leaks (the final image states receive
-        no further application).
-        """
-        n = self.sector.dimension
-        adjacency = np.abs(self.matrix) > 0
-        dirty = np.zeros(n, dtype=bool)
-        for j in self.leaky_columns:
-            dirty[j] = True
-        for _ in range(max(applications - 1, 0)):
-            dirty = dirty | (adjacency.T @ dirty)
-        return ~dirty
 
 
 def represent(expr: OperatorExpr, sector: Sector) -> TruncatedOperator:
@@ -186,24 +293,9 @@ def represent(expr: OperatorExpr, sector: Sector) -> TruncatedOperator:
     bounds; image components outside the basis are recorded as leaks per
     column rather than silently dropped.
     """
-    n = sector.dimension
-    matrix = np.zeros((n, n), dtype=complex)
-    leaks: dict[int, FockState] = {}
-    alg = sector.algebra
-    headroom = max((sum(1 for g in gens if g.create) for _, gens in expr.terms),
-                   default=0)
-    relaxed = FieldAlgebra(alg.spec, alg.types, alg.epsilon,
-                           n_max=alg.n_max + headroom)
-    relaxed._tables = alg._tables  # share cached propagator tables
-    for j, ket in enumerate(sector.basis):
-        for s in apply_expr(expr, ket, relaxed):
-            idx = sector.index.get(s.entries)
-            if idx is None:
-                if j not in leaks:
-                    leaks[j] = s
-                continue
-            matrix[idx, j] += s.coefficient
-    return TruncatedOperator(sector, matrix, leaks)
+    matrix, leaks = _sector_matrix(expr, sector)
+    return TruncatedOperator(sector, matrix.toarray(),
+                             {j: sector.state_of(*leak) for j, leak in leaks.items()})
 
 
 def vertex_operator(model: InteractionModel, sector: Sector,
@@ -228,53 +320,83 @@ def is_self_adjoint(model: InteractionModel, sector: Sector) -> bool:
     if abs(np.imag(model.coupling)) > 0:
         return False
     expr = model.vertex_expr(sector.algebra.spec)
-    a = represent(expr, sector).matrix
-    b = represent(special_adjoint(expr), sector).matrix
-    scale = np.max(np.abs(a)) or 1.0
-    return bool(np.max(np.abs(a - b)) <= 1e-12 * scale)
+    a, _ = _sector_matrix(expr, sector)
+    b, _ = _sector_matrix(special_adjoint(expr), sector)
+    scale = abs(a).max() or 1.0
+    return bool(abs(a - b).max() <= 1e-12 * scale)
+
+
+def _clean_columns(v: sparse.csr_array, leaks, applications: int) -> np.ndarray:
+    """Columns from which `applications` repeated uses of v never touch a leak.
+
+    A column is dirty if it leaks itself or if any state reachable within
+    applications - 1 further uses leaks (the final image states receive no
+    further application).
+    """
+    reached = abs(v) > 0
+    dirty = np.zeros(v.shape[0], dtype=bool)
+    dirty[list(leaks)] = True
+    for _ in range(max(applications - 1, 0)):
+        dirty = dirty | (reached.T @ dirty)
+    return ~dirty
+
+
+def _at_coupling(coefficients: dict, g: float) -> sparse.csr_array:
+    total = coefficients[0]
+    for m in range(1, len(coefficients)):
+        total = total + g ** m * coefficients[m]
+    return total
 
 
 @dataclass
 class DysonOperator:
-    """g-graded truncated series G = sum_m g^m C_m, C_m = (-i)^m/m! V1^m."""
+    """g-graded truncated series G = sum_m g^m C_m, C_m = (-i)^m/m! V1^m.
+
+    The coefficients are held as sparse matrices; `coefficients`,
+    `adjoint_coefficients` and every matrix the methods return are dense.
+    """
 
     sector: Sector
     order: int
-    coefficients: dict[int, np.ndarray]          # for G
-    adjoint_coefficients: dict[int, np.ndarray]  # for G‡
+    sparse_coefficients: dict[int, sparse.csr_array]          # for G
+    sparse_adjoint_coefficients: dict[int, sparse.csr_array]  # for G‡
     clean: np.ndarray           # columns surviving `order` applications
     residual_clean: np.ndarray  # columns surviving 2*order (for G‡G checks)
 
+    @cached_property
+    def coefficients(self) -> dict[int, np.ndarray]:
+        return {m: c.toarray() for m, c in self.sparse_coefficients.items()}
+
+    @cached_property
+    def adjoint_coefficients(self) -> dict[int, np.ndarray]:
+        return {m: c.toarray() for m, c in self.sparse_adjoint_coefficients.items()}
+
     def matrix(self, g: float) -> np.ndarray:
-        total = np.zeros_like(self.coefficients[0])
-        for m, c in self.coefficients.items():
-            total += g ** m * c
-        return total
+        return _at_coupling(self.sparse_coefficients, g).toarray()
 
     def adjoint_matrix(self, g: float) -> np.ndarray:
-        total = np.zeros_like(self.adjoint_coefficients[0])
-        for m, c in self.adjoint_coefficients.items():
-            total += g ** m * c
-        return total
+        return _at_coupling(self.sparse_adjoint_coefficients, g).toarray()
 
     def unitarity_residual_orders(self) -> dict[int, np.ndarray]:
         """Order-by-order coefficients of G‡G - 1 (restricted to all columns)."""
+        n = self.sector.dimension
         out = {}
         for k in range(0, 2 * self.order + 1):
-            total = np.zeros_like(self.coefficients[0])
-            for a in range(0, k + 1):
-                b = k - a
-                if a <= self.order and b <= self.order:
-                    total += self.adjoint_coefficients[a] @ self.coefficients[b]
+            total = sparse.csr_array((n, n), dtype=complex)
+            for a in range(max(k - self.order, 0), min(k, self.order) + 1):
+                total = total + (self.sparse_adjoint_coefficients[a]
+                                 @ self.sparse_coefficients[k - a])
             if k == 0:
-                total -= np.eye(self.sector.dimension)
-            out[k] = total
+                total = total - sparse.eye_array(n)
+            out[k] = total.toarray()
         return out
 
     def unitarity_residual_norm(self, g: float) -> float:
         """|| (G‡G - 1) restricted to 2*order-leakage-free columns ||."""
-        r = self.adjoint_matrix(g) @ self.matrix(g) - np.eye(self.sector.dimension)
-        return float(np.linalg.norm(r[:, self.residual_clean]))
+        r = (_at_coupling(self.sparse_adjoint_coefficients, g)
+             @ _at_coupling(self.sparse_coefficients, g)
+             - sparse.eye_array(self.sector.dimension)).tocoo()
+        return float(np.linalg.norm(r.data[self.residual_clean[r.col]]))
 
 
 def dyson_truncated(model: InteractionModel, sector: Sector, order: int) -> DysonOperator:
@@ -287,25 +409,24 @@ def dyson_truncated(model: InteractionModel, sector: Sector, order: int) -> Dyso
     if order < 0:
         raise ContractViolation("order must be >= 0")
     expr = model.vertex_expr(sector.algebra.spec, coupling=1.0)
-    v1 = represent(expr, sector)
-    a1 = represent(special_adjoint(expr), sector)
-    n = sector.dimension
-    coeffs = {0: np.eye(n, dtype=complex)}
-    adj_coeffs = {0: np.eye(n, dtype=complex)}
-    power = np.eye(n, dtype=complex)
-    adj_power = np.eye(n, dtype=complex)
+    v1, leaks = _sector_matrix(expr, sector)
+    a1, _ = _sector_matrix(special_adjoint(expr), sector)
+    eye = sparse.eye_array(sector.dimension, dtype=complex, format="csr")
+    coeffs, adj_coeffs = {0: eye}, {0: eye}
+    power, adj_power = v1, a1
     for m in range(1, order + 1):
-        power = v1.matrix @ power
-        adj_power = a1.matrix @ adj_power
+        if m > 1:
+            power, adj_power = v1 @ power, a1 @ adj_power
         coeffs[m] = (-1j) ** m / factorial(m) * power
         adj_coeffs[m] = (1j) ** m / factorial(m) * adj_power
-    clean = v1.clean_columns(order)
+    clean = _clean_columns(v1, leaks, order)
     if order > 0 and not clean.any():
-        j, state = next(iter(v1.leaky_columns.items()))
+        j, leak = next(iter(leaks.items()))
+        state = sector.state_of(*leak)
         raise LeakageError(
             f"V^{order} escapes the sector from every basis state; first leak "
             f"from column {j} into {state.entries}", basis_state=state)
-    residual_clean = v1.clean_columns(2 * order)
+    residual_clean = _clean_columns(v1, leaks, 2 * order)
     return DysonOperator(sector, order, coeffs, adj_coeffs, clean, residual_clean)
 
 

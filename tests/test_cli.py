@@ -235,6 +235,52 @@ _SCATTER_STRUCTURE = {
     "outgoing": [{"p": [0.5], "type": "A"}, {"p": [0.0], "type": "A"}],
 }
 
+
+def _exits_2_with_config_error(capsys, tmp_path, argv):
+    out = tmp_path / "x.json"
+    assert run(argv + ["--output", str(out)]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("structure", [
+    dict(_SCATTER_STRUCTURE, grid=[1]),
+    {"grid": _SCATTER_STRUCTURE["grid"], "incoming": "ab"},
+    dict(_SCATTER_STRUCTURE, incoming="ab"),
+    dict(_SCATTER_STRUCTURE, outgoing=[{"p": 0.5}, {"p": [0.0]}]),
+    dict(_SCATTER_STRUCTURE, grid={"points": [9], "spacing": 0.5}),
+], ids=["grid_list", "incoming_str_no_outgoing", "incoming_str", "leg_p_scalar", "points_list"])
+def test_scatter_structure_shape_is_checked(capsys, tmp_path, structure):
+    config = {"coupling": 0.9, "mass_a": 1.0, "mass_b": 1.5, "epsilon": 1e-3, **structure}
+    cfg = tmp_path / "scatter.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    _exits_2_with_config_error(capsys, tmp_path, ["scatter", "--config", str(cfg)])
+
+
+_STATES = {"types": {"A": {"mass": 1.0}},
+           "bra": {"entries": [{"site": [0, 1], "type": "A"}]},
+           "ket": {"entries": [{"site": [1, 1], "type": "A"}], "coefficient": [0.5, 0.0]}}
+
+
+@pytest.mark.parametrize("payload", [
+    dict(_STATES, types=[1]),
+    [1],
+    dict(_STATES, ket={"entries": [{"site": [1, 1], "type": "A"}], "coefficient": [0.5]}),
+    dict(_STATES, bra={"entries": [{"site": 3, "type": "A"}]}),
+], ids=["types_list", "not_object", "short_coefficient", "site_scalar"])
+def test_states_file_shape_is_checked(capsys, tmp_path, payload):
+    states = tmp_path / "states.json"
+    states.write_text(json.dumps(payload), encoding="utf-8")
+    _exits_2_with_config_error(capsys, tmp_path, ["fock", "--states", str(states)])
+
+
+def test_states_file_of_the_checked_shape_runs(tmp_path):
+    states = tmp_path / "states.json"
+    states.write_text(json.dumps(_STATES), encoding="utf-8")
+    out = tmp_path / "fock.json"
+    assert run(["fock", "--states", str(states), "--output", str(out)]) == 0
+    assert read_json(out)["outputs"]["ket_particles"] == 1
+
 # every flag of each subcommand, with the value argparse gives it
 _ALL_FLAGS = {
     "kernel": {"dim": 2, "mode": "euclidean", "mass": 1.0, "tau": 1.0, "dx": "0.5,0.2",

@@ -1,4 +1,5 @@
 from itertools import permutations
+from math import factorial
 
 import numpy as np
 import pytest
@@ -89,6 +90,36 @@ def test_ryser_against_naive():
         a = permanent_naive(m)
         b = permanent_ryser(m)
         assert abs(a - b) / abs(a) < 1e-12
+
+
+def _ryser_gray_loop(matrix):
+    """Reference: Ryser's formula with one Gray-code subset update per step."""
+    n = matrix.shape[0]
+    row_sums = np.zeros(n, dtype=complex)
+    total, gray = 0j, 0
+    for k in range(1, 2 ** n):
+        new_gray = k ^ (k >> 1)
+        j = (gray ^ new_gray).bit_length() - 1
+        row_sums += matrix[:, j] if new_gray > gray else -matrix[:, j]
+        gray = new_gray
+        total += (-1) ** (n - bin(gray).count("1")) * np.prod(row_sums)
+    return total
+
+
+def test_ryser_against_gray_code_loop_and_closed_forms():
+    rng = np.random.default_rng(11)
+    for n in (1, 5, 9, 11):
+        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        want = _ryser_gray_loop(m)
+        assert abs(permanent_ryser(m) - want) < 1e-12 * np.prod(np.linalg.norm(m, axis=1))
+    n = 14
+    u = rng.uniform(0.5, 1.5, n) * np.exp(1j * rng.uniform(-0.3, 0.3, n))
+    v = rng.uniform(0.5, 1.5, n) * np.exp(1j * rng.uniform(-0.3, 0.3, n))
+    exact = factorial(n) * np.prod(u) * np.prod(v)
+    assert abs(permanent_ryser(np.outer(u, v)) - exact) < 1e-9 * abs(exact)
+    assert permanent_ryser(np.ones((n, n), dtype=int)) == pytest.approx(factorial(n), rel=1e-9)
+    with pytest.raises(ContractViolation, match="n <= 16"):
+        permanent_ryser(np.ones((17, 17)))
 
 
 def test_permanent_empty_and_identity():

@@ -1,9 +1,24 @@
 import numpy as np
 import pytest
 
-from worldlineqm.errors import ContractViolation, DomainError, LeakageError
-from worldlineqm.fock import Entry, FieldAlgebra, symmetrize
-from worldlineqm.geometry import FourVector
+from worldlineqm.errors import (
+    ContractViolation,
+    DomainError,
+    LeakageError,
+    SectorOverflowError,
+)
+from worldlineqm.fock import (
+    Entry,
+    FieldAlgebra,
+    Generator,
+    OperatorExpr,
+    annihilator,
+    apply_expr,
+    creator_start,
+    special_adjoint,
+    symmetrize,
+)
+from worldlineqm.geometry import FourVector, ParticleType
 from worldlineqm.interaction import (
     FINAL_ANTIPARTICLE,
     FINAL_PARTICLE,
@@ -18,6 +33,7 @@ from worldlineqm.interaction import (
     dyson_truncated,
     external_line_factor,
     is_self_adjoint,
+    represent,
     scatter_tree_2to2,
     self_energy_unregulated,
     vertex_operator,
@@ -86,6 +102,126 @@ def test_self_adjointness_and_negative_control():
 
 
 # ---------------------------------------------------------------------------
+# the count-vector representation against the object walk
+
+
+def _represent_by_walk(expr, sector):
+    """Reference: apply the expression to each basis FockState in turn."""
+    n = sector.dimension
+    matrix = np.zeros((n, n), dtype=complex)
+    leaks = {}
+    alg = sector.algebra
+    headroom = max((sum(1 for g in gens if g.create) for _, gens in expr.terms),
+                   default=0)
+    relaxed = FieldAlgebra(alg.spec, alg.types, alg.epsilon, n_max=alg.n_max + headroom)
+    for j, ket in enumerate(sector.basis):
+        for s in apply_expr(expr, ket, relaxed):
+            idx = sector.index.get(s.entries)
+            if idx is None:
+                leaks.setdefault(j, s)
+                continue
+            matrix[idx, j] += s.coefficient
+    return matrix, leaks
+
+
+def assert_matches_walk(expr, sector):
+    want, want_leaks = _represent_by_walk(expr, sector)
+    got = represent(expr, sector)
+    assert isinstance(got.matrix, np.ndarray) and got.matrix.shape == want.shape
+    scale = np.max(np.abs(want)) if want.size else 0.0
+    assert np.max(np.abs(got.matrix - want), initial=0.0) <= 1e-12 * scale
+    assert list(got.leaky_columns) == list(want_leaks)
+    for j, state in want_leaks.items():
+        assert got.leaky_columns[j].entries == state.entries
+        assert abs(got.leaky_columns[j].coefficient - state.coefficient) <= 1e-12 * abs(
+            state.coefficient)
+    return got
+
+
+LONE = InteractionModel((VertexTerm(("A", "B"), ("A",)),), 1.3,
+                        InteractionModel.ab_model(1.0).types)
+
+
+@pytest.mark.parametrize("model", [InteractionModel.ab_model(0.7), LONE],
+                         ids=["ab", "lone"])
+@pytest.mark.parametrize("adjoint", [False, True], ids=["V", "Vdag"])
+def test_represent_matches_walk(model, adjoint):
+    for sector in (ab_sector(SPEC22, b_max=2, n_max=4), ab_sector(SPEC44, b_max=1, n_max=3)):
+        expr = model.vertex_expr(sector.algebra.spec)
+        rep = assert_matches_walk(special_adjoint(expr) if adjoint else expr, sector)
+        assert np.count_nonzero(rep.matrix) > 0
+
+
+def test_represent_matches_walk_on_leaking_sector():
+    sector = ab_sector(SPEC22, b_max=1, n_max=2)
+    model = InteractionModel.ab_model(1.0)
+    expr = model.vertex_expr(SPEC22, coupling=1.0)
+    rep = assert_matches_walk(expr, sector)
+    assert rep.leaky_columns
+    _, walk_leaks = _represent_by_walk(expr, sector)
+    j, state = next(iter(walk_leaks.items()))
+    with pytest.raises(LeakageError) as info:
+        dyson_truncated(model, sector, 3)
+    assert str(info.value) == (
+        f"V^3 escapes the sector from every basis state; first leak "
+        f"from column {j} into {state.entries}")
+    assert info.value.basis_state.entries == state.entries
+    assert info.value.basis_state.coefficient == pytest.approx(state.coefficient, rel=1e-12)
+
+
+@pytest.mark.parametrize("kinds", [("normal", "plain"), ("anti", "normal")])
+def test_represent_matches_walk_for_on_shell_types(kinds):
+    types = {"A": ParticleType("A", 1.0, kinds[0]), "B": ParticleType("B", 1.3, kinds[1])}
+    model = InteractionModel(InteractionModel.ab_model(0.9).terms, 0.9, types)
+    sector = Sector(FieldAlgebra(SPEC22, types, epsilon=1e-2, n_max=3),
+                    {"A": (1, 1), "B": (0, 2)})
+    expr = model.vertex_expr(SPEC22)
+    assert_matches_walk(expr, sector)
+    assert_matches_walk(special_adjoint(expr), sector)
+
+
+def test_represent_matches_walk_with_integrated_and_start_generators():
+    # cell volume 1.5, so the start annihilator's lattice delta is not 1
+    sector = ab_sector(LatticeSpec((2, 2), (3.0, 2.0)), b_max=2, n_max=4)
+    x, y = (0, 1), (1, 1)
+    start_annihilator = Generator(False, True, x, "A")
+    integrated_creator = Generator(True, False, y, "B")
+    expr = OperatorExpr((
+        (0.5 + 0.25j, (creator_start(y, "A"), start_annihilator)),
+        (1.5, (integrated_creator, annihilator(x, "B"))),
+        (-2.0, (creator_start(x, "B"), integrated_creator, start_annihilator)),
+    ))
+    rep = assert_matches_walk(expr, sector)
+    assert np.count_nonzero(rep.matrix) > 0
+    assert any(e.tag == "integrated" for s in rep.leaky_columns.values() for e in s.entries)
+    # contracting against an integrated entry is undefined on both paths
+    bad = OperatorExpr.from_string(1.0, (annihilator(x, "B"), integrated_creator))
+    with pytest.raises(ContractViolation, match="integrated-label"):
+        _represent_by_walk(bad, sector)
+    with pytest.raises(ContractViolation, match="integrated-label"):
+        represent(bad, sector)
+
+
+def test_represent_errors_match_walk():
+    overflowing = ab_sector(SPEC22, b_max=3, n_max=1)
+    expr = InteractionModel.ab_model(1.0).vertex_expr(SPEC22)
+    with pytest.raises(SectorOverflowError) as walk:
+        _represent_by_walk(expr, overflowing)
+    with pytest.raises(SectorOverflowError) as arithmetic:
+        represent(expr, overflowing)
+    assert str(arithmetic.value) == str(walk.value)
+    sector = ab_sector(SPEC22, b_max=1)
+    unknown = OperatorExpr.from_string(1.0, (creator_start((0, 0), "C"),
+                                             annihilator((0, 0), "A")))
+    for build in (_represent_by_walk, represent):
+        with pytest.raises(ContractViolation, match="unknown particle type 'C'"):
+            build(unknown, sector)
+    off_lattice = OperatorExpr.from_string(1.0, (annihilator((2, 0), "A"),))
+    with pytest.raises(ContractViolation, match="outside the lattice"):
+        represent(off_lattice, sector)
+
+
+# ---------------------------------------------------------------------------
 # dyson series and truncated ‡-unitarity
 
 
@@ -115,6 +251,19 @@ def test_unitarity_residual_slope_four():
     r2 = dy.unitarity_residual_norm(1e-3)
     slope = (np.log10(r1) - np.log10(r2))
     assert abs(slope - 4.0) < 0.1
+
+
+def test_unitarity_on_4x4_sector_at_order_one():
+    sector = ab_sector(SPEC44, b_max=2, n_max=8)
+    assert sector.dimension == 2448
+    dy = dyson_truncated(InteractionModel.ab_model(1.0), sector, 1)
+    clean = dy.residual_clean
+    assert clean.sum() == 16
+    orders = dy.unitarity_residual_orders()
+    assert all(isinstance(o, np.ndarray) and o.shape == (2448, 2448) for o in orders.values())
+    assert max(np.max(np.abs(orders[k][:, clean])) for k in (0, 1)) < 1e-12
+    slope = np.log10(dy.unitarity_residual_norm(1e-2)) - np.log10(dy.unitarity_residual_norm(1e-3))
+    assert abs(slope - 2.0) < 0.1
 
 
 def test_unitarity_negative_control():
