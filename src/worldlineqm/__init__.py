@@ -19,6 +19,8 @@ Subpackage map:
 - ``regularization`` weight-function (continuous Pauli-Villars) regulator:
                      spectral density, regulated self-energy via two routes,
                      cancellation conditions, divergence scans
+- ``quadrature``     the one quadrature layer: adaptive integration of
+                     complex integrands, Gauss-Legendre panel rules
 - ``cli``            batch front end with JSON configs and CSV/JSON records
 """
 

@@ -76,14 +76,6 @@ def euclidean_dot(a: FourVector, b: FourVector) -> float:
     return float(a.as_array() @ b.as_array())
 
 
-def dot(a: FourVector, b: FourVector, mode: str) -> float:
-    if mode == "minkowski":
-        return minkowski_dot(a, b)
-    if mode == "euclidean":
-        return euclidean_dot(a, b)
-    raise ContractViolation(f"unknown mode {mode!r}")
-
-
 @dataclass(frozen=True)
 class ParticleType:
     """A scalar particle species.

@@ -33,7 +33,7 @@ from itertools import combinations_with_replacement
 from math import factorial
 
 import numpy as np
-from scipy import integrate, sparse
+from scipy import sparse
 
 from .errors import ContractViolation, LeakageError, SectorOverflowError
 from .fock import (
@@ -53,7 +53,7 @@ from .fock import (
 from .geometry import FourVector, ParticleType
 from .kernel import propagator_momentum
 from .onshell import MomentumGrid
-from .regularization import SelfEnergyResult, angular_factor
+from .regularization import SelfEnergyResult, bubble
 
 
 # ---------------------------------------------------------------------------
@@ -71,10 +71,6 @@ class VertexTerm:
         gens = [creator_start(site, n) for n in self.dagger_types]
         gens += [annihilator(site, n) for n in self.plain_types]
         return tuple(gens)
-
-    def adjoint_signature(self) -> "VertexTerm":
-        return VertexTerm(tuple(reversed(self.plain_types)),
-                          tuple(reversed(self.dagger_types)))
 
 
 @dataclass(frozen=True)
@@ -374,9 +370,6 @@ class DysonOperator:
     def matrix(self, g: float) -> np.ndarray:
         return _at_coupling(self.sparse_coefficients, g).toarray()
 
-    def adjoint_matrix(self, g: float) -> np.ndarray:
-        return _at_coupling(self.sparse_adjoint_coefficients, g).toarray()
-
     def unitarity_residual_orders(self) -> dict[int, np.ndarray]:
         """Order-by-order coefficients of G‡G - 1 (restricted to all columns)."""
         n = self.sector.dimension
@@ -575,14 +568,9 @@ def self_energy_unregulated(p: FourVector, m_a: float, m_b: float, dimension: in
         raise ContractViolation("cutoff must exceed 10 * max(m_a, m_b)")
     p_norm = float(np.sqrt(p.as_array() @ p.as_array()))
 
-    def radial(k):
-        ksq = k * k
-        meas = k if dimension == 2 else k ** 3
-        return meas / (ksq + m_a * m_a) * angular_factor(ksq, p_norm, m_b, k, dimension)
-
-    breakpoints = sorted({m_a, m_b, p_norm + m_b}) if np.isfinite(cutoff) else None
-    value, err = integrate.quad(radial, 0.0, cutoff, limit=400,
-                                points=breakpoints if (breakpoints and np.isfinite(cutoff)) else None)
-    return SelfEnergyResult(value=complex(value), error=float(err), route="cutoff",
+    points = sorted({m_a, m_b, p_norm + m_b}) if np.isfinite(cutoff) else None
+    value, err = bubble(lambda ksq: 1.0 / (ksq + m_a * m_a), p_norm, m_b, dimension,
+                        cutoff, points)
+    return SelfEnergyResult(value=value, error=err, route="cutoff",
                             metadata={"cutoff": cutoff, "dimension": dimension,
                                       "m_a": m_a, "m_b": m_b, "p_norm": p_norm})

@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
+from . import quadrature
 from .errors import (
     ContractViolation,
     DegeneratePathError,
@@ -350,23 +350,6 @@ def _thin_marks(rng, paths, grid, counts, mass_sq_fn, bound):
 # proper-time propagators
 
 
-def _cquad(func, a, b, **kw):
-    value, err = integrate.quad(func, a, b, complex_func=True, **kw)
-    return value, err
-
-
-def _gl_nodes(edges, order: int):
-    """Gauss-Legendre nodes/weights on a sequence of panels."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    edges = np.asarray(edges, dtype=float)
-    lo, hi = edges[:-1], edges[1:]
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
-
-
 def _panel_edges(t_lo: float, t_hi: float, osc_scale: float, n_geom: int = 40):
     """Geometric panels resolving the t -> 0 structure, then uniform panels
     no wider than a quarter oscillation period."""
@@ -391,26 +374,21 @@ def propagator_position(dx: FourVector, mass: float, epsilon: float,
         raise DomainError("epsilon must be >= 0")
     if epsilon == 0 and weight.kind == "uniform":
         raise DomainError("uniform weight needs epsilon > 0 for the T-integral")
+    if mode not in ("euclidean", "minkowski"):
+        raise ContractViolation(f"unknown mode {mode!r}")
+    if mode == "minkowski" and damping <= 0:
+        raise DomainError("minkowski proper-time integral needs damping > 0")
     dxa = dx.as_array()
     msq = mass * mass
-    if mode == "euclidean":
-        def integrand(t):
-            return float(weight(t) * _kernel_value(dxa, t, msq, dimension, "euclidean").real
-                         * np.exp(-epsilon * t))
-        lo = weight.threshold if weight.kind == "gaussian-thresholded" else 0.0
-        value, _ = integrate.quad(integrand, lo, np.inf, limit=300)
-        return complex(value)
-    if mode == "minkowski":
-        if damping <= 0:
-            raise DomainError("minkowski proper-time integral needs damping > 0")
+    damping = damping if mode == "minkowski" else 0.0
 
-        def integrand(t):
-            return (weight(t) * _kernel_value(dxa, t, msq, dimension, "minkowski", damping)
-                    * np.exp(-epsilon * t))
-        lo = weight.threshold if weight.kind == "gaussian-thresholded" else 0.0
-        value, _ = _cquad(integrand, lo, np.inf, limit=400)
-        return complex(value)
-    raise ContractViolation(f"unknown mode {mode!r}")
+    def integrand(t):
+        return (weight(t) * _kernel_value(dxa, t, msq, dimension, mode, damping)
+                * np.exp(-epsilon * t))
+    lo = weight.threshold if weight.kind == "gaussian-thresholded" else 0.0
+    value, _ = quadrature.adaptive(integrand, lo, np.inf,
+                                   limit=300 if mode == "euclidean" else 400)
+    return value
 
 
 def propagator_momentum(p: FourVector, mass: float, epsilon: float) -> complex:
@@ -443,8 +421,8 @@ def propagator_onshell_part(dx: FourVector, mass: float, sign: int,
         def integrand(p):
             e = np.sqrt(p * p + msq)
             return np.exp(1j * (-sign * e * dt + p * r) - damping * p * p) / (2 * e)
-        value, _ = _cquad(integrand, -np.inf, np.inf, limit=400)
-        return complex(value / (2 * np.pi))
+        value, _ = quadrature.adaptive(integrand, -np.inf, np.inf, limit=400)
+        return value / (2 * np.pi)
     if d == 3:
         def integrand(p):
             e = np.sqrt(p * p + msq)
@@ -453,8 +431,8 @@ def propagator_onshell_part(dx: FourVector, mass: float, sign: int,
             else:
                 ang = 4 * np.pi
             return p * p * ang * np.exp(-1j * sign * e * dt - damping * p * p) / (2 * e)
-        value, _ = _cquad(integrand, 0.0, np.inf, limit=400)
-        return complex(value / (2 * np.pi) ** 3)
+        value, _ = quadrature.adaptive(integrand, 0.0, np.inf, limit=400)
+        return value / (2 * np.pi) ** 3
     raise UnsupportedSpecError(f"spatial dimension d = {d} not supported")
 
 
@@ -502,7 +480,7 @@ def fixed_mass_propagator(dx: FourVector, mass_squared: float, epsilon: float,
             edges.append(-pstar + steps)
     grid = np.unique(np.concatenate(edges))
     grid = grid[(grid >= -half) & (grid <= half)]
-    nodes, weights = _gl_nodes(grid, order=10)
+    nodes, weights = quadrature.panels(grid)
 
     c = mass_squared - nodes * nodes - 1j * epsilon
     root = np.sqrt(c)  # principal branch, Re > 0
@@ -531,7 +509,7 @@ def euclidean_mass_propagator_batch(dx: FourVector, mass_squared, dimension: int
     t_hi = 40.0 / re_min
     t_lo = rsq / 400.0
     osc = float(np.max(np.abs(np.imag(msq))))
-    nodes, weights = _gl_nodes(_panel_edges(t_lo, t_hi, osc), order=10)
+    nodes, weights = quadrature.panels(_panel_edges(t_lo, t_hi, osc))
     pref = (4 * np.pi * nodes) ** (-dimension / 2) * np.exp(-rsq / (4 * nodes))
     out = np.empty(msq.shape, dtype=complex)
     chunk = max(1, int(4e6 // nodes.size))

@@ -81,10 +81,6 @@ class OnShellState:
         psq = sum(p * p for p in self.p_spatial)
         return float(np.sqrt(psq + self.mass ** 2))
 
-    @property
-    def four_momentum(self) -> tuple[float, ...]:
-        return (self.sign * self.energy,) + self.p_spatial
-
 
 def onshell_propagator_momentum(p, mass: float, sign: int, epsilon: float) -> complex:
     """Frequency-part propagator (2E)^-1 i s / (p0 - s E + i s eps), s = sign.

@@ -23,8 +23,16 @@ with the spectral density F the half-line Fourier transform of f.  In
 euclidean signature the mass-squared contour runs through m_a^2 parallel to
 the imaginary axis (m'^2 = m_a^2 + i w), where every propagator is off its
 pole; the real-axis form would hit the k-integral poles for m'^2 < 0.  The
-spectral density with the threshold satisfies the continuous Pauli-Villars
-cancellation conditions F~(0) = 0 and F~'(0) = 0.
+contour integral over w in [0, W] is a fixed Gauss-Legendre sum over 80
+geometric panels, and the sum sits inside the line factor of one radial
+k-integral: line(k^2) = sum_i c_i / (k^2 + m_a^2 + i w_i), with c_i the
+node weight times F.  The window is W = max(1000, cutoff^2) for a finite
+cutoff, so the contour reaches past the largest k^2 in the integral, and
+W = 1000 otherwise.  The spectral density with the threshold satisfies the
+continuous Pauli-Villars cancellation conditions F~(0) = 0 and F~'(0) = 0.
+
+Both routes, and the unregulated bubble in ``interaction``, are one call of
+``bubble`` with their own line factor.
 """
 
 from __future__ import annotations
@@ -32,8 +40,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
+from . import quadrature
 from .errors import ContractViolation, DomainError
 from .geometry import FourVector
 
@@ -75,21 +84,6 @@ class SelfEnergyResult:
             raise ContractViolation("error estimate must be >= 0")
 
 
-def angular_factor(ksq, p_norm, m_b, k, dimension):
-    """Closed-form angular integral of [(p-k)^2 + m_b^2]^(-1).
-
-    D=2: Int dtheta / (A - B cos) = 2 pi / sqrt(A^2 - B^2);
-    D=4: 4 pi Int sin^2 / (A - B cos) dpsi = 4 pi^2 (A - sqrt(A^2-B^2)) / B^2.
-    """
-    a = ksq + p_norm * p_norm + m_b * m_b
-    b = 2.0 * k * p_norm
-    if dimension == 2:
-        return 2 * np.pi / np.sqrt(a * a - b * b)
-    if b == 0.0:
-        return 2 * np.pi ** 2 / a
-    return 4 * np.pi ** 2 * (a - np.sqrt(a * a - b * b)) / (b * b)
-
-
 def spectral_density(mass_squared: float, spec: RegulatorSpec) -> complex:
     """F(m^2) = (2 pi)^-1 Int_delta^inf dlam exp(i lam (m^2 - m_a^2)) f(lam).
 
@@ -102,12 +96,11 @@ def spectral_density(mass_squared: float, spec: RegulatorSpec) -> complex:
     def integrand(lam):
         return np.exp(1j * lam * omega - lam * lam / (2 * dlam * dlam))
 
-    value, _ = integrate.quad(integrand, spec.threshold, 8 * dlam,
-                              complex_func=True, limit=800)
-    return complex(value / (2 * np.pi))
+    value, _ = quadrature.adaptive(integrand, spec.threshold, 8 * dlam, limit=800)
+    return value / (2 * np.pi)
 
 
-def _spectral_density_closed(omega: float, spec: RegulatorSpec) -> complex:
+def _spectral_density_closed(omega, spec: RegulatorSpec):
     """Half-line Gaussian Fourier transform in stable Faddeeva form.
 
     (2 pi)^-1 Int_delta^inf exp(-a lam^2 + i omega lam) dlam with
@@ -122,7 +115,7 @@ def _spectral_density_closed(omega: float, spec: RegulatorSpec) -> complex:
     delta = spec.threshold
     z = (omega + 2j * a * delta) / (2.0 * sqrt_a)
     head = np.exp(-a * delta * delta + 1j * omega * delta)
-    return complex(head * 0.5 * np.sqrt(np.pi / a) * special.wofz(z) / (2 * np.pi))
+    return head * 0.5 * np.sqrt(np.pi / a) * special.wofz(z) / (2 * np.pi)
 
 
 def _inner_lambda_analytic(w, spec: RegulatorSpec):
@@ -140,14 +133,33 @@ def _inner_lambda_analytic(w, spec: RegulatorSpec):
             * np.exp(-a * delta * delta - delta * w))
 
 
-def _radial_measure(k, dimension):
-    return k if dimension == 2 else k ** 3
+def bubble(line, p_norm: float, m_b: float, dimension: int, top: float,
+           points=None) -> tuple[complex, float]:
+    """Int_{|k|<top} d^Dk line(k^2) [(p-k)^2 + m_b^2]^(-1), |p| = p_norm.
+
+    Adaptive radial quadrature with the angular integral in closed form:
+    D=2: Int dtheta / (A - B cos) = 2 pi / sqrt(A^2 - B^2);
+    D=4: 4 pi Int sin^2 / (A - B cos) dpsi = 4 pi^2 (A - sqrt(A^2-B^2)) / B^2,
+    with A = k^2 + p^2 + m_b^2 and B = 2 k |p|.  Returns (value, error).
+    """
+    def radial(k):
+        ksq = k * k
+        a = ksq + p_norm * p_norm + m_b * m_b
+        b = 2.0 * k * p_norm
+        if dimension == 2:
+            return k * line(ksq) * (2 * np.pi / np.sqrt(a * a - b * b))
+        if b == 0.0:
+            angular = 2 * np.pi ** 2 / a
+        else:
+            angular = 4 * np.pi ** 2 * (a - np.sqrt(a * a - b * b)) / (b * b)
+        return k ** 3 * line(ksq) * angular
+
+    return quadrature.adaptive(radial, 0.0, top, limit=400, points=points)
 
 
 def self_energy_regulated(p: FourVector, m_a: float, m_b: float, dimension: int,
                           spec: RegulatorSpec, route: str = "lambda",
-                          cutoff: float | None = None,
-                          window: float = 1000.0, panels: int = 80) -> SelfEnergyResult:
+                          cutoff: float | None = None) -> SelfEnergyResult:
     """Regulated self-energy T'(p) by the lambda route or the mass-spectrum
     route (euclidean-continued contour m'^2 = m_a^2 + i w); the two agree
     within combined quadrature tolerances.
@@ -158,49 +170,27 @@ def self_energy_regulated(p: FourVector, m_a: float, m_b: float, dimension: int,
         raise DomainError("D=4 without a threshold is not absolutely convergent")
     top = cutoff if cutoff is not None else spec.cutoff
     p_norm = float(np.sqrt(p.as_array() @ p.as_array()))
+    metadata = {"dimension": dimension, "cutoff": top, "spec": spec}
 
     if route == "lambda":
-        def radial(k):
-            ksq = k * k
-            return (_radial_measure(k, dimension)
-                    * _inner_lambda_analytic(ksq + m_a * m_a, spec)
-                    * angular_factor(ksq, p_norm, m_b, k, dimension))
-
-        value, err = integrate.quad(radial, 0.0, top, limit=400)
-        return SelfEnergyResult(complex(value), float(err), "lambda",
-                                {"dimension": dimension, "cutoff": top,
-                                 "spec": spec})
+        value, err = bubble(lambda ksq: _inner_lambda_analytic(ksq + m_a * m_a, spec),
+                            p_norm, m_b, dimension, top)
+        return SelfEnergyResult(value, err, "lambda", metadata)
     if route == "mass-spectrum":
         if dimension == 4 and not np.isfinite(top):
             raise DomainError(
                 "the D=4 fixed-mass bubbles diverge individually; the "
                 "mass-spectrum route needs a common finite cutoff")
-
-        def bubble(m_prime_sq):
-            def radial(k):
-                ksq = k * k
-                return (_radial_measure(k, dimension) / (ksq + m_prime_sq)
-                        * angular_factor(ksq, p_norm, m_b, k, dimension))
-            v, e = integrate.quad(radial, 0.0, top, complex_func=True, limit=300)
-            return v, abs(e)
-
         # conjugate symmetry halves the contour: T' = 2 Re Int_0^W dw H(w) I(w)
-        edges = np.concatenate(([0.0], np.geomspace(window * 1e-5, window, panels)))
-        x, wts = np.polynomial.legendre.leggauss(10)
-        total = 0j
-        err_total = 0.0
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-            for xi, wi in zip(x, wts):
-                w = mid + half * xi
-                h = _spectral_density_closed(w, spec)
-                ival, ierr = bubble(m_a * m_a + 1j * w)
-                total += half * wi * h * ival
-                err_total += half * wi * abs(h) * ierr
-        value = 2 * np.real(total)
-        return SelfEnergyResult(complex(value), float(err_total), "mass-spectrum",
-                                {"dimension": dimension, "cutoff": top,
-                                 "window": window, "spec": spec})
+        window = max(1000.0, top * top) if np.isfinite(top) else 1000.0
+        w, wts = quadrature.panels(
+            np.concatenate(([0.0], np.geomspace(window * 1e-5, window, 80))))
+        coef = wts * _spectral_density_closed(w, spec)
+        shift = m_a * m_a + 1j * w
+        value, err = bubble(lambda ksq: np.sum(coef / (ksq + shift)),
+                            p_norm, m_b, dimension, top)
+        return SelfEnergyResult(complex(2 * value.real), 2 * err, "mass-spectrum",
+                                {**metadata, "window": window})
     raise ContractViolation(f"unknown route {route!r}")
 
 

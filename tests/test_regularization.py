@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy import special
+from scipy import integrate, special
 
 from worldlineqm.errors import ContractViolation, DomainError
 from worldlineqm.geometry import FourVector
@@ -9,6 +9,7 @@ from worldlineqm.regularization import (
     DivergenceScan,
     RegulatorSpec,
     divergence_scan,
+    _spectral_density_closed,
     pv_conditions,
     self_energy_regulated,
     spectral_density,
@@ -54,8 +55,6 @@ def test_spectral_density_vanishing_support():
 
 
 def test_closed_form_matches_quadrature_on_contour():
-    from worldlineqm.regularization import _spectral_density_closed
-
     spec = RegulatorSpec(10.0, 0.01, 1.0)
     for omega in (0.0, 0.3, 2.0, 11.0):
         q = spectral_density(1.0 + omega, spec)
@@ -91,9 +90,57 @@ def test_dual_route_agreement_d2():
 def test_dual_route_agreement_d4():
     spec = RegulatorSpec(10.0, 0.01, 1.0)
     lam = self_energy_regulated(P4, 1.0, 1.0, 4, spec, "lambda", cutoff=120.0)
-    ms = self_energy_regulated(P4, 1.0, 1.0, 4, spec, "mass-spectrum",
-                               cutoff=120.0, window=4000.0, panels=120)
+    ms = self_energy_regulated(P4, 1.0, 1.0, 4, spec, "mass-spectrum", cutoff=120.0)
     assert abs(lam.value.real - ms.value.real) / abs(lam.value.real) < 2e-2
+
+
+def _mass_spectrum_by_bubbles(p, m_a, m_b, dimension, spec, cutoff):
+    """Contour sum of separately integrated fixed-mass bubbles.
+
+    T' = 2 Re sum_i c_i I(p; m_a^2 + i w_i) over 10-point Gauss-Legendre
+    nodes on 80 geometric panels of [0, W], W = max(1000, cutoff^2) (1000
+    for an infinite cutoff), with one adaptive k-quadrature per node.
+    """
+    window = max(1000.0, cutoff ** 2) if np.isfinite(cutoff) else 1000.0
+    edges = np.concatenate(([0.0], np.geomspace(window * 1e-5, window, 80)))
+    x, wts = np.polynomial.legendre.leggauss(10)
+    p_norm = float(np.linalg.norm(p.as_array()))
+
+    def bubble(m_prime_sq):
+        def radial(k):
+            ksq = k * k
+            a = ksq + p_norm ** 2 + m_b ** 2
+            b = 2.0 * k * p_norm
+            if dimension == 2:
+                return k / (ksq + m_prime_sq) * 2 * np.pi / np.sqrt(a * a - b * b)
+            angular = (2 * np.pi ** 2 / a if b == 0.0
+                       else 4 * np.pi ** 2 * (a - np.sqrt(a * a - b * b)) / (b * b))
+            return k ** 3 / (ksq + m_prime_sq) * angular
+        return integrate.quad(radial, 0.0, cutoff, complex_func=True, limit=300)[0]
+
+    total = 0j
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        for xi, wi in zip(x, wts):
+            w = mid + half * xi
+            total += half * wi * _spectral_density_closed(w, spec) * bubble(m_a ** 2 + 1j * w)
+    return 2 * total.real
+
+
+@pytest.mark.parametrize("p, dimension, cutoff", [
+    (P2, 2, None),
+    (FourVector((0.3, 0.4)), 2, None),
+    (P4, 4, 60.0),
+])
+def test_mass_spectrum_matches_per_node_bubbles(p, dimension, cutoff):
+    spec = RegulatorSpec(10.0, 0.01, 1.0)
+    res = self_energy_regulated(p, 1.0, 1.0, dimension, spec, "mass-spectrum",
+                                cutoff=cutoff)
+    oracle = _mass_spectrum_by_bubbles(p, 1.0, 1.0, dimension, spec,
+                                       np.inf if cutoff is None else cutoff)
+    assert res.value.imag == 0.0
+    assert abs(res.value.real - oracle) / abs(oracle) < 1e-10
+    assert res.metadata["window"] == (1000.0 if cutoff is None else max(1000.0, cutoff ** 2))
 
 
 def test_d4_needs_threshold_and_finite_cutoff():
