@@ -11,8 +11,9 @@ Subpackage map:
 - ``evolution``      Stueckelberg parameter evolution of spacetime wavefunctions
 - ``onshell``        particle/antiparticle momentum states, induced inner
                      product, localization conventions, time-phase evolution
-- ``fock``           symmetrized multiparticle states, permanents, fields and
-                     the special adjoint, commutators on finite grids
+- ``fock``           symmetrized multiparticle states, permanents, the one
+                     count-vector field-application engine, the special
+                     adjoint, commutators on finite grids
 - ``interaction``    vertex operators on truncated sectors, perturbative
                      amplitudes, external-line factors, tree-level scattering,
                      the unregulated self-energy

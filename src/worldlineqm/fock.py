@@ -22,11 +22,21 @@ annihilators with start-of-path creators: psi(x,n) <-> psidag(x,n;start) and
 psi(x,n;start) <-> psidag(x,n), reverses products, and conjugates
 coefficients.  It is an involution, and the vertex operators of the
 interaction module must be self-adjoint under it.
+
+Fields act on states in one place, on count vectors: a state is a row of
+occupation numbers over the (type, tag, site) slots of a SlotLayout, and
+one engine applies an operator expression to many rows at once by index
+arithmetic.  A creator adds one to its slot; an annihilator branches once
+per particle of its type, weighted by a two-point row built lazily per
+(type, annihilator site).  apply_expr and apply_generator encode a
+FockState, run the engine and decode the branches; the sector matrices of
+the interaction module run the same engine on a whole basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 
 import numpy as np
@@ -155,6 +165,7 @@ class FieldAlgebra:
         self.epsilon = float(epsilon)
         self.n_max = int(n_max)
         self._tables: dict[str, np.ndarray] = {}
+        self._rows: dict[tuple, np.ndarray] = {}
 
     def _plain_table(self, label: str) -> np.ndarray:
         if label not in self._tables:
@@ -179,6 +190,14 @@ class FieldAlgebra:
             return lattice_onshell_part(self.spec, mass, +1, dt, dxs)
         # antiparticle: reversed arguments, D-(x_ket - x_bra)
         return lattice_onshell_part(self.spec, mass, -1, -dt, [-u for u in dxs])
+
+    def _pairing_row(self, label: str, bra_site: tuple[int, ...]) -> np.ndarray:
+        """two_point(label, bra_site, y) for every site y, in np.ndindex order."""
+        key = (label, bra_site)
+        if key not in self._rows:
+            self._rows[key] = np.array([self.two_point(label, bra_site, y)
+                                        for y in np.ndindex(*self.spec.shape)])
+        return self._rows[key]
 
     def check_label(self, label: str):
         if label not in self.types:
@@ -242,65 +261,127 @@ def special_adjoint(expr: OperatorExpr) -> OperatorExpr:
 
 
 # ---------------------------------------------------------------------------
-# field application
+# field application on count vectors
 
 
-def apply_generator(gen: Generator, state: FockState, algebra: FieldAlgebra) -> list[FockState]:
-    """Apply one field factor to a state; returns the resulting combination.
+@dataclass(frozen=True)
+class SlotLayout:
+    """Occupation-number slots (label, tag, site) of a lattice.
 
-    Creation appends an entry with the generator's tag.  The
-    endpoint-integrated annihilator psi(x,n) contracts against each start
-    entry of matching type with the two-point pairing; the start annihilator
-    psi(x,n;start) contracts against start entries with the equal-parameter
-    lattice delta.  Contractions against integrated entries are not a
-    meaningful pairing (the position states are not orthogonal) and are
-    rejected.
+    Label-major over `labels`, and within a label the start block of all
+    sites (in np.ndindex order) before the integrated block.  A state is one
+    row of counts over these slots.
     """
-    algebra.check_label(gen.type_label)
-    if gen.create:
-        tag = START if gen.start else INTEGRATED
-        if state.n_particles + 1 > algebra.n_max:
-            raise SectorOverflowError(
-                f"creation would exceed the sector bound {algebra.n_max}")
-        return [symmetrize(state.entries + (Entry(gen.site, gen.type_label, tag),),
-                           state.coefficient)]
-    out = []
-    for i, entry in enumerate(state.entries):
-        if entry.type_label != gen.type_label:
-            continue
-        if entry.tag != START:
-            raise ContractViolation(
-                "contraction against an integrated-label entry is not defined")
-        if gen.start:
-            # equal-parameter pairing: lattice delta
-            if entry.site == gen.site:
+
+    shape: tuple[int, ...]
+    labels: tuple[str, ...]
+
+    @classmethod
+    def for_algebra(cls, algebra: FieldAlgebra, labels=()) -> "SlotLayout":
+        """Layout over the algebra's lattice, its types and any further labels."""
+        return cls(tuple(algebra.spec.shape), tuple(sorted(set(algebra.types) | set(labels))))
+
+    @cached_property
+    def sites(self) -> list[tuple[int, ...]]:
+        return list(np.ndindex(*self.shape))
+
+    def block(self, label: str, start: bool = True) -> int:
+        """First slot of a label's start (or integrated) entries."""
+        if label not in self.labels:
+            raise ContractViolation(f"unknown particle type {label!r}")
+        return (2 * self.labels.index(label) + (not start)) * len(self.sites)
+
+    def site_index(self, site) -> int:
+        try:
+            return int(np.ravel_multi_index(tuple(site), self.shape))
+        except ValueError:
+            raise ContractViolation(f"site {tuple(site)} is outside the lattice") from None
+
+    def encode(self, states) -> np.ndarray:
+        """One count row per state; coefficients are not part of the row."""
+        counts = np.zeros((len(states), 2 * len(self.labels) * len(self.sites)), np.uint16)
+        for i, state in enumerate(states):
+            for e in state.entries:
+                counts[i, self.block(e.type_label, e.tag == START) + self.site_index(e.site)] += 1
+        return counts
+
+    def decode(self, counts: np.ndarray, coefficient: complex) -> FockState:
+        n_sites = len(self.sites)
+        entries = []
+        for slot in np.flatnonzero(counts):
+            label, rest = divmod(int(slot), 2 * n_sites)
+            entry = Entry(self.sites[rest % n_sites], self.labels[label],
+                          START if rest < n_sites else INTEGRATED)
+            entries += [entry] * int(counts[slot])
+        return symmetrize(entries, coefficient)
+
+
+def _apply_counts(expr: OperatorExpr, layout: SlotLayout, counts: np.ndarray,
+                  values: np.ndarray, algebra: FieldAlgebra, n_cap: int):
+    """Apply an operator expression to count rows with coefficients.
+
+    Each generator string acts right to left on all rows at once.  A creator
+    adds one to its slot with the generator's tag.  The integrated-endpoint
+    annihilator psi(x,n) branches once per start entry of type n, in slot
+    order, with the two-point factor D_n(x, y); the start annihilator
+    psi(x,n;start) branches only on the entries at x, with the
+    equal-parameter lattice delta 1/cellvol.  Contractions against
+    integrated entries (the position states are not orthogonal) raise
+    ContractViolation, and a creation above n_cap entries raises
+    SectorOverflowError.
+
+    Returns the image rows, their coefficients and the input row each came
+    from, unmerged: term by term, and within a term in branch order.
+    """
+    n_sites = len(layout.sites)
+    images = [(counts[:0], values[:0], np.zeros(0, int))]
+    for coeff, gens in expr.terms:
+        rows, vals, parents = counts, values * coeff, np.arange(len(counts))
+        for gen in reversed(gens):
+            if not len(parents):
+                break
+            algebra.check_label(gen.type_label)
+            own = layout.block(gen.type_label)
+            x = layout.site_index(gen.site)
+            if gen.create:
+                if rows.sum(axis=1).max() + 1 > n_cap:
+                    raise SectorOverflowError(
+                        f"creation would exceed the sector bound {n_cap}")
+                rows = rows.copy()
+                rows[:, layout.block(gen.type_label, gen.start) + x] += 1
+                continue
+            if rows[:, own + n_sites:own + 2 * n_sites].any():
+                raise ContractViolation(
+                    "contraction against an integrated-label entry is not defined")
+            if gen.start:
+                branch = np.repeat(np.arange(len(rows)), rows[:, own + x])
+                y = np.full(len(branch), x)
                 factor = 1.0 / algebra.spec.cell_volume
             else:
-                continue
-        else:
-            factor = algebra.two_point(gen.type_label, gen.site, entry.site)
-        rest = state.entries[:i] + state.entries[i + 1:]
-        out.append(symmetrize(rest, state.coefficient * factor))
-    return out
-
-
-def apply_string(generators, state: FockState, algebra: FieldAlgebra) -> list[FockState]:
-    """Apply an ordered generator string (rightmost factor first)."""
-    states = [state]
-    for gen in reversed(tuple(generators)):
-        next_states = []
-        for s in states:
-            next_states.extend(apply_generator(gen, s, algebra))
-        states = next_states
-    return states
+                occupied = rows[:, own:own + n_sites].ravel()
+                branch, y = np.divmod(np.repeat(np.arange(occupied.size), occupied), n_sites)
+                factor = algebra._pairing_row(gen.type_label, gen.site)[y]
+            rows = rows[branch]
+            rows[np.arange(len(branch)), own + y] -= 1
+            vals = vals[branch] * factor
+            parents = parents[branch]
+        images.append((rows, vals, parents))
+    return tuple(np.concatenate(parts) for parts in zip(*images))
 
 
 def apply_expr(expr: OperatorExpr, state: FockState, algebra: FieldAlgebra) -> list[FockState]:
-    out = []
-    for coeff, gens in expr.terms:
-        for s in apply_string(gens, state.scaled(coeff), algebra):
-            out.append(s)
-    return out
+    """Apply an operator expression to a state, creating up to algebra.n_max
+    entries; returns the unmerged branches, term by term."""
+    layout = SlotLayout.for_algebra(algebra, (e.type_label for e in state.entries))
+    counts, values, _ = _apply_counts(expr, layout, layout.encode([state]),
+                                      np.array([state.coefficient], complex), algebra,
+                                      algebra.n_max)
+    return [layout.decode(c, v) for c, v in zip(counts, values)]
+
+
+def apply_generator(gen: Generator, state: FockState, algebra: FieldAlgebra) -> list[FockState]:
+    """Apply one field factor to a state; see _apply_counts for the rules."""
+    return apply_expr(OperatorExpr.from_string(1.0, (gen,)), state, algebra)
 
 
 # ---------------------------------------------------------------------------
@@ -360,10 +441,7 @@ def commutator_value(bra_site, bra_label: str, ket_site, ket_label: str,
     the vacuum, so the commutator equals the vacuum coefficient of
     psi(x', n') psidag(x, n; start) |0>.
     """
-    created = apply_generator(creator_start(ket_site, ket_label), VACUUM, algebra)
-    value = 0j
-    for s in created:
-        for out in apply_generator(annihilator(bra_site, bra_label), s, algebra):
-            if out.n_particles == 0:
-                value += out.coefficient
-    return value
+    string = OperatorExpr.from_string(
+        1.0, (annihilator(bra_site, bra_label), creator_start(ket_site, ket_label)))
+    return sum((out.coefficient for out in apply_expr(string, VACUUM, algebra)
+                if out.n_particles == 0), 0j)

@@ -13,13 +13,15 @@ these statements become matrix identities, exact per order in g wherever the
 repeated application of V stays inside the sector.
 
 A sector holds each basis state as a count vector: its occupation numbers
-over (type, tag, site) slots.  An operator expression is represented by
-index arithmetic on the count vectors of the whole basis at once (creators
-add to a slot, annihilators branch over the occupied slots with a tabulated
-two-point factor), and the images are found in the basis by exact row
-lookup.  The result is a scipy.sparse matrix; the Dyson series and its
-unitarity residuals are sparse products, and only the public return values
-(`represent`, the DysonOperator coefficients and matrices) are made dense.
+over the (type, tag, site) slots of a fock.SlotLayout.  An operator
+expression acts on the count vectors of the whole basis at once through the
+one field-application engine of the fock module, and the images are found
+in the basis by exact row lookup.  The result is a scipy.sparse matrix; the
+Dyson series and its unitarity residuals are sparse products, and only the
+public return values (`represent`, the DysonOperator coefficients and
+matrices) are made dense.  Order-m amplitudes apply V m times to count
+rows, merging equal rows after each application, and pair the distinct
+images with the out state.
 
 The cubic A-B model couples a conserved A line to a self-conjugate B field
 psi'(x, B) = psi(x, B) + psidag(x, B; start).
@@ -37,14 +39,13 @@ from scipy import sparse
 
 from .errors import ContractViolation, LeakageError, SectorOverflowError
 from .fock import (
-    INTEGRATED,
-    START,
     Entry,
     FieldAlgebra,
     FockState,
     OperatorExpr,
+    SlotLayout,
+    _apply_counts,
     annihilator,
-    apply_expr,
     creator_start,
     fock_inner,
     special_adjoint,
@@ -116,24 +117,27 @@ def _row_keys(counts: np.ndarray) -> np.ndarray:
 class Sector:
     """Enumerated basis of start-labeled multisets with per-type count bounds.
 
-    content maps a type label to (min_count, max_count).  Each basis state is
-    also held as a row of `counts`, its occupation numbers over the slots
-    (label, tag, site): label-major over `labels`, and within a label the
-    start block of all sites before the integrated block.
+    content maps a type label to (min_count, max_count), 0 <= min <= max.
+    Each basis state is also held as a row of `counts` over the slots of
+    `layout`.
     """
 
     algebra: FieldAlgebra
     content: dict[str, tuple[int, int]]
 
     def __post_init__(self):
-        sites = list(np.ndindex(*self.algebra.spec.shape))
+        for label, (lo, hi) in self.content.items():
+            if not 0 <= lo <= hi:
+                raise ContractViolation(
+                    f"content bounds of {label!r} must satisfy 0 <= min <= max, "
+                    f"got ({lo}, {hi})")
+        self.layout = SlotLayout.for_algebra(self.algebra, self.content)
         per_type = []
-        labels = sorted(self.content)
-        for label in labels:
+        for label in sorted(self.content):
             lo, hi = self.content[label]
             options = []
             for k in range(lo, hi + 1):
-                options.extend(combinations_with_replacement(sites, k))
+                options.extend(combinations_with_replacement(self.layout.sites, k))
             per_type.append((label, options))
         basis = []
         stack = [((), 0)]
@@ -148,13 +152,7 @@ class Sector:
         basis.sort(key=lambda st: (st.n_particles,
                                    tuple(e.sort_key() for e in st.entries)))
         self.basis = basis
-        self.index = {st.entries: i for i, st in enumerate(basis)}
-        self.sites = sites
-        self.labels = sorted(set(self.algebra.types) | set(self.content))
-        self.counts = np.zeros((len(basis), 2 * len(self.labels) * len(sites)), np.uint16)
-        for i, st in enumerate(basis):
-            for e in st.entries:
-                self.counts[i, self.block(e.type_label) + self.site_index(e.site)] += 1
+        self.counts = self.layout.encode(basis)
         keys = _row_keys(self.counts)
         self._order = np.argsort(keys)
         self._sorted_keys = keys[self._order]
@@ -163,16 +161,6 @@ class Sector:
     def dimension(self) -> int:
         return len(self.basis)
 
-    def block(self, label: str, start: bool = True) -> int:
-        """First count slot of a label's start (or integrated) entries."""
-        return (2 * self.labels.index(label) + (not start)) * len(self.sites)
-
-    def site_index(self, site) -> int:
-        try:
-            return int(np.ravel_multi_index(tuple(site), self.algebra.spec.shape))
-        except ValueError:
-            raise ContractViolation(f"site {tuple(site)} is outside the lattice") from None
-
     def lookup(self, counts: np.ndarray) -> np.ndarray:
         """Basis index of each count-vector row, -1 where it is not in the basis."""
         keys = _row_keys(counts)
@@ -180,22 +168,11 @@ class Sector:
         found = self._sorted_keys[pos] == keys
         return np.where(found, self._order[pos], -1)
 
-    def state_of(self, counts: np.ndarray, coefficient: complex) -> FockState:
-        """The FockState of one count vector (which need not be in the basis)."""
-        n_sites = len(self.sites)
-        entries = []
-        for slot in np.flatnonzero(counts):
-            label, rest = divmod(int(slot), 2 * n_sites)
-            entry = Entry(self.sites[rest % n_sites], self.labels[label],
-                          START if rest < n_sites else INTEGRATED)
-            entries += [entry] * int(counts[slot])
-        return symmetrize(entries, coefficient)
-
     def state_index(self, state: FockState) -> int:
-        try:
-            return self.index[state.entries]
-        except KeyError:
-            raise ContractViolation("state is not a sector basis element") from None
+        index = int(self.lookup(self.layout.encode([state]))[0])
+        if index < 0:
+            raise ContractViolation("state is not a sector basis element")
+        return index
 
     def vector(self, state: FockState) -> np.ndarray:
         v = np.zeros(self.dimension, dtype=complex)
@@ -206,59 +183,19 @@ class Sector:
 def _sector_matrix(expr: OperatorExpr, sector: Sector):
     """Sparse matrix of an operator expression on the sector basis, and its leaks.
 
-    Each generator string acts right to left on the count vectors of the
-    whole basis at once.  A creator adds one to its slot.  An annihilator of
-    type t at x branches once per type-t particle, so a slot (t, y) holding c
-    particles contributes c D_t(x, y) in all, with D_t(x, y) the two-point
-    pairing; the start annihilator pairs only with slot (t, x), by the lattice
-    delta 1/cellvol.  Contracting against an integrated entry raises
-    ContractViolation, and creation runs with headroom above n_max equal to
-    the most creators in one string.  The final count vectors are looked up
-    exactly in the basis: a miss is a leak (every image holding an integrated
-    entry is one).  The leaks map each leaking column to the count vector and
-    coefficient of its first miss; Sector.state_of turns that into a FockState.
+    The field-application engine acts on the count vectors of the whole
+    basis, creating with headroom above n_max equal to the most creators in
+    one string.  The images are looked up exactly in the basis: a miss is a
+    leak (every image holding an integrated entry is one).  The leaks map
+    each leaking column to the count vector and coefficient of its first
+    miss; sector.layout.decode turns that into a FockState.
     """
     alg = sector.algebra
-    n, n_sites = sector.dimension, len(sector.sites)
+    n = sector.dimension
     n_cap = alg.n_max + max((sum(g.create for g in gens) for _, gens in expr.terms),
                             default=0)
-    contracted = {g.type_label for _, gens in expr.terms for g in gens
-                  if not (g.create or g.start) and g.type_label in alg.types}
-    pairing = {t: np.array([[alg.two_point(t, x, y) for y in sector.sites]
-                            for x in sector.sites]) for t in contracted}
-    images = [(sector.counts[:0], np.zeros(0, complex), np.zeros(0, int))]
-    for coeff, gens in expr.terms:
-        counts, values, cols = sector.counts, np.full(n, complex(coeff)), np.arange(n)
-        for gen in reversed(gens):
-            if not len(cols):
-                break
-            alg.check_label(gen.type_label)
-            own = sector.block(gen.type_label)
-            x = sector.site_index(gen.site)
-            if gen.create:
-                if counts.sum(axis=1).max() + 1 > n_cap:
-                    raise SectorOverflowError(
-                        f"creation would exceed the sector bound {n_cap}")
-                counts = counts.copy()
-                counts[:, sector.block(gen.type_label, gen.start) + x] += 1
-                continue
-            if counts[:, own + n_sites:own + 2 * n_sites].any():
-                raise ContractViolation(
-                    "contraction against an integrated-label entry is not defined")
-            if gen.start:
-                parent = np.repeat(np.arange(len(cols)), counts[:, own + x])
-                y = np.full(len(parent), x)
-                factor = 1.0 / alg.spec.cell_volume
-            else:
-                occupied = counts[:, own:own + n_sites].ravel()
-                parent, y = np.divmod(np.repeat(np.arange(occupied.size), occupied), n_sites)
-                factor = pairing[gen.type_label][x, y]
-            counts = counts[parent]
-            counts[np.arange(len(parent)), own + y] -= 1
-            values = values[parent] * factor
-            cols = cols[parent]
-        images.append((counts, values, cols))
-    counts, values, cols = (np.concatenate(parts) for parts in zip(*images))
+    counts, values, cols = _apply_counts(expr, sector.layout, sector.counts,
+                                         np.ones(n, complex), alg, n_cap)
     rows = sector.lookup(counts)
     hit = rows >= 0
     matrix = sparse.csr_array((values[hit], (rows[hit], cols[hit])), shape=(n, n))
@@ -291,7 +228,7 @@ def represent(expr: OperatorExpr, sector: Sector) -> TruncatedOperator:
     """
     matrix, leaks = _sector_matrix(expr, sector)
     return TruncatedOperator(sector, matrix.toarray(),
-                             {j: sector.state_of(*leak) for j, leak in leaks.items()})
+                             {j: sector.layout.decode(*leak) for j, leak in leaks.items()})
 
 
 def vertex_operator(model: InteractionModel, sector: Sector,
@@ -415,7 +352,7 @@ def dyson_truncated(model: InteractionModel, sector: Sector, order: int) -> Dyso
     clean = _clean_columns(v1, leaks, order)
     if order > 0 and not clean.any():
         j, leak = next(iter(leaks.items()))
-        state = sector.state_of(*leak)
+        state = sector.layout.decode(*leak)
         raise LeakageError(
             f"V^{order} escapes the sector from every basis state; first leak "
             f"from column {j} into {state.entries}", basis_state=state)
@@ -426,23 +363,29 @@ def dyson_truncated(model: InteractionModel, sector: Sector, order: int) -> Dyso
 def amplitude_order_m(in_state: FockState, out_state: FockState,
                       model: InteractionModel, m_order: int, sector: Sector,
                       max_order: int = 3) -> complex:
-    """<out| (-i)^m / m! V^m |in> by repeated application on the sector.
+    """<out| (-i)^m / m! V^m |in> by repeated application of V.
 
-    Order 0 reduces to the bare multiparticle pairing.
+    V acts on count rows up to algebra.n_max entries, so intermediate images
+    may leave the sector's content bounds.  Equal rows are merged after each
+    application, and each distinct image is paired with out_state.  Order 0
+    reduces to the bare multiparticle pairing.
     """
     if m_order < 0 or m_order > max_order:
         raise ContractViolation(f"m_order must be in [0, {max_order}]")
     alg = sector.algebra
     expr = model.vertex_expr(alg.spec)
-    states = [in_state]
+    layout = SlotLayout.for_algebra(alg, (e.type_label for e in in_state.entries))
+    counts = layout.encode([in_state])
+    values = np.array([in_state.coefficient], complex)
     for _ in range(m_order):
-        next_states = []
-        for s in states:
-            next_states.extend(apply_expr(expr, s, alg))
-        states = next_states
-    total = 0j
-    for s in states:
-        total += fock_inner(out_state, s, alg)
+        counts, values, _ = _apply_counts(expr, layout, counts, values, alg, alg.n_max)
+        keys, first, inverse = np.unique(_row_keys(counts), return_index=True,
+                                         return_inverse=True)
+        merged = np.zeros(len(keys), complex)
+        np.add.at(merged, inverse, values)
+        counts, values = counts[first], merged
+    total = sum((fock_inner(out_state, layout.decode(c, v), alg)
+                 for c, v in zip(counts, values)), 0j)
     return complex((-1j) ** m_order / factorial(m_order) * total)
 
 

@@ -254,12 +254,19 @@ def kernel_mc(x: FourVector, x0: FourVector, params: KernelParams, n_segments: i
 
     Paths are sampled from the exact Gaussian kinetic bridge measure between
     x0 and x (its normalization is the known massless kernel, absorbed
-    analytically).  The mass factor exp(-Int m^2(q) dlam) is estimated
-    without bias by thinning: Poisson marks at rate mass_sq_bound along the
-    path, each accepted with probability m^2(q)/bound evaluated at the
-    sampled bridge position; a path contributes iff no mark is accepted.
-    For the constant-mass kernel the estimator is exact at m = 0 (zero
-    variance) and satisfies the usual CLT contract otherwise.
+    analytically).  The mass factor exp(-Int m^2(q) dlam) is estimated by
+    thinning: Poisson marks at rate mass_sq_bound along the path, each
+    accepted with probability m^2(q)/bound; a path contributes iff no mark
+    is accepted.  For the constant-mass kernel the estimator is unbiased,
+    exact at m = 0 (zero variance), and satisfies the usual CLT contract
+    otherwise.
+
+    For a position-dependent mass it is biased: the bridge is sampled on
+    the fixed grid of n_segments, and m^2 at a mark is read off the linear
+    interpolation of that grid, not the exact bridge position.  Against the
+    closed form for m^2(q) = m0^2 + c 1[q_1 > 0] (tau = 1, m0^2 = 0.25,
+    c = 2, D = 4, 4e5 samples) it sits at z = +134, +23, +5.2 and +3.0 for
+    n_segments = 2, 8, 32 and 128, and converges only as the grid refines.
 
     Deterministic for a fixed (seed, chunk_size).
     """

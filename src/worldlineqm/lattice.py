@@ -73,18 +73,23 @@ class LatticeSpec:
         """Momentum samples along axis mu in FFT order, spacing 2 pi / L_mu."""
         return 2 * np.pi * np.fft.fftfreq(self.shape[mu], d=self.spacings[mu])
 
-    def momentum_mesh(self) -> list[np.ndarray]:
-        axes = [self.momentum_axis(mu) for mu in range(self.dimension)]
-        return list(np.meshgrid(*axes, indexing="ij"))
-
     def p_squared(self, mode: str = "minkowski") -> np.ndarray:
-        """Grid of p.p (signed for minkowski, positive for euclidean)."""
-        mesh = self.momentum_mesh()
-        total = sum(p * p for p in mesh[1:]) if self.dimension > 1 else 0.0
+        """Grid of p.p (signed for minkowski, positive for euclidean).
+
+        The square of each momentum axis is broadcast along its own
+        dimension, so no full grid is built until the final sum.
+        """
+        squares = []
+        for mu in range(self.dimension):
+            p = self.momentum_axis(mu)
+            shape = [1] * self.dimension
+            shape[mu] = p.size
+            squares.append((p * p).reshape(shape))
+        total = sum(squares[1:]) if self.dimension > 1 else 0.0
         if mode == "minkowski":
-            return total - mesh[0] * mesh[0]
+            return total - squares[0]
         if mode == "euclidean":
-            return total + mesh[0] * mesh[0]
+            return total + squares[0]
         raise ContractViolation(f"unknown mode {mode!r}")
 
 

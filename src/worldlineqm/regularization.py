@@ -187,7 +187,8 @@ def self_energy_regulated(p: FourVector, m_a: float, m_b: float, dimension: int,
             np.concatenate(([0.0], np.geomspace(window * 1e-5, window, 80))))
         coef = wts * _spectral_density_closed(w, spec)
         shift = m_a * m_a + 1j * w
-        value, err = bubble(lambda ksq: np.sum(coef / (ksq + shift)),
+        # only the real part is kept, so only the real part is integrated
+        value, err = bubble(lambda ksq: np.sum(coef / (ksq + shift)).real,
                             p_norm, m_b, dimension, top)
         return SelfEnergyResult(complex(2 * value.real), 2 * err, "mass-spectrum",
                                 {**metadata, "window": window})

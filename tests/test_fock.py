@@ -1,5 +1,6 @@
 from itertools import permutations
 from math import factorial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from worldlineqm.fock import (
     annihilator,
     apply_expr,
     apply_generator,
-    apply_string,
     commutator_value,
     creator_start,
     dual_state,
@@ -30,6 +30,9 @@ from worldlineqm.geometry import ParticleType
 from worldlineqm.kernel import lattice_onshell_part, lattice_propagator
 from worldlineqm.lattice import LatticeSpec
 
+from fock_walk import walk_expr, walk_generator, walk_string
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "worldlineqm"
 
 SPEC = LatticeSpec((4, 4), (4.0, 4.0))
 TYPES = {
@@ -284,8 +287,8 @@ def test_creation_and_annihilation_on_vacuum():
 
 def test_vacuum_two_point_equals_commutator():
     alg = algebra()
-    states = apply_string([annihilator((3, 1), "A"), creator_start((0, 2), "A")],
-                          VACUUM, alg)
+    states = walk_string([annihilator((3, 1), "A"), creator_start((0, 2), "A")],
+                         VACUUM, alg)
     value = sum(s.coefficient for s in states if s.n_particles == 0)
     assert value == pytest.approx(commutator_value((3, 1), "A", (0, 2), "A", alg),
                                   rel=1e-12)
@@ -352,3 +355,136 @@ def test_fock_inner_tag_guards():
     ket = symmetrize(start_entries((0, 0)))
     with pytest.raises(ContractViolation):
         fock_inner(ket, ket, alg)
+
+
+# ---------------------------------------------------------------------------
+# the count-vector engine against the entry walk
+
+
+def assert_matches_walk(expr, state, alg):
+    """apply_expr gives the walk's branches: entries, order and coefficients."""
+    want = walk_expr(expr, state, alg)
+    got = apply_expr(expr, state, alg)
+    assert [s.entries for s in got] == [s.entries for s in want]
+    for g, w in zip(got, want):
+        assert abs(g.coefficient - w.coefficient) <= 1e-12 * abs(w.coefficient)
+    for coeff, gens in expr.terms:
+        if len(gens) == 1 and coeff == 1.0:
+            one = apply_generator(gens[0], state, alg)
+            assert [s.entries for s in one] == [
+                s.entries for s in walk_generator(gens[0], state, alg)]
+    return got
+
+
+def strings(label, x, y):
+    """Single factors, a creator-annihilator product and two annihilators."""
+    return OperatorExpr((
+        (1.0, (annihilator(x, label),)),
+        (1.0, (creator_start(y, label),)),
+        (0.5 - 1.5j, (creator_start(y, label), annihilator(x, label))),
+        (-2.0, (annihilator(y, label), annihilator(x, label))),
+    ))
+
+
+@pytest.mark.parametrize("label", ["A", "n+", "n-"], ids=["plain", "normal", "anti"])
+def test_engine_matches_walk_for_each_conjugate_kind(label):
+    alg = algebra()
+    state = symmetrize(start_entries((0, 1), (2, 3), (3, 0), label=label)
+                       + start_entries((1, 1), label="B"), coefficient=0.3 + 0.8j)
+    got = assert_matches_walk(strings(label, (1, 2), (3, 3)), state, alg)
+    assert len(got) == 3 + 1 + 3 + 6
+
+
+def test_engine_matches_walk_on_a_doubly_occupied_slot():
+    alg = algebra()
+    state = symmetrize(start_entries((1, 1), (1, 1), (0, 2)) + start_entries((1, 1), label="B"))
+    got = assert_matches_walk(strings("A", (2, 3), (1, 1)), state, alg)
+    # one branch per particle: the doubled slot is contracted twice
+    assert [s.entries for s in got[:3]] == [
+        symmetrize(start_entries((1, 1), (1, 1)) + start_entries((1, 1), label="B")).entries,
+        symmetrize(start_entries((0, 2), (1, 1)) + start_entries((1, 1), label="B")).entries,
+        symmetrize(start_entries((0, 2), (1, 1)) + start_entries((1, 1), label="B")).entries,
+    ]
+    start_annihilator = OperatorExpr.from_string(1.0, [Generator(False, True, (1, 1), "A")])
+    assert len(assert_matches_walk(start_annihilator, state, alg)) == 2
+
+
+def test_engine_matches_walk_for_a_start_annihilator_at_cell_volume_not_one():
+    spec = LatticeSpec((4, 2), (6.0, 2.0))
+    assert spec.cell_volume == 1.5
+    alg = FieldAlgebra(spec, TYPES, epsilon=1e-2, n_max=5)
+    state = symmetrize(start_entries((2, 0), (2, 0), (1, 1)), coefficient=-0.4j)
+    expr = OperatorExpr((
+        (1.0, (Generator(False, True, (2, 0), "A"),)),
+        (0.7, (creator_start((0, 1), "B"), Generator(False, True, (1, 1), "A"))),
+        (1.0, (Generator(False, True, (0, 0), "A"),)),
+        (1.0, (annihilator((2, 1), "A"),)),
+    ))
+    got = assert_matches_walk(expr, state, alg)
+    assert got[0].coefficient == pytest.approx(-0.4j / 1.5, rel=1e-12)
+
+
+def test_engine_matches_walk_with_an_integrated_creator():
+    alg = algebra()
+    state = symmetrize(start_entries((0, 3), label="B") + start_entries((2, 2)))
+    integrated_creator = Generator(True, False, (1, 0), "A")
+    expr = OperatorExpr((
+        (1.0, (integrated_creator,)),
+        (2.0 + 1.0j, (integrated_creator, annihilator((3, 3), "B"))),
+        (1.0, (annihilator((0, 0), "B"), integrated_creator)),
+    ))
+    got = assert_matches_walk(expr, state, alg)
+    assert all(any(e.tag == "integrated" for e in s.entries) for s in got)
+
+
+def test_engine_errors_match_walk():
+    alg = algebra(n_max=2)
+    two = symmetrize(start_entries((0, 0), (1, 1)))
+    overflow = OperatorExpr.from_string(1.0, [creator_start((2, 2), "B")])
+    integrated = symmetrize(start_entries((0, 0)) + integrated_entries((1, 1)))
+    contract = OperatorExpr.from_string(1.0, [annihilator((2, 2), "A")])
+    unknown = OperatorExpr.from_string(1.0, [annihilator((2, 2), "C")])
+    for expr, state, error in ((overflow, two, SectorOverflowError),
+                               (contract, integrated, ContractViolation),
+                               (unknown, two, ContractViolation)):
+        with pytest.raises(error) as walk:
+            walk_expr(expr, state, alg)
+        with pytest.raises(error) as engine:
+            apply_expr(expr, state, alg)
+        assert str(engine.value) == str(walk.value)
+        with pytest.raises(error, match=str(walk.value)):
+            apply_generator(expr.terms[0][1][0], state, alg)
+
+
+def test_engine_rejects_off_lattice_sites():
+    alg = algebra()
+    state = symmetrize(start_entries((0, 0)))
+    with pytest.raises(ContractViolation, match="outside the lattice"):
+        apply_generator(annihilator((4, 0), "A"), state, alg)
+    with pytest.raises(ContractViolation, match="outside the lattice"):
+        apply_generator(creator_start((0, 0), "A"), symmetrize(start_entries((0, -1))), alg)
+
+
+def test_single_state_application_builds_one_two_point_row(monkeypatch):
+    calls = []
+    two_point = FieldAlgebra.two_point
+
+    def counting(self, *args):
+        calls.append(args)
+        return two_point(self, *args)
+
+    monkeypatch.setattr(FieldAlgebra, "two_point", counting)
+    alg = algebra()
+    state = symmetrize(start_entries((0, 1), (2, 2), label="n-"))
+    apply_generator(annihilator((1, 1), "n-"), state, alg)
+    assert len(calls) == 16  # one row over the 4x4 sites, not the 256-entry table
+    apply_generator(annihilator((1, 1), "n-"), state, alg)
+    assert len(calls) == 16
+
+
+def test_fock_is_the_one_field_application_site():
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        assert "apply_string" not in text, path.name
+        if path.name != "fock.py":
+            assert ".two_point(" not in text, path.name

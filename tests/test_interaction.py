@@ -1,3 +1,5 @@
+from math import factorial
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,8 @@ from worldlineqm.fock import (
     Generator,
     OperatorExpr,
     annihilator,
-    apply_expr,
     creator_start,
+    fock_inner,
     special_adjoint,
     symmetrize,
 )
@@ -41,6 +43,8 @@ from worldlineqm.interaction import (
 from worldlineqm.kernel import lattice_propagator, propagator_momentum
 from worldlineqm.lattice import LatticeSpec
 from worldlineqm.onshell import MomentumGrid
+
+from fock_walk import walk_expr
 
 
 SPEC22 = LatticeSpec((2, 2), (2.0, 2.0))
@@ -106,7 +110,7 @@ def test_self_adjointness_and_negative_control():
 
 
 def _represent_by_walk(expr, sector):
-    """Reference: apply the expression to each basis FockState in turn."""
+    """Reference: walk the expression over each basis FockState in turn."""
     n = sector.dimension
     matrix = np.zeros((n, n), dtype=complex)
     leaks = {}
@@ -114,9 +118,10 @@ def _represent_by_walk(expr, sector):
     headroom = max((sum(1 for g in gens if g.create) for _, gens in expr.terms),
                    default=0)
     relaxed = FieldAlgebra(alg.spec, alg.types, alg.epsilon, n_max=alg.n_max + headroom)
+    index = {ket.entries: i for i, ket in enumerate(sector.basis)}
     for j, ket in enumerate(sector.basis):
-        for s in apply_expr(expr, ket, relaxed):
-            idx = sector.index.get(s.entries)
+        for s in walk_expr(expr, ket, relaxed):
+            idx = index.get(s.entries)
             if idx is None:
                 leaks.setdefault(j, s)
                 continue
@@ -221,6 +226,23 @@ def test_represent_errors_match_walk():
         represent(off_lattice, sector)
 
 
+@pytest.mark.parametrize("content", [{"A": (-1, 1)}, {"A": (2, 1)}, {"B": (0, -1)}])
+def test_sector_rejects_bad_content_bounds(content):
+    with pytest.raises(ContractViolation, match="0 <= min <= max"):
+        Sector(make_algebra(SPEC22), content)
+
+
+def test_state_index_rejects_states_outside_the_basis():
+    sector = ab_sector(SPEC22, b_max=1)
+    assert sector.state_index(symmetrize([Entry((1, 0), "A", "start")]).scaled(2.0)) == \
+        sector.state_index(symmetrize([Entry((1, 0), "A", "start")]))
+    for entries in ([Entry((1, 0), "A", "integrated")],
+                    [Entry((1, 0), "A", "start"), Entry((1, 0), "B", "start"),
+                     Entry((0, 0), "B", "start")]):
+        with pytest.raises(ContractViolation, match="not a sector basis element"):
+            sector.state_index(symmetrize(entries))
+
+
 # ---------------------------------------------------------------------------
 # dyson series and truncated ‡-unitarity
 
@@ -311,6 +333,40 @@ def test_order_sum_matches_dyson_matrix_element():
 
 # ---------------------------------------------------------------------------
 # order-m amplitudes
+
+
+def _amplitude_by_walk(in_state, out_state, model, m_order, alg):
+    """Reference: walk V^m over every branch, unmerged, then pair each image."""
+    expr = model.vertex_expr(alg.spec)
+    states = [in_state]
+    for _ in range(m_order):
+        states = [t for s in states for t in walk_expr(expr, s, alg)]
+    total = sum((fock_inner(out_state, s, alg) for s in states), 0j)
+    return (-1j) ** m_order / factorial(m_order) * total
+
+
+@pytest.mark.parametrize("m_order", [0, 1, 2, 3])
+def test_amplitude_order_m_matches_walk(m_order):
+    # content B <= 1, n_max 5: the order-2 and order-3 intermediate images
+    # with two or more B particles lie outside the sector's content bounds
+    sector = ab_sector(SPEC22, b_max=1, n_max=5)
+    alg = sector.algebra
+    model = InteractionModel.ab_model(0.8)
+    ket = lambda *entries, c=1.0: symmetrize([Entry(s, t, "start") for s, t in entries], c)
+    bra = lambda *entries: symmetrize([Entry(s, t, "integrated") for s, t in entries])
+    cases = (
+        (ket(((0, 1), "A")), bra(((1, 0), "A"))),
+        (ket(((0, 1), "A")), bra(((1, 1), "A"), ((0, 0), "B"))),
+        (ket(((1, 0), "A"), ((1, 1), "B"), c=0.5 - 0.2j),
+         bra(((0, 0), "A"), ((1, 1), "B"), ((0, 1), "B"))),
+    )
+    nonzero = 0
+    for in_state, out_state in cases:
+        want = _amplitude_by_walk(in_state, out_state, model, m_order, alg)
+        got = amplitude_order_m(in_state, out_state, model, m_order, sector)
+        assert abs(got - want) <= 1e-12 * abs(want)
+        nonzero += want != 0
+    assert nonzero >= 1
 
 
 def wick_vacuum(string, alg):

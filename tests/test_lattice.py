@@ -113,3 +113,18 @@ def test_representation_guards():
     g = spectral_transform(f, "forward")
     with pytest.raises(ContractViolation):
         spectral_transform(g, "forward")
+
+
+@pytest.mark.parametrize("shape, extents", [((4, 8, 16, 8), (3.7, 5.3, 7.1, 2.9)),
+                                            ((4, 8), (2.0, 3.0)), ((16,), (4.0,))])
+def test_p_squared_equals_the_full_meshgrid_sum(shape, extents):
+    spec = LatticeSpec(shape, extents)
+    mesh = np.meshgrid(*[spec.momentum_axis(mu) for mu in range(len(shape))], indexing="ij")
+    spatial = sum(p * p for p in mesh[1:]) if len(shape) > 1 else 0.0
+    for mode, sign in (("minkowski", -1), ("euclidean", +1)):
+        expected = spatial + sign * mesh[0] * mesh[0]
+        got = spec.p_squared(mode)
+        assert got.shape == shape
+        np.testing.assert_array_equal(got, expected)
+    with pytest.raises(ContractViolation):
+        spec.p_squared("lorentzian")

@@ -143,6 +143,14 @@ def test_mass_spectrum_matches_per_node_bubbles(p, dimension, cutoff):
     assert res.metadata["window"] == (1000.0 if cutoff is None else max(1000.0, cutoff ** 2))
 
 
+def test_mass_spectrum_error_is_the_real_part_error():
+    # the route keeps 2 Re of the radial integral, so the error of the
+    # discarded imaginary part (about 2.4e-8 here) must not be reported
+    spec = RegulatorSpec(10.0, 0.01, 1.0)
+    res = self_energy_regulated(FourVector((0.3, 0.4)), 1.0, 1.0, 2, spec, "mass-spectrum")
+    assert res.error < 1e-9
+
+
 def test_d4_needs_threshold_and_finite_cutoff():
     with pytest.raises(DomainError):
         self_energy_regulated(P4, 1.0, 1.0, 4, RegulatorSpec(10.0, 0.0, 1.0),
