@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
+from itertools import groupby, permutations
 
 import numpy as np
 
@@ -405,6 +405,9 @@ def dual_state(state: FockState) -> FockState:
 def fock_inner(bra: FockState, ket: FockState, algebra: FieldAlgebra) -> complex:
     """Permanent-structured pairing of an integrated bra with a start ket.
 
+    Entries are sorted by type, so the pairing matrix is block diagonal with
+    one block per type, and the permanent is the product of the block
+    permanents; a type counted differently in bra and ket pairs to zero.
     Bras are linear functionals, so the pairing is bilinear in the stored
     coefficients; conjugation happens in dual_state when a ket is dualized.
     """
@@ -412,17 +415,16 @@ def fock_inner(bra: FockState, ket: FockState, algebra: FieldAlgebra) -> complex
         raise ContractViolation("bra entries must carry integrated labels")
     if any(e.tag != START for e in ket.entries):
         raise ContractViolation("ket entries must carry start labels")
-    if bra.n_particles != ket.n_particles:
+    labels = [e.type_label for e in bra.entries]
+    if labels != [e.type_label for e in ket.entries]:
         return 0j
-    n = bra.n_particles
-    if n == 0:
-        return complex(bra.coefficient * ket.coefficient)
-    matrix = np.zeros((n, n), dtype=complex)
-    for i, be in enumerate(bra.entries):
-        for j, ke in enumerate(ket.entries):
-            if be.type_label == ke.type_label:
-                matrix[i, j] = algebra.two_point(be.type_label, be.site, ke.site)
-    return complex(bra.coefficient * ket.coefficient * permanent(matrix))
+    value = complex(bra.coefficient * ket.coefficient)
+    for label, block in groupby(range(len(labels)), key=labels.__getitem__):
+        block = list(block)
+        value *= permanent(np.array([[algebra.two_point(label, bra.entries[i].site,
+                                                        ket.entries[j].site) for j in block]
+                                     for i in block], dtype=complex))
+    return value
 
 
 def pair_states(bra_states, ket_states, algebra: FieldAlgebra) -> complex:

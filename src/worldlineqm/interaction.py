@@ -17,11 +17,11 @@ over the (type, tag, site) slots of a fock.SlotLayout.  An operator
 expression acts on the count vectors of the whole basis at once through the
 one field-application engine of the fock module, and the images are found
 in the basis by exact row lookup.  The result is a scipy.sparse matrix; the
-Dyson series and its unitarity residuals are sparse products, and only the
-public return values (`represent`, the DysonOperator coefficients and
-matrices) are made dense.  Order-m amplitudes apply V m times to count
-rows, merging equal rows after each application, and pair the distinct
-images with the out state.
+Dyson series, its matrices and its unitarity residuals are sparse products
+and are returned sparse.  Only `represent` (and so `vertex_operator`) makes
+a dense matrix, for small sectors.  Order-m amplitudes apply V m times to
+count rows, merging equal rows after each application, and pair the
+distinct images with the out state.
 
 The cubic A-B model couples a conserved A line to a self-conjugate B field
 psi'(x, B) = psi(x, B) + psidag(x, B; start).
@@ -29,8 +29,8 @@ psi'(x, B) = psi(x, B) + psidag(x, B; start).
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import combinations_with_replacement
 from math import factorial
 
@@ -235,16 +235,14 @@ def vertex_operator(model: InteractionModel, sector: Sector,
                     coupling: float | None = None) -> TruncatedOperator:
     """Representation of V on the sector; see is_self_adjoint for the ‡ test.
 
-    Warns when no vertex term can act anywhere on the sector (empty operator).
+    Logs a warning when no vertex term can act anywhere on the sector (empty
+    operator).
     """
     expr = model.vertex_expr(sector.algebra.spec, coupling)
     rep = represent(expr, sector)
     g = model.coupling if coupling is None else coupling
     if g != 0 and not rep.leaky_columns and not np.any(rep.matrix):
-        import warnings
-
-        warnings.warn("vertex operator is empty on this sector", RuntimeWarning,
-                      stacklevel=2)
+        logging.getLogger("worldlineqm").warning("vertex operator is empty on this sector")
     return rep
 
 
@@ -275,7 +273,7 @@ def _clean_columns(v: sparse.csr_array, leaks, applications: int) -> np.ndarray:
 
 
 def _at_coupling(coefficients: dict, g: float) -> sparse.csr_array:
-    total = coefficients[0]
+    total = coefficients[0].copy()
     for m in range(1, len(coefficients)):
         total = total + g ** m * coefficients[m]
     return total
@@ -285,46 +283,36 @@ def _at_coupling(coefficients: dict, g: float) -> sparse.csr_array:
 class DysonOperator:
     """g-graded truncated series G = sum_m g^m C_m, C_m = (-i)^m/m! V1^m.
 
-    The coefficients are held as sparse matrices; `coefficients`,
-    `adjoint_coefficients` and every matrix the methods return are dense.
+    The coefficients and every matrix the methods return are scipy.sparse
+    arrays on the sector basis; call .toarray() for a dense view.
     """
 
     sector: Sector
     order: int
-    sparse_coefficients: dict[int, sparse.csr_array]          # for G
-    sparse_adjoint_coefficients: dict[int, sparse.csr_array]  # for G‡
+    coefficients: dict[int, sparse.csr_array]          # for G
+    adjoint_coefficients: dict[int, sparse.csr_array]  # for G‡
     clean: np.ndarray           # columns surviving `order` applications
     residual_clean: np.ndarray  # columns surviving 2*order (for G‡G checks)
 
-    @cached_property
-    def coefficients(self) -> dict[int, np.ndarray]:
-        return {m: c.toarray() for m, c in self.sparse_coefficients.items()}
+    def matrix(self, g: float) -> sparse.csr_array:
+        return _at_coupling(self.coefficients, g)
 
-    @cached_property
-    def adjoint_coefficients(self) -> dict[int, np.ndarray]:
-        return {m: c.toarray() for m, c in self.sparse_adjoint_coefficients.items()}
-
-    def matrix(self, g: float) -> np.ndarray:
-        return _at_coupling(self.sparse_coefficients, g).toarray()
-
-    def unitarity_residual_orders(self) -> dict[int, np.ndarray]:
+    def unitarity_residual_orders(self) -> dict[int, sparse.csr_array]:
         """Order-by-order coefficients of G‡G - 1 (restricted to all columns)."""
         n = self.sector.dimension
         out = {}
         for k in range(0, 2 * self.order + 1):
             total = sparse.csr_array((n, n), dtype=complex)
             for a in range(max(k - self.order, 0), min(k, self.order) + 1):
-                total = total + (self.sparse_adjoint_coefficients[a]
-                                 @ self.sparse_coefficients[k - a])
+                total = total + self.adjoint_coefficients[a] @ self.coefficients[k - a]
             if k == 0:
                 total = total - sparse.eye_array(n)
-            out[k] = total.toarray()
+            out[k] = total
         return out
 
     def unitarity_residual_norm(self, g: float) -> float:
         """|| (G‡G - 1) restricted to 2*order-leakage-free columns ||."""
-        r = (_at_coupling(self.sparse_adjoint_coefficients, g)
-             @ _at_coupling(self.sparse_coefficients, g)
+        r = (_at_coupling(self.adjoint_coefficients, g) @ _at_coupling(self.coefficients, g)
              - sparse.eye_array(self.sector.dimension)).tocoo()
         return float(np.linalg.norm(r.data[self.residual_clean[r.col]]))
 
@@ -361,8 +349,7 @@ def dyson_truncated(model: InteractionModel, sector: Sector, order: int) -> Dyso
 
 
 def amplitude_order_m(in_state: FockState, out_state: FockState,
-                      model: InteractionModel, m_order: int, sector: Sector,
-                      max_order: int = 3) -> complex:
+                      model: InteractionModel, m_order: int, sector: Sector) -> complex:
     """<out| (-i)^m / m! V^m |in> by repeated application of V.
 
     V acts on count rows up to algebra.n_max entries, so intermediate images
@@ -370,8 +357,8 @@ def amplitude_order_m(in_state: FockState, out_state: FockState,
     application, and each distinct image is paired with out_state.  Order 0
     reduces to the bare multiparticle pairing.
     """
-    if m_order < 0 or m_order > max_order:
-        raise ContractViolation(f"m_order must be in [0, {max_order}]")
+    if not 0 <= m_order <= 3:
+        raise ContractViolation("m_order must be in [0, 3]")
     alg = sector.algebra
     expr = model.vertex_expr(alg.spec)
     layout = SlotLayout.for_algebra(alg, (e.type_label for e in in_state.entries))

@@ -247,9 +247,12 @@ class MCResult:
     seed: int
 
 
+MC_CHUNK_SIZE = 16384  # samples per seeded chunk; the RNG streams depend on it
+
+
 def kernel_mc(x: FourVector, x0: FourVector, params: KernelParams, n_segments: int,
-              samples: int, seed: int, chunk_size: int = 16384,
-              mass_sq_fn=None, mass_sq_bound: float | None = None) -> MCResult:
+              samples: int, seed: int, mass_sq_fn=None,
+              mass_sq_bound: float | None = None) -> MCResult:
     """Monte Carlo estimate of the euclidean kernel over pinned bridge paths.
 
     Paths are sampled from the exact Gaussian kinetic bridge measure between
@@ -268,7 +271,7 @@ def kernel_mc(x: FourVector, x0: FourVector, params: KernelParams, n_segments: i
     c = 2, D = 4, 4e5 samples) it sits at z = +134, +23, +5.2 and +3.0 for
     n_segments = 2, 8, 32 and 128, and converges only as the grid refines.
 
-    Deterministic for a fixed (seed, chunk_size).
+    Deterministic for a fixed seed.
     """
     if params.mode != "euclidean":
         raise UnsupportedSpecError("oscillatory minkowski Monte Carlo is not supported")
@@ -291,9 +294,9 @@ def kernel_mc(x: FourVector, x0: FourVector, params: KernelParams, n_segments: i
     total_n = 0
     mean = 0.0
     m2 = 0.0  # sum of squared deviations (Welford)
-    n_chunks = (samples + chunk_size - 1) // chunk_size
+    n_chunks = (samples + MC_CHUNK_SIZE - 1) // MC_CHUNK_SIZE
     for chunk_index in range(n_chunks):
-        n = min(chunk_size, samples - chunk_index * chunk_size)
+        n = min(MC_CHUNK_SIZE, samples - chunk_index * MC_CHUNK_SIZE)
         rng = np.random.default_rng(np.random.SeedSequence((int(seed), chunk_index)))
         paths = _sample_bridges(rng, dx, tau, n_segments, dim, n)
         if bound == 0.0:
@@ -357,11 +360,11 @@ def _thin_marks(rng, paths, grid, counts, mass_sq_fn, bound):
 # proper-time propagators
 
 
-def _panel_edges(t_lo: float, t_hi: float, osc_scale: float, n_geom: int = 40):
-    """Geometric panels resolving the t -> 0 structure, then uniform panels
-    no wider than a quarter oscillation period."""
+def _panel_edges(t_lo: float, t_hi: float, osc_scale: float):
+    """40 geometric panel edges resolving the t -> 0 structure, then uniform
+    panels no wider than a quarter oscillation period."""
     geom_hi = min(1.0, t_hi)
-    edges = list(np.geomspace(t_lo, geom_hi, n_geom))
+    edges = list(np.geomspace(t_lo, geom_hi, 40))
     if t_hi > geom_hi:
         width = min(0.25, np.pi / (2 * max(osc_scale, 1e-12)))
         edges.extend(np.arange(geom_hi + width, t_hi + width, width))

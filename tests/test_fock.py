@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from worldlineqm import fock
 from worldlineqm.errors import ContractViolation, SectorOverflowError
 from worldlineqm.fock import (
     VACUUM,
@@ -198,6 +199,33 @@ def test_inner_matches_brute_force_up_to_four():
              for i in range(n)])
         assert fock_inner(bra, ket, alg) == pytest.approx(
             brute_force_inner(bra, ket, alg), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_mixed_type_inner_matches_brute_force(n):
+    rng = np.random.default_rng(100 + n)
+    alg = algebra()
+    labels = [str(lbl) for lbl in rng.choice(list(TYPES), size=n)]
+    bra = symmetrize([Entry(tuple(rng.integers(0, 4, size=2)), lbl, "integrated")
+                      for lbl in labels], 0.5)
+    ket = symmetrize([Entry(tuple(rng.integers(0, 4, size=2)), lbl, "start")
+                      for lbl in rng.permutation(labels)], 1.5 - 0.25j)
+    assert len(set(labels)) > 1
+    assert fock_inner(bra, ket, alg) == pytest.approx(
+        brute_force_inner(bra, ket, alg), rel=1e-12)
+
+
+def test_unequal_type_counts_pair_to_zero_without_a_permanent(monkeypatch):
+    def no_permanent(matrix):
+        raise AssertionError("permanent evaluated")
+
+    monkeypatch.setattr(fock, "permanent", no_permanent)
+    alg = algebra()
+    bra = symmetrize(integrated_entries((0, 0), (1, 2)) + integrated_entries((3, 1), label="B"))
+    ket = symmetrize(start_entries((2, 2)) + start_entries((0, 3), (1, 1), label="B"))
+    assert bra.n_particles == ket.n_particles
+    assert fock_inner(bra, ket, alg) == 0j
+    assert brute_force_inner(bra, ket, alg) == 0j
 
 
 def test_exchange_symmetry():

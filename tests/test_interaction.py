@@ -1,7 +1,11 @@
+import ast
+import logging
 from math import factorial
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from worldlineqm.errors import (
     ContractViolation,
@@ -47,6 +51,7 @@ from worldlineqm.onshell import MomentumGrid
 from fock_walk import walk_expr
 
 
+SRC = Path(__file__).resolve().parents[1] / "src" / "worldlineqm"
 SPEC22 = LatticeSpec((2, 2), (2.0, 2.0))
 SPEC44 = LatticeSpec((4, 4), (4.0, 4.0))
 
@@ -250,7 +255,7 @@ def test_state_index_rejects_states_outside_the_basis():
 def test_dyson_identity_at_order_zero():
     sector = ab_sector(SPEC22, b_max=1)
     g = dyson_truncated(InteractionModel.ab_model(1.0), sector, 0)
-    assert np.allclose(g.matrix(0.3), np.eye(sector.dimension))
+    assert np.allclose(g.matrix(0.3).toarray(), np.eye(sector.dimension))
 
 
 def test_unitarity_residual_vanishes_per_order():
@@ -282,7 +287,21 @@ def test_unitarity_on_4x4_sector_at_order_one():
     clean = dy.residual_clean
     assert clean.sum() == 16
     orders = dy.unitarity_residual_orders()
-    assert all(isinstance(o, np.ndarray) and o.shape == (2448, 2448) for o in orders.values())
+    assert all(sparse.issparse(o) and o.shape == (2448, 2448) for o in orders.values())
+    assert max(np.max(np.abs(orders[k][:, clean])) for k in (0, 1)) < 1e-12
+    slope = np.log10(dy.unitarity_residual_norm(1e-2)) - np.log10(dy.unitarity_residual_norm(1e-3))
+    assert abs(slope - 2.0) < 0.1
+
+
+def test_unitarity_on_4x4_sector_with_three_b_at_order_one():
+    # dimension 15 504: the dense residual orders alone would be 3.8 GB each
+    sector = ab_sector(SPEC44, b_max=3, n_max=8)
+    assert sector.dimension == 15504
+    dy = dyson_truncated(InteractionModel.ab_model(1.0), sector, 1)
+    clean = dy.residual_clean
+    assert clean.sum() == 272
+    orders = dy.unitarity_residual_orders()
+    assert all(sparse.issparse(o) for o in orders.values())
     assert max(np.max(np.abs(orders[k][:, clean])) for k in (0, 1)) < 1e-12
     slope = np.log10(dy.unitarity_residual_norm(1e-2)) - np.log10(dy.unitarity_residual_norm(1e-3))
     assert abs(slope - 2.0) < 0.1
@@ -305,11 +324,19 @@ def test_dyson_leakage_error():
         dyson_truncated(InteractionModel.ab_model(1.0), sector, 3)
 
 
-def test_empty_vertex_warns():
+def test_empty_vertex_warns(caplog):
     alg = make_algebra(SPEC22, n_max=2)
     vacuum_only = Sector(alg, {"A": (0, 0), "B": (0, 0)})
-    with pytest.warns(RuntimeWarning):
+    with caplog.at_level(logging.WARNING, logger="worldlineqm"):
         vertex_operator(InteractionModel.ab_model(1.0), vacuum_only)
+    assert [r.getMessage() for r in caplog.records] == ["vertex operator is empty on this sector"]
+
+
+def test_represent_is_the_one_dense_site():
+    tree = ast.parse((SRC / "interaction.py").read_text())
+    owners = [getattr(top, "name", None) for top in tree.body for node in ast.walk(top)
+              if isinstance(node, ast.Attribute) and node.attr in ("toarray", "todense")]
+    assert owners == ["represent"]
 
 
 def test_order_sum_matches_dyson_matrix_element():
