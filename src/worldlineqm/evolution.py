@@ -9,8 +9,14 @@ lambda) advances by the exact spectral step
 
 with p.p the signed square.  The generator is diagonal in momentum, so the
 step is a pure phase for any dlam (no stability constraint, unitary even
-though p.p + m^2 is indefinite on a spacetime lattice).  The equivalent
-differential statement, checked by the finite-difference residual below, is
+though p.p + m^2 is indefinite on a spacetime lattice).  On the lattice one
+step is ifftn(phase * fftn(psi)) (`lattice.spectral_multiply`): the phase
+depends on p0 only through p0^2, so the time-axis sign reflection of the
+unitary transform drops out, and its two scale factors cancel exactly.
+The phase itself is a broadcast product of one 1-D factor per axis.
+
+The equivalent differential statement, checked by the finite-difference
+residual below, is
 
     -i d/dlam psi = (box - m^2) psi,   box = eta^{mu nu} d_mu d_nu.
 """
@@ -23,7 +29,7 @@ import numpy as np
 
 from .errors import ContractViolation
 from .kernel import lattice_momentum_phase
-from .lattice import ComplexField, LatticeSpec, spectral_transform
+from .lattice import ComplexField, LatticeSpec, spectral_multiply, spectral_transform
 
 
 @dataclass(frozen=True)
@@ -52,9 +58,7 @@ def norm(psi: ParametrizedWavefunction) -> float:
 
 def evolve(psi: ParametrizedWavefunction, dlam: float) -> ParametrizedWavefunction:
     """Advance psi by dlam (any sign) with the exact spectral phase."""
-    tilde = spectral_transform(psi.field, "forward")
-    tilde.values *= lattice_momentum_phase(psi.spec, dlam, psi.mass)
-    out = spectral_transform(tilde, "inverse")
+    out = spectral_multiply(psi.field, lattice_momentum_phase(psi.spec, dlam, psi.mass))
     return ParametrizedWavefunction(out, psi.lam + dlam, psi.mass)
 
 
@@ -91,20 +95,19 @@ def gaussian_packet(spec: LatticeSpec, center, width, momentum, mass: float,
     """Normalized Gaussian wavepacket exp(-(x-c)^2/4w^2 + i p.x) on the lattice.
 
     The phase uses the signed pairing p.x, so `momentum` labels a point of the
-    dual grid in the evolution's own convention.
+    dual grid in the evolution's own convention.  The packet is a product of
+    one 1-D complex factor per axis, broadcast to the full grid.
     """
     center = np.asarray(center, dtype=float)
     width = np.broadcast_to(np.asarray(width, dtype=float), (spec.dimension,))
     momentum = np.asarray(momentum, dtype=float)
-    coords = np.meshgrid(*[spec.axis_coordinates(mu) for mu in range(spec.dimension)],
-                         indexing="ij")
-    envelope = np.zeros(spec.shape)
-    phase = np.zeros(spec.shape)
-    for mu, x in enumerate(coords):
-        envelope = envelope - (x - center[mu]) ** 2 / (4 * width[mu] ** 2)
+    values = np.ones((1,) * spec.dimension, dtype=complex)
+    for mu in range(spec.dimension):
+        x = spec.axis_coordinates(mu)
         sign = -1.0 if mu == 0 else 1.0
-        phase = phase + sign * momentum[mu] * x
-    values = np.exp(envelope + 1j * phase)
+        factor = np.exp(-(x - center[mu]) ** 2 / (4 * width[mu] ** 2)
+                        + 1j * sign * momentum[mu] * x)
+        values = values * spec.along(mu, factor)
     field = ComplexField(spec, values, "position")
     field.values /= np.sqrt(field.norm_squared())
     return ParametrizedWavefunction(field, lam, mass)

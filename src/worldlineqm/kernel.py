@@ -584,8 +584,17 @@ def kernel_mass_superposition(dx: FourVector, total_length: float, mass: float,
 
 
 def lattice_momentum_phase(spec: LatticeSpec, dlam: float, mass: float) -> np.ndarray:
-    """Momentum-representation kernel exp(-i dlam (p.p + m^2)) on the lattice."""
-    return np.exp(-1j * dlam * (spec.p_squared("minkowski") + mass * mass))
+    """Momentum-representation kernel exp(-i dlam (p.p + m^2)) on the lattice.
+
+    Separable: exp(-i dlam m^2) times one 1-D factor exp(-+i dlam p_mu^2) per
+    axis (the time axis carries the opposite sign), broadcast so that only
+    the final product is a full grid.
+    """
+    phase = np.exp(-1j * dlam * mass * mass)
+    for mu in range(spec.dimension):
+        sign = -1.0 if mu == 0 else 1.0
+        phase = phase * spec.along(mu, np.exp(-1j * dlam * sign * spec.momentum_axis(mu) ** 2))
+    return phase
 
 
 def lattice_kernel(spec: LatticeSpec, dlam: float, mass: float) -> np.ndarray:

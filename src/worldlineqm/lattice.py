@@ -10,6 +10,18 @@ momentum amplitudes:
 and the inverse uses the conjugate kernel with the momentum cell volume
 prod(2 pi / L_mu).  Both directions are unitary with respect to the
 cell-volume weighted norms (Parseval).
+
+A multiplier that depends on p0 only through p0^2, such as the evolution
+phase exp(-i dlam (p.p + m^2)), is applied by `spectral_multiply` as
+
+    ifftn(multiplier * fftn(psi)).
+
+The signed time axis is the index reflection k0 -> -k0 of a plain fftn, and
+that reflection leaves such a multiplier unchanged (fftfreq's Nyquist entry
+maps to itself), so it drops out of forward-then-inverse.  The two scale
+factors cancel too: prod(a) * prod(2 pi / L) * (2 pi)^(-D) * N = 1, with N
+the site count that ifftn divides by.  This module holds every FFT call of
+the package.
 """
 
 from __future__ import annotations
@@ -17,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 from .errors import ContractViolation, UnsupportedSpecError
 
@@ -73,18 +86,19 @@ class LatticeSpec:
         """Momentum samples along axis mu in FFT order, spacing 2 pi / L_mu."""
         return 2 * np.pi * np.fft.fftfreq(self.shape[mu], d=self.spacings[mu])
 
+    def along(self, mu: int, values: np.ndarray) -> np.ndarray:
+        """1-D values on axis mu, shaped to broadcast against the full grid."""
+        shape = [1] * self.dimension
+        shape[mu] = self.shape[mu]
+        return np.reshape(values, shape)
+
     def p_squared(self, mode: str = "minkowski") -> np.ndarray:
         """Grid of p.p (signed for minkowski, positive for euclidean).
 
         The square of each momentum axis is broadcast along its own
         dimension, so no full grid is built until the final sum.
         """
-        squares = []
-        for mu in range(self.dimension):
-            p = self.momentum_axis(mu)
-            shape = [1] * self.dimension
-            shape[mu] = p.size
-            squares.append((p * p).reshape(shape))
+        squares = [self.along(mu, self.momentum_axis(mu) ** 2) for mu in range(self.dimension)]
         total = sum(squares[1:]) if self.dimension > 1 else 0.0
         if mode == "minkowski":
             return total - squares[0]
@@ -120,6 +134,11 @@ class ComplexField:
         return ComplexField(self.spec, self.values.copy(), self.representation)
 
 
+def _check_finite(field: ComplexField) -> None:
+    if not np.all(np.isfinite(field.values)):
+        raise ContractViolation("field amplitudes must be finite")
+
+
 def spectral_transform(field: ComplexField, direction: str) -> ComplexField:
     """Unitary lattice Fourier transform with the signed time-axis convention.
 
@@ -128,25 +147,38 @@ def spectral_transform(field: ComplexField, direction: str) -> ComplexField:
     identity to machine precision.
     """
     spec = field.spec
-    if not np.all(np.isfinite(field.values)):
-        raise ContractViolation("field amplitudes must be finite")
+    _check_finite(field)
+    space = tuple(range(1, spec.dimension))
     if direction == "forward":
         if field.representation != "position":
             raise ContractViolation("forward transform expects a position-representation field")
-        out = field.values
-        # time axis: kernel exp(+i p0 x0) -> inverse-FFT kernel, undo its 1/N
-        out = np.fft.ifft(out, axis=0) * spec.shape[0]
-        for axis in range(1, spec.dimension):
-            out = np.fft.fft(out, axis=axis)
-        out = out * (spec.cell_volume * (2 * np.pi) ** (-spec.dimension / 2))
+        # time axis: kernel exp(+i p0 x0) -> unscaled inverse FFT
+        out = scipy.fft.ifft(field.values, axis=0, norm="forward")
+        out = scipy.fft.fftn(out, axes=space, overwrite_x=True)
+        out *= spec.cell_volume * (2 * np.pi) ** (-spec.dimension / 2)
         return ComplexField(spec, out, "momentum")
     if direction == "inverse":
         if field.representation != "momentum":
             raise ContractViolation("inverse transform expects a momentum-representation field")
-        out = field.values
-        out = np.fft.fft(out, axis=0)
-        for axis in range(1, spec.dimension):
-            out = np.fft.ifft(out, axis=axis) * spec.shape[axis]
-        out = out * (spec.momentum_cell_volume * (2 * np.pi) ** (-spec.dimension / 2))
+        out = scipy.fft.fft(field.values, axis=0)
+        out = scipy.fft.ifftn(out, axes=space, norm="forward", overwrite_x=True)
+        out *= spec.momentum_cell_volume * (2 * np.pi) ** (-spec.dimension / 2)
         return ComplexField(spec, out, "position")
     raise ContractViolation(f"unknown direction {direction!r}")
+
+
+def spectral_multiply(field: ComplexField, multiplier: np.ndarray) -> ComplexField:
+    """Position field whose momentum amplitudes are multiplier times those of field.
+
+    Equal to spectral_transform(multiplier * spectral_transform(field,
+    "forward"), "inverse") only when multiplier is even in p0, i.e. takes the
+    same value at k0 and -k0 (mod N0) on the time axis, as any function of
+    p0^2 does.  Then it is one fftn, one in-place product and one ifftn.
+    """
+    if field.representation != "position":
+        raise ContractViolation("spectral_multiply expects a position-representation field")
+    _check_finite(field)
+    out = scipy.fft.fftn(field.values)
+    out *= multiplier
+    out = scipy.fft.ifftn(out, overwrite_x=True)
+    return ComplexField(field.spec, out, "position")

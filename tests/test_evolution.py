@@ -10,8 +10,9 @@ from worldlineqm.evolution import (
     norm,
     stueckelberg_residual,
 )
-from worldlineqm.kernel import lattice_kernel, lattice_propagator
-from worldlineqm.lattice import ComplexField, LatticeSpec
+from worldlineqm.errors import ContractViolation
+from worldlineqm.kernel import lattice_kernel, lattice_momentum_phase, lattice_propagator
+from worldlineqm.lattice import ComplexField, LatticeSpec, spectral_transform
 
 
 def packet(spec=None, seed=None, mass=1.0):
@@ -104,6 +105,53 @@ def test_evolve_matches_lattice_kernel_convolution():
             conv[i, j] = acc * spec.cell_volume
     out = evolve(psi, dlam)
     assert np.max(np.abs(out.field.values - conv)) < 1e-10
+
+
+@pytest.mark.parametrize("shape, extents, center, momentum", [
+    ((16, 8), (6.0, 9.0), (2.5, 4.0), (0.9, -0.6)),
+    ((8, 4, 16), (5.0, 3.0, 7.5), (2.0, 1.5, 3.0), (-1.1, 0.4, 0.7)),
+    ((4, 8, 2, 16), (3.0, 5.0, 2.0, 9.0), (1.0, 2.5, 1.0, 4.0), (0.8, -0.5, 0.3, 1.2)),
+])
+def test_evolve_matches_the_two_transform_composition(shape, extents, center, momentum):
+    # the fused fftn/ifftn step against forward transform, phase, inverse transform
+    spec = LatticeSpec(shape, extents)
+    psi = gaussian_packet(spec, center, (1.1, 0.8, 1.4, 0.9)[:spec.dimension], momentum, 1.3)
+    for dlam in (0.37, -0.8, 2.5):
+        tilde = spectral_transform(psi.field, "forward")
+        tilde.values *= lattice_momentum_phase(spec, dlam, psi.mass)
+        reference = spectral_transform(tilde, "inverse").values
+        out = evolve(psi, dlam).field.values
+        scale = np.max(np.abs(psi.field.values))
+        assert np.max(np.abs(out - reference)) < 1e-13 * scale
+
+
+def test_evolve_leaves_the_input_untouched():
+    psi = packet()
+    before = psi.field.values.copy()
+    evolve(psi, 0.3)
+    np.testing.assert_array_equal(psi.field.values, before)
+
+
+def test_evolve_rejects_non_finite_amplitudes():
+    psi = packet()
+    values = psi.field.values.copy()
+    values[3, 5] = np.nan
+    bad = ParametrizedWavefunction(ComplexField(psi.spec, values, "position"), 0.0, 1.0)
+    with pytest.raises(ContractViolation):
+        evolve(bad, 0.1)
+
+
+def test_gaussian_packet_equals_the_meshgrid_form():
+    spec = LatticeSpec((8, 4, 16), (5.0, 3.0, 11.0))
+    center, width, momentum = (2.0, 1.0, 6.0), (1.2, 0.7, 2.1), (0.6, -1.3, 0.4)
+    coords = np.meshgrid(*[spec.axis_coordinates(mu) for mu in range(3)], indexing="ij")
+    envelope = sum(-(x - c) ** 2 / (4 * w ** 2) for x, c, w in zip(coords, center, width))
+    phase = sum(s * p * x for x, s, p in zip(coords, (-1.0, 1.0, 1.0), momentum))
+    values = np.exp(envelope + 1j * phase)
+    values /= np.sqrt(np.sum(np.abs(values) ** 2) * spec.cell_volume)
+    got = gaussian_packet(spec, center, width, momentum, 1.0).field.values
+    assert got.shape == spec.shape
+    assert np.max(np.abs(got - values)) < 1e-14 * np.max(np.abs(values))
 
 
 def test_residual_plane_wave_oracle():

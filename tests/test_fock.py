@@ -139,7 +139,10 @@ def test_permanent_empty_and_identity():
 
 
 def brute_force_inner(bra, ket, alg):
-    """Independent permutation-sum evaluation of the pairing."""
+    """Independent permutation-sum evaluation of the bilinear pairing.
+
+    fock_inner conjugates nothing (dual_state does), so neither does this.
+    """
     if len(bra.entries) != len(ket.entries):
         return 0j
     n = len(bra.entries)
@@ -153,7 +156,7 @@ def brute_force_inner(bra, ket, alg):
                 break
             term *= alg.two_point(be.type_label, be.site, ke.site)
         total += term
-    return total * np.conj(bra.coefficient) * ket.coefficient
+    return total * bra.coefficient * ket.coefficient
 
 
 def test_single_particle_inner_is_propagator():
@@ -199,6 +202,16 @@ def test_inner_matches_brute_force_up_to_four():
              for i in range(n)])
         assert fock_inner(bra, ket, alg) == pytest.approx(
             brute_force_inner(bra, ket, alg), rel=1e-12)
+
+
+def test_inner_is_bilinear_in_a_complex_bra_coefficient():
+    alg = algebra()
+    bra = symmetrize(integrated_entries((2, 3)), 1j)
+    ket = symmetrize(start_entries((0, 1)), 0.5 - 0.25j)
+    value = fock_inner(bra, ket, alg)
+    expected = 1j * (0.5 - 0.25j) * alg.two_point("A", (2, 3), (0, 1))
+    assert value == pytest.approx(expected, rel=1e-12)
+    assert value == pytest.approx(brute_force_inner(bra, ket, alg), rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])

@@ -431,6 +431,18 @@ def test_lattice_composition_and_conjugation():
     assert np.max(np.abs(np.conj(k1) - back)) < 1e-12
 
 
+@pytest.mark.parametrize("shape, extents", [((8, 4, 16), (5.0, 3.0, 7.5)),
+                                            ((4, 8, 2, 16), (3.0, 5.0, 2.0, 9.0)),
+                                            ((16,), (4.0,))])
+def test_separable_phase_equals_the_full_exponential(shape, extents):
+    spec = LatticeSpec(shape, extents)
+    for dlam, mass in ((0.01, 1.0), (0.31, 0.5), (-0.2, 1.7)):
+        expected = np.exp(-1j * dlam * (spec.p_squared("minkowski") + mass * mass))
+        got = lattice_momentum_phase(spec, dlam, mass)
+        assert got.shape == spec.shape
+        assert np.max(np.abs(got - expected)) < 1e-14
+
+
 def test_t_ordering_identity_euclidean():
     # Int dT1 dT2 K(a;T1) K(b;T2) = Int dT' Int_0^T' dT K(a;T'-T) K(b;T)
     a = np.array([0.9, 0.5])

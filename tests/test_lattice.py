@@ -1,8 +1,13 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from worldlineqm.errors import ContractViolation, UnsupportedSpecError
 from worldlineqm.lattice import ComplexField, LatticeSpec, spectral_transform
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "worldlineqm"
 
 
 def random_field(spec, seed=0):
@@ -128,3 +133,25 @@ def test_p_squared_equals_the_full_meshgrid_sum(shape, extents):
         np.testing.assert_array_equal(got, expected)
     with pytest.raises(ContractViolation):
         spec.p_squared("lorentzian")
+
+
+def _fft_uses(path):
+    """Dotted np.fft / numpy.fft / scipy.fft references and fft imports in one module."""
+    uses = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            uses += [a.name for a in node.names if a.name.endswith(".fft")]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            uses += [f"{module}.{a.name}" for a in node.names
+                     if module.endswith(".fft") or a.name == "fft"]
+        elif isinstance(node, ast.Attribute) and node.attr == "fft" \
+                and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy", "scipy"):
+            uses.append(f"{node.value.id}.fft")
+    return uses
+
+
+def test_lattice_is_the_one_fft_site():
+    users = {path.name: _fft_uses(path) for path in sorted(SRC.glob("*.py"))}
+    assert users.pop("lattice.py")
+    assert {name: uses for name, uses in users.items() if uses} == {}
