@@ -241,10 +241,19 @@ def kernel_discretized(x: FourVector, x0: FourVector, segments, params: KernelPa
 
 @dataclass(frozen=True)
 class MCResult:
+    """Estimate, its standard error and the work behind it.
+
+    marks counts the Poisson marks drawn over all samples; acceptance is the
+    fraction of them accepted (every mark is accepted on the constant-mass
+    route, whose bound is m^2 itself; 0.0 when no mark was drawn).
+    """
+
     estimate: complex
     stderr: float
     samples: int
     seed: int
+    marks: int = 0
+    acceptance: float = 0.0
 
 
 MC_CHUNK_SIZE = 16384  # samples per seeded chunk; the RNG streams depend on it
@@ -255,23 +264,24 @@ def kernel_mc(x: FourVector, x0: FourVector, params: KernelParams, n_segments: i
               mass_sq_bound: float | None = None) -> MCResult:
     """Monte Carlo estimate of the euclidean kernel over pinned bridge paths.
 
-    Paths are sampled from the exact Gaussian kinetic bridge measure between
-    x0 and x (its normalization is the known massless kernel, absorbed
-    analytically).  The mass factor exp(-Int m^2(q) dlam) is estimated by
-    thinning: Poisson marks at rate mass_sq_bound along the path, each
-    accepted with probability m^2(q)/bound; a path contributes iff no mark
-    is accepted.  For the constant-mass kernel the estimator is unbiased,
-    exact at m = 0 (zero variance), and satisfies the usual CLT contract
-    otherwise.
+    The kinetic factor is the Gaussian bridge measure from x0 to x, whose
+    normalization, the massless kernel, is absorbed analytically.  The mass
+    factor exp(-Int m^2(q) dlam) is estimated by thinning (Lewis & Shedler):
+    Poisson marks at rate mass_sq_bound along the path, each accepted with
+    probability m^2(q)/bound; a path contributes iff no mark is accepted.
 
-    For a position-dependent mass it is biased: the bridge is sampled on
-    the fixed grid of n_segments, and m^2 at a mark is read off the linear
-    interpolation of that grid, not the exact bridge position.  Against the
-    closed form for m^2(q) = m0^2 + c 1[q_1 > 0] (tau = 1, m0^2 = 0.25,
-    c = 2, D = 4, 4e5 samples) it sits at z = +134, +23, +5.2 and +3.0 for
-    n_segments = 2, 8, 32 and 128, and converges only as the grid refines.
+    For constant mass (mass_sq_fn None) the bound is m^2, every mark is
+    accepted, and only the Poisson counts are drawn; no path is sampled.  For
+    a position-dependent mass the bridge is sampled exactly at the sorted
+    mark times and nowhere else (Beskos & Roberts), and mass_sq_fn is called
+    once per chunk on the (marks, D) array of absolute positions, returning
+    one value per row.  Both routes are unbiased, the cost scales with the
+    number of marks, and m = 0 is exact (zero variance).  mass_sq_fn values
+    outside [0, mass_sq_bound], and a mass_sq_bound without a mass_sq_fn,
+    raise ContractViolation.
 
-    Deterministic for a fixed seed.
+    n_segments no longer affects the estimate; it is checked to be >= 1 and
+    kept only for positional call sites.  Deterministic for a fixed seed.
     """
     if params.mode != "euclidean":
         raise UnsupportedSpecError("oscillatory minkowski Monte Carlo is not supported")
@@ -283,30 +293,38 @@ def kernel_mc(x: FourVector, x0: FourVector, params: KernelParams, n_segments: i
     dim = params.dimension
     dx = (x - x0).as_array()
     msq = params.mass ** 2
-    bound = float(mass_sq_bound) if mass_sq_bound is not None else msq
-    if mass_sq_fn is not None and bound <= 0:
-        raise ContractViolation("mass_sq_bound must be positive with a custom mass_sq_fn")
+    if mass_sq_fn is None:
+        if mass_sq_bound is not None:
+            raise ContractViolation("mass_sq_bound applies only with a mass_sq_fn")
+        bound = msq
+    else:
+        bound = float(mass_sq_bound) if mass_sq_bound is not None else msq
+        if not 0.0 < bound < np.inf:
+            raise ContractViolation("mass_sq_bound must be positive and finite with a mass_sq_fn")
 
     norm = _kernel_value(dx, tau, 0.0, dim, "euclidean").real  # massless bridge normalization
-    dlam = tau / n_segments
-    grid = dlam * np.arange(n_segments + 1)
 
     total_n = 0
     mean = 0.0
     m2 = 0.0  # sum of squared deviations (Welford)
+    marks = accepted = 0
     n_chunks = (samples + MC_CHUNK_SIZE - 1) // MC_CHUNK_SIZE
     for chunk_index in range(n_chunks):
         n = min(MC_CHUNK_SIZE, samples - chunk_index * MC_CHUNK_SIZE)
         rng = np.random.default_rng(np.random.SeedSequence((int(seed), chunk_index)))
-        paths = _sample_bridges(rng, dx, tau, n_segments, dim, n)
         if bound == 0.0:
             alive = np.ones(n)
         else:
             counts = rng.poisson(bound * tau, size=n)
+            drawn = int(counts.sum())
+            marks += drawn
             if mass_sq_fn is None:
                 alive = (counts == 0).astype(float)
+                accepted += drawn
             else:
-                alive = _thin_marks(rng, paths, grid, counts, mass_sq_fn, bound)
+                alive, hits = _thin_marks(rng, x0.as_array(), dx, tau, counts,
+                                          mass_sq_fn, bound)
+                accepted += hits
         c_mean = float(np.mean(alive))
         c_m2 = float(np.sum((alive - c_mean) ** 2))
         delta = c_mean - mean
@@ -318,42 +336,51 @@ def kernel_mc(x: FourVector, x0: FourVector, params: KernelParams, n_segments: i
     var = m2 / (total_n - 1) if total_n > 1 else 0.0
     stderr = norm * np.sqrt(var / total_n)
     return MCResult(estimate=complex(norm * mean), stderr=float(stderr),
-                    samples=total_n, seed=int(seed))
+                    samples=total_n, seed=int(seed), marks=marks,
+                    acceptance=accepted / marks if marks else 0.0)
 
 
-def _sample_bridges(rng, dx, tau, n_segments, dim, n):
-    """Pinned Gaussian bridges from 0 to dx; increments have variance 2 dlam."""
-    dlam = tau / n_segments
-    paths = np.zeros((n, n_segments + 1, dim))
-    paths[:, -1, :] = dx
-    rem = tau
-    for j in range(1, n_segments):
-        prev = paths[:, j - 1, :]
-        mean = prev + (dx - prev) * (dlam / rem)
-        var = 2.0 * dlam * (rem - dlam) / rem
-        paths[:, j, :] = mean + np.sqrt(var) * rng.standard_normal((n, dim))
-        rem -= dlam
-    return paths
+def _thin_marks(rng, start, dx, tau, counts, mass_sq_fn, bound):
+    """Survival indicator per path and the number of accepted marks.
 
-
-def _thin_marks(rng, paths, grid, counts, mass_sq_fn, bound):
-    n = counts.size
-    alive = np.ones(n)
-    kmax = int(counts.max()) if n else 0
-    if kmax == 0:
-        return alive
-    tau = grid[-1]
-    lam_marks = rng.uniform(0.0, tau, size=(n, kmax))
-    u = rng.uniform(0.0, 1.0, size=(n, kmax))
-    # linear interpolation of bridge positions at the mark parameters
-    idx = np.clip((lam_marks / (grid[1] - grid[0])).astype(int), 0, len(grid) - 2)
-    frac = (lam_marks - grid[idx]) / (grid[1] - grid[0])
-    rows = np.arange(n)[:, None]
-    pos = paths[rows, idx, :] * (1 - frac[..., None]) + paths[rows, idx + 1, :] * frac[..., None]
-    ratio = np.asarray(mass_sq_fn(pos)) / bound
-    accepted = (u < ratio) & (np.arange(kmax)[None, :] < counts[:, None])
-    alive[accepted.any(axis=1)] = 0.0
-    return alive
+    The counts[i] uniform mark times of path i are sorted by the one float
+    key owner + lambda/tau, lambda/tau uniform on [0, 1).  The bridge from start to start + dx is sampled
+    exactly there: free motion W with variance 2 per unit lambda at the
+    marks and at tau, pinned by B(t) = start + W(t) + (t/tau)(dx - W(tau)).
+    Paths without marks survive and draw nothing.
+    """
+    alive = np.ones(counts.size)
+    marked = np.flatnonzero(counts)
+    if marked.size == 0:
+        return alive, 0
+    k = counts[marked]
+    total = int(k.sum())
+    owner = np.repeat(np.arange(marked.size), k)
+    key = owner + rng.uniform(0.0, 1.0, size=total)
+    key.sort()
+    t = (key - owner) * tau  # ascending within each path, in [0, tau]
+    ends = np.cumsum(k)
+    starts = ends - k
+    dt = np.diff(t, prepend=0.0)
+    dt[starts] = t[starts]
+    walk = rng.standard_normal((total, dx.size))
+    walk *= np.sqrt(2.0 * dt)[:, None]
+    np.cumsum(walk, axis=0, out=walk)  # W across all paths; rebased per path below
+    base = walk[starts - 1]
+    base[0] = 0.0
+    w_tau = walk[ends - 1] - base + (np.sqrt(2.0 * (tau - t[ends - 1]))[:, None]
+                                     * rng.standard_normal((marked.size, dx.size)))
+    walk -= np.repeat(base - start, k, axis=0)
+    walk += (t / tau)[:, None] * np.repeat(dx - w_tau, k, axis=0)
+    ratio = np.asarray(mass_sq_fn(walk), dtype=float) / bound
+    if ratio.shape != (total,):
+        raise ContractViolation(
+            f"mass_sq_fn returned shape {ratio.shape}, expected ({total},)")
+    if not np.all((ratio >= 0.0) & (ratio <= 1.0)):  # also rejects NaN
+        raise ContractViolation("mass_sq_fn values must lie in [0, mass_sq_bound]")
+    hit = rng.uniform(0.0, 1.0, size=total) < ratio
+    alive[marked[np.bincount(owner[hit], minlength=marked.size) > 0]] = 0.0
+    return alive, int(hit.sum())
 
 
 # ---------------------------------------------------------------------------

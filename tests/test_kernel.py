@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
+from worldlineqm import kernel
 from worldlineqm.errors import (
     ContractViolation,
     DegeneratePathError,
@@ -239,6 +240,79 @@ def test_mc_guards():
         kernel_mc(origin, origin, params, 4, 5000, seed=0)
     with pytest.raises(ContractViolation):
         kernel_mc(origin, origin, euclid_params(), 4, 10, seed=0)
+    with pytest.raises(ContractViolation):  # one m^2 per position row
+        kernel_mc(origin, origin, euclid_params(), 4, 5000, seed=0,
+                  mass_sq_fn=lambda q: np.ones(q.shape), mass_sq_bound=1.0)
+    with pytest.raises(ContractViolation):  # a bound means nothing without m^2(q)
+        kernel_mc(origin, origin, euclid_params(), 4, 5000, seed=0, mass_sq_bound=2.0)
+
+
+def _levy_case(start, level, seed, n_segments=8, samples=400_000):
+    """m^2(q) = m0^2 + c 1[q_1 > level] on a D=4 bridge whose ends both sit
+    at q_1 = level.  The bridge spends a Uniform(0, tau) time above that
+    level (Levy), so the kernel is K_0 e^(-m0^2 tau) (1 - e^(-c tau))/(c tau)."""
+    tau, m0_sq, c = 1.0, 0.25, 2.0
+    params = KernelParams(np.sqrt(m0_sq), tau, 4, "euclidean")
+    x0 = FourVector(start)
+    x = x0 + FourVector((0.3, 0.0, 0.2, -0.1))
+    dx = (x - x0).as_array()
+    massless = (4 * np.pi * tau) ** -2 * np.exp(-dx @ dx / (4 * tau))
+    oracle = massless * np.exp(-m0_sq * tau) * (1 - np.exp(-c * tau)) / (c * tau)
+    res = kernel_mc(x, x0, params, n_segments, samples, seed=seed,
+                    mass_sq_fn=lambda q: m0_sq + c * (q[..., 1] > level),
+                    mass_sq_bound=m0_sq + c)
+    return res, oracle
+
+
+@pytest.mark.parametrize("start, level", [((0.0, 0.0, 0.0, 0.0), 0.0),
+                                          ((0.4, -0.7, 1.1, 0.2), -0.7)])
+def test_mc_thinned_matches_levy_closed_form(start, level):
+    # the bridge is sampled exactly at the marks, so no grid bias is left;
+    # the second case checks that mass_sq_fn sees absolute positions
+    res, oracle = _levy_case(start, level, seed=17)
+    assert abs(res.estimate.real - oracle) < 5 * res.stderr
+    assert res.estimate.imag == 0.0
+
+
+def test_mc_thinned_estimate_does_not_depend_on_n_segments():
+    coarse, _ = _levy_case((0.0,) * 4, 0.0, seed=9, n_segments=2, samples=20_000)
+    fine, _ = _levy_case((0.0,) * 4, 0.0, seed=9, n_segments=128, samples=20_000)
+    assert coarse == fine
+
+
+def test_mc_constant_mass_draws_no_marks(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the constant-mass route sampled marks")
+
+    monkeypatch.setattr(kernel, "_thin_marks", refuse)
+    x0 = FourVector((0.0, 0.0))
+    res = kernel_mc(FourVector((0.3, 0.1)), x0, euclid_params(), 8, 20000, seed=2)
+    assert res.stderr > 0
+
+
+@pytest.mark.parametrize("value", [1.5, -0.1, np.nan, np.inf])
+def test_mc_rejects_mass_sq_outside_the_bound(value):
+    origin = FourVector((0.0, 0.0))
+    with pytest.raises(ContractViolation):
+        kernel_mc(origin, origin, euclid_params(), 8, 5000, seed=0,
+                  mass_sq_fn=lambda q: np.full(q.shape[:-1], value), mass_sq_bound=1.0)
+
+
+def test_mc_reports_marks_and_acceptance():
+    x0 = FourVector((0.0, 0.0))
+    x = FourVector((0.3, 0.1))
+    samples = 40000
+    const = kernel_mc(x, x0, euclid_params(), 8, samples, seed=4)
+    # marks ~ Poisson(samples m^2 tau); each one kills its path
+    assert abs(const.marks - samples) < 5 * np.sqrt(samples)
+    assert const.acceptance == 1.0
+    thinned = kernel_mc(x, x0, euclid_params(), 8, samples, seed=4,
+                        mass_sq_fn=lambda q: np.ones(q.shape[:-1]), mass_sq_bound=4.0)
+    assert abs(thinned.marks - 4 * samples) < 5 * np.sqrt(4 * samples)
+    # each mark accepted with probability 1/4
+    assert abs(thinned.acceptance - 0.25) < 5 * np.sqrt(0.25 * 0.75 / thinned.marks)
+    massless = kernel_mc(x, x0, KernelParams(1e-300, 1.0, 2, "euclidean"), 8, 2000, seed=1)
+    assert (massless.marks, massless.acceptance) == (0, 0.0)
 
 
 # ---------------------------------------------------------------------------
