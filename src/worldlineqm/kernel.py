@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import special
 
 from . import quadrature
 from .errors import (
@@ -387,15 +388,7 @@ def _thin_marks(rng, start, dx, tau, counts, mass_sq_fn, bound):
 # proper-time propagators
 
 
-def _panel_edges(t_lo: float, t_hi: float, osc_scale: float):
-    """40 geometric panel edges resolving the t -> 0 structure, then uniform
-    panels no wider than a quarter oscillation period."""
-    geom_hi = min(1.0, t_hi)
-    edges = list(np.geomspace(t_lo, geom_hi, 40))
-    if t_hi > geom_hi:
-        width = min(0.25, np.pi / (2 * max(osc_scale, 1e-12)))
-        edges.extend(np.arange(geom_hi + width, t_hi + width, width))
-    return np.asarray(edges)
+TAIL_START = 20.0  # proper time where the minkowski integral switches to its tail rule
 
 
 def propagator_position(dx: FourVector, mass: float, epsilon: float,
@@ -403,9 +396,14 @@ def propagator_position(dx: FourVector, mass: float, epsilon: float,
                         mode: str = "euclidean", damping: float = 0.0) -> complex:
     """Proper-time propagator Int_0^inf dT f(T) K(dx; T) exp(-T epsilon).
 
-    Euclidean mode integrates the real heat kernel.  Minkowski mode uses the
-    Gaussian-damped kernel and requires damping > 0; the result approaches
-    the Feynman propagator as (epsilon, damping) -> 0.
+    Euclidean mode integrates the real heat kernel adaptively over the whole
+    half-line.  Minkowski mode uses the Gaussian-damped kernel and requires
+    damping > 0; the result approaches the Feynman propagator as
+    (epsilon, damping) -> 0.  It integrates [lo, TAIL_START] adaptively and
+    the tail with the factor exp(-i T m^2) as QUADPACK's Fourier weight
+    (quadrature.fourier_tail) when m^2 is at least the tail's decay rate,
+    epsilon (plus 1/dlam under a gaussian weight); below that the tail
+    oscillates no faster than it decays and is integrated adaptively as well.
     """
     if epsilon < 0:
         raise DomainError("epsilon must be >= 0")
@@ -419,13 +417,25 @@ def propagator_position(dx: FourVector, mass: float, epsilon: float,
     msq = mass * mass
     damping = damping if mode == "minkowski" else 0.0
 
-    def integrand(t):
-        return (weight(t) * _kernel_value(dxa, t, msq, dimension, mode, damping)
+    def integrand(t, mass_squared=msq):
+        # mass_squared 0 leaves the factor of exp(-i T m^2) in minkowski mode
+        return (weight(t) * _kernel_value(dxa, t, mass_squared, dimension, mode, damping)
                 * np.exp(-epsilon * t))
     lo = weight.threshold if weight.kind == "gaussian-thresholded" else 0.0
-    value, _ = quadrature.adaptive(integrand, lo, np.inf,
-                                   limit=300 if mode == "euclidean" else 400)
-    return value
+    if mode == "euclidean":
+        value, _ = quadrature.adaptive(integrand, lo, np.inf, limit=300)
+        return value
+    split = max(lo, TAIL_START)
+    head, _ = quadrature.adaptive(integrand, lo, split, limit=400)
+    # QAWF misses the tail when its first cycle, pi/m^2, is much longer than
+    # the tail's decay length: 1/epsilon, and about dlam under a gaussian weight
+    decay_rate = epsilon + (1.0 / weight.correlation_length
+                            if weight.kind == "gaussian-thresholded" else 0.0)
+    if msq >= decay_rate:
+        tail, _ = quadrature.fourier_tail(lambda t: integrand(t, 0.0), split, msq)
+    else:
+        tail, _ = quadrature.adaptive(integrand, split, np.inf, limit=400)
+    return head + tail
 
 
 def propagator_momentum(p: FourVector, mass: float, epsilon: float) -> complex:
@@ -458,7 +468,11 @@ def propagator_onshell_part(dx: FourVector, mass: float, sign: int,
         def integrand(p):
             e = np.sqrt(p * p + msq)
             return np.exp(1j * (-sign * e * dt + p * r) - damping * p * p) / (2 * e)
-        value, _ = quadrature.adaptive(integrand, -np.inf, np.inf, limit=400)
+        # the damping factor is below e^-37 outside the window, as in
+        # fixed_mass_propagator
+        half = np.sqrt(37.0 / damping)
+        value, _ = quadrature.adaptive(integrand, -half, half, limit=400,
+                                       epsabs=1e-13, epsrel=1e-11)
         return value / (2 * np.pi)
     if d == 3:
         def integrand(p):
@@ -532,29 +546,23 @@ def fixed_mass_propagator(dx: FourVector, mass_squared: float, epsilon: float,
 def euclidean_mass_propagator_batch(dx: FourVector, mass_squared, dimension: int) -> np.ndarray:
     """Euclidean propagators at an array of complex mass squares, Re > 0.
 
-    Shared proper-time Gauss-Legendre panel quadrature of
-    (4 pi T)^(-D/2) exp(-|dx|^2/4T - T m'^2); needs |dx| > 0 for D >= 2.
+    The proper-time integral Int_0^inf dT (4 pi T)^(-D/2) exp(-|dx|^2/4T - T m'^2)
+    in closed form (DLMF 10.32.10),
+
+        (2 pi)^(-D/2) (m'/|dx|)^(D/2-1) K_(D/2-1)(m' |dx|),
+
+    with m' the principal square root; needs |dx| > 0.
     """
     msq = np.atleast_1d(np.asarray(mass_squared, dtype=complex))
     if np.any(np.real(msq) <= 0):
         raise DomainError("need Re(mass_squared) > 0 in euclidean mode")
     dxa = dx.as_array()
-    rsq = float(dxa @ dxa)
-    if rsq == 0.0:
+    r = float(np.linalg.norm(dxa))
+    if r == 0.0:
         raise DomainError("euclidean mass propagator needs |dx| > 0")
-    re_min = float(np.min(np.real(msq)))
-    t_hi = 40.0 / re_min
-    t_lo = rsq / 400.0
-    osc = float(np.max(np.abs(np.imag(msq))))
-    nodes, weights = quadrature.panels(_panel_edges(t_lo, t_hi, osc))
-    pref = (4 * np.pi * nodes) ** (-dimension / 2) * np.exp(-rsq / (4 * nodes))
-    out = np.empty(msq.shape, dtype=complex)
-    chunk = max(1, int(4e6 // nodes.size))
-    for k in range(0, msq.size, chunk):
-        block = msq[k:k + chunk]
-        vals = pref[None, :] * np.exp(-np.outer(block, nodes))
-        out[k:k + chunk] = vals @ weights
-    return out
+    order = dimension / 2 - 1
+    m = np.sqrt(msq)
+    return (2 * np.pi) ** (-dimension / 2) * (m / r) ** order * special.kv(order, m * r)
 
 
 def kernel_mass_superposition(dx: FourVector, total_length: float, mass: float,

@@ -14,6 +14,7 @@ from worldlineqm.kernel import (
     KernelParams,
     WeightFunction,
     discretization_norm,
+    euclidean_mass_propagator_batch,
     kernel_closed,
     kernel_damped,
     kernel_discretized,
@@ -415,6 +416,17 @@ def test_onshell_part_point_value_and_conjugation():
     assert plus == pytest.approx(minus_flip, rel=1e-10)
 
 
+def test_onshell_part_d2_meets_1e_12():
+    # a separation where scipy's default tolerances missed 1e-10 (1.8e-10);
+    # the trapezoid rule on a dense grid is spectrally accurate here
+    dt, r, damping = 0.3351171483121282, 0.39497754615517366, 1e-2
+    p = np.linspace(-np.sqrt(40.0 / damping), np.sqrt(40.0 / damping), 400001)
+    e = np.sqrt(p * p + 1.0)
+    oracle = np.trapezoid(np.exp(1j * (e * dt + p * r) - damping * p * p) / (2 * e), p) / (2 * np.pi)
+    value = propagator_onshell_part(FourVector((dt, r)), 1.0, -1, damping, 2)
+    assert abs(value - oracle) < 1e-12 * abs(oracle)
+
+
 def test_propagator_decomposition_timelike():
     # theta(dt) D+ + theta(-dt) D- matches the proper-time route, D = 2
     eps = damping = 1e-2
@@ -435,6 +447,40 @@ def test_decomposition_error_decreases_with_damping():
         rhs = propagator_onshell_part(dx, 1.0, +1, eps, 2)
         errs.append(abs(lhs - rhs) / abs(rhs))
     assert errs[0] > errs[1] > errs[2]
+
+
+# Reference values of the D=2 minkowski proper-time integral at dx=(1.2, 0.3)
+# with epsilon = damping, made with 20-point Gauss-Legendre panels of width
+# 1e-3 on [0, 1] (where the kernel's phase dx^2/4T turns fastest) and 0.05
+# beyond, out to T = 45/epsilon; halving both widths moved each value by less
+# than 5e-16.  m = 0.05 has 0 < m^2 < epsilon, so its tail is not QAWF's.
+MINKOWSKI_REFERENCES = [
+    (1.0, 1e-2, -0.046303044658270155 - 0.1719791784317462j),
+    (1.0, 1e-3, -0.050520051647205105 - 0.1724311425193733j),
+    (2.5, 1e-3, -0.1012449339462388 + 0.05564841610163211j),
+    (0.0, 1e-2, 0.36433008942534084 - 0.12325234759227403j),
+    (0.0, 1e-3, 0.5445822662826472 - 0.12476268046580227j),
+    (0.05, 1e-2, 0.36154903693666096 - 0.14263421870771473j),
+]
+
+
+@pytest.mark.parametrize("mass, eps, reference", MINKOWSKI_REFERENCES,
+                         ids=[f"m{m:g}-eps{e:g}" for m, e, _ in MINKOWSKI_REFERENCES])
+def test_minkowski_propagator_matches_reference_values(mass, eps, reference):
+    value = propagator_position(FourVector((1.2, 0.3)), mass, eps, WeightFunction.uniform(),
+                                2, "minkowski", damping=eps)
+    assert abs(value - reference) < 1e-8 * abs(reference)
+
+
+def test_minkowski_propagator_gaussian_weight_small_mass():
+    # epsilon = 0 under a gaussian weight with dlam = 10: the tail decays over
+    # about dlam, far shorter than QAWF's first cycle pi/m^2 at m^2 = 1e-6.
+    # Reference made as above, out to T = 120 (where the weight is e^-72).
+    value = propagator_position(FourVector((1.2, 0.3)), 1e-3, 0.0,
+                                WeightFunction.gaussian(10.0, 0.0), 2, "minkowski",
+                                damping=1e-2)
+    reference = 0.2313376785414744 - 0.12167179204317165j
+    assert abs(value - reference) < 1e-8 * abs(reference)
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +525,6 @@ def test_mass_superposition_window_flag_and_zero_window():
 def test_mass_superposition_t_integral_recovers_propagator():
     # integrate the euclidean reconstruction over T (analytically per grid
     # node) and compare with the proper-time propagator route
-    from worldlineqm.kernel import euclidean_mass_propagator_batch
-
     m, eps = 1.0, 0.05
     dx = FourVector((0.9, 1.2))
     u = np.linspace(-30.0, 30.0, 4001)
@@ -489,6 +533,35 @@ def test_mass_superposition_t_integral_recovers_propagator():
     lhs = np.trapezoid(values / (eps - 1j * u), u) / (2 * np.pi)
     rhs = propagator_position(dx, m, eps, WeightFunction.uniform(), 2, "euclidean")
     assert abs(lhs - rhs) / abs(rhs) < 2e-2
+
+
+@pytest.mark.parametrize("dimension", [2, 3, 4])
+def test_euclidean_mass_propagator_batch_matches_proper_time_quadrature(dimension):
+    dx = FourVector((0.9, 1.2, 0.3, -0.2)[:dimension])
+    rsq = float(dx.as_array() @ dx.as_array())
+    u = np.array([-40.0, 0.0, 40.0])
+    values = euclidean_mass_propagator_batch(dx, 1.0 + 1j * u, dimension)
+
+    def g(t):  # the integrand at m'^2 = 1, without exp(-i u T)
+        return (4 * np.pi * t) ** (-dimension / 2) * np.exp(-rsq / (4 * t) - t) if t > 0 else 0.0
+    for value, freq in zip(values, u):
+        if freq:
+            cos = integrate.quad(g, 0.0, np.inf, weight="cos", wvar=freq)[0]
+            sin = integrate.quad(g, 0.0, np.inf, weight="sin", wvar=freq)[0]
+        else:
+            cos, sin = integrate.quad(g, 0.0, np.inf, epsabs=0.0, epsrel=1e-13)[0], 0.0
+        reference = cos - 1j * sin
+        assert abs(value - reference) < 1e-10 * abs(reference)
+
+
+def test_euclidean_mass_propagator_batch_domain():
+    dx = FourVector((0.9, 1.2))
+    with pytest.raises(DomainError):
+        euclidean_mass_propagator_batch(dx, np.array([1.0 + 2j, 0.0 + 1j]), 2)
+    with pytest.raises(DomainError):
+        euclidean_mass_propagator_batch(dx, -1.0, 2)
+    with pytest.raises(DomainError):
+        euclidean_mass_propagator_batch(FourVector((0.0, 0.0)), 1.0, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,24 @@ def test_adaptive_evaluates_each_node_once():
     assert value == reference
 
 
+def test_fourier_tail_against_closed_form():
+    # Int_a^inf exp(-z T) dT = exp(-z a) / z, split as a slowly turning
+    # complex factor times exp(-i omega T)
+    a, omega = 2.0, 3.0
+    z = 1.0 + 1j * (omega - 0.3)
+    nodes = []
+
+    def func(t):
+        nodes.append(t)
+        return np.exp(-t + 0.3j * t)
+
+    value, err = quadrature.fourier_tail(func, a, omega)
+    exact = np.exp(-z * a) / z
+    assert abs(value - exact) < 1e-12 * abs(exact)
+    assert 0.0 <= err < 1e-8
+    assert len(nodes) == len(set(nodes))
+
+
 def test_mass_spectrum_route_is_one_adaptive_quadrature(monkeypatch):
     calls = []
     quad = scipy.integrate.quad
