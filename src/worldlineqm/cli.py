@@ -331,8 +331,7 @@ def _run_selfenergy(c):
     if c["regulated"]:
         spec = regularization.RegulatorSpec(c["dlam"], c["delta"], m_a)
         res = regularization.self_energy_regulated(
-            p, m_a, m_b, dim, spec, c["route"],
-            cutoff=None if np.isinf(cutoff) else cutoff)
+            p, m_a, m_b, dim, spec, c["route"], cutoff=cutoff)
         operation = "self_energy_regulated"
     else:
         res = interaction.self_energy_unregulated(p, m_a, m_b, dim, cutoff)

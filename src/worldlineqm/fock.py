@@ -27,10 +27,10 @@ Fields act on states in one place, on count vectors: a state is a row of
 occupation numbers over the (type, tag, site) slots of a SlotLayout, and
 one engine applies an operator expression to many rows at once by index
 arithmetic.  A creator adds one to its slot; an annihilator branches once
-per particle of its type, weighted by a two-point row built lazily per
-(type, annihilator site).  apply_expr and apply_generator encode a
-FockState, run the engine and decode the branches; the sector matrices of
-the interaction module run the same engine on a whole basis.
+per particle of its type, weighted by its site's row of the type's
+two-point table.  apply_expr and apply_generator encode a FockState, run
+the engine and decode the branches; the sector matrices of the interaction
+module run the same engine on a whole basis.
 """
 
 from __future__ import annotations
@@ -155,7 +155,10 @@ class FieldAlgebra:
     types maps a label to a ParticleType whose conjugate flag selects the
     pairing: "plain" -> regulated lattice propagator, "normal" ->
     positive-frequency part, "anti" -> negative-frequency part with reversed
-    arguments.
+    arguments.  Each pairing depends on the sites only through x - y, so one
+    table per label, built on first use, holds it for every displacement:
+    the time axis covers all 2 N_0 - 1 differences (the frequency parts are
+    not periodic in time) and the spatial axes are taken mod N_i.
     """
 
     def __init__(self, spec: LatticeSpec, types: dict[str, ParticleType],
@@ -165,39 +168,48 @@ class FieldAlgebra:
         self.epsilon = float(epsilon)
         self.n_max = int(n_max)
         self._tables: dict[str, np.ndarray] = {}
-        self._rows: dict[tuple, np.ndarray] = {}
 
-    def _plain_table(self, label: str) -> np.ndarray:
+    def _table(self, label: str) -> np.ndarray:
         if label not in self._tables:
-            self._tables[label] = lattice_propagator(
-                self.spec, self.types[label].mass, self.epsilon)
+            self.check_label(label)
+            ptype, n0 = self.types[label], self.spec.shape[0]
+            if ptype.conjugate == "plain":
+                periodic = lattice_propagator(self.spec, ptype.mass, self.epsilon)
+                self._tables[label] = periodic[np.arange(1 - n0, n0) % n0]
+            else:
+                # normal: D+(x - y); anti: D-(y - x), the reversed arguments
+                s = 1 if ptype.conjugate == "normal" else -1
+                a = s * np.array(self.spec.spacings)
+                shape = (2 * n0 - 1,) + self.spec.shape[1:]
+                self._tables[label] = np.reshape([
+                    lattice_onshell_part(self.spec, ptype.mass, s, (u[0] + 1 - n0) * a[0],
+                                         np.multiply(u[1:], a[1:]))
+                    for u in np.ndindex(*shape)], shape)
         return self._tables[label]
+
+    def _sites(self, sites) -> np.ndarray:
+        try:
+            array = np.array([tuple(site) for site in sites])
+            np.ravel_multi_index(array.T, self.spec.shape)
+        except (TypeError, ValueError):
+            raise ContractViolation(
+                f"a site of {sites!r} is outside the lattice {self.spec.shape}") from None
+        return array
+
+    def pairing(self, label: str, bra_sites, ket_sites) -> np.ndarray:
+        """Matrix of two_point(label, x_i, y_j) over bra sites x_i, ket sites y_j.
+
+        The one lookup of the label's table, and the one place that rejects
+        a site outside the lattice.
+        """
+        table = self._table(label)
+        u = self._sites(bra_sites)[:, None] - self._sites(ket_sites)[None, :]
+        u[..., 0] += self.spec.shape[0] - 1
+        return table[tuple(np.moveaxis(u % table.shape, -1, 0))]
 
     def two_point(self, label: str, bra_site, ket_site) -> complex:
         """Pairing of an integrated-label bra at bra_site with a start ket."""
-        kind = self.types[label].conjugate
-        mass = self.types[label].mass
-        bra_site = tuple(bra_site)
-        ket_site = tuple(ket_site)
-        if kind == "plain":
-            diff = tuple((b - k) % n for b, k, n in
-                         zip(bra_site, ket_site, self.spec.shape))
-            return complex(self._plain_table(label)[diff])
-        a = self.spec.spacings
-        dt = (bra_site[0] - ket_site[0]) * a[0]
-        dxs = [(b - k) * ai for b, k, ai in zip(bra_site[1:], ket_site[1:], a[1:])]
-        if kind == "normal":
-            return lattice_onshell_part(self.spec, mass, +1, dt, dxs)
-        # antiparticle: reversed arguments, D-(x_ket - x_bra)
-        return lattice_onshell_part(self.spec, mass, -1, -dt, [-u for u in dxs])
-
-    def _pairing_row(self, label: str, bra_site: tuple[int, ...]) -> np.ndarray:
-        """two_point(label, bra_site, y) for every site y, in np.ndindex order."""
-        key = (label, bra_site)
-        if key not in self._rows:
-            self._rows[key] = np.array([self.two_point(label, bra_site, y)
-                                        for y in np.ndindex(*self.spec.shape)])
-        return self._rows[key]
+        return complex(self.pairing(label, [bra_site], [ket_site])[0, 0])
 
     def check_label(self, label: str):
         if label not in self.types:
@@ -360,7 +372,7 @@ def _apply_counts(expr: OperatorExpr, layout: SlotLayout, counts: np.ndarray,
             else:
                 occupied = rows[:, own:own + n_sites].ravel()
                 branch, y = np.divmod(np.repeat(np.arange(occupied.size), occupied), n_sites)
-                factor = algebra._pairing_row(gen.type_label, gen.site)[y]
+                factor = algebra.pairing(gen.type_label, [gen.site], layout.sites)[0, y]
             rows = rows[branch]
             rows[np.arange(len(branch)), own + y] -= 1
             vals = vals[branch] * factor
@@ -421,9 +433,8 @@ def fock_inner(bra: FockState, ket: FockState, algebra: FieldAlgebra) -> complex
     value = complex(bra.coefficient * ket.coefficient)
     for label, block in groupby(range(len(labels)), key=labels.__getitem__):
         block = list(block)
-        value *= permanent(np.array([[algebra.two_point(label, bra.entries[i].site,
-                                                        ket.entries[j].site) for j in block]
-                                     for i in block], dtype=complex))
+        value *= permanent(algebra.pairing(label, [bra.entries[i].site for i in block],
+                                           [ket.entries[j].site for j in block]))
     return value
 
 

@@ -12,16 +12,17 @@ conjugate partner for any non-self-conjugate term.  On a truncated sector
 these statements become matrix identities, exact per order in g wherever the
 repeated application of V stays inside the sector.
 
-A sector holds each basis state as a count vector: its occupation numbers
-over the (type, tag, site) slots of a fock.SlotLayout.  An operator
-expression acts on the count vectors of the whole basis at once through the
-one field-application engine of the fock module, and the images are found
-in the basis by exact row lookup.  The result is a scipy.sparse matrix; the
-Dyson series, its matrices and its unitarity residuals are sparse products
-and are returned sparse.  Only `represent` (and so `vertex_operator`) makes
-a dense matrix, for small sectors.  Order-m amplitudes apply V m times to
-count rows, merging equal rows after each application, and pair the
-distinct images with the out state.
+A sector holds its basis once, as count vectors sorted by their exact row
+keys: each is a state's occupation numbers over the (type, tag, site) slots
+of a fock.SlotLayout, and FockStates are decoded from them only on demand.
+An operator expression acts on the count vectors of the whole basis at once
+through the one field-application engine of the fock module, and the images
+are found in the basis by one searchsorted on the sorted keys.  The result
+is a scipy.sparse matrix; the Dyson series, its matrices and its unitarity
+residuals are sparse products and are returned sparse.  Only `represent`
+(and so `vertex_operator`) makes a dense matrix, for small sectors.  Order-m
+amplitudes apply V m times to count rows, merging equal rows after each
+application, and pair the distinct images with the out state.
 
 The cubic A-B model couples a conserved A line to a self-conjugate B field
 psi'(x, B) = psi(x, B) + psidag(x, B; start).
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations_with_replacement
 from math import factorial
 
@@ -39,7 +41,6 @@ from scipy import sparse
 
 from .errors import ContractViolation, LeakageError, SectorOverflowError
 from .fock import (
-    Entry,
     FieldAlgebra,
     FockState,
     OperatorExpr,
@@ -49,7 +50,6 @@ from .fock import (
     creator_start,
     fock_inner,
     special_adjoint,
-    symmetrize,
 )
 from .geometry import FourVector, ParticleType
 from .kernel import propagator_momentum
@@ -81,15 +81,15 @@ class InteractionModel:
     types: dict[str, ParticleType] = field(default_factory=dict)
 
     @classmethod
-    def ab_model(cls, coupling: float, mass_a: float = 1.0, mass_b: float = 1.0,
-                 label_a: str = "A", label_b: str = "B") -> "InteractionModel":
+    def ab_model(cls, coupling: float, mass_a: float = 1.0,
+                 mass_b: float = 1.0) -> "InteractionModel":
         """Cubic model: psidag_A psi'_B psi_A with the self-conjugate B field."""
         terms = (
-            VertexTerm((label_a,), (label_b, label_a)),
-            VertexTerm((label_a, label_b), (label_a,)),
+            VertexTerm(("A",), ("B", "A")),
+            VertexTerm(("A", "B"), ("A",)),
         )
-        types = {label_a: ParticleType(label_a, mass_a, "plain"),
-                 label_b: ParticleType(label_b, mass_b, "plain")}
+        types = {"A": ParticleType("A", mass_a, "plain"),
+                 "B": ParticleType("B", mass_b, "plain")}
         return cls(terms, float(coupling), types)
 
     def vertex_expr(self, spec, coupling: float | None = None) -> OperatorExpr:
@@ -115,11 +115,12 @@ def _row_keys(counts: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Sector:
-    """Enumerated basis of start-labeled multisets with per-type count bounds.
+    """Basis of start-labeled multisets with per-type count bounds.
 
     content maps a type label to (min_count, max_count), 0 <= min <= max.
-    Each basis state is also held as a row of `counts` over the slots of
-    `layout`.
+    The basis is held once, as the rows of `counts` over the slots of
+    `layout`, sorted by their exact row keys; `basis` decodes the rows into
+    FockStates when it is first read.
     """
 
     algebra: FieldAlgebra
@@ -132,41 +133,31 @@ class Sector:
                     f"content bounds of {label!r} must satisfy 0 <= min <= max, "
                     f"got ({lo}, {hi})")
         self.layout = SlotLayout.for_algebra(self.algebra, self.content)
-        per_type = []
-        for label in sorted(self.content):
-            lo, hi = self.content[label]
-            options = []
-            for k in range(lo, hi + 1):
-                options.extend(combinations_with_replacement(self.layout.sites, k))
-            per_type.append((label, options))
-        basis = []
-        stack = [((), 0)]
-        while stack:
-            entries, depth = stack.pop()
-            if depth == len(per_type):
-                basis.append(symmetrize([Entry(s, lbl, "start") for s, lbl in entries]))
-                continue
-            label, options = per_type[depth]
-            for combo in options:
-                stack.append((entries + tuple((s, label) for s in combo), depth + 1))
-        basis.sort(key=lambda st: (st.n_particles,
-                                   tuple(e.sort_key() for e in st.entries)))
-        self.basis = basis
-        self.counts = self.layout.encode(basis)
-        keys = _row_keys(self.counts)
-        self._order = np.argsort(keys)
-        self._sorted_keys = keys[self._order]
+        n_sites = len(self.layout.sites)
+        counts = np.zeros((1, 2 * len(self.layout.labels) * n_sites), np.uint16)
+        for label, (lo, hi) in self.content.items():
+            block = np.array([np.bincount(combo, minlength=n_sites) for k in range(lo, hi + 1)
+                              for combo in combinations_with_replacement(range(n_sites), k)],
+                             np.uint16)
+            own = self.layout.block(label)
+            counts = np.repeat(counts, len(block), axis=0)
+            counts[:, own:own + n_sites] = np.tile(block, (len(counts) // len(block), 1))
+        self.counts = counts[np.argsort(_row_keys(counts))]
+        self._keys = _row_keys(self.counts)
+
+    @cached_property
+    def basis(self) -> list[FockState]:
+        return [self.layout.decode(row, 1.0) for row in self.counts]
 
     @property
     def dimension(self) -> int:
-        return len(self.basis)
+        return len(self.counts)
 
     def lookup(self, counts: np.ndarray) -> np.ndarray:
         """Basis index of each count-vector row, -1 where it is not in the basis."""
         keys = _row_keys(counts)
-        pos = np.minimum(np.searchsorted(self._sorted_keys, keys), self.dimension - 1)
-        found = self._sorted_keys[pos] == keys
-        return np.where(found, self._order[pos], -1)
+        pos = np.minimum(np.searchsorted(self._keys, keys), self.dimension - 1)
+        return np.where(self._keys[pos] == keys, pos, -1)
 
     def state_index(self, state: FockState) -> int:
         index = int(self.lookup(self.layout.encode([state]))[0])
@@ -187,22 +178,33 @@ def _sector_matrix(expr: OperatorExpr, sector: Sector):
     basis, creating with headroom above n_max equal to the most creators in
     one string.  The images are looked up exactly in the basis: a miss is a
     leak (every image holding an integrated entry is one).  The leaks map
-    each leaking column to the count vector and coefficient of its first
-    miss; sector.layout.decode turns that into a FockState.
+    each leaking column, in column order, to the count vector and
+    coefficient of its first miss; sector.layout.decode turns that into a
+    FockState.  Terms are applied one at a time, to hold one term's images.
     """
     alg = sector.algebra
     n = sector.dimension
     n_cap = alg.n_max + max((sum(g.create for g in gens) for _, gens in expr.terms),
                             default=0)
-    counts, values, cols = _apply_counts(expr, sector.layout, sector.counts,
-                                         np.ones(n, complex), alg, n_cap)
-    rows = sector.lookup(counts)
-    hit = rows >= 0
-    matrix = sparse.csr_array((values[hit], (rows[hit], cols[hit])), shape=(n, n))
-    miss = np.flatnonzero(~hit)
-    leaky, first = np.unique(cols[miss], return_index=True)
-    leaks = {int(j): (counts[miss[i]], values[miss[i]]) for j, i in zip(leaky, first)}
-    return matrix, leaks
+    hits = [(np.zeros(0, complex), np.zeros(0, int), np.zeros(0, int))]
+    misses = [(np.zeros(0, complex), sector.counts[:0], np.zeros(0, int))]
+    leaked = np.zeros(n, bool)
+    for term in expr.terms:
+        counts, values, cols = _apply_counts(OperatorExpr((term,)), sector.layout,
+                                             sector.counts, np.ones(n, complex), alg, n_cap)
+        rows = sector.lookup(counts)
+        hit = rows >= 0
+        hits.append((values[hit], rows[hit], cols[hit]))
+        miss = np.flatnonzero(~hit)
+        leaky, first = np.unique(cols[miss], return_index=True)
+        first = miss[first[~leaked[leaky]]]  # first misses of columns new to leak
+        leaked[cols[first]] = True
+        misses.append((values[first], counts[first], cols[first]))
+    (values, rows, cols), (leak_values, leak_counts, leak_cols) = (
+        [np.concatenate(part) for part in zip(*parts)] for parts in (hits, misses))
+    matrix = sparse.csr_array((values, (rows, cols)), shape=(n, n))
+    return matrix, {int(leak_cols[i]): (leak_counts[i], leak_values[i])
+                    for i in np.argsort(leak_cols)}
 
 
 @dataclass

@@ -44,7 +44,6 @@ class KernelParams:
     total_length: float
     dimension: int
     mode: str = "minkowski"
-    epsilon: float = 1e-3
 
     def __post_init__(self):
         if self.mass <= 0:
@@ -53,8 +52,6 @@ class KernelParams:
             raise DomainError("intrinsic length T must be positive")
         if self.mode not in ("minkowski", "euclidean"):
             raise ContractViolation(f"unknown mode {self.mode!r}")
-        if self.epsilon <= 0:
-            raise ContractViolation("epsilon must be positive")
 
 
 @dataclass(frozen=True)

@@ -50,12 +50,11 @@ from .geometry import FourVector
 @dataclass(frozen=True)
 class RegulatorSpec:
     """Thresholded-Gaussian weight parameters (units of mass^-2) plus the
-    line mass and an optional momentum cutoff for comparison scans."""
+    line mass."""
 
     correlation_length: float  # dlam
     threshold: float           # delta
     mass: float = 1.0          # m_a of the regulated line
-    cutoff: float = np.inf     # momentum cutoff for scans
 
     def __post_init__(self):
         if self.correlation_length <= 0:
@@ -64,12 +63,6 @@ class RegulatorSpec:
             raise ContractViolation("threshold must be >= 0")
         if self.mass <= 0:
             raise ContractViolation("mass must be positive")
-
-    @classmethod
-    def default(cls, mass: float = 1.0) -> "RegulatorSpec":
-        # two decades between threshold and correlation scales
-        return cls(correlation_length=10.0 / mass ** 2,
-                   threshold=0.01 / mass ** 2, mass=mass)
 
 
 @dataclass(frozen=True)
@@ -168,7 +161,7 @@ def self_energy_regulated(p: FourVector, m_a: float, m_b: float, dimension: int,
         raise ContractViolation("dimension must be 2 or 4")
     if dimension == 4 and spec.threshold == 0.0:
         raise DomainError("D=4 without a threshold is not absolutely convergent")
-    top = cutoff if cutoff is not None else spec.cutoff
+    top = np.inf if cutoff is None else cutoff
     p_norm = float(np.sqrt(p.as_array() @ p.as_array()))
     metadata = {"dimension": dimension, "cutoff": top, "spec": spec}
 

@@ -281,6 +281,17 @@ def test_states_file_of_the_checked_shape_runs(tmp_path):
     assert run(["fock", "--states", str(states), "--output", str(out)]) == 0
     assert read_json(out)["outputs"]["ket_particles"] == 1
 
+
+@pytest.mark.parametrize("site", [[1, 2, 3], [5, 6]], ids=["three_coordinates", "off_lattice"])
+def test_fock_bra_site_off_the_lattice_exits_4(tmp_path, site):
+    states = tmp_path / "states.json"
+    states.write_text(json.dumps(dict(_STATES, bra={"entries": [{"site": site, "type": "A"}]})),
+                      encoding="utf-8")
+    out = tmp_path / "fock.json"
+    assert run(["fock", "--states", str(states), "--output", str(out)]) == 4
+    assert not out.exists()
+
+
 # every flag of each subcommand, with the value argparse gives it
 _ALL_FLAGS = {
     "kernel": {"dim": 2, "mode": "euclidean", "mass": 1.0, "tau": 1.0, "dx": "0.5,0.2",

@@ -391,6 +391,33 @@ def test_integrated_contraction_rejected():
         apply_generator(annihilator((1, 1), "A"), state, alg)
 
 
+@pytest.mark.parametrize("site", [(1, 2, 3), (5, 6), (0, -1)],
+                         ids=["three_coordinates", "beyond_the_shape", "negative"])
+@pytest.mark.parametrize("label", ["A", "n+"])
+def test_fock_inner_rejects_sites_off_the_lattice(site, label):
+    alg = algebra()
+    ket = symmetrize(start_entries((1, 2), label=label))
+    with pytest.raises(ContractViolation, match="outside the lattice"):
+        fock_inner(symmetrize(integrated_entries(site, label=label)), ket, alg)
+    with pytest.raises(ContractViolation, match="outside the lattice"):
+        fock_inner(dual_state(ket), symmetrize(start_entries(site, label=label)), alg)
+
+
+def test_two_point_table_matches_direct_functions():
+    spec = LatticeSpec((4, 2), (3.0, 2.0))
+    alg = FieldAlgebra(spec, TYPES, epsilon=1e-2)
+    plain = lattice_propagator(spec, 1.0, 1e-2)
+    a = spec.spacings
+    for x in np.ndindex(*spec.shape):
+        for y in np.ndindex(*spec.shape):
+            dt, dz = (x[0] - y[0]) * a[0], (x[1] - y[1]) * a[1]
+            direct = {"A": plain[(x[0] - y[0]) % 4, (x[1] - y[1]) % 2],
+                      "n+": lattice_onshell_part(spec, 1.0, +1, dt, [dz]),
+                      "n-": lattice_onshell_part(spec, 1.0, -1, -dt, [-dz])}
+            for label, value in direct.items():
+                assert alg.two_point(label, x, y) == pytest.approx(value, rel=1e-12)
+
+
 def test_fock_inner_tag_guards():
     alg = algebra()
     ket = symmetrize(start_entries((0, 0)))
@@ -518,9 +545,10 @@ def test_single_state_application_builds_one_two_point_row(monkeypatch):
     alg = algebra()
     state = symmetrize(start_entries((0, 1), (2, 2), label="n-"))
     apply_generator(annihilator((1, 1), "n-"), state, alg)
-    assert len(calls) == 16  # one row over the 4x4 sites, not the 256-entry table
-    apply_generator(annihilator((1, 1), "n-"), state, alg)
-    assert len(calls) == 16
+    # one table over the 2*4-1 time and 4 spatial displacements, not the
+    # 256 site pairs, and no per-pair two_point call
+    assert alg._tables["n-"].size == (2 * 4 - 1) * 4
+    assert calls == []
 
 
 def test_fock_is_the_one_field_application_site():
@@ -529,3 +557,6 @@ def test_fock_is_the_one_field_application_site():
         assert "apply_string" not in text, path.name
         if path.name != "fock.py":
             assert ".two_point(" not in text, path.name
+        if path.name not in ("kernel.py", "fock.py"):
+            assert "lattice_onshell_part(" not in text, path.name
+            assert "lattice_propagator(" not in text, path.name
