@@ -197,6 +197,8 @@ def _resolve(params: dict, subcommand: str) -> dict:
             _check_json(value, kind, key)
         else:
             value = kind(value)
+            if kind in (float, _floats) and np.isnan(value).any():
+                raise ContractViolation(f"{key} must not be NaN")
         if value is not None:
             typed[key] = value
     return typed

@@ -24,11 +24,11 @@ coefficients.  It is an involution, and the vertex operators of the
 interaction module must be self-adjoint under it.
 
 Fields act on states in one place, on count vectors: a state is a row of
-occupation numbers over the (type, tag, site) slots of a SlotLayout, and
-one engine applies an operator expression to many rows at once by index
-arithmetic.  A creator adds one to its slot; an annihilator branches once
-per particle of its type, weighted by its site's row of the type's
-two-point table.  apply_expr and apply_generator encode a FockState, run
+occupation numbers over the (type, tag, site) slots of its FieldAlgebra,
+which owns the row format, and one engine applies an operator expression
+to many rows at once by index arithmetic.  A creator adds one to its slot;
+an annihilator branches once per particle of its type, weighted by its
+site's row of the type's two-point table.  apply_expr and apply_generator encode a FockState, run
 the engine and decode the branches; the sector matrices of the interaction
 module run the same engine on a whole basis.
 """
@@ -36,7 +36,6 @@ module run the same engine on a whole basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import groupby, permutations
 
 import numpy as np
@@ -50,6 +49,14 @@ START = "start"
 INTEGRATED = "integrated"
 
 
+def _site(site) -> tuple[int, ...]:
+    """A site as lattice indices; a coordinate that int() would change is rejected."""
+    coords = [float(c) for c in site]
+    if not all(c.is_integer() for c in coords):
+        raise ContractViolation(f"site {tuple(site)} has a non-integer coordinate")
+    return tuple(int(c) for c in coords)
+
+
 @dataclass(frozen=True)
 class Entry:
     site: tuple[int, ...]
@@ -59,7 +66,7 @@ class Entry:
     def __post_init__(self):
         if self.tag not in (START, INTEGRATED):
             raise ContractViolation(f"unknown tag {self.tag!r}")
-        object.__setattr__(self, "site", tuple(int(i) for i in self.site))
+        object.__setattr__(self, "site", _site(self.site))
 
     def sort_key(self):
         return (self.type_label, self.tag, self.site)
@@ -81,9 +88,6 @@ class FockState:
     @property
     def n_particles(self) -> int:
         return len(self.entries)
-
-    def key(self):
-        return self.entries
 
     def scaled(self, c: complex) -> "FockState":
         return FockState(self.coefficient * c, self.entries)
@@ -150,7 +154,8 @@ def permanent(matrix: np.ndarray) -> complex:
 
 
 class FieldAlgebra:
-    """Two-point pairings and field application rules on a fixed lattice.
+    """Two-point pairings, field application rules and the count-row format
+    of states on a fixed lattice.
 
     types maps a label to a ParticleType whose conjugate flag selects the
     pairing: "plain" -> regulated lattice propagator, "normal" ->
@@ -159,6 +164,10 @@ class FieldAlgebra:
     table per label, built on first use, holds it for every displacement:
     the time axis covers all 2 N_0 - 1 differences (the frequency parts are
     not periodic in time) and the spatial axes are taken mod N_i.
+
+    A state is one row of occupation counts over the (label, tag, site)
+    slots: label-major over the sorted `labels`, and within a label the start
+    block of all `sites` (in np.ndindex order) before the integrated block.
     """
 
     def __init__(self, spec: LatticeSpec, types: dict[str, ParticleType],
@@ -167,6 +176,8 @@ class FieldAlgebra:
         self.types = dict(types)
         self.epsilon = float(epsilon)
         self.n_max = int(n_max)
+        self.labels = tuple(sorted(self.types))
+        self.sites = list(np.ndindex(*spec.shape))
         self._tables: dict[str, np.ndarray] = {}
 
     def _table(self, label: str) -> np.ndarray:
@@ -199,8 +210,8 @@ class FieldAlgebra:
     def pairing(self, label: str, bra_sites, ket_sites) -> np.ndarray:
         """Matrix of two_point(label, x_i, y_j) over bra sites x_i, ket sites y_j.
 
-        The one lookup of the label's table, and the one place that rejects
-        a site outside the lattice.
+        The one lookup of the label's table.  It and site_index reject a
+        site outside the lattice through the one check, _sites.
         """
         table = self._table(label)
         u = self._sites(bra_sites)[:, None] - self._sites(ket_sites)[None, :]
@@ -214,6 +225,38 @@ class FieldAlgebra:
     def check_label(self, label: str):
         if label not in self.types:
             raise ContractViolation(f"unknown particle type {label!r}")
+
+    def block(self, label: str, start: bool = True) -> int:
+        """First slot of a label's start (or integrated) entries."""
+        self.check_label(label)
+        return (2 * self.labels.index(label) + (not start)) * len(self.sites)
+
+    def site_index(self, site) -> int:
+        return int(np.ravel_multi_index(self._sites([site])[0], self.spec.shape))
+
+    def encode(self, states) -> np.ndarray:
+        """One count row per state; coefficients are not part of the row."""
+        counts = np.zeros((len(states), 2 * len(self.labels) * len(self.sites)), np.uint16)
+        for i, state in enumerate(states):
+            for e in state.entries:
+                counts[i, self.block(e.type_label, e.tag == START) + self.site_index(e.site)] += 1
+        return counts
+
+    def decode(self, counts: np.ndarray, coefficient: complex) -> FockState:
+        n_sites = len(self.sites)
+        entries = []
+        for slot in np.flatnonzero(counts):
+            label, rest = divmod(int(slot), 2 * n_sites)
+            entry = Entry(self.sites[rest % n_sites], self.labels[label],
+                          START if rest < n_sites else INTEGRATED)
+            entries += [entry] * int(counts[slot])
+        return symmetrize(entries, coefficient)
+
+    @staticmethod
+    def row_keys(counts: np.ndarray) -> np.ndarray:
+        """One exact, sortable void scalar per count row."""
+        counts = np.ascontiguousarray(counts)
+        return counts.view(np.dtype((np.void, counts.shape[1] * counts.itemsize))).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +273,7 @@ class Generator:
     type_label: str
 
     def __post_init__(self):
-        object.__setattr__(self, "site", tuple(int(i) for i in self.site))
+        object.__setattr__(self, "site", _site(self.site))
 
     def adjoint(self) -> "Generator":
         # psi(x,n) <-> psidag(x,n;start), psi(x,n;start) <-> psidag(x,n)
@@ -276,60 +319,8 @@ def special_adjoint(expr: OperatorExpr) -> OperatorExpr:
 # field application on count vectors
 
 
-@dataclass(frozen=True)
-class SlotLayout:
-    """Occupation-number slots (label, tag, site) of a lattice.
-
-    Label-major over `labels`, and within a label the start block of all
-    sites (in np.ndindex order) before the integrated block.  A state is one
-    row of counts over these slots.
-    """
-
-    shape: tuple[int, ...]
-    labels: tuple[str, ...]
-
-    @classmethod
-    def for_algebra(cls, algebra: FieldAlgebra, labels=()) -> "SlotLayout":
-        """Layout over the algebra's lattice, its types and any further labels."""
-        return cls(tuple(algebra.spec.shape), tuple(sorted(set(algebra.types) | set(labels))))
-
-    @cached_property
-    def sites(self) -> list[tuple[int, ...]]:
-        return list(np.ndindex(*self.shape))
-
-    def block(self, label: str, start: bool = True) -> int:
-        """First slot of a label's start (or integrated) entries."""
-        if label not in self.labels:
-            raise ContractViolation(f"unknown particle type {label!r}")
-        return (2 * self.labels.index(label) + (not start)) * len(self.sites)
-
-    def site_index(self, site) -> int:
-        try:
-            return int(np.ravel_multi_index(tuple(site), self.shape))
-        except ValueError:
-            raise ContractViolation(f"site {tuple(site)} is outside the lattice") from None
-
-    def encode(self, states) -> np.ndarray:
-        """One count row per state; coefficients are not part of the row."""
-        counts = np.zeros((len(states), 2 * len(self.labels) * len(self.sites)), np.uint16)
-        for i, state in enumerate(states):
-            for e in state.entries:
-                counts[i, self.block(e.type_label, e.tag == START) + self.site_index(e.site)] += 1
-        return counts
-
-    def decode(self, counts: np.ndarray, coefficient: complex) -> FockState:
-        n_sites = len(self.sites)
-        entries = []
-        for slot in np.flatnonzero(counts):
-            label, rest = divmod(int(slot), 2 * n_sites)
-            entry = Entry(self.sites[rest % n_sites], self.labels[label],
-                          START if rest < n_sites else INTEGRATED)
-            entries += [entry] * int(counts[slot])
-        return symmetrize(entries, coefficient)
-
-
-def _apply_counts(expr: OperatorExpr, layout: SlotLayout, counts: np.ndarray,
-                  values: np.ndarray, algebra: FieldAlgebra, n_cap: int):
+def _apply_counts(expr: OperatorExpr, counts: np.ndarray, values: np.ndarray,
+                  algebra: FieldAlgebra, n_cap: int):
     """Apply an operator expression to count rows with coefficients.
 
     Each generator string acts right to left on all rows at once.  A creator
@@ -345,22 +336,21 @@ def _apply_counts(expr: OperatorExpr, layout: SlotLayout, counts: np.ndarray,
     Returns the image rows, their coefficients and the input row each came
     from, unmerged: term by term, and within a term in branch order.
     """
-    n_sites = len(layout.sites)
+    n_sites = len(algebra.sites)
     images = [(counts[:0], values[:0], np.zeros(0, int))]
     for coeff, gens in expr.terms:
         rows, vals, parents = counts, values * coeff, np.arange(len(counts))
         for gen in reversed(gens):
             if not len(parents):
                 break
-            algebra.check_label(gen.type_label)
-            own = layout.block(gen.type_label)
-            x = layout.site_index(gen.site)
+            own = algebra.block(gen.type_label)
+            x = algebra.site_index(gen.site)
             if gen.create:
                 if rows.sum(axis=1).max() + 1 > n_cap:
                     raise SectorOverflowError(
                         f"creation would exceed the sector bound {n_cap}")
                 rows = rows.copy()
-                rows[:, layout.block(gen.type_label, gen.start) + x] += 1
+                rows[:, algebra.block(gen.type_label, gen.start) + x] += 1
                 continue
             if rows[:, own + n_sites:own + 2 * n_sites].any():
                 raise ContractViolation(
@@ -372,7 +362,7 @@ def _apply_counts(expr: OperatorExpr, layout: SlotLayout, counts: np.ndarray,
             else:
                 occupied = rows[:, own:own + n_sites].ravel()
                 branch, y = np.divmod(np.repeat(np.arange(occupied.size), occupied), n_sites)
-                factor = algebra.pairing(gen.type_label, [gen.site], layout.sites)[0, y]
+                factor = algebra.pairing(gen.type_label, [gen.site], algebra.sites)[0, y]
             rows = rows[branch]
             rows[np.arange(len(branch)), own + y] -= 1
             vals = vals[branch] * factor
@@ -384,11 +374,10 @@ def _apply_counts(expr: OperatorExpr, layout: SlotLayout, counts: np.ndarray,
 def apply_expr(expr: OperatorExpr, state: FockState, algebra: FieldAlgebra) -> list[FockState]:
     """Apply an operator expression to a state, creating up to algebra.n_max
     entries; returns the unmerged branches, term by term."""
-    layout = SlotLayout.for_algebra(algebra, (e.type_label for e in state.entries))
-    counts, values, _ = _apply_counts(expr, layout, layout.encode([state]),
+    counts, values, _ = _apply_counts(expr, algebra.encode([state]),
                                       np.array([state.coefficient], complex), algebra,
                                       algebra.n_max)
-    return [layout.decode(c, v) for c, v in zip(counts, values)]
+    return [algebra.decode(c, v) for c, v in zip(counts, values)]
 
 
 def apply_generator(gen: Generator, state: FockState, algebra: FieldAlgebra) -> list[FockState]:

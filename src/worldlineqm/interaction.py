@@ -14,7 +14,7 @@ repeated application of V stays inside the sector.
 
 A sector holds its basis once, as count vectors sorted by their exact row
 keys: each is a state's occupation numbers over the (type, tag, site) slots
-of a fock.SlotLayout, and FockStates are decoded from them only on demand.
+of its fock.FieldAlgebra, and FockStates are decoded from them only on demand.
 An operator expression acts on the count vectors of the whole basis at once
 through the one field-application engine of the fock module, and the images
 are found in the basis by one searchsorted on the sorted keys.  The result
@@ -44,7 +44,7 @@ from .fock import (
     FieldAlgebra,
     FockState,
     OperatorExpr,
-    SlotLayout,
+    VACUUM,
     _apply_counts,
     annihilator,
     creator_start,
@@ -107,19 +107,13 @@ class InteractionModel:
 # truncated sectors
 
 
-def _row_keys(counts: np.ndarray) -> np.ndarray:
-    """One exact, sortable void scalar per count-vector row."""
-    counts = np.ascontiguousarray(counts)
-    return counts.view(np.dtype((np.void, counts.shape[1] * counts.itemsize))).ravel()
-
-
 @dataclass
 class Sector:
     """Basis of start-labeled multisets with per-type count bounds.
 
-    content maps a type label to (min_count, max_count), 0 <= min <= max.
-    The basis is held once, as the rows of `counts` over the slots of
-    `layout`, sorted by their exact row keys; `basis` decodes the rows into
+    content maps a type label of the algebra to (min_count, max_count),
+    0 <= min <= max.  The basis is held once, as the algebra's count rows in
+    `counts`, sorted by their exact row keys; `basis` decodes the rows into
     FockStates when it is first read.
     """
 
@@ -132,22 +126,22 @@ class Sector:
                 raise ContractViolation(
                     f"content bounds of {label!r} must satisfy 0 <= min <= max, "
                     f"got ({lo}, {hi})")
-        self.layout = SlotLayout.for_algebra(self.algebra, self.content)
-        n_sites = len(self.layout.sites)
-        counts = np.zeros((1, 2 * len(self.layout.labels) * n_sites), np.uint16)
+        alg = self.algebra
+        n_sites = len(alg.sites)
+        counts = alg.encode([VACUUM])
         for label, (lo, hi) in self.content.items():
+            own = alg.block(label)
             block = np.array([np.bincount(combo, minlength=n_sites) for k in range(lo, hi + 1)
                               for combo in combinations_with_replacement(range(n_sites), k)],
-                             np.uint16)
-            own = self.layout.block(label)
+                             counts.dtype)
             counts = np.repeat(counts, len(block), axis=0)
             counts[:, own:own + n_sites] = np.tile(block, (len(counts) // len(block), 1))
-        self.counts = counts[np.argsort(_row_keys(counts))]
-        self._keys = _row_keys(self.counts)
+        self.counts = counts[np.argsort(alg.row_keys(counts))]
+        self._keys = alg.row_keys(self.counts)
 
     @cached_property
     def basis(self) -> list[FockState]:
-        return [self.layout.decode(row, 1.0) for row in self.counts]
+        return [self.algebra.decode(row, 1.0) for row in self.counts]
 
     @property
     def dimension(self) -> int:
@@ -155,12 +149,12 @@ class Sector:
 
     def lookup(self, counts: np.ndarray) -> np.ndarray:
         """Basis index of each count-vector row, -1 where it is not in the basis."""
-        keys = _row_keys(counts)
+        keys = self.algebra.row_keys(counts)
         pos = np.minimum(np.searchsorted(self._keys, keys), self.dimension - 1)
         return np.where(self._keys[pos] == keys, pos, -1)
 
     def state_index(self, state: FockState) -> int:
-        index = int(self.lookup(self.layout.encode([state]))[0])
+        index = int(self.lookup(self.algebra.encode([state]))[0])
         if index < 0:
             raise ContractViolation("state is not a sector basis element")
         return index
@@ -179,7 +173,7 @@ def _sector_matrix(expr: OperatorExpr, sector: Sector):
     one string.  The images are looked up exactly in the basis: a miss is a
     leak (every image holding an integrated entry is one).  The leaks map
     each leaking column, in column order, to the count vector and
-    coefficient of its first miss; sector.layout.decode turns that into a
+    coefficient of its first miss; sector.algebra.decode turns that into a
     FockState.  Terms are applied one at a time, to hold one term's images.
     """
     alg = sector.algebra
@@ -190,8 +184,8 @@ def _sector_matrix(expr: OperatorExpr, sector: Sector):
     misses = [(np.zeros(0, complex), sector.counts[:0], np.zeros(0, int))]
     leaked = np.zeros(n, bool)
     for term in expr.terms:
-        counts, values, cols = _apply_counts(OperatorExpr((term,)), sector.layout,
-                                             sector.counts, np.ones(n, complex), alg, n_cap)
+        counts, values, cols = _apply_counts(OperatorExpr((term,)), sector.counts,
+                                             np.ones(n, complex), alg, n_cap)
         rows = sector.lookup(counts)
         hit = rows >= 0
         hits.append((values[hit], rows[hit], cols[hit]))
@@ -230,7 +224,7 @@ def represent(expr: OperatorExpr, sector: Sector) -> TruncatedOperator:
     """
     matrix, leaks = _sector_matrix(expr, sector)
     return TruncatedOperator(sector, matrix.toarray(),
-                             {j: sector.layout.decode(*leak) for j, leak in leaks.items()})
+                             {j: sector.algebra.decode(*leak) for j, leak in leaks.items()})
 
 
 def vertex_operator(model: InteractionModel, sector: Sector,
@@ -342,7 +336,7 @@ def dyson_truncated(model: InteractionModel, sector: Sector, order: int) -> Dyso
     clean = _clean_columns(v1, leaks, order)
     if order > 0 and not clean.any():
         j, leak = next(iter(leaks.items()))
-        state = sector.layout.decode(*leak)
+        state = sector.algebra.decode(*leak)
         raise LeakageError(
             f"V^{order} escapes the sector from every basis state; first leak "
             f"from column {j} into {state.entries}", basis_state=state)
@@ -363,17 +357,16 @@ def amplitude_order_m(in_state: FockState, out_state: FockState,
         raise ContractViolation("m_order must be in [0, 3]")
     alg = sector.algebra
     expr = model.vertex_expr(alg.spec)
-    layout = SlotLayout.for_algebra(alg, (e.type_label for e in in_state.entries))
-    counts = layout.encode([in_state])
+    counts = alg.encode([in_state])
     values = np.array([in_state.coefficient], complex)
     for _ in range(m_order):
-        counts, values, _ = _apply_counts(expr, layout, counts, values, alg, alg.n_max)
-        keys, first, inverse = np.unique(_row_keys(counts), return_index=True,
+        counts, values, _ = _apply_counts(expr, counts, values, alg, alg.n_max)
+        keys, first, inverse = np.unique(alg.row_keys(counts), return_index=True,
                                          return_inverse=True)
         merged = np.zeros(len(keys), complex)
         np.add.at(merged, inverse, values)
         counts, values = counts[first], merged
-    total = sum((fock_inner(out_state, layout.decode(c, v), alg)
+    total = sum((fock_inner(out_state, alg.decode(c, v), alg)
                  for c, v in zip(counts, values)), 0j)
     return complex((-1j) ** m_order / factorial(m_order) * total)
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from worldlineqm.cli import PARAMETERS, run
+from worldlineqm.cli import PARAMETERS, _floats, run
 from worldlineqm.records import ResultRecord, emit, load_record
 
 
@@ -282,7 +282,8 @@ def test_states_file_of_the_checked_shape_runs(tmp_path):
     assert read_json(out)["outputs"]["ket_particles"] == 1
 
 
-@pytest.mark.parametrize("site", [[1, 2, 3], [5, 6]], ids=["three_coordinates", "off_lattice"])
+@pytest.mark.parametrize("site", [[1, 2, 3], [5, 6], [1.7, 2], [1, "2.5"]],
+                         ids=["three_coordinates", "off_lattice", "fraction", "fraction_string"])
 def test_fock_bra_site_off_the_lattice_exits_4(tmp_path, site):
     states = tmp_path / "states.json"
     states.write_text(json.dumps(dict(_STATES, bra={"entries": [{"site": site, "type": "A"}]})),
@@ -290,6 +291,44 @@ def test_fock_bra_site_off_the_lattice_exits_4(tmp_path, site):
     out = tmp_path / "fock.json"
     assert run(["fock", "--states", str(states), "--output", str(out)]) == 4
     assert not out.exists()
+
+
+def test_fock_whole_number_sites_give_the_integer_site_record(tmp_path):
+    outputs = []
+    for i, site in enumerate([[0, 1], [0.0, 1.0], ["0", "1"]]):
+        states = tmp_path / f"states{i}.json"
+        states.write_text(json.dumps(dict(_STATES, bra={"entries": [{"site": site, "type": "A"}]})),
+                          encoding="utf-8")
+        out = tmp_path / f"fock{i}.json"
+        assert run(["fock", "--states", str(states), "--output", str(out)]) == 0
+        outputs.append(read_json(out)["outputs"])
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+_FLOAT_KEYS = [(sub, key) for sub, keys in PARAMETERS.items()
+               for key, (kind, *_) in keys.items() if kind in (float, _floats)]
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+@pytest.mark.parametrize("subcommand, key", _FLOAT_KEYS,
+                         ids=[f"{sub}.{key}" for sub, key in _FLOAT_KEYS])
+def test_nan_float_parameters_exit_2_naming_the_key(capsys, tmp_path, subcommand, key, source):
+    if source == "flag":
+        argv = [subcommand, f"--{key.replace('_', '-')}=nan"]
+    else:
+        (tmp_path / "nan.json").write_text(json.dumps({key: float("nan")}), encoding="utf-8")
+        argv = [subcommand, "--config", str(tmp_path / "nan.json")]
+    out = tmp_path / "x.json"
+    assert run(argv + ["--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and f"{key} must not be NaN" in err
+    assert not out.exists()
+
+
+def test_infinite_cutoff_stays_legal(tmp_path):
+    out = tmp_path / "se.json"
+    assert run(["selfenergy", "--dim", "2", "--p", "0,0", "--cutoff", "inf",
+                "--output", str(out)]) == 0
 
 
 # every flag of each subcommand, with the value argparse gives it

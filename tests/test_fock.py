@@ -403,6 +403,25 @@ def test_fock_inner_rejects_sites_off_the_lattice(site, label):
         fock_inner(dual_state(ket), symmetrize(start_entries(site, label=label)), alg)
 
 
+@pytest.mark.parametrize("site", [(1.7, 2), (1, 2.5), ("1", -0.5)],
+                         ids=["fraction", "second_coordinate", "negative_fraction"])
+def test_fractional_site_coordinates_are_rejected(site):
+    for make in (lambda: Entry(site, "A"), lambda: annihilator(site, "A"),
+                 lambda: creator_start(site, "A")):
+        with pytest.raises(ContractViolation, match="non-integer coordinate"):
+            make()
+
+
+def test_whole_number_site_coordinates_are_kept():
+    alg = algebra()
+    ket = symmetrize(start_entries((0, 1)))
+    expected = fock_inner(symmetrize(integrated_entries((1, 2))), ket, alg)
+    for site in [(1.0, 2), ("1", "2"), (np.int64(1), np.float64(2.0))]:
+        assert Entry(site, "A").site == (1, 2)
+        assert annihilator(site, "A").site == (1, 2)
+        assert fock_inner(symmetrize(integrated_entries(site)), ket, alg) == expected
+
+
 def test_two_point_table_matches_direct_functions():
     spec = LatticeSpec((4, 2), (3.0, 2.0))
     alg = FieldAlgebra(spec, TYPES, epsilon=1e-2)
@@ -560,3 +579,8 @@ def test_fock_is_the_one_field_application_site():
         if path.name not in ("kernel.py", "fock.py"):
             assert "lattice_onshell_part(" not in text, path.name
             assert "lattice_propagator(" not in text, path.name
+        # the algebra alone knows the count-row width, dtype and key format
+        assert "SlotLayout" not in text, path.name
+        if path.name != "fock.py":
+            for name in ("np.uint16", "_row_keys", "np.void"):
+                assert name not in text, (path.name, name)

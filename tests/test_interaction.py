@@ -22,6 +22,7 @@ from worldlineqm.fock import (
     Generator,
     OperatorExpr,
     annihilator,
+    apply_expr,
     creator_start,
     fock_inner,
     special_adjoint,
@@ -240,6 +241,22 @@ def test_sector_rejects_bad_content_bounds(content):
         Sector(make_algebra(SPEC22), content)
 
 
+def test_labels_the_algebra_does_not_know_are_rejected():
+    alg = make_algebra(SPEC22, n_max=3)
+    with pytest.raises(ContractViolation, match="unknown particle type 'C'"):
+        Sector(alg, {"A": (1, 1), "C": (0, 1)})
+    sector = Sector(alg, {"A": (1, 1), "B": (0, 1)})
+    spectator = symmetrize([Entry((0, 0), "A", "start"), Entry((1, 1), "C", "start")])
+    out_state = symmetrize([Entry((1, 0), "A", "integrated"), Entry((1, 1), "C", "integrated")])
+    creator = OperatorExpr.from_string(1.0, (creator_start((0, 1), "B"),))
+    for use in (lambda: apply_expr(creator, spectator, alg),
+                lambda: sector.state_index(spectator),
+                lambda: amplitude_order_m(spectator, out_state,
+                                          InteractionModel.ab_model(1.0), 1, sector)):
+        with pytest.raises(ContractViolation, match="unknown particle type 'C'"):
+            use()
+
+
 def test_state_index_rejects_states_outside_the_basis():
     sector = ab_sector(SPEC22, b_max=1)
     assert sector.state_index(symmetrize([Entry((1, 0), "A", "start")]).scaled(2.0)) == \
@@ -275,6 +292,7 @@ def test_sector_basis_matches_enumeration(spec, content):
     assert "basis" not in vars(sector)  # neither step decodes the basis
     assert np.array_equal(sector.lookup(sector.counts), np.arange(sector.dimension))
     assert Counter(s.entries for s in sector.basis) == _basis_by_enumeration(spec.shape, content)
+    assert np.array_equal(sector.algebra.encode(sector.basis), sector.counts)
     assert all(sector.state_index(state) == i for i, state in enumerate(sector.basis))
 
 
