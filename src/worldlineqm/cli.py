@@ -50,6 +50,17 @@ def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in str(text).split(","))
 
 
+def _whole(value, key: str) -> int:
+    """A whole number (2, 2.0 or "2") as an int; a value that int() would
+    change (2.7, "2.5", NaN) is rejected, naming the key."""
+    if isinstance(value, int):
+        return value
+    number = float(value)
+    if not number.is_integer():
+        raise ContractViolation(f"{key} must be a whole number, not {value!r}")
+    return int(number)
+
+
 def _check_json(value, shape, where: str):
     """Raise ContractViolation unless a JSON value has the given shape.
 
@@ -189,12 +200,14 @@ def _resolve(params: dict, subcommand: str) -> dict:
         if value is None:
             value = default
         elif isinstance(kind, tuple):
-            value = type(kind[0])(value)
+            value = _whole(value, key) if isinstance(kind[0], int) else str(value)
             if value not in kind:
                 raise ContractViolation(
                     f"{key} must be one of {list(kind)}, not {value!r}")
         elif isinstance(kind, (dict, list)):
             _check_json(value, kind, key)
+        elif kind is int:
+            value = _whole(value, key)
         else:
             value = kind(value)
             if kind in (float, _floats) and np.isnan(value).any():
@@ -315,13 +328,15 @@ def _run_fock(c):
 
 def _run_scatter(c):
     grid_spec = c["grid"]
-    grid = onshell.MomentumGrid(int(grid_spec.get("spatial_dimension", 1)),
-                                int(grid_spec["points"]), float(grid_spec["spacing"]))
+    grid = onshell.MomentumGrid(
+        _whole(grid_spec.get("spatial_dimension", 1), "grid.spatial_dimension"),
+        _whole(grid_spec["points"], "grid.points"), float(grid_spec["spacing"]))
     model = interaction.InteractionModel.ab_model(c["coupling"], c["mass_a"], c["mass_b"])
-    def legs(rows):
+    def legs(name):
         return tuple(interaction.ScatterLeg(tuple(r["p"]), r.get("type", "A"),
-                                            int(r.get("sign", 1))) for r in rows)
-    spec = interaction.ScatterSpec(legs(c["incoming"]), legs(c["outgoing"]), grid)
+                                            _whole(r.get("sign", 1), f"{name}[{i}].sign"))
+                     for i, r in enumerate(c[name]))
+    spec = interaction.ScatterSpec(legs("incoming"), legs("outgoing"), grid)
     amp = interaction.scatter_tree_2to2(spec, model, c["epsilon"])
     return ({"amplitude": amp},
             {"module": "interaction", "operation": "scatter_tree_2to2"}, None, None)

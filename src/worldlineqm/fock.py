@@ -300,12 +300,6 @@ class OperatorExpr:
     def from_string(cls, coefficient: complex, generators) -> "OperatorExpr":
         return cls(((complex(coefficient), tuple(generators)),))
 
-    def __add__(self, other: "OperatorExpr") -> "OperatorExpr":
-        return OperatorExpr(self.terms + other.terms)
-
-    def scaled(self, c: complex) -> "OperatorExpr":
-        return OperatorExpr(tuple((coeff * c, gens) for coeff, gens in self.terms))
-
 
 def special_adjoint(expr: OperatorExpr) -> OperatorExpr:
     """(c AB...Z)‡ = conj(c) Z‡...B‡A‡ with the generator swap of the header."""

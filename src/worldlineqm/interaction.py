@@ -39,7 +39,7 @@ from math import factorial
 import numpy as np
 from scipy import sparse
 
-from .errors import ContractViolation, LeakageError, SectorOverflowError
+from .errors import ContractViolation, LeakageError
 from .fock import (
     FieldAlgebra,
     FockState,
@@ -53,7 +53,7 @@ from .fock import (
 )
 from .geometry import FourVector, ParticleType
 from .kernel import propagator_momentum
-from .onshell import MomentumGrid
+from .onshell import SYMMETRIC_SQRT2E, MomentumGrid, localized_wavefunction
 from .regularization import SelfEnergyResult, bubble
 
 
@@ -386,26 +386,19 @@ def external_line_factor(kind: str, p_spatial, mass: float, x: FourVector,
                          dimension: int) -> complex:
     """On-shell reduction factor for one external line at vertex position x.
 
-    (2 pi)^(-d/2) (2 E_p)^(-1/2) exp(i phi) with
-    phi = +E x0 - p.x  (final particle, outgoing),
-          -E x0 + p.x  (final antiparticle: incoming, path running backward),
-          -E x0 + p.x  (initial particle, incoming),
-          +E x0 - p.x  (initial antiparticle, outgoing).
+    (2 pi)^(-d/2) (2 E_p)^(-1/2) exp(i s (E x0 - p.x)), the symmetric-sqrt2E
+    localized wavefunction of momentum s p and sign s, where s = +1 for a
+    final particle (outgoing) or an initial antiparticle (outgoing), and
+    s = -1 for an initial particle (incoming) or a final antiparticle
+    (incoming, path running backward).
     """
     if kind not in _LINE_KINDS:
         raise ContractViolation(f"unknown line kind {kind!r}")
     p = np.atleast_1d(np.asarray(p_spatial, dtype=float))
-    d = dimension - 1
-    if p.size != d:
+    if p.size != dimension - 1:
         raise ContractViolation("spatial momentum does not match the dimension")
-    e = float(np.sqrt(p @ p + mass * mass))
-    x_arr = x.as_array()
-    pdotx = float(p @ x_arr[1:])
-    if kind in (FINAL_PARTICLE, INITIAL_ANTIPARTICLE):
-        phi = +e * x_arr[0] - pdotx
-    else:
-        phi = -e * x_arr[0] + pdotx
-    return complex((2 * np.pi) ** (-d / 2) * (2 * e) ** (-0.5) * np.exp(1j * phi))
+    s = 1 if kind in (FINAL_PARTICLE, INITIAL_ANTIPARTICLE) else -1
+    return localized_wavefunction(x.spatial, x.time, s * p, mass, s, SYMMETRIC_SQRT2E)
 
 
 @dataclass(frozen=True)
@@ -441,10 +434,13 @@ def scatter_tree_2to2(spec: ScatterSpec, model: InteractionModel,
 
     g^2 [prop_B(p1 - p1') + prop_B(p1 - p2')] times the four external-line
     magnitude factors and the grid-Kronecker conservation delta; both
-    crossing assignments of the final momenta are included.
+    crossing assignments of the final momenta are included.  The amplitude
+    covers particle legs only; an antiparticle leg raises ContractViolation.
     """
     if len(spec.incoming) != 2 or len(spec.outgoing) != 2:
         raise ContractViolation("tree amplitude needs 2 incoming and 2 outgoing legs")
+    if any(leg.sign != +1 for leg in spec.incoming + spec.outgoing):
+        raise ContractViolation("the A A -> A A tree amplitude has no antiparticle legs")
     label_a = spec.incoming[0].type_label
     if any(leg.type_label != label_a for leg in spec.incoming + spec.outgoing):
         raise ContractViolation("all external legs must be the conserved-line type")

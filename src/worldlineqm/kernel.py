@@ -20,7 +20,7 @@ the damped routes scale with the damping used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -114,12 +114,11 @@ def _axis_widths(t, dimension: int, mode: str, damping: float = 0.0,
     return [a_time] + [a_space] * (dimension - 1)
 
 
-def _kernel_value(dx, t, mass_squared, dimension: int, mode: str, damping: float = 0.0,
-                  damp_time_only: bool = False):
-    """Kernel value from the per-axis Gaussian factors; t may be an array."""
-    t = np.asarray(t, dtype=float)
+def _kernel_value(dx, t: float, mass_squared, dimension: int, mode: str,
+                  damping: float = 0.0, damp_time_only: bool = False) -> complex:
+    """Kernel value at one length t from the per-axis Gaussian factors."""
     widths = _axis_widths(t, dimension, mode, damping, damp_time_only)
-    value = np.ones_like(t, dtype=complex)
+    value = 1.0
     for mu in range(dimension):
         a = widths[mu]
         value = value * np.sqrt(np.pi / a) / (2 * np.pi) * np.exp(-dx[mu] ** 2 / (4 * a))
@@ -127,9 +126,7 @@ def _kernel_value(dx, t, mass_squared, dimension: int, mode: str, damping: float
         value = value * np.exp(-t * mass_squared)
     else:
         value = value * np.exp(-1j * t * mass_squared)
-    if value.ndim == 0:
-        return complex(value)
-    return value
+    return complex(value)
 
 
 def kernel_closed(dx: FourVector, params: KernelParams) -> complex:
@@ -212,9 +209,7 @@ def kernel_discretized(x: FourVector, x0: FourVector, segments, params: KernelPa
     acc = None
     for dlam in segments:
         widths = _axis_widths(float(dlam), params.dimension, params.mode)
-        # own normalization of this segment: (2pi)^-1 sqrt(pi/a) per axis
-        for a in widths:
-            prefactor *= np.sqrt(np.pi / a) / (2 * np.pi)
+        prefactor *= segment_norm(float(dlam), params.dimension, params.mode)
         if acc is None:
             acc = list(widths)
         else:
@@ -474,10 +469,7 @@ def propagator_onshell_part(dx: FourVector, mass: float, sign: int,
     if d == 3:
         def integrand(p):
             e = np.sqrt(p * p + msq)
-            if r > 0:
-                ang = 4 * np.pi * np.sin(p * r) / (p * r) if p > 0 else 4 * np.pi
-            else:
-                ang = 4 * np.pi
+            ang = 4 * np.pi * np.sinc(p * r / np.pi)  # 4 pi sin(p r) / (p r)
             return p * p * ang * np.exp(-1j * sign * e * dt - damping * p * p) / (2 * e)
         value, _ = quadrature.adaptive(integrand, 0.0, np.inf, limit=400)
         return value / (2 * np.pi) ** 3
@@ -490,7 +482,6 @@ class MassSuperpositionResult:
     window: float
     spacing: float
     adequate_window: bool
-    mass_sq_grid: np.ndarray = field(repr=False, default=None)
 
 
 def fixed_mass_propagator(dx: FourVector, mass_squared: float, epsilon: float,
@@ -591,7 +582,7 @@ def kernel_mass_superposition(dx: FourVector, total_length: float, mass: float,
         raise DomainError("T must be positive")
     if grid.size < 2:
         # degenerate window: zero measure under the trapezoid convention
-        return MassSuperpositionResult(0j, 0.0, 0.0, False, grid)
+        return MassSuperpositionResult(0j, 0.0, 0.0, False)
     window = float(grid.max() - grid.min()) / 2.0
     spacing = float(np.mean(np.diff(grid)))
     msq = mass * mass
@@ -607,8 +598,7 @@ def kernel_mass_superposition(dx: FourVector, total_length: float, mass: float,
     else:
         raise ContractViolation(f"unknown mode {mode!r}")
     return MassSuperpositionResult(complex(value), window, spacing,
-                                   adequate_window=window * total_length >= 4 * np.pi,
-                                   mass_sq_grid=grid)
+                                   adequate_window=window * total_length >= 4 * np.pi)
 
 
 # ---------------------------------------------------------------------------

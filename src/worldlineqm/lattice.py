@@ -130,9 +130,6 @@ class ComplexField:
         w = self.spec.cell_volume if self.representation == "position" else self.spec.momentum_cell_volume
         return float(np.sum(np.abs(self.values) ** 2) * w)
 
-    def copy(self) -> "ComplexField":
-        return ComplexField(self.spec, self.values.copy(), self.representation)
-
 
 def _check_finite(field: ComplexField) -> None:
     if not np.all(np.isfinite(field.values)):

@@ -124,17 +124,14 @@ def momentum_state_profile(p_spatial, mass: float, sign: int, t: float,
         raise DomainError("epsilon must be positive")
     p0 = np.asarray(p0_grid, dtype=float)
     e = float(np.sqrt(sum(x * x for x in np.atleast_1d(p_spatial)) + mass * mass))
-    x = p0 - sign * e
-    if sign == +1:
-        if t <= 0:
-            core = np.exp((1j * x + epsilon) * t) / (1j * x + epsilon)
-        else:
-            core = 1.0 / (1j * x + epsilon) + (np.exp((1j * x - epsilon) * t) - 1.0) / (1j * x - epsilon)
+    # t0 -> -t0 maps the antiparticle range [t, inf) onto (-inf, -t] and flips
+    # p0 - s E: both signs are the particle integral at offset s p0 - E, limit s t
+    x = sign * p0 - e
+    ts = sign * t
+    if ts <= 0:
+        core = np.exp((1j * x + epsilon) * ts) / (1j * x + epsilon)
     else:
-        if t >= 0:
-            core = np.exp((1j * x - epsilon) * t) / (epsilon - 1j * x)
-        else:
-            core = (1.0 - np.exp((1j * x + epsilon) * t)) / (1j * x + epsilon) + 1.0 / (epsilon - 1j * x)
+        core = 1.0 / (1j * x + epsilon) + (np.exp((1j * x - epsilon) * ts) - 1.0) / (1j * x - epsilon)
     amplitude = np.exp(-1j * sign * e * t) * core / (2 * e)
     return FrequencyProfile(p0, amplitude, center=sign * e, epsilon=epsilon)
 

@@ -94,10 +94,6 @@ class DiscretePath:
         return self.lam.size - 1
 
     @property
-    def dimension(self) -> int:
-        return self.points.shape[1]
-
-    @property
     def total_length(self) -> float:
         return float(self.lam[-1] - self.lam[0])
 

@@ -132,8 +132,9 @@ def bubble(line, p_norm: float, m_b: float, dimension: int, top: float,
 
     Adaptive radial quadrature with the angular integral in closed form:
     D=2: Int dtheta / (A - B cos) = 2 pi / sqrt(A^2 - B^2);
-    D=4: 4 pi Int sin^2 / (A - B cos) dpsi = 4 pi^2 (A - sqrt(A^2-B^2)) / B^2,
-    with A = k^2 + p^2 + m_b^2 and B = 2 k |p|.  Returns (value, error).
+    D=4: 4 pi Int sin^2 / (A - B cos) dpsi = 4 pi^2 / (A + sqrt(A^2 - B^2)),
+    which does not cancel at small B, with A = k^2 + p^2 + m_b^2 and
+    B = 2 k |p|.  Returns (value, error).
     """
     def radial(k):
         ksq = k * k
@@ -141,11 +142,7 @@ def bubble(line, p_norm: float, m_b: float, dimension: int, top: float,
         b = 2.0 * k * p_norm
         if dimension == 2:
             return k * line(ksq) * (2 * np.pi / np.sqrt(a * a - b * b))
-        if b == 0.0:
-            angular = 2 * np.pi ** 2 / a
-        else:
-            angular = 4 * np.pi ** 2 * (a - np.sqrt(a * a - b * b)) / (b * b)
-        return k ** 3 * line(ksq) * angular
+        return k ** 3 * line(ksq) * (4 * np.pi ** 2 / (a + np.sqrt(a * a - b * b)))
 
     return quadrature.adaptive(radial, 0.0, top, limit=400, points=points)
 

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy import special
 
 from worldlineqm.cli import PARAMETERS, _floats, run
 from worldlineqm.records import ResultRecord, emit, load_record
@@ -373,3 +374,116 @@ def test_flag_and_file_records_identical(tmp_path, subcommand):
     assert run([subcommand, "--config", str(tmp_path / "all.json"),
                 "--output", str(by_file)]) == 0
     assert by_flags.read_bytes() == by_file.read_bytes()
+
+
+_INT_KEYS = [(sub, key) for sub, keys in PARAMETERS.items()
+             for key, (kind, *_) in keys.items()
+             if kind is int or isinstance(kind, tuple) and isinstance(kind[0], int)]
+
+
+@pytest.mark.parametrize("value", [2.7, "2.5"])
+@pytest.mark.parametrize("subcommand, key", _INT_KEYS,
+                         ids=[f"{sub}.{key}" for sub, key in _INT_KEYS])
+def test_fractional_integer_parameters_exit_2_naming_the_key(capsys, tmp_path, subcommand,
+                                                             key, value):
+    # int() used to truncate them: {"dim": 2.7} computed the D=2 kernel
+    (tmp_path / "frac.json").write_text(json.dumps({key: value}), encoding="utf-8")
+    out = tmp_path / "x.json"
+    assert run([subcommand, "--config", str(tmp_path / "frac.json"), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and f"{key} must be a whole number" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand, config, key, values", [
+    ("kernel", {"dx": "0.1,0.2"}, "dim", [2, 2.0, "2"]),
+    ("propagator", {"kind": "onshell-part", "dx": "0.5,0.2"}, "sign", [-1, -1.0, "-1"]),
+])
+def test_whole_number_integer_parameters_are_kept(tmp_path, subcommand, config, key, values):
+    outputs = []
+    for i, value in enumerate(values):
+        cfg, out = tmp_path / f"cfg{i}.json", tmp_path / f"out{i}.json"
+        cfg.write_text(json.dumps({**config, key: value}), encoding="utf-8")
+        assert run([subcommand, "--config", str(cfg), "--output", str(out)]) == 0
+        outputs.append(read_json(out)["outputs"])
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+def _scatter_config(path, **changes):
+    config = {"coupling": 0.9, "mass_a": 1.0, "mass_b": 1.5, "epsilon": 1e-3,
+              **_SCATTER_STRUCTURE, **changes}
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("changes, key", [
+    ({"grid": {"spatial_dimension": 1, "points": 9.5, "spacing": 0.5}}, "grid.points"),
+    ({"grid": {"spatial_dimension": 1.5, "points": 9, "spacing": 0.5}},
+     "grid.spatial_dimension"),
+    ({"incoming": [{"p": [1.0]}, {"p": [-0.5], "sign": 1.5}]}, "incoming[1].sign"),
+    ({"outgoing": [{"p": [0.5], "sign": "0.5"}, {"p": [0.0]}]}, "outgoing[0].sign"),
+], ids=["points", "spatial_dimension", "incoming_sign", "outgoing_sign"])
+def test_scatter_fractional_integers_exit_4_naming_the_key(capsys, tmp_path, changes, key):
+    out = tmp_path / "amp.json"
+    cfg = _scatter_config(tmp_path / "scatter.json", **changes)
+    assert run(["scatter", "--config", str(cfg), "--output", str(out)]) == 4
+    assert f"{key} must be a whole number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_scatter_whole_number_grid_and_sign_are_kept(tmp_path):
+    outputs = []
+    for i, (points, sign) in enumerate([(9, 1), (9.0, 1.0), ("9", "1")]):
+        grid = {"spatial_dimension": 1, "points": points, "spacing": 0.5}
+        incoming = [{"p": [1.0], "sign": sign}, {"p": [-0.5]}]
+        cfg = _scatter_config(tmp_path / f"scatter{i}.json", grid=grid, incoming=incoming)
+        out = tmp_path / f"amp{i}.json"
+        assert run(["scatter", "--config", str(cfg), "--output", str(out)]) == 0
+        outputs.append(read_json(out)["outputs"])
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+def test_scatter_antiparticle_leg_exits_4(capsys, tmp_path):
+    out = tmp_path / "amp.json"
+    cfg = _scatter_config(tmp_path / "scatter.json",
+                          outgoing=[{"p": [0.5], "sign": -1}, {"p": [0.0]}])
+    assert run(["scatter", "--config", str(cfg), "--output", str(out)]) == 4
+    assert "antiparticle" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_missing_required_key_exits_2_at_run_time(capsys, tmp_path):
+    # coupling has no default; the runner's KeyError is a config error
+    cfg = tmp_path / "scatter.json"
+    cfg.write_text(json.dumps(_SCATTER_STRUCTURE), encoding="utf-8")
+    _exits_2_with_config_error(capsys, tmp_path, ["scatter", "--config", str(cfg)])
+
+
+def test_default_output_goes_to_worldlineqm_outdir(monkeypatch, tmp_path):
+    monkeypatch.setenv("WORLDLINEQM_OUTDIR", str(tmp_path))
+    assert run(["kernel", "--dx", "0.1,0.2"]) == 0
+    assert load_record(tmp_path / "kernel.json").subcommand == "kernel"
+
+
+def test_kernel_discretized_subcommand_equals_closed_form(tmp_path):
+    out = tmp_path / "k.json"
+    assert run(["kernel", "--method", "discretized", "--segments", "5", "--dim", "2",
+                "--mode", "minkowski", "--tau", "0.7", "--dx", "0.3,-0.4",
+                "--output", str(out)]) == 0
+    record = read_json(out)
+    value, closed = (complex(*record["outputs"][k]) for k in ("value", "closed_form"))
+    assert value == pytest.approx(closed, rel=1e-12)
+    assert record["provenance"]["operation"] == "kernel_discretized"
+
+
+@pytest.mark.parametrize("weight, rel", [("uniform", 1e-9), ("gaussian", 1e-6)])
+def test_propagator_position_subcommand(tmp_path, weight, rel):
+    out = tmp_path / "p.json"
+    assert run(["propagator", "--kind", "position", "--weight", weight, "--dlam", "1000",
+                "--delta", "1e-6", "--dx", "0.3,0.4", "--epsilon", "1e-10",
+                "--output", str(out)]) == 0
+    value = complex(*read_json(out)["outputs"]["value"])
+    # the euclidean D=2 propagator K_0(m |dx|) / 2 pi; the wide gaussian
+    # weight exp(-T^2 / 2 dlam^2) lowers it by about T^2 / 2 dlam^2 ~ 1e-7
+    assert value.real == pytest.approx(special.k0(0.5) / (2 * np.pi), rel=rel)
+    assert value.imag == 0.0

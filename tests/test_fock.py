@@ -94,6 +94,8 @@ def test_ryser_against_naive():
         a = permanent_naive(m)
         b = permanent_ryser(m)
         assert abs(a - b) / abs(a) < 1e-12
+    empty = np.zeros((0, 0))  # the empty product: Ryser's subset sum alone gives 0
+    assert permanent_naive(empty) == permanent_ryser(empty) == 1.0
 
 
 def _ryser_gray_loop(matrix):

@@ -112,6 +112,10 @@ def test_self_adjointness_and_negative_control():
         (VertexTerm(("A", "B"), ("A",)),), 1.3,
         InteractionModel.ab_model(1.0).types)
     assert not is_self_adjoint(lone, sector)
+    # a complex coupling conjugates under the special adjoint
+    complex_coupling = InteractionModel(InteractionModel.ab_model(1.0).terms, 1.3 + 0.2j,
+                                        InteractionModel.ab_model(1.0).types)
+    assert not is_self_adjoint(complex_coupling, sector)
 
 
 # ---------------------------------------------------------------------------
@@ -651,6 +655,17 @@ def test_scatter_conservation_and_grid_guards():
     assert scatter_tree_2to2(non_conserving, model, 1e-3) == 0j
     with pytest.raises(ContractViolation):
         ScatterSpec((ScatterLeg((0.77,), "A"),), (), grid)
+
+
+@pytest.mark.parametrize("leg", range(4))
+def test_scatter_rejects_antiparticle_legs(leg):
+    # the A A -> A A amplitude has no antiparticle legs; a sign -1 leg used
+    # to get the particle amplitude silently
+    momenta = [(1.0,), (-0.5,), (0.5,), (0.0,)]
+    legs = [ScatterLeg(p, "A", -1 if i == leg else +1) for i, p in enumerate(momenta)]
+    spec = ScatterSpec(tuple(legs[:2]), tuple(legs[2:]), MomentumGrid(1, 9, 0.5))
+    with pytest.raises(ContractViolation, match="antiparticle"):
+        scatter_tree_2to2(spec, InteractionModel.ab_model(0.7), 1e-3)
 
 
 def test_crossing_collapse_doubles_single_term():

@@ -234,6 +234,17 @@ def test_mc_position_dependent_mass_hook():
     assert abs(res.estimate - oracle) < 3 * res.stderr
 
 
+def test_mc_chunk_without_marks_keeps_every_path():
+    # a bound this small draws no Poisson mark, so every path survives and
+    # the estimate is the massless bridge norm (4 pi tau)^(-D/2) exp(-dx^2/4 tau)
+    x0, x = FourVector((0.1, -0.2)), FourVector((0.4, 0.3))
+    res = kernel_mc(x, x0, euclid_params(), 8, 5000, seed=1,
+                    mass_sq_fn=lambda q: np.zeros(q.shape[:-1]), mass_sq_bound=1e-300)
+    dx = (x - x0).as_array()
+    assert res.marks == 0 and res.acceptance == 0.0 and res.stderr == 0.0
+    assert res.estimate == pytest.approx(np.exp(-dx @ dx / 4) / (4 * np.pi), rel=1e-14)
+
+
 def test_mc_guards():
     params = KernelParams(1.0, 1.0, 2, "minkowski")
     origin = FourVector((0.0, 0.0))
@@ -425,6 +436,38 @@ def test_onshell_part_d2_meets_1e_12():
     oracle = np.trapezoid(np.exp(1j * (e * dt + p * r) - damping * p * p) / (2 * e), p) / (2 * np.pi)
     value = propagator_onshell_part(FourVector((dt, r)), 1.0, -1, damping, 2)
     assert abs(value - oracle) < 1e-12 * abs(oracle)
+
+
+def d4_from_d2_recursion(f2, r):
+    """f_4(r) = -(1/2 pi r) d f_2/dr for a function of |dx_vec| whose D=2 and
+    D=4 forms share one radial momentum profile; the derivative is the
+    Richardson extrapolation of central differences at h = 1e-3 and 5e-4."""
+    def central(h):
+        return (f2(r + h) - f2(r - h)) / (2 * h)
+    return -(4 * central(5e-4) - central(1e-3)) / 3 / (2 * np.pi * r)
+
+
+@pytest.mark.parametrize("mass", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("dt, r, sign", [(0.4, 0.7, +1), (1.3, 0.25, -1), (-0.6, 1.5, +1),
+                                         (0.0, 0.9, -1), (2.0, 0.5, +1)])
+def test_onshell_part_d4_follows_the_dimensional_recursion(mass, dt, r, sign):
+    damping = 0.05
+    value = propagator_onshell_part(FourVector((dt, r, 0.0, 0.0)), mass, sign, damping, 4)
+    oracle = d4_from_d2_recursion(
+        lambda rr: propagator_onshell_part(FourVector((dt, rr)), mass, sign, damping, 2), r)
+    assert abs(value - oracle) < 1e-8 * abs(oracle)
+
+
+@pytest.mark.parametrize("mass_squared", [-0.5, 0.3, 1.0, 2.5])
+@pytest.mark.parametrize("dt, r", [(0.4, 0.7), (1.3, 0.25), (-0.6, 1.5)])
+def test_fixed_mass_propagator_d4_follows_the_dimensional_recursion(mass_squared, dt, r):
+    eps = damping = 0.05
+    value = kernel.fixed_mass_propagator(FourVector((dt, 0.0, r, 0.0)), mass_squared, eps, 4,
+                                         damping)
+    oracle = d4_from_d2_recursion(
+        lambda rr: kernel.fixed_mass_propagator(FourVector((dt, rr)), mass_squared, eps, 2,
+                                                damping), r)
+    assert abs(value - oracle) < 1e-8 * abs(oracle)
 
 
 def test_propagator_decomposition_timelike():

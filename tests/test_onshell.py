@@ -69,6 +69,25 @@ def test_profile_halfwidth():
     assert hwhm == pytest.approx(eps, rel=5e-2)
 
 
+@pytest.mark.parametrize("sign", [+1, -1])
+@pytest.mark.parametrize("t", [-1.3, -0.2, 0.4, 2.1])
+def test_profile_off_zero_time_matches_its_one_sided_integral(sign, t):
+    # exp(-i s E t) (2E)^-1 Int dt0 exp(i (p0 - s E) t0 - eps |t0|) over
+    # (-inf, t] for particles and [t, inf) for antiparticles
+    mass, eps = 1.2, 0.6
+    e = np.sqrt(0.25 + mass ** 2)
+    p0 = sign * e + np.array([-2.0, -0.3, 0.0, 0.8, 2.5])
+    prof = momentum_state_profile((0.5,), mass, sign, t, eps, p0)
+    lo, hi = (-80.0, t) if sign == +1 else (t, 80.0)
+    for q, amplitude in zip(p0, prof.amplitude):
+        integral, _ = integrate.quad(
+            lambda t0: np.exp(1j * (q - sign * e) * t0 - eps * abs(t0)), lo, hi,
+            points=[0.0] if lo < 0.0 < hi else None, limit=400, complex_func=True,
+            epsabs=1e-12, epsrel=1e-12)
+        oracle = np.exp(-1j * sign * e * t) * integral / (2 * e)
+        assert amplitude == pytest.approx(oracle, rel=1e-10)
+
+
 def lorentzian_concentration_oracle(window, eps):
     # Int_{-w}^{w} dx/(x^2+e^2) over Int_{-inf}^{inf} = (2/pi) arctan(w/e)
     return (2 / np.pi) * np.arctan(window / eps)
@@ -90,6 +109,13 @@ def test_concentration_equal_window():
     grid = 1.0 + np.arange(-100.0, 100.0, eps / 6)
     prof = momentum_state_profile((0.0,), 1.0, +1, 0.0, eps, grid)
     assert concentration(prof, eps) == pytest.approx(0.5, abs=2e-2)
+
+
+def test_concentration_of_a_vanishing_profile_is_zero():
+    # long before t = 0 the particle profile exp(eps t) underflows to zero
+    prof = momentum_state_profile((0.0,), 1.0, +1, -1e5, 1e-2, np.linspace(0.0, 2.0, 11))
+    assert not np.any(prof.amplitude)
+    assert concentration(prof, 0.5) == 0.0
 
 
 def test_concentration_monotone_in_epsilon():
@@ -159,6 +185,8 @@ def test_dual_pairing_time_independence():
     assert values[0] == pytest.approx(1.0 / (2 * state.energy) / grid.cell_volume)
     anti = OnShellState(-1, (1.5,), 1.0)
     assert dual_pairing_time_state(state, anti, 0.0, grid) == 0j
+    other = OnShellState(+1, (1.0,), 1.0)
+    assert dual_pairing_time_state(state, other, 0.0, grid) == 0j
 
 
 def test_localized_wavefunction_conventions():

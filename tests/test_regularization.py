@@ -1,13 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import integrate, special
 
+from worldlineqm import quadrature
 from worldlineqm.errors import ContractViolation, DomainError
 from worldlineqm.geometry import FourVector
 from worldlineqm.interaction import self_energy_unregulated
 from worldlineqm.regularization import (
     DivergenceScan,
     RegulatorSpec,
+    bubble,
     divergence_scan,
     _spectral_density_closed,
     pv_conditions,
@@ -149,6 +153,35 @@ def test_mass_spectrum_error_is_the_real_part_error():
     spec = RegulatorSpec(10.0, 0.01, 1.0)
     res = self_energy_regulated(FourVector((0.3, 0.4)), 1.0, 1.0, 2, spec, "mass-spectrum")
     assert res.error < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the bubble's closed-form angular factor
+
+
+def test_d4_bubble_is_continuous_at_small_momentum():
+    # 4 pi^2 (A - sqrt(A^2 - B^2)) / B^2 cancels at B = 2 k |p| << A: at
+    # |p| = 1e-7 it read 54.03 with two IntegrationWarnings, against 81.03 at p = 0
+    at_rest = self_energy_unregulated(P4, 1.0, 1.0, 4, 100.0).value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        small = self_energy_unregulated(FourVector((1e-7, 0.0, 0.0, 0.0)), 1.0, 1.0, 4,
+                                        100.0).value
+    assert small == pytest.approx(at_rest, rel=1e-10)
+
+
+@pytest.mark.parametrize("p_norm, k", [(0.3, 0.05), (0.3, 0.7), (0.3, 3.0), (0.3, 50.0),
+                                       (0.01, 50.0)])
+def test_d4_angular_factor_matches_quadrature(monkeypatch, p_norm, k):
+    # the radial integrand with line = 1 is k^3 times the angular factor
+    radial = []
+    monkeypatch.setattr(quadrature, "adaptive",
+                        lambda func, *args, **kwargs: radial.append(func) or (0j, 0.0))
+    bubble(lambda ksq: 1.0, p_norm, 1.0, 4, 100.0)
+    a, b = k * k + p_norm ** 2 + 1.0, 2 * k * p_norm
+    oracle, _ = integrate.quad(lambda psi: 4 * np.pi * np.sin(psi) ** 2 / (a - b * np.cos(psi)),
+                               0.0, np.pi, epsabs=0.0, epsrel=1e-13)
+    assert radial[0](k) / k ** 3 == pytest.approx(oracle, rel=1e-12)
 
 
 def test_d4_needs_threshold_and_finite_cutoff():
