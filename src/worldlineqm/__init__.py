@@ -21,7 +21,8 @@ Subpackage map:
                      spectral density, regulated self-energy via two routes,
                      cancellation conditions, divergence scans
 - ``quadrature``     the one quadrature layer: adaptive integration of
-                     complex integrands, Gauss-Legendre panel rules
+                     complex integrands, Gauss-Legendre panel rules, the
+                     Fourier-weighted tail integral (fourier_tail)
 - ``cli``            batch front end with JSON configs and CSV/JSON records
 """
 

@@ -2,13 +2,15 @@
 
 Subcommands map one-to-one onto module operations; parameters come from
 flags or a JSON config file (flags override file values).  The PARAMETERS
-table below is the reference for every key, its type and its default.
-Four-vectors are comma-separated with the time component first; the only
-complex input is the Fock state `coefficient`, an [re, im] list in the states
-file.  Results are written as JSON records or CSV tables (see records.py);
-outputs are byte-stable for fixed inputs and seed.  Exit codes: 0 success,
-2 configuration error, 3 numerical-accuracy or I/O error, 4 domain or
-contract violation.  WORLDLINEQM_OUTDIR names the default output directory.
+table below is the reference for every key, its kind and its default.
+_cast casts each value by one rule per kind at every depth; a malformed value
+exits 2 naming its path (`dx`, `grid.points`).  Four-vectors are
+comma-separated with the time component first; the only complex input is the
+Fock state `coefficient`, an [re, im] list in the states file.  Results are
+written as JSON records or CSV tables (see records.py); outputs are
+byte-stable for fixed inputs and seed.  Exit codes: 0 success, 2
+configuration error, 3 numerical-accuracy or I/O error, 4 domain or contract
+violation.  WORLDLINEQM_OUTDIR names the default output directory.
 """
 
 from __future__ import annotations
@@ -42,78 +44,95 @@ _DOMAIN_ERRORS = (ContractViolation, DomainError, UnsupportedSpecError,
                   SectorOverflowError, LeakageError)
 
 
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in str(text).split(","))
+def _float(value, where: str) -> float:
+    """A number or numeric text as a float; true/false, NaN and overflow are
+    rejected, +-inf kept."""
+    if isinstance(value, bool):
+        raise ContractViolation(f"{where} must be a number, not {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ContractViolation(f"{where} is too large for a float") from None
+    except (TypeError, ValueError):
+        raise ContractViolation(f"{where} must be a number, not {value!r}") from None
+    if np.isnan(number):
+        raise ContractViolation(f"{where} must not be NaN")
+    return number
 
 
-def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in str(text).split(","))
-
-
-def _whole(value, key: str) -> int:
-    """A whole number (2, 2.0 or "2") as an int; a value that int() would
-    change (2.7, "2.5", NaN) is rejected, naming the key."""
-    if isinstance(value, int):
+def _whole(value, where: str) -> int:
+    """A whole number (2, 2.0 or "2") as an int; 2.7, "2.5", true and NaN are rejected."""
+    if isinstance(value, int) and not isinstance(value, bool):
         return value
-    number = float(value)
+    number = _float(value, where)
     if not number.is_integer():
-        raise ContractViolation(f"{key} must be a whole number, not {value!r}")
+        raise ContractViolation(f"{where} must be a whole number, not {value!r}")
     return int(number)
 
 
-def _check_json(value, shape, where: str):
-    """Raise ContractViolation unless a JSON value has the given shape.
+def _floats(text, where: str) -> tuple[float, ...]:
+    return tuple(_float(v, where) for v in str(text).split(","))
 
-    A shape is a type or tuple of types; [s] for a list of s, or [s1, s2] for
-    a list of exactly those items; or a dict for an object, where a key ending
-    in "?" is optional and the key `str` stands for every key.
+
+def _ints(text, where: str) -> tuple[int, ...]:
+    return tuple(_whole(v, where) for v in str(text).split(","))
+
+
+def _cast(value, kind, where: str):
+    """The value cast to its kind, or a ContractViolation naming its path.
+
+    A kind is a leaf: int (_whole), float (_float), bool (JSON true/false or
+    the flag), str, or a function of (value, where) such as _floats; a tuple
+    of allowed values; [k] for a list of k, or [k1, k2] for a list of exactly
+    those items; or a dict for an object, where a key ending in "?" is
+    optional, the key `str` stands for every key, and other keys are rejected.
     """
-    if isinstance(shape, list):
-        if not isinstance(value, list) or len(shape) > 1 and len(value) != len(shape):
+    if isinstance(kind, list):
+        if not isinstance(value, list) or len(kind) > 1 and len(value) != len(kind):
             raise ContractViolation(f"{where} must be a list"
-                                    + (f" of {len(shape)} items" if len(shape) > 1 else ""))
-        for i, item in enumerate(value):
-            _check_json(item, shape[min(i, len(shape) - 1)], f"{where}[{i}]")
-    elif isinstance(shape, dict):
+                                    + (f" of {len(kind)} items" if len(kind) > 1 else ""))
+        return [_cast(item, kind[min(i, len(kind) - 1)], f"{where}[{i}]")
+                for i, item in enumerate(value)]
+    if isinstance(kind, dict):
         if not isinstance(value, dict):
             raise ContractViolation(f"{where} must be a JSON object")
-        for key, sub in shape.items():
-            if key is str:
-                for name, item in value.items():
-                    _check_json(item, sub, f"{where}.{name}")
-            elif key.rstrip("?") in value:
-                _check_json(value[key.rstrip("?")], sub, f"{where}.{key.rstrip('?')}")
-            elif not key.endswith("?"):
+        fields = {key if key is str else key.rstrip("?"): sub for key, sub in kind.items()}
+        for key in kind:
+            if key is not str and not key.endswith("?") and key not in value:
                 raise ContractViolation(f"{where} needs the key {key!r}")
-    elif not isinstance(value, shape):
-        kinds = shape if isinstance(shape, tuple) else (shape,)
-        raise ContractViolation(f"{where} must be {' or '.join(k.__name__ for k in kinds)}, "
-                                f"not {type(value).__name__}")
+        for name in value:
+            if name not in fields and str not in fields:
+                raise ContractViolation(f"{where}.{name} is not a known key")
+        return {name: _cast(item, fields.get(name, fields.get(str)), f"{where}.{name}")
+                for name, item in value.items()}
+    if isinstance(kind, tuple):
+        value = _cast(value, type(kind[0]), where)
+        if value not in kind:
+            raise ContractViolation(f"{where} must be one of {list(kind)}, not {value!r}")
+        return value
+    if kind in (bool, str):
+        if not isinstance(value, kind):
+            raise ContractViolation(f"{where} must be {kind.__name__}, not {type(value).__name__}")
+        return value
+    return {int: _whole, float: _float}.get(kind, kind)(value, where)
 
 
-_NUMBER = (int, float)
-_CAST = (int, float, str)  # a scalar the runner passes through int() or float()
-_LEG = {"p": [_CAST], "type?": str, "sign?": _CAST}
-_STATE = {"entries": [{"site": [_CAST], "type": str, "tag?": str}],
-          "coefficient?": [_NUMBER, _NUMBER]}
-_STATES_SHAPE = {"types": {str: {"mass": _NUMBER, "conjugate?": str}},
-                 "bra": _STATE, "ket": _STATE}
+_LEG = {"p": [float], "type?": str, "sign?": int}
+_STATE = {"entries": [{"site": [int], "type": str, "tag?": str}], "coefficient?": [float, float]}
+_STATES_SHAPE = {"types": {str: {"mass": float, "conjugate?": str}}, "bra": _STATE, "ket": _STATE}
 
 
-def _states_file(path: str) -> dict:
-    """The Fock states file, read and shape-checked before the run."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    _check_json(payload, _STATES_SHAPE, "states")
-    return payload
+def _states_file(path, where: str) -> dict:
+    """The Fock states file, read and cast before the run."""
+    payload = json.loads(Path(_cast(path, str, where)).read_text(encoding="utf-8"))
+    return _cast(payload, _STATES_SHAPE, where)
 
 
 _MODES = ("euclidean", "minkowski")
 _SIGNS = (-1, 1)
 
-# subcommand -> key -> (kind, static default[, flag help]).  A kind is a cast
-# (int, float, str, _floats, _ints, bool, _states_file), a tuple of allowed
-# values, or the dict or list shape (see _check_json) of a structured JSON
-# value, which is settable from a config file only and is not cast.
+# subcommand -> key -> (kind, static default[, flag help]); a kind as in _cast.
+# A dict or list kind is structured JSON, settable from a config file only.
 # A key with default None is left out of the typed values when not given: it is
 # required (the runner's KeyError exits 2), or the runner derives its default.
 PARAMETERS = {
@@ -148,7 +167,7 @@ PARAMETERS = {
     "scatter": {
         "coupling": (float, None), "mass_a": (float, 1.0), "mass_b": (float, 1.0),
         "epsilon": (float, 1e-3),
-        "grid": ({"points": _CAST, "spacing": _CAST, "spatial_dimension?": _CAST}, None),
+        "grid": ({"points": int, "spacing": float, "spatial_dimension?": int}, None),
         "incoming": ([_LEG], None), "outgoing": ([_LEG], None),
     },
     "selfenergy": {
@@ -193,25 +212,10 @@ def _merge_config(args, subcommand: str) -> dict:
 
 
 def _resolve(params: dict, subcommand: str) -> dict:
-    """Cast and check each given key; a null or absent key takes its default."""
+    """Each given key cast by _cast; a null or absent key takes its default."""
     typed = {}
     for key, (kind, default, *_) in PARAMETERS[subcommand].items():
-        value = params.get(key)
-        if value is None:
-            value = default
-        elif isinstance(kind, tuple):
-            value = _whole(value, key) if isinstance(kind[0], int) else str(value)
-            if value not in kind:
-                raise ContractViolation(
-                    f"{key} must be one of {list(kind)}, not {value!r}")
-        elif isinstance(kind, (dict, list)):
-            _check_json(value, kind, key)
-        elif kind is int:
-            value = _whole(value, key)
-        else:
-            value = kind(value)
-            if kind in (float, _floats) and np.isnan(value).any():
-                raise ContractViolation(f"{key} must not be NaN")
+        value = default if params.get(key) is None else _cast(params[key], kind, key)
         if value is not None:
             typed[key] = value
     return typed
@@ -307,10 +311,9 @@ def _run_onshell(c):
 
 
 def _parse_state(data, tag_default):
-    coeff = data.get("coefficient", [1.0, 0.0])
     entries = [fock.Entry(tuple(e["site"]), e["type"], e.get("tag", tag_default))
                for e in data["entries"]]
-    return fock.symmetrize(entries, complex(coeff[0], coeff[1]))
+    return fock.symmetrize(entries, complex(*data.get("coefficient", [1.0, 0.0])))
 
 
 def _run_fock(c):
@@ -327,15 +330,12 @@ def _run_fock(c):
 
 
 def _run_scatter(c):
-    grid_spec = c["grid"]
-    grid = onshell.MomentumGrid(
-        _whole(grid_spec.get("spatial_dimension", 1), "grid.spatial_dimension"),
-        _whole(grid_spec["points"], "grid.points"), float(grid_spec["spacing"]))
+    g = c["grid"]
+    grid = onshell.MomentumGrid(g.get("spatial_dimension", 1), g["points"], g["spacing"])
     model = interaction.InteractionModel.ab_model(c["coupling"], c["mass_a"], c["mass_b"])
     def legs(name):
-        return tuple(interaction.ScatterLeg(tuple(r["p"]), r.get("type", "A"),
-                                            _whole(r.get("sign", 1), f"{name}[{i}].sign"))
-                     for i, r in enumerate(c[name]))
+        return tuple(interaction.ScatterLeg(tuple(r["p"]), r.get("type", "A"), r.get("sign", 1))
+                     for r in c[name])
     spec = interaction.ScatterSpec(legs("incoming"), legs("outgoing"), grid)
     amp = interaction.scatter_tree_2to2(spec, model, c["epsilon"])
     return ({"amplitude": amp},
@@ -426,7 +426,10 @@ def run(argv) -> int:
     except _DOMAIN_ERRORS as exc:
         print(f"domain/contract error: {exc}", file=sys.stderr)
         return 4
-    except (KeyError, OSError, ValueError) as exc:
+    except KeyError as exc:
+        print(f"config error: missing key {exc}", file=sys.stderr)
+        return 2
+    except (OSError, OverflowError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except AccuracyError as exc:
@@ -450,7 +453,3 @@ def run(argv) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
-
-
-if __name__ == "__main__":
-    main()

@@ -77,7 +77,7 @@ def stueckelberg_residual(psi: ParametrizedWavefunction, dlam_probe: float) -> f
     exact-phase step makes the mode-wise misfit (p.p + m^2) - sin(h W)/h
     with W = p.p + m^2, so the residual scales like h^2.
     """
-    if dlam_probe <= 0:
+    if not dlam_probe > 0:
         raise ContractViolation("dlam_probe must be positive")
     spec = psi.spec
     w = spec.p_squared("minkowski") + psi.mass ** 2

@@ -424,7 +424,7 @@ class ScatterSpec:
         axis = self.grid.axis()
         for leg in self.incoming + self.outgoing:
             for p in leg.p_spatial:
-                if np.min(np.abs(axis - p)) > 1e-9 * max(1.0, self.grid.spacing):
+                if not np.min(np.abs(axis - p)) <= 1e-9 * max(1.0, self.grid.spacing):
                     raise ContractViolation(f"momentum component {p} is off the grid")
 
 

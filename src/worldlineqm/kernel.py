@@ -46,9 +46,9 @@ class KernelParams:
     mode: str = "minkowski"
 
     def __post_init__(self):
-        if self.mass <= 0:
+        if not self.mass > 0:
             raise ContractViolation("mass must be positive")
-        if self.total_length <= 0:
+        if not self.total_length > 0:
             raise DomainError("intrinsic length T must be positive")
         if self.mode not in ("minkowski", "euclidean"):
             raise ContractViolation(f"unknown mode {self.mode!r}")
@@ -72,9 +72,9 @@ class WeightFunction:
         if self.kind not in ("uniform", "gaussian-thresholded"):
             raise ContractViolation(f"unknown weight kind {self.kind!r}")
         if self.kind == "gaussian-thresholded":
-            if self.correlation_length is None or self.correlation_length <= 0:
+            if self.correlation_length is None or not self.correlation_length > 0:
                 raise ContractViolation("gaussian-thresholded weight needs correlation_length > 0")
-            if self.threshold < 0:
+            if not self.threshold >= 0:
                 raise ContractViolation("threshold must be >= 0")
 
     def __call__(self, t):
@@ -165,7 +165,7 @@ def segment_norm(dlam: float, dimension: int, mode: str) -> complex:
     for D = 4 is the familiar -i (4 pi dlam)^-2.  With this choice the
     collapsed prefactor of the discretized kernel is exactly 1.
     """
-    if dlam <= 0:
+    if not dlam > 0:
         raise DegeneratePathError("segment length must be positive")
     mag = (4 * np.pi * dlam) ** (-dimension / 2)
     if mode == "euclidean":
@@ -432,7 +432,7 @@ def propagator_position(dx: FourVector, mass: float, epsilon: float,
 
 def propagator_momentum(p: FourVector, mass: float, epsilon: float) -> complex:
     """Feynman propagator -i / (p.p + m^2 - i epsilon), signed p.p."""
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise DomainError("epsilon must be positive")
     from .geometry import minkowski_dot
 
@@ -449,7 +449,7 @@ def propagator_onshell_part(dx: FourVector, mass: float, sign: int,
     """
     if sign not in (+1, -1):
         raise ContractViolation("sign must be +1 or -1")
-    if damping <= 0:
+    if not damping > 0:
         raise DomainError("damping must be positive")
     d = dimension - 1
     dt = dx.time

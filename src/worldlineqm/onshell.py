@@ -36,7 +36,7 @@ class MomentumGrid:
     spacing: float
 
     def __post_init__(self):
-        if self.spacing <= 0:
+        if not self.spacing > 0:
             raise ContractViolation("spacing must be positive")
         if self.points_per_axis < 1:
             raise ContractViolation("need at least one point per axis")
@@ -72,7 +72,7 @@ class OnShellState:
     def __post_init__(self):
         if self.sign not in (+1, -1):
             raise ContractViolation("sign must be +1 or -1")
-        if self.mass <= 0:
+        if not self.mass > 0:
             raise ContractViolation("mass must be positive")
         object.__setattr__(self, "p_spatial", tuple(float(p) for p in self.p_spatial))
 
@@ -90,7 +90,7 @@ def onshell_propagator_momentum(p, mass: float, sign: int, epsilon: float) -> co
     """
     if sign not in (+1, -1):
         raise ContractViolation("sign must be +1 or -1")
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise DomainError("epsilon must be positive")
     comps = tuple(p.components) if hasattr(p, "components") else tuple(p)
     p0 = comps[0]
@@ -120,7 +120,7 @@ def momentum_state_profile(p_spatial, mass: float, sign: int, t: float,
     """
     if sign not in (+1, -1):
         raise ContractViolation("sign must be +1 or -1")
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise DomainError("epsilon must be positive")
     p0 = np.asarray(p0_grid, dtype=float)
     e = float(np.sqrt(sum(x * x for x in np.atleast_1d(p_spatial)) + mass * mass))
@@ -138,7 +138,7 @@ def momentum_state_profile(p_spatial, mass: float, sign: int, t: float,
 
 def concentration(profile: FrequencyProfile, window_halfwidth: float) -> float:
     """Fraction of |amplitude|^2 weight within |p0 - center| < window."""
-    if window_halfwidth <= 0:
+    if not window_halfwidth > 0:
         raise ContractViolation("window_halfwidth must be positive")
     weights = np.abs(profile.amplitude) ** 2
     total = float(np.sum(weights))

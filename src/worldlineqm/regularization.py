@@ -57,11 +57,11 @@ class RegulatorSpec:
     mass: float = 1.0          # m_a of the regulated line
 
     def __post_init__(self):
-        if self.correlation_length <= 0:
+        if not self.correlation_length > 0:
             raise ContractViolation("correlation_length must be positive")
-        if self.threshold < 0:
+        if not self.threshold >= 0:
             raise ContractViolation("threshold must be >= 0")
-        if self.mass <= 0:
+        if not self.mass > 0:
             raise ContractViolation("mass must be positive")
 
 

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy import special
 
-from worldlineqm.cli import PARAMETERS, _floats, run
+from worldlineqm import cli
+from worldlineqm.cli import PARAMETERS, _cast, _floats, _ints, run
+from worldlineqm.errors import AccuracyError, ContractViolation
 from worldlineqm.records import ResultRecord, emit, load_record
 
 
@@ -283,14 +285,17 @@ def test_states_file_of_the_checked_shape_runs(tmp_path):
     assert read_json(out)["outputs"]["ket_particles"] == 1
 
 
-@pytest.mark.parametrize("site", [[1, 2, 3], [5, 6], [1.7, 2], [1, "2.5"]],
+# a site off the lattice is a domain error (4); a fractional coordinate is
+# not a whole number, so the cast rejects it before the run (2)
+@pytest.mark.parametrize("site, code",
+                         [([1, 2, 3], 4), ([5, 6], 4), ([1.7, 2], 2), ([1, "2.5"], 2)],
                          ids=["three_coordinates", "off_lattice", "fraction", "fraction_string"])
-def test_fock_bra_site_off_the_lattice_exits_4(tmp_path, site):
+def test_fock_bra_site_off_the_lattice_exits_4(tmp_path, site, code):
     states = tmp_path / "states.json"
     states.write_text(json.dumps(dict(_STATES, bra={"entries": [{"site": site, "type": "A"}]})),
                       encoding="utf-8")
     out = tmp_path / "fock.json"
-    assert run(["fock", "--states", str(states), "--output", str(out)]) == 4
+    assert run(["fock", "--states", str(states), "--output", str(out)]) == code
     assert not out.exists()
 
 
@@ -424,10 +429,11 @@ def _scatter_config(path, **changes):
     ({"outgoing": [{"p": [0.5], "sign": "0.5"}, {"p": [0.0]}]}, "outgoing[0].sign"),
 ], ids=["points", "spatial_dimension", "incoming_sign", "outgoing_sign"])
 def test_scatter_fractional_integers_exit_4_naming_the_key(capsys, tmp_path, changes, key):
+    # the runner's cast used to reject these (exit 4); the config cast now does (exit 2)
     out = tmp_path / "amp.json"
     cfg = _scatter_config(tmp_path / "scatter.json", **changes)
-    assert run(["scatter", "--config", str(cfg), "--output", str(out)]) == 4
-    assert f"{key} must be a whole number" in capsys.readouterr().err
+    assert run(["scatter", "--config", str(cfg), "--output", str(out)]) == 2
+    assert f"config error: {key} must be a whole number" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -453,10 +459,40 @@ def test_scatter_antiparticle_leg_exits_4(capsys, tmp_path):
 
 
 def test_missing_required_key_exits_2_at_run_time(capsys, tmp_path):
-    # coupling has no default; the runner's KeyError is a config error
-    cfg = tmp_path / "scatter.json"
-    cfg.write_text(json.dumps(_SCATTER_STRUCTURE), encoding="utf-8")
-    _exits_2_with_config_error(capsys, tmp_path, ["scatter", "--config", str(cfg)])
+    # coupling and dx have no default; the runner's KeyError is a config error
+    for subcommand, config, key in [("scatter", _SCATTER_STRUCTURE, "coupling"),
+                                    ("propagator", {}, "dx")]:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "x.json"
+        assert run([subcommand, "--config", str(cfg), "--output", str(out)]) == 2
+        assert f"config error: missing key '{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_runner_overflow_exits_2(capsys, tmp_path):
+    # a whole number the cast accepts but the runner cannot size a vector with
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dim": 10 ** 30}), encoding="utf-8")
+    _exits_2_with_config_error(capsys, tmp_path, ["kernel", "--config", str(cfg)])
+
+
+def test_accuracy_error_exits_3(capsys, monkeypatch, tmp_path):
+    def fails(values):
+        raise AccuracyError("quadrature missed its tolerance")
+    monkeypatch.setitem(cli._SUBCOMMANDS, "kernel", (fails, "kernel"))
+    out = tmp_path / "x.json"
+    assert run(["kernel", "--output", str(out)]) == 3
+    assert "accuracy error: quadrature missed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_main_exits_with_the_code_of_run(monkeypatch, tmp_path):
+    monkeypatch.setattr("sys.argv", ["worldlineqm", "kernel", "--tau", "-1",
+                                     "--output", str(tmp_path / "x.json")])
+    with pytest.raises(SystemExit) as info:
+        cli.main()
+    assert info.value.code == 4
 
 
 def test_default_output_goes_to_worldlineqm_outdir(monkeypatch, tmp_path):
@@ -487,3 +523,75 @@ def test_propagator_position_subcommand(tmp_path, weight, rel):
     # weight exp(-T^2 / 2 dlam^2) lowers it by about T^2 / 2 dlam^2 ~ 1e-7
     assert value.real == pytest.approx(special.k0(0.5) / (2 * np.pi), rel=rel)
     assert value.imag == 0.0
+
+
+_INF = float("inf")
+# kind, value, the typed value, or the error after the path when rejected
+_CAST_CASES = [
+    (int, 2, 2, None), (int, 2.0, 2, None), (int, "2", 2, None),
+    (int, 2.7, None, " must be a whole number"), (int, "2.5", None, " must be a whole number"),
+    (int, float("nan"), None, " must not be NaN"), (int, [2], None, " must be a number"),
+    (int, True, None, " must be a number, not True"),
+    (float, 0.5, 0.5, None), (float, 1, 1.0, None), (float, "0.5", 0.5, None),
+    (float, _INF, _INF, None), (float, "-inf", -_INF, None),
+    (float, float("nan"), None, " must not be NaN"), (float, "nan", None, " must not be NaN"),
+    (float, 10 ** 400, None, " is too large for a float"), (float, "x", None, " must be a number"),
+    (float, None, None, " must be a number"), (float, False, None, " must be a number, not False"),
+    (bool, True, True, None), (bool, False, False, None),
+    (bool, "false", None, " must be bool, not str"), (bool, 0, None, " must be bool, not int"),
+    (str, "A", "A", None), (str, 1, None, " must be str, not int"),
+    (("a", "b"), "b", "b", None), (("a", "b"), "c", None, " must be one of ['a', 'b']"),
+    ((-1, 1), -1.0, -1, None), ((-1, 1), "1", 1, None), ((-1, 1), 0, None, " must be one of"),
+    ((-1, 1), 0.5, None, " must be a whole number"), ((-1, 1), True, None, " must be a number"),
+    (_floats, "0.5,1", (0.5, 1.0), None), (_floats, 2, (2.0,), None),
+    (_floats, "0.5,nan", None, " must not be NaN"), (_floats, "0.5,", None, " must be a number"),
+    (_ints, "4,8", (4, 8), None), (_ints, "4,8.0", (4, 8), None),
+    (_ints, "4,8.5", None, " must be a whole number"),
+    ([float], [1, "2"], [1.0, 2.0], None), ([float], [], [], None),
+    ([float], 1, None, " must be a list"), ([float], [1, "y"], None, "[1] must be a number"),
+    ([float, float], [1.0], None, " must be a list of 2 items"),
+    ({"a": int, "b?": float}, {"a": "3"}, {"a": 3}, None),
+    ({"a": int, "b?": float}, {"b": 1}, None, " needs the key 'a'"),
+    ({"a": int}, {"a": 1, "c": 2}, None, ".c is not a known key"),
+    ({"a": int}, [1], None, " must be a JSON object"),
+    ({str: {"m": float}}, {"A": {"m": "1"}}, {"A": {"m": 1.0}}, None),
+    ({str: {"m": float}}, {"A": {"m": "y"}}, None, ".A.m must be a number"),
+]
+
+
+@pytest.mark.parametrize("nested", [False, True], ids=["top", "nested"])
+@pytest.mark.parametrize("kind, value, typed, error", _CAST_CASES,
+                         ids=[f"{getattr(k, '__name__', type(k).__name__)}-{i}"
+                              for i, (k, *_) in enumerate(_CAST_CASES)])
+def test_cast_applies_one_rule_per_kind_at_every_depth(kind, value, typed, error, nested):
+    # nested, the case sits at x.k[0]: the same rule, and the path grows
+    if nested:
+        kind, value, typed, path = {"k": [kind]}, {"k": [value]}, {"k": [typed]}, "x.k[0]"
+    else:
+        path = "x"
+    if error is None:
+        assert repr(_cast(value, kind, "x")) == repr(typed)
+    else:
+        with pytest.raises(ContractViolation) as info:
+            _cast(value, kind, "x")
+        assert path + error in str(info.value)
+
+
+# each of these once exited 0 (or 1) with a result from a malformed value
+@pytest.mark.parametrize("subcommand, config, message", [
+    ("selfenergy", '{"regulated": "false", "dim": 2, "p": "0,0"}', "regulated must be bool"),
+    ("kernel", '{"mass": 1' + "0" * 400 + "}", "mass is too large for a float"),
+    ("kernel", '{"dim": true, "dx": "0.1"}', "dim must be a number, not True"),
+    ("scatter", '{"coupling": 0.9, "grid": {"spatial_dimension": 1, "points": 9, "spacing": NaN},'
+                ' "incoming": [{"p": [1.0]}, {"p": [-0.5]}],'
+                ' "outgoing": [{"p": [0.5]}, {"p": [0.0]}]}', "grid.spacing must not be NaN"),
+    ("scatter", json.dumps(dict(_SCATTER_STRUCTURE, coupling=0.9,
+                                grid={"points": 9, "spacing": 0.5, "bogus": 1})),
+     "grid.bogus is not a known key"),
+], ids=["bool_text", "huge_mass", "bool_dim", "nan_spacing", "unknown_nested_key"])
+def test_malformed_values_exit_2_naming_their_path(capsys, tmp_path, subcommand, config, message):
+    (tmp_path / "cfg.json").write_text(config, encoding="utf-8")
+    out = tmp_path / "x.json"
+    assert run([subcommand, "--config", str(tmp_path / "cfg.json"), "--output", str(out)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
