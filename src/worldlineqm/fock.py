@@ -402,7 +402,8 @@ def fock_inner(bra: FockState, ket: FockState, algebra: FieldAlgebra) -> complex
 
     Entries are sorted by type, so the pairing matrix is block diagonal with
     one block per type, and the permanent is the product of the block
-    permanents; a type counted differently in bra and ket pairs to zero.
+    permanents; a type counted differently in bra and ket pairs to zero.  A
+    label the algebra does not know raises ContractViolation on either side.
     Bras are linear functionals, so the pairing is bilinear in the stored
     coefficients; conjugation happens in dual_state when a ket is dualized.
     """
@@ -411,7 +412,10 @@ def fock_inner(bra: FockState, ket: FockState, algebra: FieldAlgebra) -> complex
     if any(e.tag != START for e in ket.entries):
         raise ContractViolation("ket entries must carry start labels")
     labels = [e.type_label for e in bra.entries]
-    if labels != [e.type_label for e in ket.entries]:
+    ket_labels = [e.type_label for e in ket.entries]
+    for label in dict.fromkeys(labels + ket_labels):
+        algebra.check_label(label)
+    if labels != ket_labels:
         return 0j
     value = complex(bra.coefficient * ket.coefficient)
     for label, block in groupby(range(len(labels)), key=labels.__getitem__):

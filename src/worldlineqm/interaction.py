@@ -18,9 +18,10 @@ of its fock.FieldAlgebra, and FockStates are decoded from them only on demand.
 An operator expression acts on the count vectors of the whole basis at once
 through the one field-application engine of the fock module, and the images
 are found in the basis by one searchsorted on the sorted keys.  The result
-is a scipy.sparse matrix; the Dyson series, its matrices and its unitarity
-residuals are sparse products and are returned sparse.  Only `represent`
-(and so `vertex_operator`) makes a dense matrix, for small sectors.  Order-m
+is a scipy.sparse matrix, and no sector operator is ever made dense: the
+Dyson series, its matrices and its unitarity residuals are sparse products.
+The residual G‡G - 1 is computed one way, as its series in g, and its norm
+at a given g sums that series on the residual-clean columns only.  Order-m
 amplitudes apply V m times to count rows, merging equal rows after each
 application, and pair the distinct images with the out state.
 
@@ -201,45 +202,17 @@ def _sector_matrix(expr: OperatorExpr, sector: Sector):
                     for i in np.argsort(leak_cols)}
 
 
-@dataclass
-class TruncatedOperator:
-    """Dense matrix on a sector basis with leak bookkeeping.
-
-    matrix[i, j] is the amplitude of basis state i in (op applied to basis
-    state j); columns whose image had any component outside the sector are
-    recorded in leaky_columns together with their first offending image state.
-    """
-
-    sector: Sector
-    matrix: np.ndarray
-    leaky_columns: dict[int, FockState]
-
-
-def represent(expr: OperatorExpr, sector: Sector) -> TruncatedOperator:
-    """Matrix of an operator expression on the sector basis.
+def represent(expr: OperatorExpr,
+              sector: Sector) -> tuple[sparse.csr_array, dict[int, FockState]]:
+    """Sparse matrix of an operator expression on the sector basis, and its leaks.
 
     Applications run with creation headroom above the sector's own content
-    bounds; image components outside the basis are recorded as leaks per
-    column rather than silently dropped.
+    bounds; image components outside the basis are recorded per column
+    rather than silently dropped.  The leaks map each leaking column, in
+    column order, to its first escaping image as a FockState.
     """
     matrix, leaks = _sector_matrix(expr, sector)
-    return TruncatedOperator(sector, matrix.toarray(),
-                             {j: sector.algebra.decode(*leak) for j, leak in leaks.items()})
-
-
-def vertex_operator(model: InteractionModel, sector: Sector,
-                    coupling: float | None = None) -> TruncatedOperator:
-    """Representation of V on the sector; see is_self_adjoint for the ‡ test.
-
-    Logs a warning when no vertex term can act anywhere on the sector (empty
-    operator).
-    """
-    expr = model.vertex_expr(sector.algebra.spec, coupling)
-    rep = represent(expr, sector)
-    g = model.coupling if coupling is None else coupling
-    if g != 0 and not rep.leaky_columns and not np.any(rep.matrix):
-        logging.getLogger("worldlineqm").warning("vertex operator is empty on this sector")
-    return rep
+    return matrix, {j: sector.algebra.decode(*leak) for j, leak in leaks.items()}
 
 
 def is_self_adjoint(model: InteractionModel, sector: Sector) -> bool:
@@ -280,7 +253,9 @@ class DysonOperator:
     """g-graded truncated series G = sum_m g^m C_m, C_m = (-i)^m/m! V1^m.
 
     The coefficients and every matrix the methods return are scipy.sparse
-    arrays on the sector basis; call .toarray() for a dense view.
+    arrays on the sector basis.  Unitarity under the special adjoint is
+    checked through the one series of G‡G - 1 in g: per order on all
+    columns, or summed at a coupling on the residual-clean columns.
     """
 
     sector: Sector
@@ -293,24 +268,26 @@ class DysonOperator:
     def matrix(self, g: float) -> sparse.csr_array:
         return _at_coupling(self.coefficients, g)
 
-    def unitarity_residual_orders(self) -> dict[int, sparse.csr_array]:
-        """Order-by-order coefficients of G‡G - 1 (restricted to all columns)."""
-        n = self.sector.dimension
+    def _residual_series(self, columns) -> dict[int, sparse.csr_array]:
+        """Coefficients of g^k in G‡G - 1 on the given columns, k <= 2*order."""
+        sliced = {m: c[:, columns] for m, c in self.coefficients.items()}
+        eye = sparse.eye_array(self.sector.dimension, dtype=complex, format="csr")[:, columns]
         out = {}
         for k in range(0, 2 * self.order + 1):
-            total = sparse.csr_array((n, n), dtype=complex)
+            total = -eye if k == 0 else sparse.csr_array(eye.shape, dtype=complex)
             for a in range(max(k - self.order, 0), min(k, self.order) + 1):
-                total = total + self.adjoint_coefficients[a] @ self.coefficients[k - a]
-            if k == 0:
-                total = total - sparse.eye_array(n)
+                total = total + self.adjoint_coefficients[a] @ sliced[k - a]
             out[k] = total
         return out
 
+    def unitarity_residual_orders(self) -> dict[int, sparse.csr_array]:
+        """Order-by-order coefficients of G‡G - 1 on all columns."""
+        return self._residual_series(slice(None))
+
     def unitarity_residual_norm(self, g: float) -> float:
-        """|| (G‡G - 1) restricted to 2*order-leakage-free columns ||."""
-        r = (_at_coupling(self.adjoint_coefficients, g) @ _at_coupling(self.coefficients, g)
-             - sparse.eye_array(self.sector.dimension)).tocoo()
-        return float(np.linalg.norm(r.data[self.residual_clean[r.col]]))
+        """Frobenius norm of G‡G - 1 at coupling g on the residual-clean columns."""
+        residual = _at_coupling(self._residual_series(self.residual_clean), g)
+        return float(np.linalg.norm(residual.data))
 
 
 def dyson_truncated(model: InteractionModel, sector: Sector, order: int) -> DysonOperator:
@@ -324,6 +301,8 @@ def dyson_truncated(model: InteractionModel, sector: Sector, order: int) -> Dyso
         raise ContractViolation("order must be >= 0")
     expr = model.vertex_expr(sector.algebra.spec, coupling=1.0)
     v1, leaks = _sector_matrix(expr, sector)
+    if not leaks and not v1.count_nonzero():
+        logging.getLogger("worldlineqm").warning("vertex operator is empty on this sector")
     a1, _ = _sector_matrix(special_adjoint(expr), sector)
     eye = sparse.eye_array(sector.dimension, dtype=complex, format="csr")
     coeffs, adj_coeffs = {0: eye}, {0: eye}
@@ -433,9 +412,10 @@ def scatter_tree_2to2(spec: ScatterSpec, model: InteractionModel,
     """Tree-level A A -> A A amplitude via B exchange.
 
     g^2 [prop_B(p1 - p1') + prop_B(p1 - p2')] times the four external-line
-    magnitude factors and the grid-Kronecker conservation delta; both
-    crossing assignments of the final momenta are included.  The amplitude
-    covers particle legs only; an antiparticle leg raises ContractViolation.
+    factors at the origin, where each is its magnitude, and the grid-Kronecker
+    conservation delta; both crossing assignments of the final momenta are
+    included.  The amplitude covers particle legs only; an antiparticle leg
+    raises ContractViolation.
     """
     if len(spec.incoming) != 2 or len(spec.outgoing) != 2:
         raise ContractViolation("tree amplitude needs 2 incoming and 2 outgoing legs")
@@ -465,10 +445,9 @@ def scatter_tree_2to2(spec: ScatterSpec, model: InteractionModel,
 
     exchange = (propagator_momentum(transfer(p_in[0], p_out[0]), m_b, epsilon)
                 + propagator_momentum(transfer(p_in[0], p_out[1]), m_b, epsilon))
-    external = 1.0
-    for p in p_in + p_out:
-        e = onshell(p)
-        external *= (2 * np.pi) ** (-d / 2) * (2 * e) ** (-0.5)
+    origin = FourVector((0.0,) * (d + 1))
+    external = np.prod([external_line_factor(FINAL_PARTICLE, p, m_a, origin, d + 1)
+                        for p in p_in + p_out])
     return complex(model.coupling ** 2 * exchange * external)
 
 

@@ -299,6 +299,18 @@ def test_fock_bra_site_off_the_lattice_exits_4(tmp_path, site, code):
     assert not out.exists()
 
 
+def test_fock_undeclared_bra_type_exits_4(capsys, tmp_path):
+    # bra type B against ket type A: the labels differ, so the pairing would
+    # be 0j if the undeclared label were not checked first
+    states = tmp_path / "states.json"
+    states.write_text(json.dumps(dict(_STATES, bra={"entries": [{"site": [0, 1], "type": "B"}]})),
+                      encoding="utf-8")
+    out = tmp_path / "fock.json"
+    assert run(["fock", "--states", str(states), "--output", str(out)]) == 4
+    assert "unknown particle type 'B'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fock_whole_number_sites_give_the_integer_site_record(tmp_path):
     outputs = []
     for i, site in enumerate([[0, 1], [0.0, 1.0], ["0", "1"]]):

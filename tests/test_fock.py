@@ -446,6 +446,17 @@ def test_fock_inner_tag_guards():
         fock_inner(ket, ket, alg)
 
 
+@pytest.mark.parametrize("side", ["bra", "ket"])
+def test_fock_inner_rejects_labels_the_algebra_does_not_know(side):
+    # the bra and ket labels differ, so the pairing would be zero; a label
+    # the algebra does not know is still named, on either side
+    alg = algebra()
+    bra = symmetrize(integrated_entries((0, 1), label="C" if side == "bra" else "A"))
+    ket = symmetrize(start_entries((1, 1), label="C" if side == "ket" else "A"))
+    with pytest.raises(ContractViolation, match="unknown particle type 'C'"):
+        fock_inner(bra, ket, alg)
+
+
 # ---------------------------------------------------------------------------
 # the count-vector engine against the entry walk
 

@@ -1,4 +1,3 @@
-import ast
 import logging
 import tracemalloc
 from collections import Counter
@@ -46,7 +45,6 @@ from worldlineqm.interaction import (
     represent,
     scatter_tree_2to2,
     self_energy_unregulated,
-    vertex_operator,
 )
 from worldlineqm.kernel import lattice_propagator, propagator_momentum
 from worldlineqm.lattice import LatticeSpec
@@ -77,13 +75,13 @@ def ab_sector(spec, b_max, n_max=None):
 def test_vertex_maps_single_a_to_ab_pairs():
     sector = ab_sector(SPEC22, b_max=1)
     model = InteractionModel.ab_model(0.7)
-    v = vertex_operator(model, sector)
+    v, _ = represent(model.vertex_expr(SPEC22), sector)
     alg = sector.algebra
     table = lattice_propagator(SPEC22, 1.0, alg.epsilon)
     cv = SPEC22.cell_volume
     z = (0, 1)
     j = sector.state_index(symmetrize([Entry(z, "A", "start")]))
-    column = v.matrix[:, j]
+    column = v.toarray()[:, j]
     # hand enumeration: V |A@z> = g sum_y cv D_A(y - z) |A@y, B@y>
     expected = np.zeros_like(column)
     for y in np.ndindex(2, 2):
@@ -97,11 +95,11 @@ def test_vertex_scales_with_coupling_and_zero():
     sector = ab_sector(SPEC22, b_max=1)
     m1 = InteractionModel.ab_model(1.0)
     m2 = InteractionModel.ab_model(2.5)
-    v1 = vertex_operator(m1, sector).matrix
-    v2 = vertex_operator(m2, sector).matrix
+    v1 = represent(m1.vertex_expr(SPEC22), sector)[0].toarray()
+    v2 = represent(m2.vertex_expr(SPEC22), sector)[0].toarray()
     assert np.allclose(v2, 2.5 * v1, atol=1e-14)
-    v0 = vertex_operator(InteractionModel.ab_model(0.0), sector).matrix
-    assert np.max(np.abs(v0)) == 0.0
+    v0 = represent(InteractionModel.ab_model(0.0).vertex_expr(SPEC22), sector)[0]
+    assert v0.count_nonzero() == 0
 
 
 def test_self_adjointness_and_negative_control():
@@ -144,16 +142,15 @@ def _represent_by_walk(expr, sector):
 
 def assert_matches_walk(expr, sector):
     want, want_leaks = _represent_by_walk(expr, sector)
-    got = represent(expr, sector)
-    assert isinstance(got.matrix, np.ndarray) and got.matrix.shape == want.shape
+    matrix, leaks = represent(expr, sector)
+    assert isinstance(matrix, sparse.csr_array) and matrix.shape == want.shape
     scale = np.max(np.abs(want)) if want.size else 0.0
-    assert np.max(np.abs(got.matrix - want), initial=0.0) <= 1e-12 * scale
-    assert list(got.leaky_columns) == list(want_leaks)
+    assert np.max(np.abs(matrix.toarray() - want), initial=0.0) <= 1e-12 * scale
+    assert list(leaks) == list(want_leaks)
     for j, state in want_leaks.items():
-        assert got.leaky_columns[j].entries == state.entries
-        assert abs(got.leaky_columns[j].coefficient - state.coefficient) <= 1e-12 * abs(
-            state.coefficient)
-    return got
+        assert leaks[j].entries == state.entries
+        assert abs(leaks[j].coefficient - state.coefficient) <= 1e-12 * abs(state.coefficient)
+    return matrix, leaks
 
 
 LONE = InteractionModel((VertexTerm(("A", "B"), ("A",)),), 1.3,
@@ -166,16 +163,16 @@ LONE = InteractionModel((VertexTerm(("A", "B"), ("A",)),), 1.3,
 def test_represent_matches_walk(model, adjoint):
     for sector in (ab_sector(SPEC22, b_max=2, n_max=4), ab_sector(SPEC44, b_max=1, n_max=3)):
         expr = model.vertex_expr(sector.algebra.spec)
-        rep = assert_matches_walk(special_adjoint(expr) if adjoint else expr, sector)
-        assert np.count_nonzero(rep.matrix) > 0
+        matrix, _ = assert_matches_walk(special_adjoint(expr) if adjoint else expr, sector)
+        assert matrix.count_nonzero() > 0
 
 
 def test_represent_matches_walk_on_leaking_sector():
     sector = ab_sector(SPEC22, b_max=1, n_max=2)
     model = InteractionModel.ab_model(1.0)
     expr = model.vertex_expr(SPEC22, coupling=1.0)
-    rep = assert_matches_walk(expr, sector)
-    assert rep.leaky_columns
+    _, leaks = assert_matches_walk(expr, sector)
+    assert leaks
     _, walk_leaks = _represent_by_walk(expr, sector)
     j, state = next(iter(walk_leaks.items()))
     with pytest.raises(LeakageError) as info:
@@ -209,9 +206,9 @@ def test_represent_matches_walk_with_integrated_and_start_generators():
         (1.5, (integrated_creator, annihilator(x, "B"))),
         (-2.0, (creator_start(x, "B"), integrated_creator, start_annihilator)),
     ))
-    rep = assert_matches_walk(expr, sector)
-    assert np.count_nonzero(rep.matrix) > 0
-    assert any(e.tag == "integrated" for s in rep.leaky_columns.values() for e in s.entries)
+    matrix, leaks = assert_matches_walk(expr, sector)
+    assert matrix.count_nonzero() > 0
+    assert any(e.tag == "integrated" for s in leaks.values() for e in s.entries)
     # contracting against an integrated entry is undefined on both paths
     bad = OperatorExpr.from_string(1.0, (annihilator(x, "B"), integrated_creator))
     with pytest.raises(ContractViolation, match="integrated-label"):
@@ -332,6 +329,26 @@ def test_unitarity_residual_slope_four():
     assert abs(slope - 4.0) < 0.1
 
 
+def test_unitarity_residual_slope_four_at_small_coupling():
+    # the norm sums the residual series, whose order-0 coefficient is exactly
+    # zero, so the g^4 law holds far below the roundoff of the identity
+    sector = ab_sector(SPEC22, b_max=6, n_max=7)
+    dy = dyson_truncated(InteractionModel.ab_model(1.0), sector, 3)
+    slope = np.log10(dy.unitarity_residual_norm(1e-4)) - np.log10(dy.unitarity_residual_norm(1e-5))
+    assert abs(slope - 4.0) < 0.01
+
+
+def test_unitarity_residual_norm_matches_the_direct_product():
+    # at g = 0.1 the residual is far above roundoff, so the dense product
+    # G‡(g) G(g) - 1 on the clean columns is an oracle for the series sum
+    sector = ab_sector(SPEC22, b_max=6, n_max=7)
+    dy = dyson_truncated(InteractionModel.ab_model(1.0), sector, 3)
+    g = 0.1
+    gdag = sum(g ** m * c.toarray() for m, c in dy.adjoint_coefficients.items())
+    direct = (gdag @ dy.matrix(g).toarray() - np.eye(sector.dimension))[:, dy.residual_clean]
+    assert dy.unitarity_residual_norm(g) == pytest.approx(np.linalg.norm(direct), rel=1e-9)
+
+
 def test_unitarity_on_4x4_sector_at_order_one():
     sector = ab_sector(SPEC44, b_max=2, n_max=8)
     assert sector.dimension == 2448
@@ -385,6 +402,40 @@ def test_unitarity_negative_control():
     assert np.max(np.abs(orders[1][:, dy.residual_clean])) > 1e-6
 
 
+def _lattice_shift(sector, axis):
+    """The unit lattice shift along axis, as a permutation of the sector basis."""
+    rows = sector.counts.reshape(sector.dimension, -1, *sector.algebra.spec.shape)
+    target = sector.lookup(np.roll(rows, 1, axis=2 + axis).reshape(sector.counts.shape))
+    assert np.array_equal(np.sort(target), np.arange(sector.dimension))
+    n = sector.dimension
+    return sparse.csr_array((np.ones(n), (target, np.arange(n))), shape=(n, n))
+
+
+@pytest.mark.parametrize("kinds, axes", [
+    (("plain", "plain"), (0, 1)),
+    (("normal", "plain"), (1,)),
+    (("anti", "normal"), (1,)),
+], ids=["plain", "normal", "anti"])
+def test_vertex_commutes_with_lattice_translations(kinds, axes):
+    # the pairing tables depend on x - y only, so V and V‡ commute exactly
+    # with every periodic shift; the frequency-part tables are not periodic
+    # in time, so the time shift of a "normal" or "anti" type must fail
+    types = {"A": ParticleType("A", 1.0, kinds[0]), "B": ParticleType("B", 1.3, kinds[1])}
+    model = InteractionModel(InteractionModel.ab_model(0.9).terms, 0.9, types)
+    sector = Sector(FieldAlgebra(SPEC44, types, epsilon=1e-2, n_max=3),
+                    {"A": (1, 1), "B": (0, 2)})
+    expr = model.vertex_expr(SPEC44)
+    for op in (expr, special_adjoint(expr)):
+        v, _ = represent(op, sector)
+        for axis in (0, 1):
+            t = _lattice_shift(sector, axis)
+            commutator = abs(t @ v - v @ t).max()
+            if axis in axes:
+                assert commutator == 0.0
+            else:
+                assert commutator > 0.5 * abs(v).max()
+
+
 def test_dyson_leakage_error():
     sector = ab_sector(SPEC22, b_max=1, n_max=2)
     with pytest.raises(LeakageError):
@@ -395,15 +446,17 @@ def test_empty_vertex_warns(caplog):
     alg = make_algebra(SPEC22, n_max=2)
     vacuum_only = Sector(alg, {"A": (0, 0), "B": (0, 0)})
     with caplog.at_level(logging.WARNING, logger="worldlineqm"):
-        vertex_operator(InteractionModel.ab_model(1.0), vacuum_only)
+        dyson_truncated(InteractionModel.ab_model(1.0), vacuum_only, 1)
     assert [r.getMessage() for r in caplog.records] == ["vertex operator is empty on this sector"]
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="worldlineqm"):
+        dyson_truncated(InteractionModel.ab_model(1.0), ab_sector(SPEC22, b_max=1), 1)
+    assert not caplog.records
 
 
-def test_represent_is_the_one_dense_site():
-    tree = ast.parse((SRC / "interaction.py").read_text())
-    owners = [getattr(top, "name", None) for top in tree.body for node in ast.walk(top)
-              if isinstance(node, ast.Attribute) and node.attr in ("toarray", "todense")]
-    assert owners == ["represent"]
+def test_interaction_has_no_dense_site():
+    source = (SRC / "interaction.py").read_text()
+    assert "toarray" not in source and "todense" not in source
 
 
 def test_order_sum_matches_dyson_matrix_element():
