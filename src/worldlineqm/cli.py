@@ -16,6 +16,7 @@ violation.  WORLDLINEQM_OUTDIR names the default output directory.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -70,22 +71,32 @@ def _whole(value, where: str) -> int:
     return int(number)
 
 
+def _index(value, where: str) -> int:
+    """A whole number no larger in size than sys.maxsize, so that it can size
+    a vector or bound a loop."""
+    number = _whole(value, where)
+    if abs(number) > sys.maxsize:
+        raise ContractViolation(f"{where} must be at most {sys.maxsize} in magnitude")
+    return number
+
+
 def _floats(text, where: str) -> tuple[float, ...]:
     return tuple(_float(v, where) for v in str(text).split(","))
 
 
 def _ints(text, where: str) -> tuple[int, ...]:
-    return tuple(_whole(v, where) for v in str(text).split(","))
+    return tuple(_index(v, where) for v in str(text).split(","))
 
 
 def _cast(value, kind, where: str):
     """The value cast to its kind, or a ContractViolation naming its path.
 
-    A kind is a leaf: int (_whole), float (_float), bool (JSON true/false or
-    the flag), str, or a function of (value, where) such as _floats; a tuple
-    of allowed values; [k] for a list of k, or [k1, k2] for a list of exactly
-    those items; or a dict for an object, where a key ending in "?" is
-    optional, the key `str` stands for every key, and other keys are rejected.
+    A kind is a leaf: int (_index), float (_float), bool (JSON true/false or
+    the flag), str, or a function of (value, where) such as _floats or _whole
+    (an unbounded whole number, for seeds); a tuple of allowed values; [k] for
+    a list of k, or [k1, k2] for a list of exactly those items; or a dict for
+    an object, where a key ending in "?" is optional, the key `str` stands for
+    every key, and other keys are rejected.
     """
     if isinstance(kind, list):
         if not isinstance(value, list) or len(kind) > 1 and len(value) != len(kind):
@@ -114,7 +125,7 @@ def _cast(value, kind, where: str):
         if not isinstance(value, kind):
             raise ContractViolation(f"{where} must be {kind.__name__}, not {type(value).__name__}")
         return value
-    return {int: _whole, float: _float}.get(kind, kind)(value, where)
+    return {int: _index, float: _float}.get(kind, kind)(value, where)
 
 
 _LEG = {"p": [float], "type?": str, "sign?": int}
@@ -141,7 +152,7 @@ PARAMETERS = {
         "tau": (float, 1.0, "intrinsic length T"),
         "dx": (_floats, None, "separation, time first: t,x[,y,z]"),
         "method": (("closed", "discretized", "mc"), "closed"),
-        "segments": (int, 8), "samples": (int, 10000), "seed": (int, 0),
+        "segments": (int, 8), "samples": (int, 10000), "seed": (_whole, 0),
     },
     "propagator": {
         "kind": (("position", "momentum", "onshell-part"), "position"),
@@ -282,8 +293,7 @@ def _run_evolve(c):
     momentum = c.get("momentum", (0.0,) * len(shape))
     psi = evolution.gaussian_packet(spec, center, c["width"], momentum, c["mass"])
     n0 = evolution.norm(psi)
-    for _ in range(c["steps"]):
-        psi = evolution.evolve(psi, c["dlam"])
+    psi = evolution.evolve(psi, c["dlam"], c["steps"])
     n1 = evolution.norm(psi)
     outputs = {"norm_initial": n0, "norm_final": n1, "norm_drift": abs(n1 - n0),
                "lambda_final": psi.lam,
@@ -382,7 +392,10 @@ _SUBCOMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing does not change it, and
+    argparse reads the streams and terminal width only when it prints."""
     parser = argparse.ArgumentParser(
         prog="worldlineqm",
         description="Worldline relativistic quantum mechanics batch runner.")
@@ -403,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
             elif isinstance(kind, tuple):
                 opts.update(choices=kind, type=int if isinstance(kind[0], int) else None)
             else:
-                opts["type"] = kind if kind in (int, float) else None
+                opts["type"] = {int: int, _whole: int, float: float}.get(kind)
             p.add_argument("--" + key.replace("_", "-"), **opts)
     return parser
 

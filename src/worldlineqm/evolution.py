@@ -56,10 +56,16 @@ def norm(psi: ParametrizedWavefunction) -> float:
     return psi.field.norm_squared()
 
 
-def evolve(psi: ParametrizedWavefunction, dlam: float) -> ParametrizedWavefunction:
-    """Advance psi by dlam (any sign) with the exact spectral phase."""
-    out = spectral_multiply(psi.field, lattice_momentum_phase(psi.spec, dlam, psi.mass))
-    return ParametrizedWavefunction(out, psi.lam + dlam, psi.mass)
+def evolve(psi: ParametrizedWavefunction, dlam: float,
+           steps: int = 1) -> ParametrizedWavefunction:
+    """Advance psi by `steps` steps of dlam (any sign) with the exact spectral
+    phase, built once; bitwise equal to `steps` single-step calls."""
+    phase = lattice_momentum_phase(psi.spec, dlam, psi.mass)
+    field, lam = psi.field, psi.lam
+    for _ in range(steps):
+        field = spectral_multiply(field, phase)
+        lam += dlam
+    return ParametrizedWavefunction(field, lam, psi.mass)
 
 
 def inner_product(a: ParametrizedWavefunction, b: ParametrizedWavefunction) -> complex:

@@ -1,11 +1,13 @@
+import argparse
 import json
+import sys
 
 import numpy as np
 import pytest
 from scipy import special
 
 from worldlineqm import cli
-from worldlineqm.cli import PARAMETERS, _cast, _floats, _ints, run
+from worldlineqm.cli import PARAMETERS, _cast, _floats, _ints, _whole, run
 from worldlineqm.errors import AccuracyError, ContractViolation
 from worldlineqm.records import ResultRecord, emit, load_record
 
@@ -395,7 +397,7 @@ def test_flag_and_file_records_identical(tmp_path, subcommand):
 
 _INT_KEYS = [(sub, key) for sub, keys in PARAMETERS.items()
              for key, (kind, *_) in keys.items()
-             if kind is int or isinstance(kind, tuple) and isinstance(kind[0], int)]
+             if kind in (int, _whole) or isinstance(kind, tuple) and isinstance(kind[0], int)]
 
 
 @pytest.mark.parametrize("value", [2.7, "2.5"])
@@ -483,10 +485,27 @@ def test_missing_required_key_exits_2_at_run_time(capsys, tmp_path):
 
 
 def test_runner_overflow_exits_2(capsys, tmp_path):
-    # a whole number the cast accepts but the runner cannot size a vector with
+    # the runner once failed to size a vector with it ("cannot fit 'int' into
+    # an index-sized integer"); the cast now rejects it and names the key
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"dim": 10 ** 30}), encoding="utf-8")
-    _exits_2_with_config_error(capsys, tmp_path, ["kernel", "--config", str(cfg)])
+    out = tmp_path / "x.json"
+    assert run(["kernel", "--config", str(cfg), "--output", str(out)]) == 2
+    assert f"config error: dim must be at most {sys.maxsize}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_seed_beyond_the_index_bound_still_runs(tmp_path, source):
+    # seeds keep the unbounded whole-number rule; only index-sized ints are bounded
+    seed = 2 ** 64
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": seed}), encoding="utf-8")
+    given = ["--seed", str(seed)] if source == "flag" else ["--config", str(cfg)]
+    out = tmp_path / "mc.json"
+    assert run(["kernel", "--method", "mc", "--samples", "1000", "--dx", "0.3,0.1", *given,
+                "--output", str(out)]) == 0
+    assert read_json(out)["seed"] == seed
 
 
 def test_accuracy_error_exits_3(capsys, monkeypatch, tmp_path):
@@ -568,6 +587,11 @@ _CAST_CASES = [
     ({"a": int}, [1], None, " must be a JSON object"),
     ({str: {"m": float}}, {"A": {"m": "1"}}, {"A": {"m": 1.0}}, None),
     ({str: {"m": float}}, {"A": {"m": "y"}}, None, ".A.m must be a number"),
+    (int, sys.maxsize, sys.maxsize, None), (int, -sys.maxsize, -sys.maxsize, None),
+    (int, 10 ** 30, None, f" must be at most {sys.maxsize} in magnitude"),
+    (int, -10 ** 30, None, " must be at most"), (int, "1e30", None, " must be at most"),
+    (_ints, "4,1e30", None, " must be at most"),
+    (_whole, 2 ** 64, 2 ** 64, None), (_whole, 1e30, int(1e30), None),
 ]
 
 
@@ -600,10 +624,77 @@ def test_cast_applies_one_rule_per_kind_at_every_depth(kind, value, typed, error
     ("scatter", json.dumps(dict(_SCATTER_STRUCTURE, coupling=0.9,
                                 grid={"points": 9, "spacing": 0.5, "bogus": 1})),
      "grid.bogus is not a known key"),
-], ids=["bool_text", "huge_mass", "bool_dim", "nan_spacing", "unknown_nested_key"])
+    ("kernel", '{"dim": 1' + "0" * 30 + "}", "dim must be at most"),
+    ("evolve", '{"shape": "16,1' + "0" * 30 + '"}', "shape must be at most"),
+    ("scatter", json.dumps(dict(_SCATTER_STRUCTURE, coupling=0.9,
+                                grid={"points": 10 ** 30, "spacing": 0.5})),
+     "grid.points must be at most"),
+], ids=["bool_text", "huge_mass", "bool_dim", "nan_spacing", "unknown_nested_key",
+        "huge_dim", "huge_shape_item", "huge_grid_points"])
 def test_malformed_values_exit_2_naming_their_path(capsys, tmp_path, subcommand, config, message):
     (tmp_path / "cfg.json").write_text(config, encoding="utf-8")
     out = tmp_path / "x.json"
     assert run([subcommand, "--config", str(tmp_path / "cfg.json"), "--output", str(out)]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _help_text(capsys, parser, argv):
+    with pytest.raises(SystemExit) as info:
+        parser.parse_args(argv)
+    assert info.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_cached_parser_gives_the_same_records_and_help_in_any_order(capsys, tmp_path):
+    argv = ["kernel", "--method", "mc", "--samples", "1000", "--seed", "3", "--dx", "0.3,0.1"]
+    first, later = tmp_path / "first.json", tmp_path / "later.json"
+    cli.build_parser.cache_clear()
+    assert run(argv + ["--output", str(first)]) == 0
+    assert run(["kernel", "--mode", "bogus", "--output", str(tmp_path / "bad.json")]) == 2
+    assert run(["--help"]) == 0
+    assert run(argv + ["--output", str(later)]) == 0
+    assert later.read_bytes() == first.read_bytes()
+    assert not (tmp_path / "bad.json").exists()
+    capsys.readouterr()
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    fresh = cli.build_parser.__wrapped__()
+    assert parser.format_help() == fresh.format_help()
+    for name in cli._SUBCOMMANDS:
+        assert _help_text(capsys, parser, [name, "--help"]) == \
+            _help_text(capsys, fresh, [name, "--help"])
+
+
+def test_cli_builds_its_parser_once_per_process(monkeypatch, tmp_path):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    out = str(tmp_path / "x.json")
+    for argv in (["kernel", "--dx", "0.1,0.2"], ["propagator", "--kind", "momentum", "--p", "1,0"],
+                 ["evolve", "--shape", "8,8", "--steps", "2"], ["kernel", "--mode", "bogus"],
+                 ["onshell", "--p0-points", "201", "--p0-halfrange", "5"], ["bogus"],
+                 ["kernel", "--method", "discretized", "--dx", "0.1,0.2"], ["evolve", "--help"],
+                 ["propagator", "--kind", "momentum", "--p", "2,0"], ["--help"]):
+        run(argv + ["--output", out])
+    # one root parser and one per subcommand, against 90 when each run built its own
+    assert len(built) == 1 + len(cli._SUBCOMMANDS)
+
+
+def test_huge_steps_exit_2_before_the_runner_loops(capsys, monkeypatch, tmp_path):
+    # {"steps": 10**30} once passed the cast and looped without end; the stub
+    # turns a regression into a failure instead of a hang
+    def runs(values):
+        pytest.fail(f"the evolve runner started with steps={values['steps']}")
+    monkeypatch.setitem(cli._SUBCOMMANDS, "evolve", (runs, "evolve"))
+    (tmp_path / "cfg.json").write_text('{"steps": 1' + "0" * 30 + "}", encoding="utf-8")
+    out = tmp_path / "x.json"
+    assert run(["evolve", "--config", str(tmp_path / "cfg.json"), "--output", str(out)]) == 2
+    assert f"config error: steps must be at most {sys.maxsize}" in capsys.readouterr().err
     assert not out.exists()

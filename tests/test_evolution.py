@@ -61,6 +61,18 @@ def test_group_property_many_small_steps():
     assert many.lam == pytest.approx(10.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("steps", [0, 1, 2, 37])
+def test_multi_step_call_equals_single_steps_bitwise(steps):
+    # one phase, applied `steps` times, is the loop of single-step calls
+    psi = random_state(LatticeSpec((8, 16), (4.0, 8.0)), seed=11)
+    looped = psi
+    for _ in range(steps):
+        looped = evolve(looped, 0.037)
+    batched = evolve(psi, 0.037, steps=steps)
+    assert np.array_equal(batched.field.values, looped.field.values)
+    assert batched.lam == looped.lam and batched.mass == looped.mass
+
+
 def test_norm_conserved_over_thousand_steps():
     psi = packet()
     n0 = norm(psi)
