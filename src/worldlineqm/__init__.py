@@ -6,7 +6,8 @@ Subpackage map:
 - ``lattice``        periodic spacetime lattices and unitary spectral transforms
 - ``paths``          discretized paths, parametrizations, the path action
 - ``kernel``         fixed-length kernels (closed form, discretized collapse,
-                     euclidean Monte Carlo), proper-time propagators,
+                     euclidean Monte Carlo), the path-length weight family
+                     and its transform, proper-time propagators,
                      frequency parts, mass superposition, lattice kernels
 - ``evolution``      Stueckelberg parameter evolution of spacetime wavefunctions
 - ``onshell``        particle/antiparticle momentum states, induced inner
@@ -17,8 +18,9 @@ Subpackage map:
 - ``interaction``    vertex operators on truncated sectors, perturbative
                      amplitudes, external-line factors, tree-level scattering,
                      the unregulated self-energy
-- ``regularization`` weight-function (continuous Pauli-Villars) regulator:
-                     spectral density, regulated self-energy via two routes,
+- ``regularization`` weight-function (continuous Pauli-Villars) regulator,
+                     the weight at a finite correlation length: spectral
+                     density, regulated self-energy via two routes,
                      cancellation conditions, divergence scans
 - ``quadrature``     the one quadrature layer: adaptive integration of
                      complex integrands, Gauss-Legendre panel rules, the

@@ -141,6 +141,7 @@ def _states_file(path, where: str) -> dict:
 
 _MODES = ("euclidean", "minkowski")
 _SIGNS = (-1, 1)
+_SELF_ENERGY_DIMS = (2, 4)  # checked before a default p is sized by dim
 
 # subcommand -> key -> (kind, static default[, flag help]); a kind as in _cast.
 # A dict or list kind is structured JSON, settable from a config file only.
@@ -182,12 +183,14 @@ PARAMETERS = {
         "incoming": ([_LEG], None), "outgoing": ([_LEG], None),
     },
     "selfenergy": {
-        "dim": (int, 2), "p": (_floats, None), "ma": (float, 1.0), "mb": (float, 1.0),
+        "dim": (_SELF_ENERGY_DIMS, 2), "p": (_floats, None),
+        "ma": (float, 1.0), "mb": (float, 1.0),
         "cutoff": (float, np.inf), "regulated": (bool, False), "dlam": (float, 10.0),
         "delta": (float, 0.01), "route": (("lambda", "mass-spectrum"), "lambda"),
     },
     "scan": {
-        "dim": (int, 4), "p": (_floats, None), "ma": (float, 1.0), "mb": (float, 1.0),
+        "dim": (_SELF_ENERGY_DIMS, 4), "p": (_floats, None),
+        "ma": (float, 1.0), "mb": (float, 1.0),
         "deltas": (_floats, (0.02, 0.01, 0.005, 0.0025),
                    "comma-separated decreasing thresholds"),
         "dlam": (float, 1e3), "cutoff": (float, None),
@@ -444,6 +447,10 @@ def run(argv) -> int:
         return 2
     except (OSError, OverflowError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # e.g. a `dim` that sizes a vector beyond memory before any check
+        print("config error: the inputs need more memory than there is", file=sys.stderr)
         return 2
     except AccuracyError as exc:
         print(f"accuracy error: {exc}", file=sys.stderr)

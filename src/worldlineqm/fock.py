@@ -93,13 +93,9 @@ class FockState:
         return FockState(self.coefficient * c, self.entries)
 
 
-def symmetrize(entries, coefficient: complex = 1.0, n_max: int | None = None) -> FockState:
+def symmetrize(entries, coefficient: complex = 1.0) -> FockState:
     """Canonical symmetrized state from an entry sequence."""
-    entries = tuple(sorted(entries, key=Entry.sort_key))
-    if n_max is not None and len(entries) > n_max:
-        raise SectorOverflowError(
-            f"state with {len(entries)} entries exceeds sector bound {n_max}")
-    return FockState(complex(coefficient), entries)
+    return FockState(complex(coefficient), tuple(sorted(entries, key=Entry.sort_key)))
 
 
 VACUUM = FockState(1.0 + 0j, ())

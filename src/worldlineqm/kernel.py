@@ -56,45 +56,61 @@ class KernelParams:
 
 @dataclass(frozen=True)
 class WeightFunction:
-    """Weight f(T) over intrinsic path lengths.
+    """Weight over intrinsic path lengths, one family for every weight:
 
-    kind "uniform" is f = 1.  kind "gaussian-thresholded" is
-    f(T) = exp(-T^2 / 2 dlam^2) for T > delta and 0 for T <= delta;
-    the threshold is what enforces the spectral cancellation conditions
-    used by the regulator module.
+        f(T) = exp(-T^2 / 2 dlam^2) for T >= delta, and 0 below delta,
+
+    with dlam the correlation_length and delta the threshold (units mass^-2).
+    The defaults dlam = inf, delta = 0 give the uniform weight f = 1; a
+    finite dlam with delta > 0 is the thresholded Gaussian whose threshold
+    enforces the spectral cancellation conditions of the regulator module.
     """
 
-    kind: str = "uniform"
-    correlation_length: float | None = None  # dlam, units mass^-2
-    threshold: float = 0.0                   # delta, units mass^-2
+    correlation_length: float = np.inf  # dlam
+    threshold: float = 0.0              # delta
 
     def __post_init__(self):
-        if self.kind not in ("uniform", "gaussian-thresholded"):
-            raise ContractViolation(f"unknown weight kind {self.kind!r}")
-        if self.kind == "gaussian-thresholded":
-            if self.correlation_length is None or not self.correlation_length > 0:
-                raise ContractViolation("gaussian-thresholded weight needs correlation_length > 0")
-            if not self.threshold >= 0:
-                raise ContractViolation("threshold must be >= 0")
+        if not self.correlation_length > 0:
+            raise ContractViolation("correlation_length must be positive")
+        if not 0 <= self.threshold < np.inf:
+            raise ContractViolation("threshold must be >= 0 and finite")
 
     def __call__(self, t):
+        """f(t): a float for a float t (the quadrature nodes), else f over the
+        array t (a numpy scalar for 0-d t).  The exponent -(t/dlam)^2 / 2 is
+        exactly 0 at dlam = inf."""
+        if isinstance(t, float):
+            r = t / self.correlation_length
+            return float(np.exp(-0.5 * r * r)) if t >= self.threshold else 0.0
         t = np.asarray(t, dtype=float)
-        if self.kind == "uniform":
-            out = np.ones_like(t)
-        else:
-            out = np.exp(-t * t / (2.0 * self.correlation_length ** 2))
-            out = np.where(t > self.threshold, out, 0.0)
-        if out.ndim == 0:
-            return float(out)
-        return out
+        r = t / self.correlation_length
+        return np.where(t >= self.threshold, np.exp(-0.5 * r * r), 0.0)[()]
+
+    def transform(self, s):
+        """T(s) = Int_delta^inf f(lam) exp(-s lam) dlam for complex s, in
+        Faddeeva form; needs a finite correlation_length.
+
+        With a = 1/(2 dlam^2) and z = sqrt(a) delta + s/(2 sqrt(a)),
+        T = sqrt(pi)/(2 sqrt(a)) w(i z) exp(-a delta^2 - delta s), where
+        w(i z) = erfcx(z) on the real axis.  It stays finite where the plain
+        erfc form underflows: at large real s (the regulated line factor
+        T(k^2 + m_a^2)) and along s = -i omega (the spectral density
+        F(omega) = T(-i omega) / 2 pi).
+        """
+        a = 1.0 / (2.0 * self.correlation_length ** 2)
+        sqrt_a = np.sqrt(a)
+        delta = self.threshold
+        z = sqrt_a * delta + s / (2.0 * sqrt_a)
+        return (np.sqrt(np.pi) / (2.0 * sqrt_a) * special.wofz(1j * z)
+                * np.exp(-a * delta * delta - delta * s))
 
     @classmethod
     def uniform(cls) -> "WeightFunction":
-        return cls("uniform")
+        return cls()
 
     @classmethod
     def gaussian(cls, correlation_length: float, threshold: float) -> "WeightFunction":
-        return cls("gaussian-thresholded", correlation_length, threshold)
+        return cls(correlation_length, threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -394,13 +410,15 @@ def propagator_position(dx: FourVector, mass: float, epsilon: float,
     (epsilon, damping) -> 0.  It integrates [lo, TAIL_START] adaptively and
     the tail with the factor exp(-i T m^2) as QUADPACK's Fourier weight
     (quadrature.fourier_tail) when m^2 is at least the tail's decay rate,
-    epsilon (plus 1/dlam under a gaussian weight); below that the tail
-    oscillates no faster than it decays and is integrated adaptively as well.
+    epsilon + 1/dlam; below that the tail oscillates no faster than it
+    decays and is integrated adaptively as well.  The integral starts at the
+    weight's threshold, and a weight of infinite dlam needs epsilon > 0.
     """
     if epsilon < 0:
         raise DomainError("epsilon must be >= 0")
-    if epsilon == 0 and weight.kind == "uniform":
-        raise DomainError("uniform weight needs epsilon > 0 for the T-integral")
+    if epsilon == 0 and weight.correlation_length == np.inf:
+        raise DomainError("a weight of infinite correlation_length needs epsilon > 0 "
+                          "for the T-integral")
     if mode not in ("euclidean", "minkowski"):
         raise ContractViolation(f"unknown mode {mode!r}")
     if mode == "minkowski" and damping <= 0:
@@ -413,16 +431,15 @@ def propagator_position(dx: FourVector, mass: float, epsilon: float,
         # mass_squared 0 leaves the factor of exp(-i T m^2) in minkowski mode
         return (weight(t) * _kernel_value(dxa, t, mass_squared, dimension, mode, damping)
                 * np.exp(-epsilon * t))
-    lo = weight.threshold if weight.kind == "gaussian-thresholded" else 0.0
+    lo = weight.threshold
     if mode == "euclidean":
         value, _ = quadrature.adaptive(integrand, lo, np.inf, limit=300)
         return value
     split = max(lo, TAIL_START)
     head, _ = quadrature.adaptive(integrand, lo, split, limit=400)
     # QAWF misses the tail when its first cycle, pi/m^2, is much longer than
-    # the tail's decay length: 1/epsilon, and about dlam under a gaussian weight
-    decay_rate = epsilon + (1.0 / weight.correlation_length
-                            if weight.kind == "gaussian-thresholded" else 0.0)
+    # the tail's decay length: 1/epsilon, and about dlam when dlam is finite
+    decay_rate = epsilon + 1.0 / weight.correlation_length
     if msq >= decay_rate:
         tail, _ = quadrature.fourier_tail(lambda t: integrand(t, 0.0), split, msq)
     else:

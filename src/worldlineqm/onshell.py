@@ -83,7 +83,8 @@ class OnShellState:
 
 
 def onshell_propagator_momentum(p, mass: float, sign: int, epsilon: float) -> complex:
-    """Frequency-part propagator (2E)^-1 i s / (p0 - s E + i s eps), s = sign.
+    """Frequency-part propagator (2E)^-1 i s / (p0 - s E + i s eps), s = sign,
+    at the momentum sequence p = (p0, p_1, ..., p_d).
 
     This is the epsilon-regularized one-sided time integral
     (2E)^-1 Int dt theta(s t) exp(i (p0 - s E) t).
@@ -92,9 +93,8 @@ def onshell_propagator_momentum(p, mass: float, sign: int, epsilon: float) -> co
         raise ContractViolation("sign must be +1 or -1")
     if not epsilon > 0:
         raise DomainError("epsilon must be positive")
-    comps = tuple(p.components) if hasattr(p, "components") else tuple(p)
-    p0 = comps[0]
-    e = float(np.sqrt(sum(x * x for x in comps[1:]) + mass * mass))
+    p0, *p_spatial = p
+    e = float(np.sqrt(sum(x * x for x in p_spatial) + mass * mass))
     return (1j * sign / (p0 - sign * e + 1j * sign * epsilon)) / (2 * e)
 
 

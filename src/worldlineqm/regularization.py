@@ -2,24 +2,27 @@
 
 Replacing the uniform path-length weight with the thresholded Gaussian
 
-    f(lam) = exp(-lam^2 / 2 dlam^2) * [lam > delta]
+    f(lam) = exp(-lam^2 / 2 dlam^2) * [lam >= delta]
 
-turns the divergent euclidean bubble into the regulated amplitude
+(``kernel.WeightFunction`` at a finite correlation length dlam) turns the
+divergent euclidean bubble into the regulated amplitude
 
     T'(p) = Int d^Dk  M(k^2 + m_a^2)  [(p-k)^2 + m_b^2]^(-1),
     M(w)  = Int_delta^inf dlam f(lam) exp(-lam w),
 
-where the inner lambda integral is done analytically (scaled-erfc form) and
-the outer momentum integral by adaptive radial quadrature with the angular
-part in closed form.  M(w) decays like exp(-delta w)/w at large w, so the
-threshold delta > 0 makes the D=4 integral absolutely convergent.
+where M is the weight's closed-form half-line transform
+(``WeightFunction.transform``) and the outer momentum integral is done by
+adaptive radial quadrature with the angular part in closed form.  M(w)
+decays like exp(-delta w)/w at large w, so the threshold delta > 0 makes the
+D=4 integral absolutely convergent.
 
 Equivalently, expanding the weight over fixed-mass propagators gives the
 mass-spectrum route
 
     T'(p) = Int dm'^2 F(m'^2) I(p; m'^2)
 
-with the spectral density F the half-line Fourier transform of f.  In
+with the spectral density F the half-line Fourier transform of f, the same
+transform at imaginary argument: F = M(-i (m'^2 - m_a^2)) / 2 pi.  In
 euclidean signature the mass-squared contour runs through m_a^2 parallel to
 the imaginary axis (m'^2 = m_a^2 + i w), where every propagator is off its
 pole; the real-axis form would hit the k-integral poles for m'^2 < 0.  The
@@ -40,27 +43,24 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from . import quadrature
 from .errors import ContractViolation, DomainError
 from .geometry import FourVector
+from .kernel import WeightFunction
 
 
 @dataclass(frozen=True)
-class RegulatorSpec:
-    """Thresholded-Gaussian weight parameters (units of mass^-2) plus the
-    line mass."""
+class RegulatorSpec(WeightFunction):
+    """The regulating weight (a finite correlation length) plus the line
+    mass: RegulatorSpec(dlam, delta, m_a)."""
 
-    correlation_length: float  # dlam
-    threshold: float           # delta
-    mass: float = 1.0          # m_a of the regulated line
+    mass: float = 1.0  # m_a of the regulated line
 
     def __post_init__(self):
-        if not self.correlation_length > 0:
-            raise ContractViolation("correlation_length must be positive")
-        if not self.threshold >= 0:
-            raise ContractViolation("threshold must be >= 0")
+        super().__post_init__()
+        if not self.correlation_length < np.inf:
+            raise ContractViolation("correlation_length must be finite")
         if not self.mass > 0:
             raise ContractViolation("mass must be positive")
 
@@ -80,50 +80,18 @@ class SelfEnergyResult:
 def spectral_density(mass_squared: float, spec: RegulatorSpec) -> complex:
     """F(m^2) = (2 pi)^-1 Int_delta^inf dlam exp(i lam (m^2 - m_a^2)) f(lam).
 
-    Quadrature with the Gaussian tail truncated at 8 dlam (tail < 1e-14 of
+    Quadrature of the weight itself, the reference for its closed-form
+    transform; the Gaussian tail is truncated at 8 dlam (tail < 1e-14 of
     the peak).
     """
-    dlam = spec.correlation_length
     omega = mass_squared - spec.mass ** 2
 
     def integrand(lam):
-        return np.exp(1j * lam * omega - lam * lam / (2 * dlam * dlam))
+        return np.exp(1j * lam * omega) * spec(lam)
 
-    value, _ = quadrature.adaptive(integrand, spec.threshold, 8 * dlam, limit=800)
+    value, _ = quadrature.adaptive(integrand, spec.threshold, 8 * spec.correlation_length,
+                                   limit=800)
     return value / (2 * np.pi)
-
-
-def _spectral_density_closed(omega, spec: RegulatorSpec):
-    """Half-line Gaussian Fourier transform in stable Faddeeva form.
-
-    (2 pi)^-1 Int_delta^inf exp(-a lam^2 + i omega lam) dlam with
-    a = 1/(2 dlam^2) equals
-    (2 pi)^-1 exp(-a delta^2 + i omega delta) (1/2) sqrt(pi/a) w(z),
-    z = (omega + 2 i a delta) / (2 sqrt(a)), Im z >= 0.  Used on the
-    euclidean-continued contour where the truncated oscillatory quadrature
-    of spectral_density would need excessively many panels.
-    """
-    a = 1.0 / (2.0 * spec.correlation_length ** 2)
-    sqrt_a = np.sqrt(a)
-    delta = spec.threshold
-    z = (omega + 2j * a * delta) / (2.0 * sqrt_a)
-    head = np.exp(-a * delta * delta + 1j * omega * delta)
-    return head * 0.5 * np.sqrt(np.pi / a) * special.wofz(z) / (2 * np.pi)
-
-
-def _inner_lambda_analytic(w, spec: RegulatorSpec):
-    """M(w) = Int_delta^inf exp(-lam^2/2 dlam^2 - lam w) dlam, scaled-erfc form.
-
-    With a = 1/(2 dlam^2) and z = sqrt(a) delta + w/(2 sqrt(a)):
-    M = sqrt(pi)/(2 sqrt(a)) erfcx(z) exp(-a delta^2 - delta w), stable for
-    large w where the naive erfc underflows.
-    """
-    a = 1.0 / (2.0 * spec.correlation_length ** 2)
-    sqrt_a = np.sqrt(a)
-    delta = spec.threshold
-    z = sqrt_a * delta + w / (2.0 * sqrt_a)
-    return (np.sqrt(np.pi) / (2.0 * sqrt_a) * special.erfcx(z)
-            * np.exp(-a * delta * delta - delta * w))
 
 
 def bubble(line, p_norm: float, m_b: float, dimension: int, top: float,
@@ -163,7 +131,7 @@ def self_energy_regulated(p: FourVector, m_a: float, m_b: float, dimension: int,
     metadata = {"dimension": dimension, "cutoff": top, "spec": spec}
 
     if route == "lambda":
-        value, err = bubble(lambda ksq: _inner_lambda_analytic(ksq + m_a * m_a, spec),
+        value, err = bubble(lambda ksq: spec.transform(ksq + m_a * m_a),
                             p_norm, m_b, dimension, top)
         return SelfEnergyResult(value, err, "lambda", metadata)
     if route == "mass-spectrum":
@@ -175,7 +143,7 @@ def self_energy_regulated(p: FourVector, m_a: float, m_b: float, dimension: int,
         window = max(1000.0, top * top) if np.isfinite(top) else 1000.0
         w, wts = quadrature.panels(
             np.concatenate(([0.0], np.geomspace(window * 1e-5, window, 80))))
-        coef = wts * _spectral_density_closed(w, spec)
+        coef = wts * spec.transform(-1j * w) / (2 * np.pi)  # wts * F(w)
         shift = m_a * m_a + 1j * w
         # only the real part is kept, so only the real part is integrated
         value, err = bubble(lambda ksq: np.sum(coef / (ksq + shift)).real,
@@ -193,9 +161,9 @@ class PVReport:
 
 
 def pv_conditions(spec: RegulatorSpec) -> PVReport:
-    """Cancellation conditions on F~(lam) = f(lam) exp(-i lam m_a^2) [lam > delta].
+    """Cancellation conditions on F~(lam) = f(lam) exp(-i lam m_a^2).
 
-    With delta > 0 the function vanishes identically on [0, delta], so
+    With delta > 0 the weight vanishes identically on [0, delta), so
     F~(0) = 0 and the one-sided derivative F~'(0) = 0 exactly.  With
     delta = 0 the threshold is gone: F~(0+) = 1 and the report fails.
     """

@@ -698,3 +698,33 @@ def test_huge_steps_exit_2_before_the_runner_loops(capsys, monkeypatch, tmp_path
     assert run(["evolve", "--config", str(tmp_path / "cfg.json"), "--output", str(out)]) == 2
     assert f"config error: steps must be at most {sys.maxsize}" in capsys.readouterr().err
     assert not out.exists()
+
+
+# an infinite correlation length is the uniform weight, which does not regulate:
+# the lambda route read NaN and the mass-spectrum route died on a ZeroDivisionError
+@pytest.mark.parametrize("argv", [
+    ["selfenergy", "--regulated", "--route", "lambda"],
+    ["selfenergy", "--regulated", "--route", "mass-spectrum", "--cutoff", "50"],
+    ["scan", "--dim", "2", "--deltas", "0.02,0.01"],
+], ids=["selfenergy_lambda", "selfenergy_mass_spectrum", "scan"])
+def test_infinite_correlation_length_exits_4_without_a_record(capsys, tmp_path, argv):
+    out = tmp_path / "x.json"
+    assert run(argv + ["--dlam", "inf", "--output", str(out)]) == 4
+    assert "correlation_length must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# (0.0,) * sys.maxsize raises MemoryError before it allocates anything; the
+# kernel runner sizes its origin so, the self-energy runners size a default p so
+@pytest.mark.parametrize("subcommand, message", [
+    ("kernel", "config error: the inputs need more memory"),
+    ("selfenergy", f"config error: dim must be one of [2, 4], not {sys.maxsize}"),
+    ("scan", f"config error: dim must be one of [2, 4], not {sys.maxsize}"),
+], ids=["kernel", "selfenergy", "scan"])
+def test_index_sized_dim_exits_2(capsys, tmp_path, subcommand, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dim": sys.maxsize}), encoding="utf-8")
+    out = tmp_path / "x.json"
+    assert run([subcommand, "--config", str(cfg), "--output", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()

@@ -78,11 +78,6 @@ def test_symmetrize_boson_doubling_norm():
     assert fock_inner(bra, ket, alg) == pytest.approx(2 * d0 * d0, rel=1e-12)
 
 
-def test_sector_bound():
-    with pytest.raises(SectorOverflowError):
-        symmetrize(start_entries((0, 0), (1, 1), (2, 2)), n_max=2)
-
-
 # ---------------------------------------------------------------------------
 # permanents
 

@@ -1,3 +1,8 @@
+import io
+import re
+import tokenize
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import integrate, special
@@ -108,6 +113,68 @@ def test_weight_function_shapes():
     assert np.all((0.0 <= vals) & (vals <= 1.0))
     with pytest.raises(ContractViolation):
         WeightFunction.gaussian(-1.0, 0.1)
+
+
+def test_weight_scalar_and_array_calls_agree():
+    t = np.concatenate(([0.0, 0.5, 1e150], np.linspace(0.0, 30.0, 301)))
+    for weight in (WeightFunction.uniform(), WeightFunction.gaussian(2.0, 0.5),
+                   WeightFunction.gaussian(np.inf, 0.5)):
+        values = weight(t)
+        scalars = [weight(float(x)) for x in t]
+        assert all(type(v) is float for v in scalars)
+        assert scalars == values.tolist()
+    assert WeightFunction.uniform()(t).tolist() == [1.0] * t.size
+    assert WeightFunction.uniform()(1e300) == WeightFunction.uniform()(np.array(1e300)) == 1.0
+    assert WeightFunction.gaussian(np.inf, 0.5)(0.4) == 0.0
+    with pytest.raises(ContractViolation, match="threshold must be >= 0 and finite"):
+        WeightFunction.gaussian(10.0, np.inf)
+
+
+# propagator_position under the flat weight f = 1 (computed with f as np.ones),
+# which the family's uniform point dlam = inf, delta = 0 reproduces bitwise
+UNIFORM_WEIGHT_VALUES = [
+    ((0.6, 0.8), 1.0, 1e-10, "euclidean", 0.0, 0.06700812050370482 + 0j),
+    ((1.2, 0.3), 1.0, 1e-3, "minkowski", 1e-3, -0.05052005161112573 - 0.1724311425385005j),
+    ((1.2, 0.3), 0.05, 1e-2, "minkowski", 1e-2, 0.36154903693666157 - 0.14263421870771387j),
+]
+
+
+@pytest.mark.parametrize("dx, mass, eps, mode, damping, before", UNIFORM_WEIGHT_VALUES,
+                         ids=["euclidean", "minkowski-qawf-tail", "minkowski-adaptive-tail"])
+def test_uniform_weight_is_the_infinite_correlation_length_point(dx, mass, eps, mode,
+                                                                  damping, before):
+    values = [propagator_position(FourVector(dx), mass, eps, weight, 2, mode, damping=damping)
+              for weight in (WeightFunction.uniform(), WeightFunction.gaussian(np.inf, 0.0))]
+    assert values == [before, before]
+
+
+def test_infinite_correlation_length_needs_epsilon():
+    # a threshold does not make the T-integral of a flat weight converge
+    for weight in (WeightFunction.uniform(), WeightFunction.gaussian(np.inf, 0.5)):
+        with pytest.raises(DomainError, match="needs epsilon > 0"):
+            propagator_position(FourVector((0.0, 1.0)), 1.0, 0.0, weight, 2, "euclidean")
+    finite = propagator_position(FourVector((0.0, 1.0)), 1.0, 0.0,
+                                 WeightFunction.gaussian(10.0, 0.5), 2, "euclidean")
+    assert finite.real > 0
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "worldlineqm"
+# the weight's closed forms (Faddeeva and scaled erfc) and its Gaussian exponent
+_WEIGHT_FORMS = re.compile(r"\berfcx\b|\bwofz\b|\bdlam \* dlam\b|"
+                           r"\bcorrelation_length \*\* 2\b|/ self \. correlation_length\b")
+
+
+def _code(path):
+    """A module's source tokens, strings and comments left out."""
+    tokens = tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+    return " ".join(t.string for t in tokens if t.type not in (tokenize.STRING, tokenize.COMMENT))
+
+
+def test_weight_owner_is_the_one_site_of_its_closed_forms():
+    users = {path.name: _WEIGHT_FORMS.findall(_code(path)) for path in sorted(SRC.glob("*.py"))}
+    assert sorted(set(users.pop("kernel.py"))) == [
+        "/ self . correlation_length", "correlation_length ** 2", "wofz"]
+    assert {name: found for name, found in users.items() if found} == {}
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ _NAN_CASES = {
                           lambda: KernelParams(NAN, 1.0, 2, "euclidean")),
     "KernelParams.total_length": (DomainError, "intrinsic length T must be positive",
                                   lambda: KernelParams(1.0, NAN, 2, "euclidean")),
-    "WeightFunction.correlation_length": (ContractViolation, "needs correlation_length > 0",
+    "WeightFunction.correlation_length": (ContractViolation, "correlation_length must be positive",
                                           lambda: WeightFunction.gaussian(NAN, 0.01)),
     "WeightFunction.threshold": (ContractViolation, "threshold must be >= 0",
                                  lambda: WeightFunction.gaussian(10.0, NAN)),

@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from worldlineqm import quadrature
+from worldlineqm import quadrature, regularization
 from worldlineqm.errors import ContractViolation, DomainError
 from worldlineqm.geometry import FourVector
 from worldlineqm.interaction import self_energy_unregulated
+from worldlineqm.kernel import WeightFunction
 from worldlineqm.regularization import (
     DivergenceScan,
     RegulatorSpec,
     bubble,
     divergence_scan,
-    _spectral_density_closed,
     pv_conditions,
     self_energy_regulated,
     spectral_density,
@@ -62,8 +62,46 @@ def test_closed_form_matches_quadrature_on_contour():
     spec = RegulatorSpec(10.0, 0.01, 1.0)
     for omega in (0.0, 0.3, 2.0, 11.0):
         q = spectral_density(1.0 + omega, spec)
-        c = _spectral_density_closed(omega, spec)
+        c = spec.transform(-1j * omega) / (2 * np.pi)  # F(omega) = T(-i omega) / 2 pi
         assert abs(q - c) < 1e-10
+
+
+def test_regulator_is_the_weight_plus_the_line_mass():
+    spec = RegulatorSpec(10.0, 0.01, 1.3)
+    weight = WeightFunction.gaussian(10.0, 0.01)
+    t = np.linspace(0.0, 60.0, 601)
+    assert isinstance(spec, WeightFunction)
+    assert spec(t).tolist() == weight(t).tolist()
+    assert spec.transform(2.5) == weight.transform(2.5)
+    with pytest.raises(ContractViolation, match="correlation_length must be finite"):
+        RegulatorSpec(np.inf, 0.01, 1.0)
+    with pytest.raises(ContractViolation, match="correlation_length must be finite"):
+        divergence_scan(P2, 1.0, 1.0, 2, [0.02, 0.01], correlation_length=np.inf)
+
+
+def test_lambda_line_factor_is_the_spectral_density_at_imaginary_frequency(monkeypatch):
+    # line(k^2) = M(w) = 2 pi F(i w) at w = k^2 + m_a^2: against the quadrature
+    # of the weight itself, and bitwise against the scaled-erfc form
+    # M = sqrt(pi)/(2 sqrt(a)) erfcx(z) exp(-a delta^2 - delta w),
+    # a = 1/(2 dlam^2), z = sqrt(a) delta + w/(2 sqrt(a))
+    lines = []
+    monkeypatch.setattr(regularization, "bubble",
+                        lambda line, *args, **kwargs: lines.append(line) or (0j, 0.0))
+    m_a = 1.3
+    spec = RegulatorSpec(10.0, 0.01, m_a)
+    self_energy_regulated(P2, m_a, 1.0, 2, spec, "lambda")
+    line = lines[0]
+    for ksq in (0.0, 0.5, 3.0, 40.0):
+        reference = 2 * np.pi * spectral_density(m_a ** 2 + 1j * (ksq + m_a ** 2), spec)
+        assert abs(line(ksq) - reference) < 1e-10 * abs(reference)
+    a, delta = 1.0 / (2.0 * 10.0 ** 2), 0.01
+    sqrt_a = np.sqrt(a)
+    for ksq in np.geomspace(1e-6, 1e6, 400):
+        w = ksq + m_a * m_a
+        z = sqrt_a * delta + w / (2.0 * sqrt_a)
+        erfc_form = (np.sqrt(np.pi) / (2.0 * sqrt_a) * special.erfcx(z)
+                     * np.exp(-a * delta * delta - delta * w))
+        assert line(float(ksq)) == complex(erfc_form)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +165,8 @@ def _mass_spectrum_by_bubbles(p, m_a, m_b, dimension, spec, cutoff):
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
         for xi, wi in zip(x, wts):
             w = mid + half * xi
-            total += half * wi * _spectral_density_closed(w, spec) * bubble(m_a ** 2 + 1j * w)
+            density = spec.transform(-1j * w) / (2 * np.pi)
+            total += half * wi * density * bubble(m_a ** 2 + 1j * w)
     return 2 * total.real
 
 
