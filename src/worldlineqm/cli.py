@@ -6,9 +6,9 @@ table below is the reference for every key, its kind and its default.
 _cast casts each value by one rule per kind at every depth; a malformed value
 exits 2 naming its path (`dx`, `grid.points`).  Four-vectors are
 comma-separated with the time component first; the only complex input is the
-Fock state `coefficient`, an [re, im] list in the states file.  Results are
-written as JSON records or CSV tables (see records.py); outputs are
-byte-stable for fixed inputs and seed.  Exit codes: 0 success, 2
+Fock state `coefficient` in the states file, which records.py decodes.
+Results are written as JSON records or CSV tables (see records.py); outputs
+are byte-stable for fixed inputs and seed.  Exit codes: 0 success, 2
 configuration error, 3 numerical-accuracy or I/O error, 4 domain or contract
 violation.  WORLDLINEQM_OUTDIR names the default output directory.
 """
@@ -38,7 +38,7 @@ from .errors import (
 )
 from .geometry import FourVector, ParticleType
 from .lattice import LatticeSpec
-from .records import ResultRecord, emit
+from .records import COMPLEX_KEYS, ResultRecord, decode_value, emit
 
 _DOMAIN_ERRORS = (ContractViolation, DomainError, UnsupportedSpecError,
                   DegeneratePathError, LapsePositivityError,
@@ -129,7 +129,9 @@ def _cast(value, kind, where: str):
 
 
 _LEG = {"p": [float], "type?": str, "sign?": int}
-_STATE = {"entries": [{"site": [int], "type": str, "tag?": str}], "coefficient?": [float, float]}
+_COMPLEX = dict.fromkeys(COMPLEX_KEYS, float)
+_STATE = {"entries": [{"site": [int], "type": str, "tag?": str}],
+          "coefficient?": lambda value, where: decode_value(_cast(value, _COMPLEX, where))}
 _STATES_SHAPE = {"types": {str: {"mass": float, "conjugate?": str}}, "bra": _STATE, "ket": _STATE}
 
 
@@ -326,7 +328,7 @@ def _run_onshell(c):
 def _parse_state(data, tag_default):
     entries = [fock.Entry(tuple(e["site"]), e["type"], e.get("tag", tag_default))
                for e in data["entries"]]
-    return fock.symmetrize(entries, complex(*data.get("coefficient", [1.0, 0.0])))
+    return fock.symmetrize(entries, data.get("coefficient", 1.0))
 
 
 def _run_fock(c):

@@ -40,7 +40,7 @@ from math import factorial
 import numpy as np
 from scipy import sparse
 
-from .errors import ContractViolation, LeakageError
+from .errors import ContractViolation, DomainError, LeakageError
 from .fock import (
     FieldAlgebra,
     FockState,
@@ -460,10 +460,12 @@ def self_energy_unregulated(p: FourVector, m_a: float, m_b: float, dimension: in
     """Euclidean bubble I(p; cutoff) = Int_{|k|<cutoff} d^Dk
     [(k^2+m_a^2)((p-k)^2+m_b^2)]^(-1) by radial quadrature with the angular
     integral in closed form.  Convergent as cutoff -> inf in D=2; grows like
-    log(cutoff) in D=4.
+    log(cutoff) in D=4, so D=4 needs a finite cutoff.
     """
     if dimension not in (2, 4):
         raise ContractViolation("dimension must be 2 or 4")
+    if dimension == 4 and not np.isfinite(cutoff):
+        raise DomainError("the D=4 bubble diverges logarithmically; it needs a finite cutoff")
     if not cutoff > 10 * max(m_a, m_b):
         raise ContractViolation("cutoff must exceed 10 * max(m_a, m_b)")
     p_norm = float(np.sqrt(p.as_array() @ p.as_array()))

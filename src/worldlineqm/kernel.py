@@ -88,7 +88,7 @@ class WeightFunction:
 
     def transform(self, s):
         """T(s) = Int_delta^inf f(lam) exp(-s lam) dlam for complex s, in
-        Faddeeva form; needs a finite correlation_length.
+        Faddeeva form; at dlam = inf it is exp(-delta s)/s, for Re s > 0 only.
 
         With a = 1/(2 dlam^2) and z = sqrt(a) delta + s/(2 sqrt(a)),
         T = sqrt(pi)/(2 sqrt(a)) w(i z) exp(-a delta^2 - delta s), where
@@ -97,9 +97,13 @@ class WeightFunction:
         T(k^2 + m_a^2)) and along s = -i omega (the spectral density
         F(omega) = T(-i omega) / 2 pi).
         """
+        delta = self.threshold
+        if self.correlation_length == np.inf:
+            if not np.all(np.real(s) > 0):
+                raise DomainError("the transform of the uniform weight needs Re s > 0")
+            return np.exp(-delta * s) / s
         a = 1.0 / (2.0 * self.correlation_length ** 2)
         sqrt_a = np.sqrt(a)
-        delta = self.threshold
         z = sqrt_a * delta + s / (2.0 * sqrt_a)
         return (np.sqrt(np.pi) / (2.0 * sqrt_a) * special.wofz(1j * z)
                 * np.exp(-a * delta * delta - delta * s))

@@ -1,10 +1,10 @@
 """Result records for the batch front end.
 
-Records serialize deterministically: keys are sorted, complex outputs are
-stored as [re, im] pairs, and the volatile wall time is kept out of the
-emitted bytes unless explicitly requested, so identical inputs and seed
-produce byte-identical outputs.  Inputs come from JSON and flags and hold no
-complex values, so they are read back exactly as written.
+Records serialize deterministically: keys are sorted, and the wall time is
+kept out of the emitted bytes unless requested.  This module owns the one
+complex-value format: the object {"re": x, "im": y} in JSON (exactly that
+object decodes to a complex; a list of two numbers stays a list) and the
+columns <name>_re, <name>_im in CSV.  Inputs are read back as written.
 """
 
 from __future__ import annotations
@@ -15,10 +15,12 @@ from pathlib import Path
 
 from .errors import ContractViolation
 
+COMPLEX_KEYS = ("re", "im")  # the JSON object of a complex value, real part first
+
 
 def encode_value(value):
     if isinstance(value, complex):
-        return [value.real, value.imag]
+        return dict(zip(COMPLEX_KEYS, (value.real, value.imag)))
     if isinstance(value, (list, tuple)):
         return [encode_value(v) for v in value]
     if isinstance(value, dict):
@@ -29,13 +31,12 @@ def encode_value(value):
 
 
 def decode_value(value):
-    if isinstance(value, list) and len(value) == 2 and all(
-            isinstance(v, (int, float)) for v in value):
-        return complex(value[0], value[1])
+    if isinstance(value, dict):
+        if value.keys() == set(COMPLEX_KEYS):
+            return complex(*(value[k] for k in COMPLEX_KEYS))
+        return {k: decode_value(v) for k, v in value.items()}
     if isinstance(value, list):
         return [decode_value(v) for v in value]
-    if isinstance(value, dict):
-        return {k: decode_value(v) for k, v in value.items()}
     return value
 
 
@@ -75,44 +76,33 @@ class ResultRecord:
                    wall_time_s=data.get("wall_time_s"))
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _flatten(row: dict) -> dict:
+    """One CSV row: each complex cell split into <name>_re and <name>_im."""
+    flat = {}
+    for name, value in row.items():
+        flat.update({name + "_re": value.real, name + "_im": value.imag}
+                    if isinstance(value, complex) else {name: value})
+    return flat
 
 
 def emit(record: ResultRecord, path, fmt: str = "json",
          include_timing: bool = False) -> None:
     """Write the record; byte-stable for fixed inputs and seed.
 
-    JSON carries the full record.  CSV writes the table rows when present
-    (header + one row per scan point; empty tables emit the header only),
-    else a single header/value row of the scalar outputs.
+    JSON carries the full record.  CSV writes the table rows, or else one row
+    of the scalar outputs in name order, each flattened by _flatten, under a
+    header from the first row; an empty table writes an empty file.
     """
-    path = Path(path)
     if fmt == "json":
-        payload = json.dumps(record.to_json_dict(include_timing), sort_keys=True,
-                             indent=2) + "\n"
-        path.write_text(payload, encoding="utf-8")
-        return
-    if fmt == "csv":
-        if record.table is not None:
-            columns = ["parameter", "value_re", "value_im", "error", "route"]
-            lines = [",".join(columns)]
-            for row in record.table:
-                lines.append(",".join(_csv_cell(row[c]) for c in columns))
-        else:
-            flat = {}
-            for name, value in sorted(record.outputs.items()):
-                if isinstance(value, complex):
-                    flat[name + "_re"] = value.real
-                    flat[name + "_im"] = value.imag
-                else:
-                    flat[name] = value
-            lines = [",".join(flat), ",".join(_csv_cell(v) for v in flat.values())]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        return
-    raise ContractViolation(f"unknown format {fmt!r}")
+        text = json.dumps(record.to_json_dict(include_timing), sort_keys=True, indent=2) + "\n"
+    elif fmt == "csv":
+        rows = record.table if record.table is not None else [dict(sorted(record.outputs.items()))]
+        flat = [_flatten(row) for row in rows]
+        cells = [[repr(v) if isinstance(v, float) else str(v) for v in row.values()] for row in flat]
+        text = "".join(",".join(line) + "\n" for line in flat[:1] + cells)  # header: row 0's keys
+    else:
+        raise ContractViolation(f"unknown format {fmt!r}")
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def load_record(path) -> ResultRecord:

@@ -191,10 +191,9 @@ class DivergenceScan:
     r_squared: float
 
     def table(self):
-        """Rows as dicts matching the CSV column contract."""
-        return [{"parameter": r.parameter, "value_re": r.value.real,
-                 "value_im": r.value.imag, "error": r.error, "route": r.route}
-                for r in self.rows]
+        """Rows as dicts in column order; records.py splits the complex value."""
+        return [{"parameter": r.parameter, "value": r.value, "error": r.error,
+                 "route": r.route} for r in self.rows]
 
 
 def divergence_scan(p: FourVector, m_a: float, m_b: float, dimension: int,
@@ -208,6 +207,8 @@ def divergence_scan(p: FourVector, m_a: float, m_b: float, dimension: int,
     values converge and the fitted slope tends to zero.
     """
     deltas = list(delta_sequence)
+    if len(deltas) < 2:
+        raise ContractViolation("delta_sequence needs at least two thresholds for the fit")
     if any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
         raise ContractViolation("delta_sequence must be strictly decreasing")
     rows = []

@@ -23,9 +23,9 @@ def test_kernel_subcommand_value(tmp_path):
     assert code == 0
     record = read_json(out)
     value = record["outputs"]["value"]
-    assert value[0] == pytest.approx(np.exp(-1) / (4 * np.pi), rel=1e-10)
-    assert value[0] == pytest.approx(2.9276e-2, rel=1e-3)
-    assert value[1] == 0.0
+    assert value["re"] == pytest.approx(np.exp(-1) / (4 * np.pi), rel=1e-10)
+    assert value["re"] == pytest.approx(2.9276e-2, rel=1e-3)
+    assert value["im"] == 0.0
     assert record["provenance"]["operation"] == "kernel_closed"
 
 
@@ -35,7 +35,7 @@ def test_selfenergy_subcommand_value(tmp_path):
                 "--mb", "1", "--cutoff", "200", "--output", str(out)])
     assert code == 0
     value = read_json(out)["outputs"]["value"]
-    assert abs(value[0] - np.pi) < 1e-3 * np.pi
+    assert abs(value["re"] - np.pi) < 1e-3 * np.pi
 
 
 def test_malformed_config_exits_2_without_output(tmp_path):
@@ -67,7 +67,7 @@ def test_flags_override_config(tmp_path):
                 "--output", str(out)]) == 0
     record = read_json(out)
     assert record["inputs"]["tau"] == 1.0
-    assert record["outputs"]["value"][0] == pytest.approx(
+    assert record["outputs"]["value"]["re"] == pytest.approx(
         np.exp(-1) / (4 * np.pi), rel=1e-10)
 
 
@@ -98,11 +98,21 @@ def test_scan_csv_columns_and_rows(tmp_path):
     assert len(lines) == 3
 
 
-def test_empty_scan_emits_header_only(tmp_path):
+def test_empty_table_emits_an_empty_csv(tmp_path):
+    # the header comes from the first row, so an empty table has none; the
+    # scan never makes one, since it needs two thresholds
     record = ResultRecord("scan", inputs={}, outputs={}, table=[])
     out = tmp_path / "empty.csv"
     emit(record, out, "csv")
-    assert out.read_text() == "parameter,value_re,value_im,error,route\n"
+    assert out.read_text() == ""
+
+
+def test_scan_with_one_threshold_exits_4_without_a_record(capsys, tmp_path):
+    # it exited 2 with "config error: Singular matrix" from the fit
+    out = tmp_path / "scan.csv"
+    assert run(["scan", "--deltas", "0.02", "--format", "csv", "--output", str(out)]) == 4
+    assert "delta_sequence needs at least two thresholds" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_json_round_trip_lossless(tmp_path):
@@ -119,8 +129,8 @@ def test_json_round_trip_lossless(tmp_path):
 
 
 def test_json_to_csv_preserves_rows(tmp_path):
-    rows = [{"parameter": 0.1 * k, "value_re": float(k), "value_im": 0.0,
-             "error": 1e-9, "route": "lambda"} for k in range(5)]
+    rows = [{"parameter": 0.1 * k, "value": complex(k, -0.5), "error": 1e-9,
+             "route": "lambda"} for k in range(5)]
     record = ResultRecord("scan", inputs={}, outputs={}, table=rows)
     jpath = tmp_path / "r.json"
     cpath = tmp_path / "r.csv"
@@ -128,6 +138,12 @@ def test_json_to_csv_preserves_rows(tmp_path):
     emit(load_record(jpath), cpath, "csv")
     lines = cpath.read_text().strip().splitlines()
     assert len(lines) == 1 + len(rows)
+    # JSON sorts the keys of a row, so the reloaded columns come in name order
+    assert lines[0] == "error,parameter,route,value_re,value_im"
+    assert lines[3] == "1e-09,0.2,lambda,2.0,-0.5"
+    emit(record, cpath, "csv")
+    assert cpath.read_text().splitlines()[:4:3] == [
+        "parameter,value_re,value_im,error,route", "0.2,2.0,-0.5,1e-09,lambda"]
 
 
 def test_scatter_subcommand_with_config(tmp_path):
@@ -141,16 +157,16 @@ def test_scatter_subcommand_with_config(tmp_path):
     out = tmp_path / "amp.json"
     assert run(["scatter", "--config", str(cfg), "--output", str(out)]) == 0
     amp = read_json(out)["outputs"]["amplitude"]
-    assert abs(complex(amp[0], amp[1])) > 0
+    assert abs(complex(amp["re"], amp["im"])) > 0
 
 
 def test_fock_subcommand_states_file(tmp_path):
     states = tmp_path / "states.json"
     states.write_text(json.dumps({
         "types": {"A": {"mass": 1.0, "conjugate": "plain"}},
-        "bra": {"coefficient": [1.0, 0.0],
+        "bra": {"coefficient": {"re": 1.0, "im": 0.0},
                 "entries": [{"site": [2, 3], "type": "A", "tag": "integrated"}]},
-        "ket": {"coefficient": [1.0, 0.0],
+        "ket": {"coefficient": {"re": 1.0, "im": 0.0},
                 "entries": [{"site": [0, 1], "type": "A", "tag": "start"}]},
     }), encoding="utf-8")
     out = tmp_path / "fock.json"
@@ -162,7 +178,7 @@ def test_fock_subcommand_states_file(tmp_path):
     from worldlineqm.lattice import LatticeSpec
     table = lattice_propagator(LatticeSpec((4, 4), (4.0, 4.0)), 1.0, 0.01)
     got = record["outputs"]["inner_product"]
-    assert complex(got[0], got[1]) == pytest.approx(table[2, 2], rel=1e-12)
+    assert complex(got["re"], got["im"]) == pytest.approx(table[2, 2], rel=1e-12)
 
 
 def test_evolve_subcommand_norm_drift(tmp_path):
@@ -179,7 +195,7 @@ def test_propagator_subcommand_momentum(tmp_path):
     assert run(["propagator", "--kind", "momentum", "--p", "0,0", "--mass", "1",
                 "--epsilon", "1e-9", "--output", str(out)]) == 0
     value = read_json(out)["outputs"]["value"]
-    assert complex(value[0], value[1]) == pytest.approx(-1j, rel=1e-8)
+    assert complex(value["re"], value["im"]) == pytest.approx(-1j, rel=1e-8)
 
 
 def test_unwritable_output_exits_3(tmp_path):
@@ -264,13 +280,14 @@ def test_scatter_structure_shape_is_checked(capsys, tmp_path, structure):
 
 _STATES = {"types": {"A": {"mass": 1.0}},
            "bra": {"entries": [{"site": [0, 1], "type": "A"}]},
-           "ket": {"entries": [{"site": [1, 1], "type": "A"}], "coefficient": [0.5, 0.0]}}
+           "ket": {"entries": [{"site": [1, 1], "type": "A"}],
+                   "coefficient": {"re": 0.5, "im": 0.0}}}
 
 
 @pytest.mark.parametrize("payload", [
     dict(_STATES, types=[1]),
     [1],
-    dict(_STATES, ket={"entries": [{"site": [1, 1], "type": "A"}], "coefficient": [0.5]}),
+    dict(_STATES, ket={"entries": [{"site": [1, 1], "type": "A"}], "coefficient": {"re": 0.5}}),
     dict(_STATES, bra={"entries": [{"site": 3, "type": "A"}]}),
 ], ids=["types_list", "not_object", "short_coefficient", "site_scalar"])
 def test_states_file_shape_is_checked(capsys, tmp_path, payload):
@@ -538,7 +555,8 @@ def test_kernel_discretized_subcommand_equals_closed_form(tmp_path):
                 "--mode", "minkowski", "--tau", "0.7", "--dx", "0.3,-0.4",
                 "--output", str(out)]) == 0
     record = read_json(out)
-    value, closed = (complex(*record["outputs"][k]) for k in ("value", "closed_form"))
+    value, closed = (complex(record["outputs"][k]["re"], record["outputs"][k]["im"])
+                     for k in ("value", "closed_form"))
     assert value == pytest.approx(closed, rel=1e-12)
     assert record["provenance"]["operation"] == "kernel_discretized"
 
@@ -549,7 +567,8 @@ def test_propagator_position_subcommand(tmp_path, weight, rel):
     assert run(["propagator", "--kind", "position", "--weight", weight, "--dlam", "1000",
                 "--delta", "1e-6", "--dx", "0.3,0.4", "--epsilon", "1e-10",
                 "--output", str(out)]) == 0
-    value = complex(*read_json(out)["outputs"]["value"])
+    value = read_json(out)["outputs"]["value"]
+    value = complex(value["re"], value["im"])
     # the euclidean D=2 propagator K_0(m |dx|) / 2 pi; the wide gaussian
     # weight exp(-T^2 / 2 dlam^2) lowers it by about T^2 / 2 dlam^2 ~ 1e-7
     assert value.real == pytest.approx(special.k0(0.5) / (2 * np.pi), rel=rel)
@@ -711,6 +730,14 @@ def test_infinite_correlation_length_exits_4_without_a_record(capsys, tmp_path, 
     out = tmp_path / "x.json"
     assert run(argv + ["--dlam", "inf", "--output", str(out)]) == 4
     assert "correlation_length must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_selfenergy_d4_without_a_cutoff_exits_4_without_a_record(capsys, tmp_path):
+    # it wrote value 3492.77 with error 4.4e-8 for a divergent bubble
+    out = tmp_path / "se.json"
+    assert run(["selfenergy", "--dim", "4", "--output", str(out)]) == 4
+    assert "needs a finite cutoff" in capsys.readouterr().err
     assert not out.exists()
 
 

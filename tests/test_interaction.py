@@ -779,3 +779,10 @@ def test_self_energy_offcenter_momentum():
 def test_self_energy_cutoff_guard():
     with pytest.raises(ContractViolation):
         self_energy_unregulated(FourVector((0.0, 0.0)), 1.0, 1.0, 2, 5.0)
+
+
+def test_self_energy_d4_needs_a_finite_cutoff():
+    # the quadrature gave 3492.77 with error 4.4e-8 at cutoff inf, while
+    # cutoffs 1e3, 1e4 and 1e6 give 126, 172 and 263
+    with pytest.raises(DomainError, match="needs a finite cutoff"):
+        self_energy_unregulated(FourVector((0.0,) * 4), 1.0, 1.0, 4, np.inf)

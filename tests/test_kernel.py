@@ -148,6 +148,26 @@ def test_uniform_weight_is_the_infinite_correlation_length_point(dx, mass, eps, 
     assert values == [before, before]
 
 
+@pytest.mark.parametrize("s", [1.0, 0.3 - 2.0j, 25.0 + 1.0j])
+def test_uniform_weight_transform_is_one_over_s(s):
+    assert WeightFunction.uniform().transform(s) == pytest.approx(1 / s, rel=1e-15)
+
+
+@pytest.mark.parametrize("s", [1.0, 0.3 - 2.0j, 4.0 + 1.0j])
+def test_infinite_correlation_length_transform_matches_quadrature(s):
+    weight = WeightFunction(np.inf, 0.7)
+    reference, _ = integrate.quad(lambda lam: weight(lam) * np.exp(-s * lam), 0.7, np.inf,
+                                  complex_func=True, epsabs=0.0, epsrel=1e-12, limit=400)
+    assert abs(weight.transform(s) - reference) <= 1e-10 * abs(reference)
+
+
+@pytest.mark.parametrize("s", [0.0, -1.0, -2.0j, np.array([1.0, -1.0])])
+def test_uniform_weight_transform_needs_positive_real_part(s):
+    # it was nan+nanj with two RuntimeWarnings; the integral does not converge
+    with pytest.raises(DomainError, match="needs Re s > 0"):
+        WeightFunction.uniform().transform(s)
+
+
 def test_infinite_correlation_length_needs_epsilon():
     # a threshold does not make the T-integral of a flat weight converge
     for weight in (WeightFunction.uniform(), WeightFunction.gaussian(np.inf, 0.5)):

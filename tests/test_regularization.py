@@ -303,7 +303,14 @@ def test_scan_table_columns():
     deltas = [0.02, 0.01]
     scan = divergence_scan(P2, 1.0, 1.0, 2, deltas, correlation_length=100.0)
     rows = scan.table()
-    assert set(rows[0]) == {"parameter", "value_re", "value_im", "error", "route"}
+    assert list(rows[0]) == ["parameter", "value", "error", "route"]
+    assert rows[0]["value"] == scan.rows[0].value
     assert rows[0]["route"] == "lambda"
     with pytest.raises(ContractViolation):
         divergence_scan(P2, 1.0, 1.0, 2, [0.01, 0.02], 100.0)
+
+
+@pytest.mark.parametrize("deltas", [[], [0.02]])
+def test_scan_needs_two_thresholds(deltas):
+    with pytest.raises(ContractViolation, match="delta_sequence needs at least two"):
+        divergence_scan(P2, 1.0, 1.0, 2, deltas, correlation_length=100.0)
