@@ -36,7 +36,7 @@ from .errors import (
     SectorOverflowError,
     UnsupportedSpecError,
 )
-from .geometry import FourVector, ParticleType
+from .geometry import MODES, FourVector, ParticleType
 from .lattice import LatticeSpec
 from .records import COMPLEX_KEYS, ResultRecord, decode_value, emit
 
@@ -94,16 +94,13 @@ def _cast(value, kind, where: str):
     A kind is a leaf: int (_index), float (_float), bool (JSON true/false or
     the flag), str, or a function of (value, where) such as _floats or _whole
     (an unbounded whole number, for seeds); a tuple of allowed values; [k] for
-    a list of k, or [k1, k2] for a list of exactly those items; or a dict for
-    an object, where a key ending in "?" is optional, the key `str` stands for
-    every key, and other keys are rejected.
+    a list of k; or a dict for an object, where a key ending in "?" is
+    optional, the key `str` stands for every key, and other keys are rejected.
     """
     if isinstance(kind, list):
-        if not isinstance(value, list) or len(kind) > 1 and len(value) != len(kind):
-            raise ContractViolation(f"{where} must be a list"
-                                    + (f" of {len(kind)} items" if len(kind) > 1 else ""))
-        return [_cast(item, kind[min(i, len(kind) - 1)], f"{where}[{i}]")
-                for i, item in enumerate(value)]
+        if not isinstance(value, list):
+            raise ContractViolation(f"{where} must be a list")
+        return [_cast(item, kind[0], f"{where}[{i}]") for i, item in enumerate(value)]
     if isinstance(kind, dict):
         if not isinstance(value, dict):
             raise ContractViolation(f"{where} must be a JSON object")
@@ -141,7 +138,6 @@ def _states_file(path, where: str) -> dict:
     return _cast(payload, _STATES_SHAPE, where)
 
 
-_MODES = ("euclidean", "minkowski")
 _SIGNS = (-1, 1)
 _SELF_ENERGY_DIMS = (2, 4)  # checked before a default p is sized by dim
 
@@ -151,7 +147,7 @@ _SELF_ENERGY_DIMS = (2, 4)  # checked before a default p is sized by dim
 # required (the runner's KeyError exits 2), or the runner derives its default.
 PARAMETERS = {
     "kernel": {
-        "dim": (int, 2), "mode": (_MODES, "euclidean"), "mass": (float, 1.0),
+        "dim": (int, 2), "mode": (MODES, "euclidean"), "mass": (float, 1.0),
         "tau": (float, 1.0, "intrinsic length T"),
         "dx": (_floats, None, "separation, time first: t,x[,y,z]"),
         "method": (("closed", "discretized", "mc"), "closed"),
@@ -159,7 +155,7 @@ PARAMETERS = {
     },
     "propagator": {
         "kind": (("position", "momentum", "onshell-part"), "position"),
-        "dim": (int, 2), "mode": (_MODES, "euclidean"), "mass": (float, 1.0),
+        "dim": (int, 2), "mode": (MODES, "euclidean"), "mass": (float, 1.0),
         "dx": (_floats, None), "p": (_floats, None), "epsilon": (float, 1e-6),
         "weight": (("uniform", "gaussian"), "uniform"), "dlam": (float, 10.0),
         "delta": (float, 0.01), "damping": (float, None), "sign": (_SIGNS, 1),

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
+from .geometry import metric
 from .kernel import lattice_momentum_phase
 from .lattice import ComplexField, LatticeSpec, spectral_multiply, spectral_transform
 
@@ -107,12 +108,12 @@ def gaussian_packet(spec: LatticeSpec, center, width, momentum, mass: float,
     center = np.asarray(center, dtype=float)
     width = np.broadcast_to(np.asarray(width, dtype=float), (spec.dimension,))
     momentum = np.asarray(momentum, dtype=float)
+    g = metric(spec.dimension)
     values = np.ones((1,) * spec.dimension, dtype=complex)
     for mu in range(spec.dimension):
         x = spec.axis_coordinates(mu)
-        sign = -1.0 if mu == 0 else 1.0
         factor = np.exp(-(x - center[mu]) ** 2 / (4 * width[mu] ** 2)
-                        + 1j * sign * momentum[mu] * x)
+                        + 1j * g[mu] * momentum[mu] * x)
         values = values * spec.along(mu, factor)
     field = ComplexField(spec, values, "position")
     field.values /= np.sqrt(field.norm_squared())

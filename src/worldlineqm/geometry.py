@@ -2,16 +2,36 @@
 
 Conventions: metric signature (-,+,...,+) with index 0 the time axis; natural
 units (hbar = c = 1). Dimension D = d + 1 is a runtime parameter; D = 2 and
-D = 4 are the exercised cases.
+D = 4 are the exercised cases.  `metric` owns the signature and the mode
+names; every signed square, phase and kernel width takes its sign from it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractViolation
+
+MODES = ("euclidean", "minkowski")  # the two signatures, by name
+
+
+@functools.cache  # a quadrature asks for it at every node
+def metric(dimension: int, mode: str = "minkowski") -> tuple[float, ...]:
+    """Diagonal of the metric: (-1, +1, ..., +1) in minkowski mode, all +1 in
+    euclidean mode.  The one check of a mode name."""
+    if mode not in MODES:
+        raise ContractViolation(f"unknown mode {mode!r}")
+    if not dimension >= 1:
+        raise ContractViolation(f"dimension must be at least 1, got {dimension!r}")
+    return (-1.0 if mode == "minkowski" else 1.0,) + (1.0,) * (dimension - 1)
+
+
+def wick_factor(mode: str) -> complex:
+    """z of the kernel exp(-z T (p.p + m^2)): i in minkowski mode, 1 in euclidean."""
+    return 1j if metric(1, mode)[0] < 0 else 1.0
 
 
 @dataclass(frozen=True)
@@ -64,10 +84,9 @@ def _check_dims(a: FourVector, b: FourVector):
 
 
 def minkowski_dot(a: FourVector, b: FourVector) -> float:
-    """Signed inner product -a0*b0 + sum_i ai*bi."""
+    """Signed inner product sum_mu g_mu a_mu b_mu = -a0*b0 + sum_i ai*bi."""
     _check_dims(a, b)
-    u, v = a.as_array(), b.as_array()
-    return float(u[1:] @ v[1:] - u[0] * v[0])
+    return float(np.sum(a.as_array() * b.as_array() * metric(a.dimension)))
 
 
 def euclidean_dot(a: FourVector, b: FourVector) -> float:

@@ -32,7 +32,7 @@ from .errors import (
     DomainError,
     UnsupportedSpecError,
 )
-from .geometry import FourVector
+from .geometry import FourVector, metric, minkowski_dot, wick_factor
 from .lattice import ComplexField, LatticeSpec, spectral_transform
 
 
@@ -50,8 +50,7 @@ class KernelParams:
             raise ContractViolation("mass must be positive")
         if not self.total_length > 0:
             raise DomainError("intrinsic length T must be positive")
-        if self.mode not in ("minkowski", "euclidean"):
-            raise ContractViolation(f"unknown mode {self.mode!r}")
+        metric(self.dimension, self.mode)  # checks the dimension and the mode
 
 
 @dataclass(frozen=True)
@@ -121,32 +120,20 @@ class WeightFunction:
 # closed-form kernels
 
 
-def _axis_widths(t, dimension: int, mode: str, damping: float = 0.0,
-                 damp_time_only: bool = False):
-    """Complex Gaussian width per axis: factor (2pi)^-1 sqrt(pi/a) exp(-u^2/4a)."""
+def _axis_widths(t, g, z, damping: float = 0.0, damp_time_only: bool = False):
+    """Width a_mu = damping + z g_mu t of each axis factor (2pi)^-1 sqrt(pi/a) exp(-u^2/4a)."""
     space_damping = 0.0 if damp_time_only else damping
-    if mode == "euclidean":
-        a_time = damping + t
-        a_space = space_damping + t
-    else:
-        a_time = damping - 1j * t
-        a_space = space_damping + 1j * t
-    return [a_time] + [a_space] * (dimension - 1)
+    return [(space_damping if mu else damping) + z * g_mu * t for mu, g_mu in enumerate(g)]
 
 
 def _kernel_value(dx, t: float, mass_squared, dimension: int, mode: str,
                   damping: float = 0.0, damp_time_only: bool = False) -> complex:
     """Kernel value at one length t from the per-axis Gaussian factors."""
-    widths = _axis_widths(t, dimension, mode, damping, damp_time_only)
+    z = wick_factor(mode)
     value = 1.0
-    for mu in range(dimension):
-        a = widths[mu]
+    for mu, a in enumerate(_axis_widths(t, metric(dimension, mode), z, damping, damp_time_only)):
         value = value * np.sqrt(np.pi / a) / (2 * np.pi) * np.exp(-dx[mu] ** 2 / (4 * a))
-    if mode == "euclidean":
-        value = value * np.exp(-t * mass_squared)
-    else:
-        value = value * np.exp(-1j * t * mass_squared)
-    return complex(value)
+    return complex(value * np.exp(-z * t * mass_squared))
 
 
 def kernel_closed(dx: FourVector, params: KernelParams) -> complex:
@@ -224,11 +211,12 @@ def kernel_discretized(x: FourVector, x0: FourVector, segments, params: KernelPa
         raise ContractViolation("point dimension does not match params")
 
     msq = params.mass ** 2
+    g, z = metric(params.dimension, params.mode), wick_factor(params.mode)
     prefactor = complex(1.0)
     # accumulated width per axis; segment j has width a_j per axis
     acc = None
     for dlam in segments:
-        widths = _axis_widths(float(dlam), params.dimension, params.mode)
+        widths = _axis_widths(float(dlam), g, z)
         prefactor *= segment_norm(float(dlam), params.dimension, params.mode)
         if acc is None:
             acc = list(widths)
@@ -238,10 +226,7 @@ def kernel_discretized(x: FourVector, x0: FourVector, segments, params: KernelPa
                 big_a = acc[mu]
                 prefactor *= np.sqrt(4 * np.pi * big_a * a / (big_a + a))
                 acc[mu] = big_a + a
-        if params.mode == "euclidean":
-            prefactor *= np.exp(-float(dlam) * msq)
-        else:
-            prefactor *= np.exp(-1j * float(dlam) * msq)
+        prefactor *= np.exp(-z * float(dlam) * msq)
     value = prefactor
     for mu in range(params.dimension):
         value *= np.exp(-dx[mu] ** 2 / (4 * acc[mu]))
@@ -423,8 +408,7 @@ def propagator_position(dx: FourVector, mass: float, epsilon: float,
     if epsilon == 0 and weight.correlation_length == np.inf:
         raise DomainError("a weight of infinite correlation_length needs epsilon > 0 "
                           "for the T-integral")
-    if mode not in ("euclidean", "minkowski"):
-        raise ContractViolation(f"unknown mode {mode!r}")
+    metric(dimension, mode)  # checks the dimension and the mode
     if mode == "minkowski" and damping <= 0:
         raise DomainError("minkowski proper-time integral needs damping > 0")
     dxa = dx.as_array()
@@ -455,8 +439,6 @@ def propagator_momentum(p: FourVector, mass: float, epsilon: float) -> complex:
     """Feynman propagator -i / (p.p + m^2 - i epsilon), signed p.p."""
     if not epsilon > 0:
         raise DomainError("epsilon must be positive")
-    from .geometry import minkowski_dot
-
     return -1j / (minkowski_dot(p, p) + mass * mass - 1j * epsilon)
 
 
@@ -596,6 +578,7 @@ def kernel_mass_superposition(dx: FourVector, total_length: float, mass: float,
     slowly-decaying tachyonic side, so it is exercised for convergence trend
     rather than tight reconstruction.
     """
+    metric(dimension, mode)  # checks the dimension and the mode
     grid = np.asarray(mass_sq_grid, dtype=float)
     if grid.ndim != 1:
         raise ContractViolation("mass_sq_grid must be one-dimensional")
@@ -611,13 +594,11 @@ def kernel_mass_superposition(dx: FourVector, total_length: float, mass: float,
         u = grid - msq
         values = euclidean_mass_propagator_batch(dx, msq + 1j * u, dimension)
         value = np.trapezoid(values * np.exp(1j * total_length * u), u) / (2 * np.pi)
-    elif mode == "minkowski":
+    else:
         values = np.array([fixed_mass_propagator(dx, m2, epsilon, dimension, damping)
                            for m2 in grid])
         integral = np.trapezoid(values * np.exp(1j * total_length * grid), grid)
         value = integral * np.exp(-1j * total_length * msq) / (2 * np.pi)
-    else:
-        raise ContractViolation(f"unknown mode {mode!r}")
     return MassSuperpositionResult(complex(value), window, spacing,
                                    adequate_window=window * total_length >= 4 * np.pi)
 
@@ -629,14 +610,14 @@ def kernel_mass_superposition(dx: FourVector, total_length: float, mass: float,
 def lattice_momentum_phase(spec: LatticeSpec, dlam: float, mass: float) -> np.ndarray:
     """Momentum-representation kernel exp(-i dlam (p.p + m^2)) on the lattice.
 
-    Separable: exp(-i dlam m^2) times one 1-D factor exp(-+i dlam p_mu^2) per
-    axis (the time axis carries the opposite sign), broadcast so that only
-    the final product is a full grid.
+    Separable: exp(-i dlam m^2) times one 1-D factor exp(-i dlam g_mu p_mu^2)
+    per axis, with g the metric, broadcast so that only the final product is
+    a full grid.
     """
+    g = metric(spec.dimension)
     phase = np.exp(-1j * dlam * mass * mass)
     for mu in range(spec.dimension):
-        sign = -1.0 if mu == 0 else 1.0
-        phase = phase * spec.along(mu, np.exp(-1j * dlam * sign * spec.momentum_axis(mu) ** 2))
+        phase = phase * spec.along(mu, np.exp(-1j * dlam * g[mu] * spec.momentum_axis(mu) ** 2))
     return phase
 
 

@@ -32,6 +32,7 @@ import numpy as np
 import scipy.fft
 
 from .errors import ContractViolation, UnsupportedSpecError
+from .geometry import metric
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -93,18 +94,15 @@ class LatticeSpec:
         return np.reshape(values, shape)
 
     def p_squared(self, mode: str = "minkowski") -> np.ndarray:
-        """Grid of p.p (signed for minkowski, positive for euclidean).
+        """Grid of p.p = sum_mu g_mu p_mu^2 with the metric g of the mode.
 
-        The square of each momentum axis is broadcast along its own
-        dimension, so no full grid is built until the final sum.
+        Each signed square is broadcast along its own dimension, so no full
+        grid is built until the final sum.  Summing the time axis last rounds
+        as sum_i p_i^2 + g_0 p_0^2.
         """
-        squares = [self.along(mu, self.momentum_axis(mu) ** 2) for mu in range(self.dimension)]
-        total = sum(squares[1:]) if self.dimension > 1 else 0.0
-        if mode == "minkowski":
-            return total - squares[0]
-        if mode == "euclidean":
-            return total + squares[0]
-        raise ContractViolation(f"unknown mode {mode!r}")
+        g = metric(self.dimension, mode)
+        return sum(self.along(mu, g[mu] * self.momentum_axis(mu) ** 2)
+                   for mu in (*range(1, self.dimension), 0))
 
 
 @dataclass

@@ -6,10 +6,10 @@ with spacetime points q_j.  The action of a path of mass m is
     S = sum_j dlam_j * ( (1/4) qdot_j.qdot_j - m^2 ),
 
 with backward-difference velocities qdot_j = (q_j - q_{j-1}) / dlam_j and the
-squared velocity taken with the signed (minkowski) or positive (euclidean)
-inner product.  In minkowski mode exp(i S) is the unit-modulus amplitude of
-the path; euclidean mode is the Wick-rotated weight used by Monte Carlo,
-where exp(-S_E) with S_E = sum_j dlam_j ((1/4) qdot_E^2 + m^2) = -S.
+squared velocity qdot.qdot = sum_mu g_mu qdot_mu^2 taken with the metric g of
+the path's mode (geometry.metric).  In minkowski mode exp(i S) is the
+unit-modulus amplitude of the path; in euclidean mode S = -S_E, the
+Wick-rotated action S_E = sum_j dlam_j ((1/4) qdot_E^2 + m^2).
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, DegeneratePathError, LapsePositivityError
+from .geometry import metric
 
 KINETIC_COEFF = 0.25  # the conventional choice for the qdot^2 coefficient
 
@@ -84,8 +85,7 @@ class DiscretePath:
             raise ContractViolation("points must be (N+1, D) matching the lambda grid")
         if not np.all(np.diff(lam) > 0):
             raise DegeneratePathError("lambda grid must be strictly increasing")
-        if self.mode not in ("minkowski", "euclidean"):
-            raise ContractViolation(f"unknown mode {self.mode!r}")
+        metric(pts.shape[1], self.mode)  # checks the dimension and the mode
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "points", pts)
 
@@ -106,9 +106,7 @@ def _segment_terms(path: DiscretePath, mass: float, j_lo: int, j_hi: int) -> np.
     dlam = np.diff(path.lam[j_lo:j_hi + 1])
     dq = np.diff(path.points[j_lo:j_hi + 1], axis=0)
     qdot = dq / dlam[:, None]
-    sq = np.sum(qdot * qdot, axis=1)
-    if path.mode == "minkowski":
-        sq = sq - 2.0 * qdot[:, 0] * qdot[:, 0]
+    sq = (qdot * qdot) @ metric(qdot.shape[1], path.mode)
     return dlam * (KINETIC_COEFF * sq - mass * mass)
 
 

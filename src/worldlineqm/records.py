@@ -4,40 +4,46 @@ Records serialize deterministically: keys are sorted, and the wall time is
 kept out of the emitted bytes unless requested.  This module owns the one
 complex-value format: the object {"re": x, "im": y} in JSON (exactly that
 object decodes to a complex; a list of two numbers stays a list) and the
-columns <name>_re, <name>_im in CSV.  Inputs are read back as written.
+columns <name>_re, <name>_im in CSV.  A non-finite float is the JSON string
+"inf", "-inf" or "nan", so records are standard JSON, and exactly those
+strings decode to floats.  Inputs are read back as written.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ContractViolation
 
 COMPLEX_KEYS = ("re", "im")  # the JSON object of a complex value, real part first
+NONFINITE = ("inf", "-inf", "nan")  # the JSON strings of the non-finite floats
 
 
 def encode_value(value):
     if isinstance(value, complex):
-        return dict(zip(COMPLEX_KEYS, (value.real, value.imag)))
+        return dict(zip(COMPLEX_KEYS, (encode_value(value.real), encode_value(value.imag))))
     if isinstance(value, (list, tuple)):
         return [encode_value(v) for v in value]
     if isinstance(value, dict):
         return {k: encode_value(v) for k, v in value.items()}
     if hasattr(value, "item"):  # numpy scalars
         return encode_value(value.item())
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(value)
     return value
 
 
 def decode_value(value):
     if isinstance(value, dict):
         if value.keys() == set(COMPLEX_KEYS):
-            return complex(*(value[k] for k in COMPLEX_KEYS))
+            return complex(*(decode_value(value[k]) for k in COMPLEX_KEYS))
         return {k: decode_value(v) for k, v in value.items()}
     if isinstance(value, list):
         return [decode_value(v) for v in value]
-    return value
+    return float(value) if isinstance(value, str) and value in NONFINITE else value
 
 
 @dataclass
@@ -94,7 +100,8 @@ def emit(record: ResultRecord, path, fmt: str = "json",
     header from the first row; an empty table writes an empty file.
     """
     if fmt == "json":
-        text = json.dumps(record.to_json_dict(include_timing), sort_keys=True, indent=2) + "\n"
+        text = json.dumps(record.to_json_dict(include_timing), sort_keys=True, indent=2,
+                          allow_nan=False) + "\n"
     elif fmt == "csv":
         rows = record.table if record.table is not None else [dict(sorted(record.outputs.items()))]
         flat = [_flatten(row) for row in rows]

@@ -599,7 +599,7 @@ _CAST_CASES = [
     (_ints, "4,8.5", None, " must be a whole number"),
     ([float], [1, "2"], [1.0, 2.0], None), ([float], [], [], None),
     ([float], 1, None, " must be a list"), ([float], [1, "y"], None, "[1] must be a number"),
-    ([float, float], [1.0], None, " must be a list of 2 items"),
+    ([[int]], [[1, "2"], []], [[1, 2], []], None),
     ({"a": int, "b?": float}, {"a": "3"}, {"a": 3}, None),
     ({"a": int, "b?": float}, {"b": 1}, None, " needs the key 'a'"),
     ({"a": int}, {"a": 1, "c": 2}, None, ".c is not a known key"),

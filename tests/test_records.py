@@ -2,6 +2,7 @@
 
 import ast
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -29,7 +30,9 @@ def test_a_real_two_vector_round_trips_as_a_list(tmp_path):
                                    complex(float("inf"), 2.0), 0j])
 def test_a_complex_value_round_trips_exactly(tmp_path, value):
     raw, loaded = _round_trip(tmp_path, {"value": value, "nested": [{"z": value}]})
-    assert raw["outputs"]["value"] == {"re": value.real, "im": value.imag}
+    # a non-finite part is written as its string ("inf"), so the record is standard JSON
+    parts = [part if math.isfinite(part) else repr(part) for part in (value.real, value.imag)]
+    assert raw["outputs"]["value"] == {"re": parts[0], "im": parts[1]}
     got = loaded["value"]
     assert type(got) is complex
     assert (repr(got.real), repr(got.imag)) == (repr(value.real), repr(value.imag))
@@ -95,3 +98,31 @@ def test_records_is_the_one_owner_of_the_complex_format():
     users = {path.name: _complex_format_strings(path) for path in sorted(SRC.glob("*.py"))}
     assert users.pop("records.py")
     assert {name: found for name, found in users.items() if found} == {}
+
+
+def _no_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_an_infinite_input_writes_standard_json(tmp_path):
+    # the cutoff was written as the bare token Infinity, which strict parsers reject
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    assert run(["selfenergy", "--dim", "2", "--cutoff", "inf", "--output", str(first)]) == 0
+    text = first.read_text(encoding="utf-8")
+    raw = json.loads(text, parse_constant=_no_constant)
+    assert raw["inputs"]["cutoff"] == "inf"
+    reloaded = tmp_path / "reloaded.json"
+    emit(load_record(first), reloaded, "json")
+    assert reloaded.read_text(encoding="utf-8") == text
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw["inputs"]), encoding="utf-8")
+    assert run(["selfenergy", "--config", str(config), "--output", str(second)]) == 0
+    assert second.read_text(encoding="utf-8") == text
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_a_nonfinite_output_round_trips_as_its_string(tmp_path, value):
+    raw, loaded = _round_trip(tmp_path, {"x": value, "z": complex(value, 1.0), "s": repr(value)})
+    assert raw["outputs"]["x"] == repr(value)
+    assert repr(loaded["x"]) == repr(value) and repr(loaded["z"]) == repr(complex(value, 1.0))
+    assert type(loaded["s"]) is float  # the string is the float's encoding, so it decodes
