@@ -5,10 +5,12 @@ an exact discretized-path collapse (independent of the number of segments
 and their spacing), and a euclidean Monte Carlo estimator over pinned bridge
 paths.  This script evaluates all three at one point and shows the collapse
 N-independence and the Monte Carlo error scaling.  It then checks the
-thinned Monte Carlo, which samples the bridge exactly at the Poisson marks,
-against a position-dependent mass with a closed form: a bridge that ends
-at its starting level spends a Uniform(0, T) time above it (P. Levy).  kernel_mc's fourth argument, n_segments, no longer affects the
-estimate and is passed only for its position.
+thinned Monte Carlo, which samples the bridge exactly at the Poisson marks
+and weights each path by prod (1 - m^2(q)/bound) over them, against a
+position-dependent mass with a closed form: a bridge that ends at its
+starting level spends a Uniform(0, T) time above it (P. Levy).  kernel_mc's
+fourth argument, n_segments, no longer affects the estimate and is passed
+only for its position.
 """
 
 import numpy as np
@@ -32,7 +34,7 @@ for n in (1, 2, 4, 8, 16):
     print(f"  N={n:2d}  uniform rel err {abs(uniform-closed)/abs(closed):.2e}"
           f"   random rel err {abs(ragged-closed)/abs(closed):.2e}")
 
-print("\nMonte Carlo over pinned bridges (mass factor by Poisson thinning):")
+print("\nMonte Carlo over pinned bridges (mass factor from Poisson marks):")
 for samples in (10_000, 40_000, 160_000):
     res = kernel_mc(x, x0, params, 1, samples, seed=5)
     pull = abs(res.estimate - closed) / res.stderr
@@ -51,7 +53,7 @@ res = kernel_mc(y, y0, step, 1, 400_000, seed=17,
                 mass_sq_fn=lambda q: m0_sq + c * (q[:, 1] > 0.0), mass_sq_bound=m0_sq + c)
 print(f"  closed form {levy:.6e}, estimate {res.estimate.real:.6e} +- {res.stderr:.1e}"
       f"   pull {(res.estimate.real - levy) / res.stderr:+.2f} sigma")
-print(f"  {res.marks} marks, {res.acceptance:.3f} accepted")
+print(f"  {res.marks} marks, mean m^2/bound {res.acceptance:.3f}, ESS {res.ess:.0f}")
 
 print("\nmassless bridge normalization is exact (zero variance):")
 light = KernelParams(mass=1e-300, total_length=1.0, dimension=2, mode="euclidean")

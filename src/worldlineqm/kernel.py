@@ -144,6 +144,11 @@ def kernel_closed(dx: FourVector, params: KernelParams) -> complex:
                          params.mass ** 2, params.dimension, params.mode)
 
 
+def _check_dimension(dx: FourVector, dimension: int) -> None:
+    if dx.dimension != dimension:
+        raise ContractViolation(f"dx has dimension {dx.dimension}, expected {dimension}")
+
+
 def kernel_damped(dx: FourVector, total_length: float, mass_squared,
                   dimension: int, damping: float, mode: str = "minkowski",
                   damp_time_only: bool = False) -> complex:
@@ -156,6 +161,7 @@ def kernel_damped(dx: FourVector, total_length: float, mass_squared,
     """
     if damping < 0:
         raise DomainError("damping must be >= 0")
+    _check_dimension(dx, dimension)
     return _kernel_value(dx.as_array(), total_length, mass_squared, dimension,
                          mode, damping, damp_time_only)
 
@@ -174,6 +180,7 @@ def segment_norm(dlam: float, dimension: int, mode: str) -> complex:
     """
     if not dlam > 0:
         raise DegeneratePathError("segment length must be positive")
+    metric(dimension, mode)  # checks the dimension and the mode
     mag = (4 * np.pi * dlam) ** (-dimension / 2)
     if mode == "euclidean":
         return complex(mag)
@@ -241,9 +248,11 @@ def kernel_discretized(x: FourVector, x0: FourVector, segments, params: KernelPa
 class MCResult:
     """Estimate, its standard error and the work behind it.
 
-    marks counts the Poisson marks drawn over all samples; acceptance is the
-    fraction of them accepted (every mark is accepted on the constant-mass
-    route, whose bound is m^2 itself; 0.0 when no mark was drawn).
+    marks counts the Poisson marks drawn over all samples.  acceptance is the
+    mean of m^2(q)/bound over them: 1.0 on the constant-mass route, whose
+    bound is m^2 itself, and 0.0 when no mark was drawn.  ess is the
+    effective sample size (sum w)^2 / sum w^2 of the per-path weights w; on
+    the constant-mass route it is the number of paths without a mark.
     """
 
     estimate: complex
@@ -252,6 +261,7 @@ class MCResult:
     seed: int
     marks: int = 0
     acceptance: float = 0.0
+    ess: float = 0.0
 
 
 MC_CHUNK_SIZE = 16384  # samples per seeded chunk; the RNG streams depend on it
@@ -264,19 +274,21 @@ def kernel_mc(x: FourVector, x0: FourVector, params: KernelParams, n_segments: i
 
     The kinetic factor is the Gaussian bridge measure from x0 to x, whose
     normalization, the massless kernel, is absorbed analytically.  The mass
-    factor exp(-Int m^2(q) dlam) is estimated by thinning (Lewis & Shedler):
-    Poisson marks at rate mass_sq_bound along the path, each accepted with
-    probability m^2(q)/bound; a path contributes iff no mark is accepted.
+    factor exp(-Int m^2(q) dlam) is estimated from Poisson marks at rate
+    mass_sq_bound along the path: each path carries the weight
+    prod_i (1 - m^2(q_i)/bound) over its marks q_i, which is unbiased for
+    that factor (Wagner's Poisson estimator) and has no more variance than
+    the survival indicator of thinning, of which it is the conditional mean.
 
-    For constant mass (mass_sq_fn None) the bound is m^2, every mark is
-    accepted, and only the Poisson counts are drawn; no path is sampled.  For
-    a position-dependent mass the bridge is sampled exactly at the sorted
-    mark times and nowhere else (Beskos & Roberts), and mass_sq_fn is called
-    once per chunk on the (marks, D) array of absolute positions, returning
-    one value per row.  Both routes are unbiased, the cost scales with the
-    number of marks, and m = 0 is exact (zero variance).  mass_sq_fn values
-    outside [0, mass_sq_bound], and a mass_sq_bound without a mass_sq_fn,
-    raise ContractViolation.
+    For constant mass (mass_sq_fn None) the bound is m^2, so the weight is
+    1 for a path without marks and 0 otherwise, and only the Poisson counts
+    are drawn; no path is sampled.  For a position-dependent mass the bridge
+    is sampled exactly at the mark times and nowhere else (Beskos & Roberts),
+    and mass_sq_fn is called once per chunk that has marks, on the (marks, D)
+    array of absolute positions, returning one value per row.  Both routes
+    are unbiased, the cost scales with the number of marks, and m = 0 is
+    exact (zero variance).  mass_sq_fn values outside [0, mass_sq_bound],
+    and a mass_sq_bound without a mass_sq_fn, raise ContractViolation.
 
     n_segments no longer affects the estimate; it is checked to be >= 1 and
     kept only for positional call sites.  Deterministic for a fixed seed.
@@ -305,26 +317,29 @@ def kernel_mc(x: FourVector, x0: FourVector, params: KernelParams, n_segments: i
     total_n = 0
     mean = 0.0
     m2 = 0.0  # sum of squared deviations (Welford)
-    marks = accepted = 0
+    sum_w = sum_w2 = 0.0  # for the effective sample size
+    marks, ratio_sum = 0, 0.0
     n_chunks = (samples + MC_CHUNK_SIZE - 1) // MC_CHUNK_SIZE
     for chunk_index in range(n_chunks):
         n = min(MC_CHUNK_SIZE, samples - chunk_index * MC_CHUNK_SIZE)
         rng = np.random.default_rng(np.random.SeedSequence((int(seed), chunk_index)))
         if bound == 0.0:
-            alive = np.ones(n)
+            weight = np.ones(n)
         else:
             counts = rng.poisson(bound * tau, size=n)
             drawn = int(counts.sum())
             marks += drawn
             if mass_sq_fn is None:
-                alive = (counts == 0).astype(float)
-                accepted += drawn
+                weight = (counts == 0).astype(float)
+                ratio_sum += drawn  # m^2/bound is 1 at every mark
             else:
-                alive, hits = _thin_marks(rng, x0.as_array(), dx, tau, counts,
-                                          mass_sq_fn, bound)
-                accepted += hits
-        c_mean = float(np.mean(alive))
-        c_m2 = float(np.sum((alive - c_mean) ** 2))
+                weight, chunk_ratio_sum = _thin_marks(rng, x0.as_array(), dx, tau, counts,
+                                                      mass_sq_fn, bound)
+                ratio_sum += chunk_ratio_sum
+        c_mean = float(np.mean(weight))
+        c_m2 = float(np.sum((weight - c_mean) ** 2))
+        sum_w += float(weight.sum())
+        sum_w2 += float(weight @ weight)
         delta = c_mean - mean
         new_n = total_n + n
         m2 += c_m2 + delta * delta * total_n * n / new_n
@@ -335,50 +350,66 @@ def kernel_mc(x: FourVector, x0: FourVector, params: KernelParams, n_segments: i
     stderr = norm * np.sqrt(var / total_n)
     return MCResult(estimate=complex(norm * mean), stderr=float(stderr),
                     samples=total_n, seed=int(seed), marks=marks,
-                    acceptance=accepted / marks if marks else 0.0)
+                    acceptance=ratio_sum / marks if marks else 0.0,
+                    ess=sum_w * sum_w / sum_w2 if sum_w2 else 0.0)
 
 
 def _thin_marks(rng, start, dx, tau, counts, mass_sq_fn, bound):
-    """Survival indicator per path and the number of accepted marks.
+    """Poisson product weight per path and the sum of m^2/bound over the marks.
 
-    The counts[i] uniform mark times of path i are sorted by the one float
-    key owner + lambda/tau, lambda/tau uniform on [0, 1).  The bridge from start to start + dx is sampled
-    exactly there: free motion W with variance 2 per unit lambda at the
-    marks and at tau, pinned by B(t) = start + W(t) + (t/tau)(dx - W(tau)).
-    Paths without marks survive and draw nothing.
+    Paths are exchangeable, so they are laid out by mark count, most first,
+    and the weights are returned in that order.  The j-th marks of the paths
+    with more than j marks form rank j, and each rank's paths are a prefix
+    of the previous rank's.  Marks are placed from lambda = tau down: with r
+    marks still to place below the last time s, the next is at s * keep,
+    keep = u^(1/r), the largest of r uniforms on [0, s].
+
+    The bridge's deviation y from the line start + (lambda/tau) dx is 0 at
+    both ends, so given y(s) it is Gaussian at t = s * keep with mean
+    keep * y(s) and variance 2 (s - t) keep (free motion has variance 2 per
+    unit lambda).  Divided by t, this exact step adds an independent
+    Gaussian of variance 2 (1 - keep) / t to y/lambda (Levy's time
+    inversion), so y/lambda is a running sum from 0 at tau.  The sum runs on
+    the unit interval lambda/tau and is scaled by sqrt(tau) at the end.
+    Paths without marks keep weight 1 and draw nothing.
     """
-    alive = np.ones(counts.size)
-    marked = np.flatnonzero(counts)
-    if marked.size == 0:
-        return alive, 0
-    k = counts[marked]
-    total = int(k.sum())
-    owner = np.repeat(np.arange(marked.size), k)
-    key = owner + rng.uniform(0.0, 1.0, size=total)
-    key.sort()
-    t = (key - owner) * tau  # ascending within each path, in [0, tau]
-    ends = np.cumsum(k)
-    starts = ends - k
-    dt = np.diff(t, prepend=0.0)
-    dt[starts] = t[starts]
-    walk = rng.standard_normal((total, dx.size))
-    walk *= np.sqrt(2.0 * dt)[:, None]
-    np.cumsum(walk, axis=0, out=walk)  # W across all paths; rebased per path below
-    base = walk[starts - 1]
-    base[0] = 0.0
-    w_tau = walk[ends - 1] - base + (np.sqrt(2.0 * (tau - t[ends - 1]))[:, None]
-                                     * rng.standard_normal((marked.size, dx.size)))
-    walk -= np.repeat(base - start, k, axis=0)
-    walk += (t / tau)[:, None] * np.repeat(dx - w_tau, k, axis=0)
+    weight = np.ones(counts.size)
+    hist = np.bincount(counts)  # hist[c]: paths with c marks
+    if hist.size == 1:
+        return weight, 0.0
+    rank_sizes = np.cumsum(hist[:0:-1])[::-1]  # rank j: paths with more than j marks
+    k = np.repeat(np.arange(hist.size - 1, 0, -1), hist[:0:-1])  # marks per path, most first
+    total = int(rank_sizes.sum())
+    u = 1.0 - rng.random(total)  # in (0, 1], so every mark time is positive
+    walk = rng.standard_normal((dx.size, total))  # axis-major: each rank is one slice
+    frac = np.empty(total)  # lambda/tau of each mark
+    s, v = np.ones(k.size), np.zeros((dx.size, k.size))  # the last rank's frac and y/lambda
+    lo = 0
+    for rank, size in enumerate(rank_sizes):
+        hi = lo + size
+        keep = u[lo:hi] ** (1.0 / (k[:size] - rank))
+        t = np.multiply(s[:size], keep, out=frac[lo:hi])
+        z = walk[:, lo:hi]
+        z *= np.sqrt(2.0 * (1.0 - keep) / t)
+        z += v[:, :size]
+        s, v = t, z
+        lo = hi
+    # position start + (lambda/tau) dx + y with y = lambda v
+    walk += (dx / np.sqrt(tau))[:, None]
+    walk *= np.sqrt(tau) * frac
+    walk += start[:, None]
+    walk = walk.T
     ratio = np.asarray(mass_sq_fn(walk), dtype=float) / bound
     if ratio.shape != (total,):
         raise ContractViolation(
             f"mass_sq_fn returned shape {ratio.shape}, expected ({total},)")
     if not np.all((ratio >= 0.0) & (ratio <= 1.0)):  # also rejects NaN
         raise ContractViolation("mass_sq_fn values must lie in [0, mass_sq_bound]")
-    hit = rng.uniform(0.0, 1.0, size=total) < ratio
-    alive[marked[np.bincount(owner[hit], minlength=marked.size) > 0]] = 0.0
-    return alive, int(hit.sum())
+    lo = 0
+    for size in rank_sizes:
+        weight[:size] *= 1.0 - ratio[lo:lo + size]
+        lo += size
+    return weight, float(ratio.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +440,7 @@ def propagator_position(dx: FourVector, mass: float, epsilon: float,
         raise DomainError("a weight of infinite correlation_length needs epsilon > 0 "
                           "for the T-integral")
     metric(dimension, mode)  # checks the dimension and the mode
+    _check_dimension(dx, dimension)
     if mode == "minkowski" and damping <= 0:
         raise DomainError("minkowski proper-time integral needs damping > 0")
     dxa = dx.as_array()
@@ -454,6 +486,7 @@ def propagator_onshell_part(dx: FourVector, mass: float, sign: int,
         raise ContractViolation("sign must be +1 or -1")
     if not damping > 0:
         raise DomainError("damping must be positive")
+    _check_dimension(dx, dimension)
     d = dimension - 1
     dt = dx.time
     r = np.linalg.norm(dx.spatial) if d else 0.0

@@ -115,6 +115,17 @@ def test_scan_with_one_threshold_exits_4_without_a_record(capsys, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("dim, dx", [("2", "0.3,0.4,0.5,0.6"), ("4", "0.3,0.4")],
+                         ids=["long_dx", "short_dx"])
+def test_propagator_dx_of_the_wrong_length_exits_4_without_a_record(capsys, tmp_path, dim, dx):
+    # the long dx gave the value of its first two components, the short one
+    # an IndexError traceback
+    out = tmp_path / "propagator.json"
+    assert run(["propagator", "--dim", dim, "--dx", dx, "--output", str(out)]) == 4
+    assert "dx has dimension" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_json_round_trip_lossless(tmp_path):
     record = ResultRecord("kernel", inputs={"tau": 1.0},
                           outputs={"value": 0.25 - 0.5j, "count": 3},

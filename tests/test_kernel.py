@@ -346,11 +346,11 @@ def test_mc_guards():
         kernel_mc(origin, origin, euclid_params(), 4, 5000, seed=0, mass_sq_bound=2.0)
 
 
-def _levy_case(start, level, seed, n_segments=8, samples=400_000):
+def _levy_case(start, level, seed, n_segments=8, samples=400_000, tau=1.0):
     """m^2(q) = m0^2 + c 1[q_1 > level] on a D=4 bridge whose ends both sit
     at q_1 = level.  The bridge spends a Uniform(0, tau) time above that
     level (Levy), so the kernel is K_0 e^(-m0^2 tau) (1 - e^(-c tau))/(c tau)."""
-    tau, m0_sq, c = 1.0, 0.25, 2.0
+    m0_sq, c = 0.25, 2.0
     params = KernelParams(np.sqrt(m0_sq), tau, 4, "euclidean")
     x0 = FourVector(start)
     x = x0 + FourVector((0.3, 0.0, 0.2, -0.1))
@@ -363,12 +363,17 @@ def _levy_case(start, level, seed, n_segments=8, samples=400_000):
     return res, oracle
 
 
-@pytest.mark.parametrize("start, level", [((0.0, 0.0, 0.0, 0.0), 0.0),
-                                          ((0.4, -0.7, 1.1, 0.2), -0.7)])
-def test_mc_thinned_matches_levy_closed_form(start, level):
+@pytest.mark.parametrize("start, level, tau", [
+    pytest.param((0.0, 0.0, 0.0, 0.0), 0.0, 1.0, id="start0-0.0"),
+    pytest.param((0.4, -0.7, 1.1, 0.2), -0.7, 1.0, id="start1--0.7"),
+    pytest.param((0.0, 0.0, 0.0, 0.0), 0.0, 2.5, id="start0-0.0-tau2.5"),
+    pytest.param((0.4, -0.7, 1.1, 0.2), -0.7, 2.5, id="start1--0.7-tau2.5")])
+def test_mc_thinned_matches_levy_closed_form(start, level, tau):
     # the bridge is sampled exactly at the marks, so no grid bias is left;
-    # the second case checks that mass_sq_fn sees absolute positions
-    res, oracle = _levy_case(start, level, seed=17)
+    # the second case checks that mass_sq_fn sees absolute positions;
+    # tau = 2.5 puts about 5.6 marks on a path and checks that the mark
+    # times scale with tau
+    res, oracle = _levy_case(start, level, seed=17, tau=tau)
     assert abs(res.estimate.real - oracle) < 5 * res.stderr
     assert res.estimate.imag == 0.0
 
@@ -412,6 +417,84 @@ def test_mc_reports_marks_and_acceptance():
     assert abs(thinned.acceptance - 0.25) < 5 * np.sqrt(0.25 * 0.75 / thinned.marks)
     massless = kernel_mc(x, x0, KernelParams(1e-300, 1.0, 2, "euclidean"), 8, 2000, seed=1)
     assert (massless.marks, massless.acceptance) == (0, 0.0)
+
+
+def test_mc_reports_effective_sample_size():
+    x0 = FourVector((0.0, 0.0))
+    x = FourVector((0.3, 0.1))
+    samples = 40000
+    norm = kernel_closed(x - x0, KernelParams(1e-300, 1.0, 2, "euclidean")).real
+    # constant mass: the weights are 0 or 1, so the ESS counts the survivors
+    const = kernel_mc(x, x0, euclid_params(), 8, samples, seed=4)
+    assert const.ess == round(const.estimate.real / norm * samples)
+    massless = kernel_mc(x, x0, KernelParams(1e-300, 1.0, 2, "euclidean"), 8, 2000, seed=1)
+    assert massless.ess == 2000
+    # w = (3/4)^k with k ~ Poisson(4): ESS/n -> E[w]^2/E[w^2] = e^-2/e^-1.75;
+    # over seeds its relative spread at this size is about 1e-3
+    thinned = kernel_mc(x, x0, euclid_params(), 8, samples, seed=4,
+                        mass_sq_fn=lambda q: np.ones(q.shape[:-1]), mass_sq_bound=4.0)
+    assert thinned.ess / samples == pytest.approx(np.exp(-0.25), rel=0.01)
+
+
+def test_mc_poisson_weight_spread():
+    # m^2 = 1 under bound 2 in D=4: w = 2^-k, k ~ Poisson(2), so the spread
+    # of w is sqrt(e^-1.5 - e^-2), against sqrt(e^-1 (1 - e^-1)) for the
+    # survival indicator of thinning
+    params = KernelParams(1.0, 1.0, 4, "euclidean")
+    x0, x = FourVector((0.0,) * 4), FourVector((0.3, 0.0, 0.2, -0.1))
+    samples = 200_000
+    res = kernel_mc(x, x0, params, 8, samples, seed=7,
+                    mass_sq_fn=lambda q: np.ones(q.shape[:-1]), mass_sq_bound=2.0)
+    norm = kernel_closed(x - x0, KernelParams(1e-300, 1.0, 4, "euclidean")).real
+    spread = res.stderr * np.sqrt(samples) / norm
+    assert spread == pytest.approx(np.sqrt(np.exp(-1.5) - np.exp(-2.0)), rel=0.05)
+    assert spread < np.sqrt(np.exp(-1.0) * (1.0 - np.exp(-1.0)))
+
+
+def test_mc_marks_see_the_bridge_marginal():
+    # given its count, a path's marks sit at uniform times U tau, where the
+    # bridge is start + U dx + y with Var y = 2 tau U (1 - U): per axis the
+    # positions have mean start + dx/2 and variance dx^2/12 + tau/3.  The
+    # Levy case sees only the sign of y, so this pins its scale.  Marks of
+    # one path are correlated; the bounds allow for full correlation, which
+    # at most multiplies the variance of a mean by 1 + 1/(bound tau), and
+    # take the fourth moment of each axis as Gaussian.
+    tau, bound, samples = 2.5, 2.0, 40000
+    x0 = FourVector((0.4, -0.7, 1.1, 0.2))
+    x = x0 + FourVector((0.6, 0.0, -0.8, 0.3))
+    seen = []
+
+    def mass_sq(q):
+        seen.append(np.array(q))
+        return np.zeros(q.shape[:-1])
+
+    kernel_mc(x, x0, KernelParams(1.0, tau, 4, "euclidean"), 8, samples, seed=17,
+              mass_sq_fn=mass_sq, mass_sq_bound=bound)
+    q = np.concatenate(seen)
+    dx = (x - x0).as_array()
+    var = dx ** 2 / 12 + tau / 3
+    inflation = 1 + 1 / (bound * tau)
+    assert np.all(np.abs(q.mean(axis=0) - (x0.as_array() + dx / 2))
+                  < 5 * np.sqrt(var * inflation / samples))
+    assert np.all(np.abs(q.var(axis=0) / var - 1) < 5 * np.sqrt(2 * inflation / samples))
+
+
+@pytest.mark.parametrize("bound, marked_chunks", [(2.0, 4), (1e-4, 3)])
+def test_mc_calls_mass_sq_fn_once_per_chunk_with_marks(bound, marked_chunks):
+    # four chunks; at the small bound one of them draws no mark
+    rows = []
+
+    def mass_sq(q):
+        rows.append(q.shape)
+        return np.zeros(q.shape[:-1])
+
+    x0, x = FourVector((0.0,) * 4), FourVector((0.3, 0.0, 0.2, -0.1))
+    res = kernel_mc(x, x0, KernelParams(1.0, 1.0, 4, "euclidean"), 8,
+                    3 * kernel.MC_CHUNK_SIZE + 100, seed=3,
+                    mass_sq_fn=mass_sq, mass_sq_bound=bound)
+    assert len(rows) == marked_chunks
+    assert all(n > 0 and d == 4 for n, d in rows)
+    assert sum(n for n, _ in rows) == res.marks
 
 
 # ---------------------------------------------------------------------------

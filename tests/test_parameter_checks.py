@@ -7,8 +7,10 @@ from worldlineqm.interaction import ScatterLeg, ScatterSpec
 from worldlineqm.kernel import (
     KernelParams,
     WeightFunction,
+    kernel_damped,
     propagator_momentum,
     propagator_onshell_part,
+    propagator_position,
     segment_norm,
 )
 from worldlineqm.lattice import LatticeSpec
@@ -82,4 +84,36 @@ _NAN_CASES = {
 @pytest.mark.parametrize("error, message, call", _NAN_CASES.values(), ids=list(_NAN_CASES))
 def test_parameter_checks_reject_nan(error, message, call):
     with pytest.raises(error, match=message):
+        call()
+
+
+# a vector whose length disagrees with the dimension argument, and a mode
+# name the metric does not know: each once returned a value or an IndexError
+_D2, _D4 = FourVector((0.3, 0.4)), FourVector((0.3, 0.4, 0.5, 0.6))
+_MISMATCH_CASES = {
+    "propagator_position.long_dx": (
+        "dx has dimension 4, expected 2",
+        lambda: propagator_position(_D4, 1.0, 0.1, WeightFunction.uniform(), 2)),
+    "propagator_position.short_dx": (
+        "dx has dimension 2, expected 4",
+        lambda: propagator_position(_D2, 1.0, 0.1, WeightFunction.uniform(), 4)),
+    "propagator_onshell_part.long_dx": (
+        "dx has dimension 4, expected 2",
+        lambda: propagator_onshell_part(_D4, 1.0, 1, 1e-2, 2)),
+    "propagator_onshell_part.short_dx": (
+        "dx has dimension 2, expected 4",
+        lambda: propagator_onshell_part(_D2, 1.0, 1, 1e-2, 4)),
+    "kernel_damped.long_dx": (
+        "dx has dimension 4, expected 2",
+        lambda: kernel_damped(_D4, 1.0, 1.0, 2, 1e-2)),
+    "kernel_damped.short_dx": (
+        "dx has dimension 2, expected 4",
+        lambda: kernel_damped(_D2, 1.0, 1.0, 4, 1e-2)),
+    "segment_norm.mode": ("unknown mode 'bogus'", lambda: segment_norm(0.5, 4, "bogus")),
+}
+
+
+@pytest.mark.parametrize("message, call", _MISMATCH_CASES.values(), ids=list(_MISMATCH_CASES))
+def test_parameter_checks_reject_mismatched_dimension_and_mode(message, call):
+    with pytest.raises(ContractViolation, match=message):
         call()
