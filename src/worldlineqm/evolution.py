@@ -13,7 +13,11 @@ though p.p + m^2 is indefinite on a spacetime lattice).  On the lattice one
 step is ifftn(phase * fftn(psi)) (`lattice.spectral_multiply`): the phase
 depends on p0 only through p0^2, so the time-axis sign reflection of the
 unitary transform drops out, and its two scale factors cancel exactly.
-The phase itself is a broadcast product of one 1-D factor per axis.
+The phase itself is a broadcast product of one 1-D factor per axis.  An
+evolved field carries its spectrum, so evolving it again skips the fftn: a
+chain of k single steps costs one fftn and k ifftns, and one call of k
+steps one of each.  Its amplitude array is read-only; bind a new array to
+`field.values` to change it.
 
 The equivalent differential statement, checked by the finite-difference
 residual below, is
@@ -60,11 +64,14 @@ def norm(psi: ParametrizedWavefunction) -> float:
 def evolve(psi: ParametrizedWavefunction, dlam: float,
            steps: int = 1) -> ParametrizedWavefunction:
     """Advance psi by `steps` steps of dlam (any sign) with the exact spectral
-    phase, built once; bitwise equal to `steps` single-step calls."""
+    phase, built once and applied `steps` times to the spectrum between one
+    fftn (none if psi's field carries its spectrum) and one ifftn; bitwise
+    equal to `steps` single-step calls."""
     phase = lattice_momentum_phase(psi.spec, dlam, psi.mass)
     field, lam = psi.field, psi.lam
+    if steps:
+        field = spectral_multiply(field, *(phase,) * steps)
     for _ in range(steps):
-        field = spectral_multiply(field, phase)
         lam += dlam
     return ParametrizedWavefunction(field, lam, psi.mass)
 

@@ -61,6 +61,11 @@ class FourVector:
     def as_array(self) -> np.ndarray:
         return np.asarray(self.components, dtype=float)
 
+    def check_dimension(self, dimension: int, name: str) -> None:
+        """Raise ContractViolation unless the vector has `dimension` components."""
+        if self.dimension != dimension:
+            raise ContractViolation(f"{name} has dimension {self.dimension}, expected {dimension}")
+
     def __add__(self, other: "FourVector") -> "FourVector":
         _check_dims(self, other)
         return FourVector(tuple(a + b for a, b in zip(self.components, other.components)))

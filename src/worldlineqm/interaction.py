@@ -464,6 +464,7 @@ def self_energy_unregulated(p: FourVector, m_a: float, m_b: float, dimension: in
     """
     if dimension not in (2, 4):
         raise ContractViolation("dimension must be 2 or 4")
+    p.check_dimension(dimension, "p")
     if dimension == 4 and not np.isfinite(cutoff):
         raise DomainError("the D=4 bubble diverges logarithmically; it needs a finite cutoff")
     if not cutoff > 10 * max(m_a, m_b):

@@ -144,11 +144,6 @@ def kernel_closed(dx: FourVector, params: KernelParams) -> complex:
                          params.mass ** 2, params.dimension, params.mode)
 
 
-def _check_dimension(dx: FourVector, dimension: int) -> None:
-    if dx.dimension != dimension:
-        raise ContractViolation(f"dx has dimension {dx.dimension}, expected {dimension}")
-
-
 def kernel_damped(dx: FourVector, total_length: float, mass_squared,
                   dimension: int, damping: float, mode: str = "minkowski",
                   damp_time_only: bool = False) -> complex:
@@ -161,7 +156,7 @@ def kernel_damped(dx: FourVector, total_length: float, mass_squared,
     """
     if damping < 0:
         raise DomainError("damping must be >= 0")
-    _check_dimension(dx, dimension)
+    dx.check_dimension(dimension, "dx")
     return _kernel_value(dx.as_array(), total_length, mass_squared, dimension,
                          mode, damping, damp_time_only)
 
@@ -440,7 +435,7 @@ def propagator_position(dx: FourVector, mass: float, epsilon: float,
         raise DomainError("a weight of infinite correlation_length needs epsilon > 0 "
                           "for the T-integral")
     metric(dimension, mode)  # checks the dimension and the mode
-    _check_dimension(dx, dimension)
+    dx.check_dimension(dimension, "dx")
     if mode == "minkowski" and damping <= 0:
         raise DomainError("minkowski proper-time integral needs damping > 0")
     dxa = dx.as_array()
@@ -486,7 +481,7 @@ def propagator_onshell_part(dx: FourVector, mass: float, sign: int,
         raise ContractViolation("sign must be +1 or -1")
     if not damping > 0:
         raise DomainError("damping must be positive")
-    _check_dimension(dx, dimension)
+    dx.check_dimension(dimension, "dx")
     d = dimension - 1
     dt = dx.time
     r = np.linalg.norm(dx.spatial) if d else 0.0

@@ -20,8 +20,16 @@ The signed time axis is the index reflection k0 -> -k0 of a plain fftn, and
 that reflection leaves such a multiplier unchanged (fftfreq's Nyquist entry
 maps to itself), so it drops out of forward-then-inverse.  The two scale
 factors cancel too: prod(a) * prod(2 pi / L) * (2 pi)^(-D) * N = 1, with N
-the site count that ifftn divides by.  This module holds every FFT call of
-the package.
+the site count that ifftn divides by.
+
+The product multiplier * fftn(psi) is kept: the position field that
+`spectral_multiply` returns carries it as its plain spectrum, and the next
+`spectral_multiply` on that field multiplies it instead of transforming
+forward again.  A chain of k multiplications then costs one fftn and k
+ifftns.  A field carrying a spectrum has read-only values and spectrum
+arrays, and the spectrum is used only while it belongs to the field's
+current `values` object, so it cannot go stale.  This module holds every FFT
+call of the package.
 """
 
 from __future__ import annotations
@@ -107,11 +115,20 @@ class LatticeSpec:
 
 @dataclass
 class ComplexField:
-    """Complex amplitudes on a lattice, in position or momentum representation."""
+    """Complex amplitudes on a lattice, in position or momentum representation.
+
+    A position field returned by `spectral_multiply` also carries its plain
+    spectrum, the array whose ifftn is `values`, for the next
+    `spectral_multiply` to multiply in place of fftn(values).  Its
+    values and spectrum arrays are read-only, so an in-place write raises
+    ValueError; binding a new array to `values` makes the carried spectrum
+    unused, since it is read only while its values array is `values` itself.
+    """
 
     spec: LatticeSpec
     values: np.ndarray
     representation: str = "position"  # "position" | "momentum"
+    _carried = None  # (values, spectrum) from spectral_multiply
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=complex)
@@ -162,18 +179,32 @@ def spectral_transform(field: ComplexField, direction: str) -> ComplexField:
     raise ContractViolation(f"unknown direction {direction!r}")
 
 
-def spectral_multiply(field: ComplexField, multiplier: np.ndarray) -> ComplexField:
-    """Position field whose momentum amplitudes are multiplier times those of field.
+def spectral_multiply(field: ComplexField, *multipliers: np.ndarray) -> ComplexField:
+    """Position field whose momentum amplitudes are those of field times each
+    multiplier in turn.
 
     Equal to spectral_transform(multiplier * spectral_transform(field,
-    "forward"), "inverse") only when multiplier is even in p0, i.e. takes the
-    same value at k0 and -k0 (mod N0) on the time axis, as any function of
-    p0^2 does.  Then it is one fftn, one in-place product and one ifftn.
+    "forward"), "inverse") per multiplier only when each is even in p0, i.e.
+    takes the same value at k0 and -k0 (mod N0) on the time axis, as any
+    function of p0^2 does.  Then it is one fftn, the products in order and one
+    ifftn.  The result carries its plain spectrum (see `ComplexField`); when
+    field carries one for its current values, the fftn is skipped and that
+    spectrum is multiplied instead, with the same bits as the fftn path.
     """
     if field.representation != "position":
         raise ContractViolation("spectral_multiply expects a position-representation field")
     _check_finite(field)
-    out = scipy.fft.fftn(field.values)
-    out *= multiplier
-    out = scipy.fft.ifftn(out, overwrite_x=True)
-    return ComplexField(field.spec, out, "position")
+    carried = field._carried
+    if carried is not None and carried[0] is field.values:
+        spectrum = carried[1]
+    else:
+        spectrum = scipy.fft.fftn(field.values)
+    for multiplier in multipliers:
+        # the carried spectrum is read-only: the first product is a new array
+        spectrum = np.multiply(spectrum, multiplier,
+                               out=spectrum if spectrum.flags.writeable else None)
+    values = scipy.fft.ifftn(spectrum)
+    values.flags.writeable = spectrum.flags.writeable = False
+    out = ComplexField(field.spec, values, "position")
+    out._carried = (out.values, spectrum)
+    return out

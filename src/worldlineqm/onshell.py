@@ -128,7 +128,9 @@ def momentum_state_profile(p_spatial, mass: float, sign: int, t: float,
     # p0 - s E: both signs are the particle integral at offset s p0 - E, limit s t
     x = sign * p0 - e
     ts = sign * t
-    if ts <= 0:
+    if ts == 0:
+        core = 1 / (1j * x + epsilon)  # exp(0) = 1 exactly: no exp over the grid
+    elif ts < 0:
         core = np.exp((1j * x + epsilon) * ts) / (1j * x + epsilon)
     else:
         core = 1.0 / (1j * x + epsilon) + (np.exp((1j * x - epsilon) * ts) - 1.0) / (1j * x - epsilon)

@@ -124,6 +124,7 @@ def self_energy_regulated(p: FourVector, m_a: float, m_b: float, dimension: int,
     """
     if dimension not in (2, 4):
         raise ContractViolation("dimension must be 2 or 4")
+    p.check_dimension(dimension, "p")
     if dimension == 4 and spec.threshold == 0.0:
         raise DomainError("D=4 without a threshold is not absolutely convergent")
     top = np.inf if cutoff is None else cutoff

@@ -126,6 +126,23 @@ def test_propagator_dx_of_the_wrong_length_exits_4_without_a_record(capsys, tmp_
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, dim, p", [
+    ("selfenergy", "2", "0.3,0.4,0,0"), ("selfenergy", "4", "0.3,0.4"),
+    ("scan", "2", "0.3,0.4,0,0"), ("scan", "4", "0.3,0.4"),
+], ids=["selfenergy_long_p", "selfenergy_short_p", "scan_long_p", "scan_short_p"])
+def test_self_energy_p_of_the_wrong_length_exits_4_without_a_record(capsys, tmp_path,
+                                                                     command, dim, p):
+    # the long p gave the value at |p| over all four components; the short
+    # one ran at D=4 on a 2-vector
+    out = tmp_path / f"{command}.json"
+    args = [command, "--dim", dim, "--p", p, "--output", str(out)]
+    if command == "selfenergy" and dim == "4":
+        args += ["--cutoff", "100"]
+    assert run(args) == 4
+    assert f"p has dimension {len(p.split(','))}, expected {dim}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_json_round_trip_lossless(tmp_path):
     record = ResultRecord("kernel", inputs={"tau": 1.0},
                           outputs={"value": 0.25 - 0.5j, "count": 3},

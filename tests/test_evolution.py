@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 from worldlineqm.evolution import (
     ParametrizedWavefunction,
@@ -119,22 +120,89 @@ def test_evolve_matches_lattice_kernel_convolution():
     assert np.max(np.abs(out.field.values - conv)) < 1e-10
 
 
-@pytest.mark.parametrize("shape, extents, center, momentum", [
+# anisotropic D = 2, 3, 4 lattices with p0 != 0
+_ANISOTROPIC_PACKETS = pytest.mark.parametrize("shape, extents, center, momentum", [
     ((16, 8), (6.0, 9.0), (2.5, 4.0), (0.9, -0.6)),
     ((8, 4, 16), (5.0, 3.0, 7.5), (2.0, 1.5, 3.0), (-1.1, 0.4, 0.7)),
     ((4, 8, 2, 16), (3.0, 5.0, 2.0, 9.0), (1.0, 2.5, 1.0, 4.0), (0.8, -0.5, 0.3, 1.2)),
 ])
+
+
+def _anisotropic_packet(shape, extents, center, momentum):
+    spec = LatticeSpec(shape, extents)
+    return gaussian_packet(spec, center, (1.1, 0.8, 1.4, 0.9)[:spec.dimension], momentum, 1.3)
+
+
+def _composed_step(field, dlam, mass):
+    # forward transform, phase, inverse transform
+    tilde = spectral_transform(field, "forward")
+    tilde.values *= lattice_momentum_phase(field.spec, dlam, mass)
+    return spectral_transform(tilde, "inverse")
+
+
+@_ANISOTROPIC_PACKETS
 def test_evolve_matches_the_two_transform_composition(shape, extents, center, momentum):
     # the fused fftn/ifftn step against forward transform, phase, inverse transform
-    spec = LatticeSpec(shape, extents)
-    psi = gaussian_packet(spec, center, (1.1, 0.8, 1.4, 0.9)[:spec.dimension], momentum, 1.3)
+    psi = _anisotropic_packet(shape, extents, center, momentum)
     for dlam in (0.37, -0.8, 2.5):
-        tilde = spectral_transform(psi.field, "forward")
-        tilde.values *= lattice_momentum_phase(spec, dlam, psi.mass)
-        reference = spectral_transform(tilde, "inverse").values
+        reference = _composed_step(psi.field, dlam, psi.mass).values
         out = evolve(psi, dlam).field.values
         scale = np.max(np.abs(psi.field.values))
         assert np.max(np.abs(out - reference)) < 1e-13 * scale
+
+
+@_ANISOTROPIC_PACKETS
+def test_carried_spectrum_steps_match_the_two_transform_composition(shape, extents, center,
+                                                                     momentum):
+    # each step after the first multiplies the spectrum the last one carried
+    psi = _anisotropic_packet(shape, extents, center, momentum)
+    carried, reference = psi, psi.field
+    for _ in range(16):
+        carried = evolve(carried, 0.29)
+        reference = _composed_step(reference, 0.29, psi.mass)
+    scale = np.max(np.abs(psi.field.values))
+    assert np.max(np.abs(carried.field.values - reference.values)) < 1e-13 * scale
+
+
+def _count_transforms(monkeypatch):
+    calls = {"fftn": 0, "ifftn": 0}
+    for name in calls:
+        def counted(*args, _name=name, _call=getattr(scipy.fft, name), **kwargs):
+            calls[_name] += 1
+            return _call(*args, **kwargs)
+        monkeypatch.setattr(scipy.fft, name, counted)
+    return calls
+
+
+def test_a_chain_of_steps_transforms_forward_once(monkeypatch):
+    calls = _count_transforms(monkeypatch)
+    psi = packet()
+    state = psi
+    for _ in range(16):
+        state = evolve(state, 0.05)
+    assert calls == {"fftn": 1, "ifftn": 16}
+    calls.update(fftn=0, ifftn=0)
+    evolve(psi, 0.05, 16)
+    assert calls == {"fftn": 1, "ifftn": 1}
+
+
+def test_an_evolved_field_is_read_only():
+    out = evolve(packet(), 0.3)
+    with pytest.raises(ValueError):
+        out.field.values[2, 3] = 1.0
+    with pytest.raises(ValueError):
+        out.field.values *= 2.0
+
+
+def test_rebinding_the_values_drops_the_carried_spectrum(monkeypatch):
+    psi = evolve(packet(), 0.3)
+    new_values = random_state(psi.spec, 4).field.values
+    psi.field.values = new_values
+    calls = _count_transforms(monkeypatch)
+    out = evolve(psi, 0.3)
+    assert calls == {"fftn": 1, "ifftn": 1}
+    reference = _composed_step(ComplexField(psi.spec, new_values, "position"), 0.3, psi.mass)
+    assert np.max(np.abs(out.field.values - reference.values)) < 1e-13 * np.max(np.abs(new_values))
 
 
 def test_evolve_leaves_the_input_untouched():

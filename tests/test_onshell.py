@@ -88,6 +88,26 @@ def test_profile_off_zero_time_matches_its_one_sided_integral(sign, t):
         assert amplitude == pytest.approx(oracle, rel=1e-10)
 
 
+def _exp_form_amplitude(p_spatial, mass, sign, t, eps, p0):
+    # the t <= 0 branch as exp((i x + eps) s t) / (i x + eps), exp kept at t = 0
+    e = float(np.sqrt(sum(x * x for x in p_spatial) + mass * mass))
+    x = sign * np.asarray(p0, dtype=float) - e
+    core = np.exp((1j * x + eps) * (sign * t)) / (1j * x + eps)
+    return np.exp(-1j * sign * e * t) * core / (2 * e)
+
+
+@pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-3])
+def test_profile_at_zero_time_is_bitwise_the_exp_form(eps):
+    # the closed form 1 / (i x + eps) at t = 0 skips exp(0) and changes no bit;
+    # the grids are those of the spectral benchmark's concentration case
+    step = eps / 4
+    grid = np.sqrt(0.3 ** 2 + 1.0) + np.arange(-400.0, 400.0 + step, step)
+    for sign, t in ((+1, 0.0), (-1, 0.0), (+1, -0.0), (+1, -0.7)):
+        got = momentum_state_profile((0.3,), 1.0, sign, t, eps, sign * grid).amplitude
+        expected = _exp_form_amplitude((0.3,), 1.0, sign, t, eps, sign * grid)
+        assert got.tobytes() == expected.tobytes()
+
+
 def lorentzian_concentration_oracle(window, eps):
     # Int_{-w}^{w} dx/(x^2+e^2) over Int_{-inf}^{inf} = (2/pi) arctan(w/e)
     return (2 / np.pi) * np.arctan(window / eps)

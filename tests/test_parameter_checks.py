@@ -3,7 +3,7 @@ import pytest
 from worldlineqm.errors import ContractViolation, DegeneratePathError, DomainError
 from worldlineqm.evolution import gaussian_packet, stueckelberg_residual
 from worldlineqm.geometry import FourVector
-from worldlineqm.interaction import ScatterLeg, ScatterSpec
+from worldlineqm.interaction import ScatterLeg, ScatterSpec, self_energy_unregulated
 from worldlineqm.kernel import (
     KernelParams,
     WeightFunction,
@@ -21,7 +21,7 @@ from worldlineqm.onshell import (
     momentum_state_profile,
     onshell_propagator_momentum,
 )
-from worldlineqm.regularization import RegulatorSpec
+from worldlineqm.regularization import RegulatorSpec, divergence_scan, self_energy_regulated
 
 NAN = float("nan")
 
@@ -110,6 +110,24 @@ _MISMATCH_CASES = {
         "dx has dimension 2, expected 4",
         lambda: kernel_damped(_D2, 1.0, 1.0, 4, 1e-2)),
     "segment_norm.mode": ("unknown mode 'bogus'", lambda: segment_norm(0.5, 4, "bogus")),
+    "self_energy_unregulated.long_p": (
+        "p has dimension 4, expected 2",
+        lambda: self_energy_unregulated(_D4, 1.0, 1.0, 2, float("inf"))),
+    "self_energy_unregulated.short_p": (
+        "p has dimension 2, expected 4",
+        lambda: self_energy_unregulated(_D2, 1.0, 1.0, 4, 100.0)),
+    "self_energy_regulated.long_p": (
+        "p has dimension 4, expected 2",
+        lambda: self_energy_regulated(_D4, 1.0, 1.0, 2, RegulatorSpec(10.0, 0.01, 1.0))),
+    "self_energy_regulated.short_p": (
+        "p has dimension 2, expected 4",
+        lambda: self_energy_regulated(_D2, 1.0, 1.0, 4, RegulatorSpec(10.0, 0.01, 1.0))),
+    "divergence_scan.long_p": (
+        "p has dimension 4, expected 2",
+        lambda: divergence_scan(_D4, 1.0, 1.0, 2, (0.02, 0.01))),
+    "divergence_scan.short_p": (
+        "p has dimension 2, expected 4",
+        lambda: divergence_scan(_D2, 1.0, 1.0, 4, (0.02, 0.01))),
 }
 
 
