@@ -2,16 +2,18 @@
 
 Subpackage map:
 
-- ``geometry``       signed/euclidean inner products, four-vectors, particle types
+- ``geometry``       the metric, the signed inner product, four-vectors,
+                     particle types
 - ``lattice``        periodic spacetime lattices and unitary spectral transforms
-- ``paths``          discretized paths, parametrizations, the path action
+- ``paths``          discretized paths and the path action
 - ``kernel``         fixed-length kernels (closed form, discretized collapse,
                      euclidean Monte Carlo), the path-length weight family
                      and its transform, proper-time propagators,
                      frequency parts, mass superposition, lattice kernels
 - ``evolution``      Stueckelberg parameter evolution of spacetime wavefunctions
-- ``onshell``        particle/antiparticle momentum states, induced inner
-                     product, localization conventions, time-phase evolution
+- ``onshell``        particle/antiparticle momentum states, the
+                     bi-orthonormal time-state pairing, localization
+                     conventions, time-phase evolution
 - ``fock``           symmetrized multiparticle states, permanents, the one
                      count-vector field-application engine, the special
                      adjoint, commutators on finite grids
@@ -28,9 +30,9 @@ Subpackage map:
 - ``cli``            batch front end with JSON configs and CSV/JSON records
 """
 
-from .geometry import FourVector, ParticleType, euclidean_dot, minkowski_dot
+from .geometry import FourVector, ParticleType, minkowski_dot
 from .lattice import ComplexField, LatticeSpec, spectral_transform
-from .paths import DiscretePath, Parametrization, action, action_restrict, reparametrize
+from .paths import DiscretePath, action, action_restrict
 from .kernel import (
     KernelParams,
     WeightFunction,
@@ -47,15 +49,12 @@ __all__ = [
     "FourVector",
     "ParticleType",
     "minkowski_dot",
-    "euclidean_dot",
     "LatticeSpec",
     "ComplexField",
     "spectral_transform",
     "DiscretePath",
-    "Parametrization",
     "action",
     "action_restrict",
-    "reparametrize",
     "KernelParams",
     "WeightFunction",
     "kernel_closed",

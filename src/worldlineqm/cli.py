@@ -31,7 +31,6 @@ from .errors import (
     ContractViolation,
     DegeneratePathError,
     DomainError,
-    LapsePositivityError,
     LeakageError,
     SectorOverflowError,
     UnsupportedSpecError,
@@ -41,8 +40,7 @@ from .lattice import LatticeSpec
 from .records import COMPLEX_KEYS, ResultRecord, decode_value, emit
 
 _DOMAIN_ERRORS = (ContractViolation, DomainError, UnsupportedSpecError,
-                  DegeneratePathError, LapsePositivityError,
-                  SectorOverflowError, LeakageError)
+                  DegeneratePathError, SectorOverflowError, LeakageError)
 
 
 def _float(value, where: str) -> float:

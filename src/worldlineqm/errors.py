@@ -17,10 +17,6 @@ class DegeneratePathError(ValueError):
     """A discretized path contains a zero-length or reversed segment."""
 
 
-class LapsePositivityError(ValueError):
-    """A parametrization is not strictly increasing (non-positive lapse)."""
-
-
 class SectorOverflowError(ValueError):
     """A state operation would exceed the configured Fock sector bound."""
 

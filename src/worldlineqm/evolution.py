@@ -125,11 +125,3 @@ def gaussian_packet(spec: LatticeSpec, center, width, momentum, mass: float,
     field = ComplexField(spec, values, "position")
     field.values /= np.sqrt(field.norm_squared())
     return ParametrizedWavefunction(field, lam, mass)
-
-
-def lattice_delta(spec: LatticeSpec, site, mass: float,
-                  lam: float = 0.0) -> ParametrizedWavefunction:
-    """Unit-impulse state 1/cellvolume at one site (a lattice delta function)."""
-    values = np.zeros(spec.shape, dtype=complex)
-    values[tuple(site)] = 1.0 / spec.cell_volume
-    return ParametrizedWavefunction(ComplexField(spec, values, "position"), lam, mass)

@@ -421,14 +421,6 @@ def fock_inner(bra: FockState, ket: FockState, algebra: FieldAlgebra) -> complex
     return value
 
 
-def pair_states(bra_states, ket_states, algebra: FieldAlgebra) -> complex:
-    total = 0j
-    for b in bra_states:
-        for k in ket_states:
-            total += fock_inner(b, k, algebra)
-    return total
-
-
 def commutator_value(bra_site, bra_label: str, ket_site, ket_label: str,
                      algebra: FieldAlgebra) -> complex:
     """[psi(x', n'), psi‡(x, n)] evaluated on the vacuum and projected back.

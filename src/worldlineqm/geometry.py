@@ -94,12 +94,6 @@ def minkowski_dot(a: FourVector, b: FourVector) -> float:
     return float(np.sum(a.as_array() * b.as_array() * metric(a.dimension)))
 
 
-def euclidean_dot(a: FourVector, b: FourVector) -> float:
-    """Positive-definite inner product sum_mu a_mu*b_mu."""
-    _check_dims(a, b)
-    return float(a.as_array() @ b.as_array())
-
-
 @dataclass(frozen=True)
 class ParticleType:
     """A scalar particle species.

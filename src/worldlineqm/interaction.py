@@ -361,21 +361,19 @@ INITIAL_ANTIPARTICLE = "initial-antiparticle"
 _LINE_KINDS = (FINAL_PARTICLE, FINAL_ANTIPARTICLE, INITIAL_PARTICLE, INITIAL_ANTIPARTICLE)
 
 
-def external_line_factor(kind: str, p_spatial, mass: float, x: FourVector,
-                         dimension: int) -> complex:
+def external_line_factor(kind: str, p_spatial, mass: float, x: FourVector) -> complex:
     """On-shell reduction factor for one external line at vertex position x.
 
     (2 pi)^(-d/2) (2 E_p)^(-1/2) exp(i s (E x0 - p.x)), the symmetric-sqrt2E
     localized wavefunction of momentum s p and sign s, where s = +1 for a
     final particle (outgoing) or an initial antiparticle (outgoing), and
     s = -1 for an initial particle (incoming) or a final antiparticle
-    (incoming, path running backward).
+    (incoming, path running backward).  p_spatial must have the D - 1
+    components of x.spatial.
     """
     if kind not in _LINE_KINDS:
         raise ContractViolation(f"unknown line kind {kind!r}")
     p = np.atleast_1d(np.asarray(p_spatial, dtype=float))
-    if p.size != dimension - 1:
-        raise ContractViolation("spatial momentum does not match the dimension")
     s = 1 if kind in (FINAL_PARTICLE, INITIAL_ANTIPARTICLE) else -1
     return localized_wavefunction(x.spatial, x.time, s * p, mass, s, SYMMETRIC_SQRT2E)
 
@@ -446,7 +444,7 @@ def scatter_tree_2to2(spec: ScatterSpec, model: InteractionModel,
     exchange = (propagator_momentum(transfer(p_in[0], p_out[0]), m_b, epsilon)
                 + propagator_momentum(transfer(p_in[0], p_out[1]), m_b, epsilon))
     origin = FourVector((0.0,) * (d + 1))
-    external = np.prod([external_line_factor(FINAL_PARTICLE, p, m_a, origin, d + 1)
+    external = np.prod([external_line_factor(FINAL_PARTICLE, p, m_a, origin)
                         for p in p_in + p_out])
     return complex(model.coupling ** 2 * exchange * external)
 

@@ -126,27 +126,25 @@ def _axis_widths(t, g, z, damping: float = 0.0, damp_time_only: bool = False):
     return [(space_damping if mu else damping) + z * g_mu * t for mu, g_mu in enumerate(g)]
 
 
-def _kernel_value(dx, t: float, mass_squared, dimension: int, mode: str,
+def _kernel_value(dx, t: float, mass_squared, mode: str,
                   damping: float = 0.0, damp_time_only: bool = False) -> complex:
-    """Kernel value at one length t from the per-axis Gaussian factors."""
+    """Kernel value at one length t from the per-axis Gaussian factors of the
+    len(dx) axes."""
     z = wick_factor(mode)
     value = 1.0
-    for mu, a in enumerate(_axis_widths(t, metric(dimension, mode), z, damping, damp_time_only)):
+    for mu, a in enumerate(_axis_widths(t, metric(len(dx), mode), z, damping, damp_time_only)):
         value = value * np.sqrt(np.pi / a) / (2 * np.pi) * np.exp(-dx[mu] ** 2 / (4 * a))
     return complex(value * np.exp(-z * t * mass_squared))
 
 
 def kernel_closed(dx: FourVector, params: KernelParams) -> complex:
     """Closed-form kernel K(dx; T) for the given parameters."""
-    if dx.dimension != params.dimension:
-        raise ContractViolation("dx dimension does not match params")
-    return _kernel_value(dx.as_array(), params.total_length,
-                         params.mass ** 2, params.dimension, params.mode)
+    dx.check_dimension(params.dimension, "dx")
+    return _kernel_value(dx.as_array(), params.total_length, params.mass ** 2, params.mode)
 
 
-def kernel_damped(dx: FourVector, total_length: float, mass_squared,
-                  dimension: int, damping: float, mode: str = "minkowski",
-                  damp_time_only: bool = False) -> complex:
+def kernel_damped(dx: FourVector, total_length: float, mass_squared, damping: float,
+                  mode: str = "minkowski", damp_time_only: bool = False) -> complex:
     """Kernel with the Gaussian momentum damping exp(-damping |p|_E^2) folded in.
 
     mass_squared may be negative or complex; the damping keeps every axis
@@ -156,9 +154,8 @@ def kernel_damped(dx: FourVector, total_length: float, mass_squared,
     """
     if damping < 0:
         raise DomainError("damping must be >= 0")
-    dx.check_dimension(dimension, "dx")
-    return _kernel_value(dx.as_array(), total_length, mass_squared, dimension,
-                         mode, damping, damp_time_only)
+    return _kernel_value(dx.as_array(), total_length, mass_squared, mode, damping,
+                         damp_time_only)
 
 
 # ---------------------------------------------------------------------------
@@ -182,14 +179,6 @@ def segment_norm(dlam: float, dimension: int, mode: str) -> complex:
     return complex(mag * np.exp(-1j * np.pi * (dimension - 2) / 4))
 
 
-def discretization_norm(segments, dimension: int, mode: str) -> complex:
-    """Product of the per-segment normalization factors."""
-    out = complex(1.0)
-    for dlam in segments:
-        out *= segment_norm(float(dlam), dimension, mode)
-    return out
-
-
 def kernel_discretized(x: FourVector, x0: FourVector, segments, params: KernelParams) -> complex:
     """Collapse the N-segment discretized path integral analytically.
 
@@ -208,9 +197,8 @@ def kernel_discretized(x: FourVector, x0: FourVector, segments, params: KernelPa
     if abs(total - params.total_length) > 1e-9 * max(1.0, params.total_length):
         raise ContractViolation(
             f"segments sum to {total}, expected T = {params.total_length}")
+    x.check_dimension(params.dimension, "x")
     dx = (x - x0).as_array()
-    if x.dimension != params.dimension:
-        raise ContractViolation("point dimension does not match params")
 
     msq = params.mass ** 2
     g, z = metric(params.dimension, params.mode), wick_factor(params.mode)
@@ -295,7 +283,7 @@ def kernel_mc(x: FourVector, x0: FourVector, params: KernelParams, n_segments: i
     if n_segments < 1:
         raise ContractViolation("need at least one segment")
     tau = params.total_length
-    dim = params.dimension
+    x.check_dimension(params.dimension, "x")
     dx = (x - x0).as_array()
     msq = params.mass ** 2
     if mass_sq_fn is None:
@@ -307,7 +295,7 @@ def kernel_mc(x: FourVector, x0: FourVector, params: KernelParams, n_segments: i
         if not 0.0 < bound < np.inf:
             raise ContractViolation("mass_sq_bound must be positive and finite with a mass_sq_fn")
 
-    norm = _kernel_value(dx, tau, 0.0, dim, "euclidean").real  # massless bridge normalization
+    norm = _kernel_value(dx, tau, 0.0, "euclidean").real  # massless bridge normalization
 
     total_n = 0
     mean = 0.0
@@ -444,7 +432,7 @@ def propagator_position(dx: FourVector, mass: float, epsilon: float,
 
     def integrand(t, mass_squared=msq):
         # mass_squared 0 leaves the factor of exp(-i T m^2) in minkowski mode
-        return (weight(t) * _kernel_value(dxa, t, mass_squared, dimension, mode, damping)
+        return (weight(t) * _kernel_value(dxa, t, mass_squared, mode, damping)
                 * np.exp(-epsilon * t))
     lo = weight.threshold
     if mode == "euclidean":
@@ -516,7 +504,7 @@ class MassSuperpositionResult:
 
 
 def fixed_mass_propagator(dx: FourVector, mass_squared: float, epsilon: float,
-                          dimension: int, damping: float) -> complex:
+                          damping: float) -> complex:
     """Regulated propagator at fixed (possibly negative) mass squared.
 
     Evaluates -i (2 pi)^(-D) Int d^D p exp(i p.dx) exp(-damping p0^2)
@@ -529,7 +517,7 @@ def fixed_mass_propagator(dx: FourVector, mass_squared: float, epsilon: float,
         raise DomainError("epsilon must be positive")
     if damping <= 0:
         raise DomainError("damping must be positive")
-    d = dimension - 1
+    d = dx.dimension - 1
     if d not in (1, 3):
         raise UnsupportedSpecError(f"spatial dimension d = {d} not supported")
     dt = dx.time
@@ -559,10 +547,10 @@ def fixed_mass_propagator(dx: FourVector, mass_squared: float, epsilon: float,
     else:
         spatial = 2 * np.pi ** 2 * np.exp(-root * r) / r
     value = np.sum(weights * np.exp(-1j * nodes * dt - damping * nodes * nodes) * spatial)
-    return complex(-1j * value / (2 * np.pi) ** dimension)
+    return complex(-1j * value / (2 * np.pi) ** dx.dimension)
 
 
-def euclidean_mass_propagator_batch(dx: FourVector, mass_squared, dimension: int) -> np.ndarray:
+def euclidean_mass_propagator_batch(dx: FourVector, mass_squared) -> np.ndarray:
     """Euclidean propagators at an array of complex mass squares, Re > 0.
 
     The proper-time integral Int_0^inf dT (4 pi T)^(-D/2) exp(-|dx|^2/4T - T m'^2)
@@ -570,7 +558,7 @@ def euclidean_mass_propagator_batch(dx: FourVector, mass_squared, dimension: int
 
         (2 pi)^(-D/2) (m'/|dx|)^(D/2-1) K_(D/2-1)(m' |dx|),
 
-    with m' the principal square root; needs |dx| > 0.
+    with m' the principal square root and D = dx.dimension; needs |dx| > 0.
     """
     msq = np.atleast_1d(np.asarray(mass_squared, dtype=complex))
     if np.any(np.real(msq) <= 0):
@@ -579,9 +567,9 @@ def euclidean_mass_propagator_batch(dx: FourVector, mass_squared, dimension: int
     r = float(np.linalg.norm(dxa))
     if r == 0.0:
         raise DomainError("euclidean mass propagator needs |dx| > 0")
-    order = dimension / 2 - 1
+    order = dx.dimension / 2 - 1
     m = np.sqrt(msq)
-    return (2 * np.pi) ** (-dimension / 2) * (m / r) ** order * special.kv(order, m * r)
+    return (2 * np.pi) ** (-dx.dimension / 2) * (m / r) ** order * special.kv(order, m * r)
 
 
 def kernel_mass_superposition(dx: FourVector, total_length: float, mass: float,
@@ -607,6 +595,7 @@ def kernel_mass_superposition(dx: FourVector, total_length: float, mass: float,
     rather than tight reconstruction.
     """
     metric(dimension, mode)  # checks the dimension and the mode
+    dx.check_dimension(dimension, "dx")
     grid = np.asarray(mass_sq_grid, dtype=float)
     if grid.ndim != 1:
         raise ContractViolation("mass_sq_grid must be one-dimensional")
@@ -620,10 +609,10 @@ def kernel_mass_superposition(dx: FourVector, total_length: float, mass: float,
     msq = mass * mass
     if mode == "euclidean":
         u = grid - msq
-        values = euclidean_mass_propagator_batch(dx, msq + 1j * u, dimension)
+        values = euclidean_mass_propagator_batch(dx, msq + 1j * u)
         value = np.trapezoid(values * np.exp(1j * total_length * u), u) / (2 * np.pi)
     else:
-        values = np.array([fixed_mass_propagator(dx, m2, epsilon, dimension, damping)
+        values = np.array([fixed_mass_propagator(dx, m2, epsilon, damping)
                            for m2 in grid])
         integral = np.trapezoid(values * np.exp(1j * total_length * grid), grid)
         value = integral * np.exp(-1j * total_length * msq) / (2 * np.pi)

@@ -5,10 +5,11 @@ an amplitude profile that sharpens onto the mass shell p0 = sign * E_p as the
 time-integral regulator epsilon goes to zero; the on-shell kets are never
 materialized directly, only the dual pairings below.  Pairing on-shell bras
 against time-indexed kets gives a bi-orthonormal system with weight 1/(2 E_p)
-(the "induced" pairing); inserting sum_p d^dp (2 E_p) |t0,p><p| resolves the
-identity on the grid.  Wavefunctions of localized states then come out as
-plane waves, versus the conventional symmetric sqrt(2 E_p) dual convention
-which reproduces the Newton-Wigner profile.
+(the "induced" pairing, dual_pairing_time_state); inserting
+sum_p d^dp (2 E_p) |t0,p><p| resolves the identity on the grid
+(identity_resolution_apply).  Wavefunctions of localized states then come
+out as plane waves, versus the conventional symmetric sqrt(2 E_p) dual
+convention which reproduces the Newton-Wigner profile.
 
 Continuum delta functions are represented on grids as Kronecker / dp^d; all
 pairing identities are grid-exact under that dictionary.
@@ -123,19 +124,25 @@ def momentum_state_profile(p_spatial, mass: float, sign: int, t: float,
     if not epsilon > 0:
         raise DomainError("epsilon must be positive")
     p0 = np.asarray(p0_grid, dtype=float)
+    if p0.ndim != 1:
+        raise ContractViolation("p0_grid must be one-dimensional")
     e = float(np.sqrt(sum(x * x for x in np.atleast_1d(p_spatial)) + mass * mass))
     # t0 -> -t0 maps the antiparticle range [t, inf) onto (-inf, -t] and flips
     # p0 - s E: both signs are the particle integral at offset s p0 - E, limit s t
     x = sign * p0 - e
     ts = sign * t
     if ts == 0:
-        core = 1 / (1j * x + epsilon)  # exp(0) = 1 exactly: no exp over the grid
+        # exp(0) = 1 exactly: no exp over the grid, and one array built in place
+        core = 1j * x
+        core += epsilon
+        np.divide(1, core, out=core)
     elif ts < 0:
         core = np.exp((1j * x + epsilon) * ts) / (1j * x + epsilon)
     else:
         core = 1.0 / (1j * x + epsilon) + (np.exp((1j * x - epsilon) * ts) - 1.0) / (1j * x - epsilon)
-    amplitude = np.exp(-1j * sign * e * t) * core / (2 * e)
-    return FrequencyProfile(p0, amplitude, center=sign * e, epsilon=epsilon)
+    np.multiply(np.exp(-1j * sign * e * t), core, out=core)
+    core /= 2 * e
+    return FrequencyProfile(p0, core, center=sign * e, epsilon=epsilon)
 
 
 def concentration(profile: FrequencyProfile, window_halfwidth: float) -> float:
@@ -148,17 +155,6 @@ def concentration(profile: FrequencyProfile, window_halfwidth: float) -> float:
         return 0.0
     mask = np.abs(profile.p0 - profile.center) < window_halfwidth
     return float(np.sum(weights[mask]) / total)
-
-
-def induced_inner_product(psi1: np.ndarray, psi2: np.ndarray, grid: MomentumGrid,
-                          mass: float) -> complex:
-    """(psi1, psi2) = sum_p dp^d (2 E_p)^-1 conj(psi1) psi2."""
-    psi1 = np.asarray(psi1)
-    psi2 = np.asarray(psi2)
-    if psi1.shape != grid.shape or psi2.shape != grid.shape:
-        raise ContractViolation("wavefunctions do not match the grid")
-    e = grid.energies(mass)
-    return complex(np.sum(np.conj(psi1) * psi2 / (2 * e)) * grid.cell_volume)
 
 
 def identity_resolution_apply(psi: np.ndarray, grid: MomentumGrid, mass: float) -> np.ndarray:

@@ -7,7 +7,6 @@ from worldlineqm.evolution import (
     evolve,
     gaussian_packet,
     inner_product,
-    lattice_delta,
     norm,
     stueckelberg_residual,
 )
@@ -276,7 +275,9 @@ def test_state_superposition_builds_propagator():
     mass, eps = 1.0, 0.3
     dlam = 0.015
     n_steps = 3200  # eps * dlam * n = 14.4, tail < 1e-6
-    psi = lattice_delta(spec, (0, 0), mass)
+    values = np.zeros(spec.shape, dtype=complex)
+    values[0, 0] = 1.0 / spec.cell_volume  # a lattice delta function at the origin
+    psi = ParametrizedWavefunction(ComplexField(spec, values, "position"), 0.0, mass)
     accum = 0.5 * dlam * psi.field.values
     state = psi
     for k in range(1, n_steps):
@@ -288,7 +289,10 @@ def test_state_superposition_builds_propagator():
 
 
 def test_delta_normalization():
+    # a unit impulse 1/cellvolume has the flat spectrum (2 pi)^(-D/2) of the
+    # continuum delta function
     spec = LatticeSpec((8, 8), (4.0, 4.0))
-    d = lattice_delta(spec, (2, 3), 1.0)
-    assert d.field.values[2, 3] == pytest.approx(1.0 / spec.cell_volume)
-    assert np.count_nonzero(d.field.values) == 1
+    values = np.zeros(spec.shape, dtype=complex)
+    values[2, 3] = 1.0 / spec.cell_volume
+    tilde = spectral_transform(ComplexField(spec, values, "position"), "forward").values
+    np.testing.assert_allclose(np.abs(tilde), 1.0 / (2 * np.pi), rtol=1e-13)

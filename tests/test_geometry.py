@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from worldlineqm.errors import ContractViolation
-from worldlineqm.geometry import FourVector, ParticleType, euclidean_dot, minkowski_dot
+from worldlineqm.geometry import FourVector, ParticleType, metric, minkowski_dot
 
 
 def test_signature_time_axis():
@@ -23,8 +23,8 @@ def test_mixed_vector():
 def test_euclidean_dot_nonnegative():
     rng = np.random.default_rng(0)
     for _ in range(50):
-        v = FourVector(tuple(rng.normal(size=4)))
-        assert euclidean_dot(v, v) >= 0.0
+        v = rng.normal(size=4)
+        assert float(np.sum(v * v * metric(4, "euclidean"))) >= 0.0
 
 
 def test_dimension_mismatch_rejected():

@@ -656,13 +656,13 @@ def test_external_line_factor_values():
     e = np.sqrt(0.36 + 1.0)
     origin = FourVector((0.0, 0.0))
     base = (2 * np.pi) ** (-0.5) * (2 * e) ** (-0.5)
-    assert external_line_factor(FINAL_PARTICLE, p, 1.0, origin, 2) == pytest.approx(base)
+    assert external_line_factor(FINAL_PARTICLE, p, 1.0, origin) == pytest.approx(base)
     x = FourVector((0.7, -0.3))
-    fp = external_line_factor(FINAL_PARTICLE, p, 1.0, x, 2)
-    ip = external_line_factor(INITIAL_PARTICLE, p, 1.0, x, 2)
+    fp = external_line_factor(FINAL_PARTICLE, p, 1.0, x)
+    ip = external_line_factor(INITIAL_PARTICLE, p, 1.0, x)
     assert fp == pytest.approx(np.conj(ip), rel=1e-13)
-    fa = external_line_factor(FINAL_ANTIPARTICLE, p, 1.0, x, 2)
-    ia = external_line_factor(INITIAL_ANTIPARTICLE, p, 1.0, x, 2)
+    fa = external_line_factor(FINAL_ANTIPARTICLE, p, 1.0, x)
+    ia = external_line_factor(INITIAL_ANTIPARTICLE, p, 1.0, x)
     assert fa == pytest.approx(np.conj(ia), rel=1e-13)
     assert abs(fp) == pytest.approx(base, rel=1e-13)  # pure phase in x
 

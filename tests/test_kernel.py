@@ -18,7 +18,6 @@ from worldlineqm.geometry import FourVector, minkowski_dot
 from worldlineqm.kernel import (
     KernelParams,
     WeightFunction,
-    discretization_norm,
     euclidean_mass_propagator_batch,
     kernel_closed,
     kernel_damped,
@@ -80,7 +79,7 @@ def test_minkowski_kernel_against_momentum_quadrature():
         dx = 0.8 * rng.normal(size=2)
         t = rng.uniform(1.0, 2.0)
         oracle = momentum_quadrature_kernel(dx, t, 1.0, eps)
-        value = kernel_damped(FourVector(tuple(dx)), t, 1.0, 2, eps, "minkowski")
+        value = kernel_damped(FourVector(tuple(dx)), t, 1.0, eps, "minkowski")
         assert abs(value - oracle) / abs(oracle) < 1e-10
         undamped = kernel_closed(FourVector(tuple(dx)),
                                  KernelParams(1.0, t, 2, "minkowski"))
@@ -248,7 +247,7 @@ def test_collapsed_prefactor_is_one():
     rng = np.random.default_rng(6)
     for dim, mode in ((2, "euclidean"), (2, "minkowski"), (4, "minkowski")):
         seg = rng.uniform(0.05, 0.4, size=8)
-        zeta = discretization_norm(seg, dim, mode)
+        zeta = np.prod([segment_norm(float(dlam), dim, mode) for dlam in seg])
         for dlam in seg:
             inv = (4 * np.pi * dlam) ** (dim / 2)
             if mode == "minkowski":
@@ -632,10 +631,10 @@ def test_onshell_part_d4_follows_the_dimensional_recursion(mass, dt, r, sign):
 @pytest.mark.parametrize("dt, r", [(0.4, 0.7), (1.3, 0.25), (-0.6, 1.5)])
 def test_fixed_mass_propagator_d4_follows_the_dimensional_recursion(mass_squared, dt, r):
     eps = damping = 0.05
-    value = kernel.fixed_mass_propagator(FourVector((dt, 0.0, r, 0.0)), mass_squared, eps, 4,
+    value = kernel.fixed_mass_propagator(FourVector((dt, 0.0, r, 0.0)), mass_squared, eps,
                                          damping)
     oracle = d4_from_d2_recursion(
-        lambda rr: kernel.fixed_mass_propagator(FourVector((dt, rr)), mass_squared, eps, 2,
+        lambda rr: kernel.fixed_mass_propagator(FourVector((dt, rr)), mass_squared, eps,
                                                 damping), r)
     assert abs(value - oracle) < 1e-8 * abs(oracle)
 
@@ -716,7 +715,7 @@ def test_mass_superposition_real_axis_trend():
     # the real-axis (minkowski) grid converges slowly but monotonically
     t, m, eps, eta = 1.0, 1.0, 1e-3, 1e-3
     dx = FourVector((0.3, 0.4))
-    target = kernel_damped(dx, t, m * m, 2, eta, damp_time_only=True) * np.exp(-eps * t)
+    target = kernel_damped(dx, t, m * m, eta, damp_time_only=True) * np.exp(-eps * t)
     errs = []
     for w, n in ((10.0, 161), (40.0, 641), (160.0, 2561)):
         grid = np.linspace(m * m - w, m * m + w, n)
@@ -741,7 +740,7 @@ def test_mass_superposition_t_integral_recovers_propagator():
     m, eps = 1.0, 0.05
     dx = FourVector((0.9, 1.2))
     u = np.linspace(-30.0, 30.0, 4001)
-    values = euclidean_mass_propagator_batch(dx, m * m + 1j * u, 2)
+    values = euclidean_mass_propagator_batch(dx, m * m + 1j * u)
     # Int_0^inf dT e^(-eps T) e^(i T u) = 1 / (eps - i u)
     lhs = np.trapezoid(values / (eps - 1j * u), u) / (2 * np.pi)
     rhs = propagator_position(dx, m, eps, WeightFunction.uniform(), 2, "euclidean")
@@ -753,7 +752,7 @@ def test_euclidean_mass_propagator_batch_matches_proper_time_quadrature(dimensio
     dx = FourVector((0.9, 1.2, 0.3, -0.2)[:dimension])
     rsq = float(dx.as_array() @ dx.as_array())
     u = np.array([-40.0, 0.0, 40.0])
-    values = euclidean_mass_propagator_batch(dx, 1.0 + 1j * u, dimension)
+    values = euclidean_mass_propagator_batch(dx, 1.0 + 1j * u)
 
     def g(t):  # the integrand at m'^2 = 1, without exp(-i u T)
         return (4 * np.pi * t) ** (-dimension / 2) * np.exp(-rsq / (4 * t) - t) if t > 0 else 0.0
@@ -770,11 +769,11 @@ def test_euclidean_mass_propagator_batch_matches_proper_time_quadrature(dimensio
 def test_euclidean_mass_propagator_batch_domain():
     dx = FourVector((0.9, 1.2))
     with pytest.raises(DomainError):
-        euclidean_mass_propagator_batch(dx, np.array([1.0 + 2j, 0.0 + 1j]), 2)
+        euclidean_mass_propagator_batch(dx, np.array([1.0 + 2j, 0.0 + 1j]))
     with pytest.raises(DomainError):
-        euclidean_mass_propagator_batch(dx, -1.0, 2)
+        euclidean_mass_propagator_batch(dx, -1.0)
     with pytest.raises(DomainError):
-        euclidean_mass_propagator_batch(FourVector((0.0, 0.0)), 1.0, 2)
+        euclidean_mass_propagator_batch(FourVector((0.0, 0.0)), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -811,7 +810,7 @@ def test_t_ordering_identity_euclidean():
 
     def k(dx, t):
         from worldlineqm.kernel import _kernel_value
-        return _kernel_value(dx, t, m * m, 2, "euclidean").real
+        return _kernel_value(dx, t, m * m, "euclidean").real
 
     la, _ = integrate.quad(lambda t: k(a, t), 0, np.inf)
     lb, _ = integrate.quad(lambda t: k(b, t), 0, np.inf)

@@ -10,7 +10,7 @@ import pytest
 
 from worldlineqm.errors import ContractViolation
 from worldlineqm.evolution import gaussian_packet
-from worldlineqm.geometry import FourVector, euclidean_dot, metric, minkowski_dot, wick_factor
+from worldlineqm.geometry import FourVector, metric, minkowski_dot, wick_factor
 from worldlineqm.kernel import lattice_momentum_phase
 from worldlineqm.lattice import LatticeSpec, spectral_transform
 from worldlineqm.paths import DiscretePath, action
@@ -59,7 +59,10 @@ def test_lattice_squares_and_phases_follow_the_metric():
         assert abs(phase[index] - expected) <= 1e-14 * abs(expected)
 
 
-@pytest.mark.parametrize("mode, dot", [("minkowski", minkowski_dot), ("euclidean", euclidean_dot)])
+@pytest.mark.parametrize("mode, dot", [
+    ("minkowski", minkowski_dot),
+    ("euclidean", lambda a, b: float(a.as_array() @ b.as_array())),
+], ids=["minkowski-minkowski_dot", "euclidean-euclidean_dot"])
 def test_straight_path_action_uses_the_metric_of_its_mode(mode, dot):
     # q(lam) = x0 + v lam on an uneven grid: S = sum dlam ((1/4) v.v - m^2) = T ((1/4) v.v - m^2)
     lam = np.array([0.0, 0.1, 0.35, 0.5, 1.2])

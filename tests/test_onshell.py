@@ -12,7 +12,6 @@ from worldlineqm.onshell import (
     dual_pairing_time_state,
     fw_phase_evolve,
     identity_resolution_apply,
-    induced_inner_product,
     localized_wavefunction,
     momentum_state_profile,
     onshell_propagator_momentum,
@@ -149,34 +148,16 @@ def test_concentration_monotone_in_epsilon():
     assert values[-1] < 0.05
 
 
-def test_induced_inner_product_point_mass():
-    grid = MomentumGrid(1, 33, 0.25)
-    psi = np.zeros(grid.shape)
-    psi[16] = 1.0  # unit amplitude at p = 0
-    value = induced_inner_product(psi, psi, grid, mass=1.0)
-    assert value == pytest.approx(grid.cell_volume / 2.0, rel=1e-13)
-
-
 def test_biorthonormality_of_basis_pairing():
+    # every on-shell bra against every time-indexed ket of the grid basis:
+    # Kronecker / dp with weight 1/(2 E_p)
     grid = MomentumGrid(1, 17, 0.5)
-    p = grid.axis()
-    k = 11
-    basis = np.zeros(grid.shape)
-    basis[k] = 1.0 / grid.cell_volume  # Kronecker / dp
-    e = np.sqrt(p[k] ** 2 + 1.0)
-    value = induced_inner_product(basis, basis, grid, mass=1.0)
-    assert value == pytest.approx(1.0 / (2 * e) / grid.cell_volume, rel=1e-12)
-
-
-def test_induced_product_large_mass_limit():
-    grid = MomentumGrid(1, 33, 0.25)
-    rng = np.random.default_rng(8)
-    psi1 = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
-    psi2 = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
-    m = 1e4
-    value = induced_inner_product(psi1, psi2, grid, mass=m)
-    flat = np.sum(np.conj(psi1) * psi2) * grid.cell_volume
-    assert value == pytest.approx(flat / (2 * m), rel=1e-6)
+    basis = [OnShellState(+1, (p,), 1.0) for p in grid.axis()]
+    pairing = np.array([[dual_pairing_time_state(bra, ket, 0.7, grid) for ket in basis]
+                        for bra in basis])
+    e = np.sqrt(grid.axis() ** 2 + 1.0)
+    np.testing.assert_allclose(pairing, np.diag(1.0 / (2 * e) / grid.cell_volume),
+                               rtol=1e-12, atol=0.0)
 
 
 def test_identity_resolution_round_trip():
@@ -270,10 +251,9 @@ def test_nonrelativistic_phase_bound():
 
 
 def test_guards():
-    grid = MomentumGrid(1, 5, 0.5)
     with pytest.raises(ContractViolation):
         OnShellState(2, (0.0,), 1.0)
-    with pytest.raises(ContractViolation):
-        induced_inner_product(np.ones(3), np.ones(5), grid, 1.0)
+    with pytest.raises(ContractViolation, match="p0_grid must be one-dimensional"):
+        momentum_state_profile((0.3,), 1.0, +1, 0.0, 0.01, 1.0)
     with pytest.raises(ContractViolation):
         localized_wavefunction((0.1,), 0.0, (0.1,), 1.0, +1, "bogus")

@@ -3,11 +3,20 @@ import pytest
 from worldlineqm.errors import ContractViolation, DegeneratePathError, DomainError
 from worldlineqm.evolution import gaussian_packet, stueckelberg_residual
 from worldlineqm.geometry import FourVector
-from worldlineqm.interaction import ScatterLeg, ScatterSpec, self_energy_unregulated
+from worldlineqm.interaction import (
+    FINAL_PARTICLE,
+    ScatterLeg,
+    ScatterSpec,
+    external_line_factor,
+    self_energy_unregulated,
+)
 from worldlineqm.kernel import (
     KernelParams,
     WeightFunction,
-    kernel_damped,
+    kernel_closed,
+    kernel_discretized,
+    kernel_mass_superposition,
+    kernel_mc,
     propagator_momentum,
     propagator_onshell_part,
     propagator_position,
@@ -90,7 +99,39 @@ def test_parameter_checks_reject_nan(error, message, call):
 # a vector whose length disagrees with the dimension argument, and a mode
 # name the metric does not know: each once returned a value or an IndexError
 _D2, _D4 = FourVector((0.3, 0.4)), FourVector((0.3, 0.4, 0.5, 0.6))
+_ORIGIN2, _ORIGIN4 = FourVector((0.0, 0.0)), FourVector((0.0,) * 4)
+_PARAMS2, _PARAMS4 = KernelParams(1.0, 1.0, 2, "euclidean"), KernelParams(1.0, 1.0, 4, "euclidean")
+_MASS_GRID = [0.0, 1.0, 2.0]
 _MISMATCH_CASES = {
+    "kernel_closed.long_dx": ("dx has dimension 4, expected 2",
+                              lambda: kernel_closed(_D4, _PARAMS2)),
+    "kernel_closed.short_dx": ("dx has dimension 2, expected 4",
+                               lambda: kernel_closed(_D2, _PARAMS4)),
+    "kernel_discretized.long_x": (
+        "x has dimension 4, expected 2",
+        lambda: kernel_discretized(_D4, _ORIGIN4, [1.0], _PARAMS2)),
+    "kernel_discretized.short_x": (
+        "x has dimension 2, expected 4",
+        lambda: kernel_discretized(_D2, _ORIGIN2, [1.0], _PARAMS4)),
+    "kernel_mc.long_x": ("x has dimension 4, expected 2",
+                         lambda: kernel_mc(_D4, _ORIGIN4, _PARAMS2, 8, 1000, 0)),
+    "kernel_mc.short_x": ("x has dimension 2, expected 4",
+                          lambda: kernel_mc(_D2, _ORIGIN2, _PARAMS4, 8, 1000, 0)),
+    "kernel_mass_superposition.euclidean.long_dx": (
+        "dx has dimension 4, expected 2",
+        lambda: kernel_mass_superposition(_D4, 1.0, 1.0, 1e-3, _MASS_GRID, 2)),
+    "kernel_mass_superposition.euclidean.short_dx": (
+        "dx has dimension 2, expected 4",
+        lambda: kernel_mass_superposition(_D2, 1.0, 1.0, 1e-3, _MASS_GRID, 4)),
+    "kernel_mass_superposition.minkowski.long_dx": (
+        "dx has dimension 4, expected 2",
+        lambda: kernel_mass_superposition(_D4, 1.0, 1.0, 1e-3, _MASS_GRID, 2, mode="minkowski")),
+    "kernel_mass_superposition.minkowski.short_dx": (
+        "dx has dimension 2, expected 4",
+        lambda: kernel_mass_superposition(_D2, 1.0, 1.0, 1e-3, _MASS_GRID, 4, mode="minkowski")),
+    "external_line_factor.short_p": (
+        "x and p must have the same spatial dimension",
+        lambda: external_line_factor(FINAL_PARTICLE, (0.3,), 1.0, _D4)),
     "propagator_position.long_dx": (
         "dx has dimension 4, expected 2",
         lambda: propagator_position(_D4, 1.0, 0.1, WeightFunction.uniform(), 2)),
@@ -103,12 +144,6 @@ _MISMATCH_CASES = {
     "propagator_onshell_part.short_dx": (
         "dx has dimension 2, expected 4",
         lambda: propagator_onshell_part(_D2, 1.0, 1, 1e-2, 4)),
-    "kernel_damped.long_dx": (
-        "dx has dimension 4, expected 2",
-        lambda: kernel_damped(_D4, 1.0, 1.0, 2, 1e-2)),
-    "kernel_damped.short_dx": (
-        "dx has dimension 2, expected 4",
-        lambda: kernel_damped(_D2, 1.0, 1.0, 4, 1e-2)),
     "segment_norm.mode": ("unknown mode 'bogus'", lambda: segment_norm(0.5, 4, "bogus")),
     "self_energy_unregulated.long_p": (
         "p has dimension 4, expected 2",

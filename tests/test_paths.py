@@ -1,15 +1,8 @@
 import numpy as np
 import pytest
 
-from worldlineqm.errors import ContractViolation, DegeneratePathError, LapsePositivityError
-from worldlineqm.paths import (
-    DiscretePath,
-    Parametrization,
-    action,
-    action_restrict,
-    path_amplitude,
-    reparametrize,
-)
+from worldlineqm.errors import ContractViolation, DegeneratePathError
+from worldlineqm.paths import DiscretePath, action, action_restrict
 
 
 def random_path(rng, n_segments=8, dim=2, mode="minkowski"):
@@ -84,13 +77,6 @@ def test_locality_of_point_perturbation():
     assert global_diff == pytest.approx(local_diff, abs=1e-12)
 
 
-def test_unit_modulus_amplitude():
-    rng = np.random.default_rng(17)
-    for _ in range(20):
-        path = random_path(rng)
-        assert abs(abs(path_amplitude(path, 1.3)) - 1.0) < 1e-15
-
-
 def test_translation_invariance():
     rng = np.random.default_rng(19)
     for _ in range(25):
@@ -114,35 +100,3 @@ def test_degenerate_segment_rejected():
     points = np.zeros((4, 2))
     with pytest.raises(DegeneratePathError):
         DiscretePath(lam, points, "minkowski")
-
-
-def test_parametrization_lapse_and_length():
-    p = Parametrization.uniform(2.0, 4)
-    assert p.total_length == pytest.approx(2.0)
-    assert np.allclose(p.lapse, 2.0)  # dlam/ds with s on [0, 1]
-    with pytest.raises(LapsePositivityError):
-        Parametrization(np.array([0.0, 0.5, 0.4, 1.0]))
-
-
-def test_reparametrize_identity_and_rescale():
-    rng = np.random.default_rng(29)
-    path = random_path(rng, n_segments=6)
-    t = path.total_length
-    same = reparametrize(path, Parametrization(path.lam.copy()))
-    assert np.array_equal(same.points, path.points)
-    assert same.total_length == pytest.approx(t)
-
-    geom = Parametrization.geometric(t, 6, ratio=1.7, start=path.lam[0])
-    repar = reparametrize(path, geom)
-    assert repar.total_length == pytest.approx(t, rel=1e-12)
-    assert np.array_equal(repar.points, path.points)
-
-    doubled = reparametrize(path, Parametrization.uniform(2 * t, 6, start=path.lam[0]))
-    assert doubled.total_length == pytest.approx(2 * t, rel=1e-12)
-
-
-def test_reparametrize_requires_matching_count():
-    rng = np.random.default_rng(31)
-    path = random_path(rng, n_segments=6)
-    with pytest.raises(ContractViolation):
-        reparametrize(path, Parametrization.uniform(1.0, 5))
