@@ -9,6 +9,7 @@ localized profile with its (2E)^(-1/2) factor.
 
 import numpy as np
 
+from worldlineqm.geometry import onshell_energy
 from worldlineqm.onshell import (
     INDUCED_2E,
     SYMMETRIC_SQRT2E,
@@ -18,7 +19,7 @@ from worldlineqm.onshell import (
 )
 
 p, mass = 0.3, 1.0
-e = np.sqrt(p * p + mass * mass)
+e = onshell_energy((p,), mass)
 window = 0.5
 print(f"spatial momentum {p}, energy E = {e:.4f}, window +-{window}")
 print("epsilon   concentration   (2/pi) atan(window/eps)")

@@ -2,8 +2,8 @@
 
 Subpackage map:
 
-- ``geometry``       the metric, the signed inner product, four-vectors,
-                     particle types
+- ``geometry``       the metric, the mass shell, the signed inner product,
+                     four-vectors, particle types
 - ``lattice``        periodic spacetime lattices and unitary spectral transforms
 - ``paths``          discretized paths and the path action
 - ``kernel``         fixed-length kernels (closed form, discretized collapse,

@@ -35,7 +35,7 @@ from .errors import (
     SectorOverflowError,
     UnsupportedSpecError,
 )
-from .geometry import MODES, FourVector, ParticleType
+from .geometry import MODES, FourVector, ParticleType, onshell_energy
 from .lattice import LatticeSpec
 from .records import COMPLEX_KEYS, ResultRecord, decode_value, emit
 
@@ -304,7 +304,7 @@ def _run_evolve(c):
 def _run_onshell(c):
     p_spatial, mass, sign, eps = c["p"], c["mass"], c["sign"], c["epsilon"]
     halfrange, window = c["p0_halfrange"], c["window"]
-    e = float(np.sqrt(sum(x * x for x in p_spatial) + mass * mass))
+    e = float(onshell_energy(p_spatial, mass))
     grid = sign * e + np.linspace(-halfrange, halfrange, c["p0_points"])
     prof = onshell.momentum_state_profile(p_spatial, mass, sign, c["t"], eps, grid)
     conc = onshell.concentration(prof, window)

@@ -89,9 +89,6 @@ class FockState:
     def n_particles(self) -> int:
         return len(self.entries)
 
-    def scaled(self, c: complex) -> "FockState":
-        return FockState(self.coefficient * c, self.entries)
-
 
 def symmetrize(entries, coefficient: complex = 1.0) -> FockState:
     """Canonical symmetrized state from an entry sequence."""

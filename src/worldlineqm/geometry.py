@@ -4,6 +4,7 @@ Conventions: metric signature (-,+,...,+) with index 0 the time axis; natural
 units (hbar = c = 1). Dimension D = d + 1 is a runtime parameter; D = 2 and
 D = 4 are the exercised cases.  `metric` owns the signature and the mode
 names; every signed square, phase and kernel width takes its sign from it.
+`onshell_energy` owns the mass shell: every on-shell energy E_p is its root.
 """
 
 from __future__ import annotations
@@ -32,6 +33,13 @@ def metric(dimension: int, mode: str = "minkowski") -> tuple[float, ...]:
 def wick_factor(mode: str) -> complex:
     """z of the kernel exp(-z T (p.p + m^2)): i in minkowski mode, 1 in euclidean."""
     return 1j if metric(1, mode)[0] < 0 else 1.0
+
+
+def onshell_energy(p_spatial, mass: float):
+    """E_p = sqrt(p.p + m^2), the positive root p0 of the mass shell p.p + m^2 = 0
+    of `metric`.  The components of p_spatial are floats or same-shape arrays
+    (a momentum mesh); the energy has their shape."""
+    return np.sqrt(sum(p * p for p in p_spatial) + mass * mass)
 
 
 @dataclass(frozen=True)
@@ -66,19 +74,9 @@ class FourVector:
         if self.dimension != dimension:
             raise ContractViolation(f"{name} has dimension {self.dimension}, expected {dimension}")
 
-    def __add__(self, other: "FourVector") -> "FourVector":
-        _check_dims(self, other)
-        return FourVector(tuple(a + b for a, b in zip(self.components, other.components)))
-
     def __sub__(self, other: "FourVector") -> "FourVector":
         _check_dims(self, other)
         return FourVector(tuple(a - b for a, b in zip(self.components, other.components)))
-
-    def __neg__(self) -> "FourVector":
-        return FourVector(tuple(-a for a in self.components))
-
-    def scale(self, c: float) -> "FourVector":
-        return FourVector(tuple(c * a for a in self.components))
 
 
 def _check_dims(a: FourVector, b: FourVector):

@@ -52,7 +52,7 @@ from .fock import (
     fock_inner,
     special_adjoint,
 )
-from .geometry import FourVector, ParticleType
+from .geometry import FourVector, ParticleType, onshell_energy
 from .kernel import propagator_momentum
 from .onshell import SYMMETRIC_SQRT2E, MomentumGrid, localized_wavefunction
 from .regularization import SelfEnergyResult, bubble
@@ -159,11 +159,6 @@ class Sector:
         if index < 0:
             raise ContractViolation("state is not a sector basis element")
         return index
-
-    def vector(self, state: FockState) -> np.ndarray:
-        v = np.zeros(self.dimension, dtype=complex)
-        v[self.state_index(state)] = state.coefficient
-        return v
 
 
 def _sector_matrix(expr: OperatorExpr, sector: Sector):
@@ -412,8 +407,9 @@ def scatter_tree_2to2(spec: ScatterSpec, model: InteractionModel,
     g^2 [prop_B(p1 - p1') + prop_B(p1 - p2')] times the four external-line
     factors at the origin, where each is its magnitude, and the grid-Kronecker
     conservation delta; both crossing assignments of the final momenta are
-    included.  The amplitude covers particle legs only; an antiparticle leg
-    raises ContractViolation.
+    included.  The amplitude covers particle legs only, all of one type A
+    that every vertex term both creates and annihilates (a line the model
+    conserves); any other leg raises ContractViolation.
     """
     if len(spec.incoming) != 2 or len(spec.outgoing) != 2:
         raise ContractViolation("tree amplitude needs 2 incoming and 2 outgoing legs")
@@ -422,6 +418,8 @@ def scatter_tree_2to2(spec: ScatterSpec, model: InteractionModel,
     label_a = spec.incoming[0].type_label
     if any(leg.type_label != label_a for leg in spec.incoming + spec.outgoing):
         raise ContractViolation("all external legs must be the conserved-line type")
+    if not all(label_a in t.dagger_types and label_a in t.plain_types for t in model.terms):
+        raise ContractViolation(f"leg type {label_a!r} is not a line every vertex conserves")
     labels = set(model.types) - {label_a}
     if len(labels) != 1:
         raise ContractViolation("model must carry exactly one exchange type")
@@ -435,11 +433,8 @@ def scatter_tree_2to2(spec: ScatterSpec, model: InteractionModel,
     if not np.allclose(sum(p_in), sum(p_out), rtol=0.0, atol=1e-12):
         return 0j  # grid Kronecker delta
 
-    def onshell(p):
-        return float(np.sqrt(p @ p + m_a * m_a))
-
     def transfer(pa, pb):
-        return FourVector((onshell(pa) - onshell(pb),) + tuple(pa - pb))
+        return FourVector((onshell_energy(pa, m_a) - onshell_energy(pb, m_a),) + tuple(pa - pb))
 
     exchange = (propagator_momentum(transfer(p_in[0], p_out[0]), m_b, epsilon)
                 + propagator_momentum(transfer(p_in[0], p_out[1]), m_b, epsilon))

@@ -32,7 +32,7 @@ from .errors import (
     DomainError,
     UnsupportedSpecError,
 )
-from .geometry import FourVector, metric, minkowski_dot, wick_factor
+from .geometry import FourVector, metric, minkowski_dot, onshell_energy, wick_factor
 from .lattice import ComplexField, LatticeSpec, spectral_transform
 
 
@@ -165,18 +165,16 @@ def kernel_damped(dx: FourVector, total_length: float, mass_squared, damping: fl
 def segment_norm(dlam: float, dimension: int, mode: str) -> complex:
     """Per-segment normalization: (4 pi dlam)^(-D/2) with the mode phase.
 
-    In minkowski mode the phase is exp(-i pi (D-2)/4) per segment (one
-    exp(+i pi/4) time factor against D-1 exp(-i pi/4) space factors), which
-    for D = 4 is the familiar -i (4 pi dlam)^-2.  With this choice the
-    collapsed prefactor of the discretized kernel is exactly 1.
+    It is the kernel at dx = 0 and m = 0 over one segment, so in minkowski
+    mode the phase is exp(-i pi (D-2)/4) per segment (one exp(+i pi/4) time
+    factor against D-1 exp(-i pi/4) space factors), which for D = 4 is the
+    familiar -i (4 pi dlam)^-2.  With this choice the collapsed prefactor of
+    the discretized kernel is exactly 1.
     """
     if not dlam > 0:
         raise DegeneratePathError("segment length must be positive")
     metric(dimension, mode)  # checks the dimension and the mode
-    mag = (4 * np.pi * dlam) ** (-dimension / 2)
-    if mode == "euclidean":
-        return complex(mag)
-    return complex(mag * np.exp(-1j * np.pi * (dimension - 2) / 4))
+    return _kernel_value(np.zeros(dimension), dlam, 0.0, mode)
 
 
 def kernel_discretized(x: FourVector, x0: FourVector, segments, params: KernelParams) -> complex:
@@ -473,11 +471,10 @@ def propagator_onshell_part(dx: FourVector, mass: float, sign: int,
     d = dimension - 1
     dt = dx.time
     r = np.linalg.norm(dx.spatial) if d else 0.0
-    msq = mass * mass
 
     if d == 1:
         def integrand(p):
-            e = np.sqrt(p * p + msq)
+            e = onshell_energy((p,), mass)
             return np.exp(1j * (-sign * e * dt + p * r) - damping * p * p) / (2 * e)
         # the damping factor is below e^-37 outside the window, as in
         # fixed_mass_propagator
@@ -487,7 +484,7 @@ def propagator_onshell_part(dx: FourVector, mass: float, sign: int,
         return value / (2 * np.pi)
     if d == 3:
         def integrand(p):
-            e = np.sqrt(p * p + msq)
+            e = onshell_energy((p,), mass)
             ang = 4 * np.pi * np.sinc(p * r / np.pi)  # 4 pi sin(p r) / (p r)
             return p * p * ang * np.exp(-1j * sign * e * dt - damping * p * p) / (2 * e)
         value, _ = quadrature.adaptive(integrand, 0.0, np.inf, limit=400)
@@ -670,12 +667,14 @@ def lattice_onshell_part(spec: LatticeSpec, mass: float, sign: int, dt: float,
     """
     if sign not in (+1, -1):
         raise ContractViolation("sign must be +1 or -1")
+    dx = np.atleast_1d(np.asarray(dx_spatial, dtype=float))
+    if len(dx) != spec.dimension - 1:
+        raise ContractViolation(f"dx_spatial has length {len(dx)}, expected {spec.dimension - 1}")
     axes = [spec.momentum_axis(mu) for mu in range(1, spec.dimension)]
     mesh = np.meshgrid(*axes, indexing="ij") if axes else []
-    psq = sum(p * p for p in mesh) if mesh else 0.0
-    e = np.sqrt(psq + mass * mass)
+    e = onshell_energy(mesh, mass)
     phase = -sign * e * dt
-    for p, u in zip(mesh, np.atleast_1d(np.asarray(dx_spatial, dtype=float))):
+    for p, u in zip(mesh, dx):
         phase = phase + p * u
     vol = float(np.prod(spec.extents[1:])) if spec.dimension > 1 else 1.0
     return complex(np.sum(np.exp(1j * phase) / (2 * e)) / vol)

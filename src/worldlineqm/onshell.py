@@ -2,10 +2,11 @@
 
 A state of fixed spatial momentum at time t spreads over frequencies p0 with
 an amplitude profile that sharpens onto the mass shell p0 = sign * E_p as the
-time-integral regulator epsilon goes to zero; the on-shell kets are never
-materialized directly, only the dual pairings below.  Pairing on-shell bras
-against time-indexed kets gives a bi-orthonormal system with weight 1/(2 E_p)
-(the "induced" pairing, dual_pairing_time_state); inserting
+time-integral regulator epsilon goes to zero; E_p is always
+geometry.onshell_energy.  The on-shell kets are never materialized directly,
+only the dual pairings below.  Pairing on-shell bras against time-indexed
+kets gives a bi-orthonormal system with weight 1/(2 E_p) (the "induced"
+pairing, dual_pairing_time_state); inserting
 sum_p d^dp (2 E_p) |t0,p><p| resolves the identity on the grid
 (identity_resolution_apply).  Wavefunctions of localized states then come
 out as plane waves, versus the conventional symmetric sqrt(2 E_p) dual
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, DomainError
+from .geometry import onshell_energy
 
 INDUCED_2E = "induced-2E"
 SYMMETRIC_SQRT2E = "symmetric-sqrt2E"
@@ -57,10 +59,6 @@ class MomentumGrid:
     def cell_volume(self) -> float:
         return self.spacing ** self.spatial_dimension
 
-    def energies(self, mass: float) -> np.ndarray:
-        psq = sum(p * p for p in self.mesh())
-        return np.sqrt(psq + mass * mass)
-
 
 @dataclass(frozen=True)
 class OnShellState:
@@ -77,11 +75,6 @@ class OnShellState:
             raise ContractViolation("mass must be positive")
         object.__setattr__(self, "p_spatial", tuple(float(p) for p in self.p_spatial))
 
-    @property
-    def energy(self) -> float:
-        psq = sum(p * p for p in self.p_spatial)
-        return float(np.sqrt(psq + self.mass ** 2))
-
 
 def onshell_propagator_momentum(p, mass: float, sign: int, epsilon: float) -> complex:
     """Frequency-part propagator (2E)^-1 i s / (p0 - s E + i s eps), s = sign,
@@ -95,7 +88,7 @@ def onshell_propagator_momentum(p, mass: float, sign: int, epsilon: float) -> co
     if not epsilon > 0:
         raise DomainError("epsilon must be positive")
     p0, *p_spatial = p
-    e = float(np.sqrt(sum(x * x for x in p_spatial) + mass * mass))
+    e = float(onshell_energy(p_spatial, mass))
     return (1j * sign / (p0 - sign * e + 1j * sign * epsilon)) / (2 * e)
 
 
@@ -126,7 +119,7 @@ def momentum_state_profile(p_spatial, mass: float, sign: int, t: float,
     p0 = np.asarray(p0_grid, dtype=float)
     if p0.ndim != 1:
         raise ContractViolation("p0_grid must be one-dimensional")
-    e = float(np.sqrt(sum(x * x for x in np.atleast_1d(p_spatial)) + mass * mass))
+    e = float(onshell_energy(np.atleast_1d(p_spatial), mass))
     # t0 -> -t0 maps the antiparticle range [t, inf) onto (-inf, -t] and flips
     # p0 - s E: both signs are the particle integral at offset s p0 - E, limit s t
     x = sign * p0 - e
@@ -166,7 +159,7 @@ def identity_resolution_apply(psi: np.ndarray, grid: MomentumGrid, mass: float) 
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != grid.shape:
         raise ContractViolation("wavefunction does not match the grid")
-    e = grid.energies(mass)
+    e = onshell_energy(grid.mesh(), mass)
     # bra_p pairing: (2E_p)^-1 psi(p) per Kronecker/dp^d dictionary
     coefficients = psi / (2 * e)
     # ket weights: dp^d (2E_p) times the basis function Kronecker/dp^d
@@ -185,7 +178,7 @@ def dual_pairing_time_state(bra: OnShellState, ket: OnShellState, t0: float,
         return 0j
     if bra.p_spatial != ket.p_spatial:
         return 0j
-    e = bra.energy
+    e = onshell_energy(bra.p_spatial, bra.mass)
     state_phase = np.exp(-1j * bra.sign * e * t0)
     frequency_phase = np.exp(1j * (bra.sign * e) * t0)  # p0 pinned on shell
     return complex(state_phase * frequency_phase / (2 * e) / grid.cell_volume)
@@ -209,7 +202,7 @@ def localized_wavefunction(x_spatial, t: float, p_spatial, mass: float, sign: in
     if x.shape != p.shape:
         raise ContractViolation("x and p must have the same spatial dimension")
     d = x.size
-    e = float(np.sqrt(p @ p + mass * mass))
+    e = float(onshell_energy(p, mass))
     value = (2 * np.pi) ** (-d / 2) * np.exp(1j * (sign * e * t - p @ x))
     if convention == SYMMETRIC_SQRT2E:
         value = value / np.sqrt(2 * e)
@@ -229,4 +222,4 @@ def fw_phase_evolve(psi: np.ndarray, grid: MomentumGrid, mass: float, sign: int,
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != grid.shape:
         raise ContractViolation("wavefunction does not match the grid")
-    return psi * np.exp(1j * sign * grid.energies(mass) * dt)
+    return psi * np.exp(1j * sign * onshell_energy(grid.mesh(), mass) * dt)

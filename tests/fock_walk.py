@@ -49,4 +49,5 @@ def walk_string(generators, state, algebra):
 
 def walk_expr(expr, state, algebra):
     return [s for coeff, gens in expr.terms
-            for s in walk_string(gens, state.scaled(coeff), algebra)]
+            for s in walk_string(gens, symmetrize(state.entries, state.coefficient * coeff),
+                                 algebra)]

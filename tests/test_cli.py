@@ -517,6 +517,16 @@ def test_scatter_antiparticle_leg_exits_4(capsys, tmp_path):
     assert not out.exists()
 
 
+def test_scatter_legs_of_an_unconserved_line_exit_4(capsys, tmp_path):
+    out = tmp_path / "amp.json"
+    cfg = _scatter_config(tmp_path / "scatter.json",
+                          incoming=[{"p": [1.0], "type": "B"}, {"p": [-0.5], "type": "B"}],
+                          outgoing=[{"p": [0.5], "type": "B"}, {"p": [0.0], "type": "B"}])
+    assert run(["scatter", "--config", str(cfg), "--output", str(out)]) == 4
+    assert "not a line every vertex conserves" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_required_key_exits_2_at_run_time(capsys, tmp_path):
     # coupling and dx have no default; the runner's KeyError is a config error
     for subcommand, config, key in [("scatter", _SCATTER_STRUCTURE, "coupling"),

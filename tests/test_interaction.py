@@ -260,7 +260,7 @@ def test_labels_the_algebra_does_not_know_are_rejected():
 
 def test_state_index_rejects_states_outside_the_basis():
     sector = ab_sector(SPEC22, b_max=1)
-    assert sector.state_index(symmetrize([Entry((1, 0), "A", "start")]).scaled(2.0)) == \
+    assert sector.state_index(symmetrize([Entry((1, 0), "A", "start")], 2.0)) == \
         sector.state_index(symmetrize([Entry((1, 0), "A", "start")]))
     for entries in ([Entry((1, 0), "A", "integrated")],
                     [Entry((1, 0), "A", "start"), Entry((1, 0), "B", "start"),
@@ -471,7 +471,8 @@ def test_order_sum_matches_dyson_matrix_element():
     total = sum(amplitude_order_m(in_state, out_sites, model, m, sector)
                 for m in range(k_max + 1))
     dy = dyson_truncated(model, sector, k_max)
-    vec = sector.vector(in_state)
+    vec = np.zeros(sector.dimension, dtype=complex)
+    vec[sector.state_index(in_state)] = in_state.coefficient
     image = dy.matrix(g) @ vec
     element = sum(c * amplitude_order_m(basis, out_sites, model, 0, sector)
                   for c, basis in zip(image, sector.basis) if c != 0)
@@ -708,6 +709,16 @@ def test_scatter_conservation_and_grid_guards():
     assert scatter_tree_2to2(non_conserving, model, 1e-3) == 0j
     with pytest.raises(ContractViolation):
         ScatterSpec((ScatterLeg((0.77,), "A"),), (), grid)
+
+
+def test_scatter_rejects_legs_of_a_line_the_model_does_not_conserve():
+    # ab_model has no B-B vertex, so B B -> B B has no tree-level exchange;
+    # it used to return 1.91e-6 - 2.68e-3j
+    momenta = [(1.0,), (-0.5,), (0.5,), (0.0,)]
+    legs = [ScatterLeg(p, "B") for p in momenta]
+    spec = ScatterSpec(tuple(legs[:2]), tuple(legs[2:]), MomentumGrid(1, 9, 0.5))
+    with pytest.raises(ContractViolation, match="'B' is not a line every vertex conserves"):
+        scatter_tree_2to2(spec, InteractionModel.ab_model(0.9, 1.0, 1.5), 1e-3)
 
 
 @pytest.mark.parametrize("leg", range(4))

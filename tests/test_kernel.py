@@ -352,7 +352,7 @@ def _levy_case(start, level, seed, n_segments=8, samples=400_000, tau=1.0):
     m0_sq, c = 0.25, 2.0
     params = KernelParams(np.sqrt(m0_sq), tau, 4, "euclidean")
     x0 = FourVector(start)
-    x = x0 + FourVector((0.3, 0.0, 0.2, -0.1))
+    x = FourVector(x0.as_array() + (0.3, 0.0, 0.2, -0.1))
     dx = (x - x0).as_array()
     massless = (4 * np.pi * tau) ** -2 * np.exp(-dx @ dx / (4 * tau))
     oracle = massless * np.exp(-m0_sq * tau) * (1 - np.exp(-c * tau)) / (c * tau)
@@ -460,7 +460,7 @@ def test_mc_marks_see_the_bridge_marginal():
     # take the fourth moment of each axis as Gaussian.
     tau, bound, samples = 2.5, 2.0, 40000
     x0 = FourVector((0.4, -0.7, 1.1, 0.2))
-    x = x0 + FourVector((0.6, 0.0, -0.8, 0.3))
+    x = FourVector(x0.as_array() + (0.6, 0.0, -0.8, 0.3))
     seen = []
 
     def mass_sq(q):

@@ -1,8 +1,14 @@
+import json
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import integrate
 
+from worldlineqm import cli
 from worldlineqm.errors import ContractViolation
+from worldlineqm.geometry import FourVector, minkowski_dot, onshell_energy
 from worldlineqm.onshell import (
     INDUCED_2E,
     SYMMETRIC_SQRT2E,
@@ -183,7 +189,8 @@ def test_dual_pairing_time_independence():
               for t0 in (-7.3, -0.2, 0.0, 1.9, 42.0)]
     for v in values[1:]:
         assert abs(v - values[0]) < 1e-12
-    assert values[0] == pytest.approx(1.0 / (2 * state.energy) / grid.cell_volume)
+    assert values[0] == pytest.approx(
+        1.0 / (2 * onshell_energy(state.p_spatial, state.mass)) / grid.cell_volume)
     anti = OnShellState(-1, (1.5,), 1.0)
     assert dual_pairing_time_state(state, anti, 0.0, grid) == 0j
     other = OnShellState(+1, (1.0,), 1.0)
@@ -257,3 +264,44 @@ def test_guards():
         momentum_state_profile((0.3,), 1.0, +1, 0.0, 0.01, 1.0)
     with pytest.raises(ContractViolation):
         localized_wavefunction((0.1,), 0.0, (0.1,), 1.0, +1, "bogus")
+
+
+# ---------------------------------------------------------------------------
+# one mass shell
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "worldlineqm"
+_SHELL_MOMENTA = [(0.3,), (0.3, -1.1), (0.3, -1.1, 0.7)]
+
+
+def test_the_mass_shell_is_written_once():
+    # a square root of a sum ending in a mass term appears only in geometry.py
+    shell = re.compile(r"sqrt\(.*\+ *(mass|msq|m_a|self\.mass)\b")
+    owners = {path.name for path in SRC.glob("*.py") if shell.search(path.read_text())}
+    assert owners == {"geometry.py"}
+
+
+@pytest.mark.parametrize("p", _SHELL_MOMENTA)
+def test_onshell_energy_is_the_positive_root_of_the_mass_shell(p):
+    e = onshell_energy(p, 1.3)
+    assert e > 0
+    k = FourVector((e,) + p)
+    assert minkowski_dot(k, k) == pytest.approx(-1.69, rel=1e-14)
+    # a mesh gives the energy of each of its points
+    mesh = np.meshgrid(*[np.array([c, -2 * c]) for c in p], indexing="ij")
+    assert onshell_energy(mesh, 1.3).flat[0] == e
+
+
+@pytest.mark.parametrize("sign", [+1, -1])
+@pytest.mark.parametrize("p", _SHELL_MOMENTA)
+def test_profile_center_is_the_mass_shell(p, sign):
+    prof = momentum_state_profile(p, 1.3, sign, 0.4, 1e-2, [0.0, 1.0])
+    assert prof.center == sign * onshell_energy(p, 1.3)
+
+
+@pytest.mark.parametrize("p", _SHELL_MOMENTA)
+def test_onshell_record_energy_is_the_mass_shell(tmp_path, p):
+    out = tmp_path / "onshell.json"
+    assert cli.run(["onshell", "--p", ",".join(map(str, p)), "--mass", "1.3",
+                    "--p0-points", "201", "--output", str(out)]) == 0
+    record = json.loads(out.read_text(encoding="utf-8"))
+    assert record["outputs"]["energy"] == onshell_energy(p, 1.3)
