@@ -67,6 +67,8 @@ def evolve(psi: ParametrizedWavefunction, dlam: float,
     phase, built once and applied `steps` times to the spectrum between one
     fftn (none if psi's field carries its spectrum) and one ifftn; bitwise
     equal to `steps` single-step calls."""
+    if steps < 0:
+        raise ContractViolation(f"steps must be non-negative, got {steps}")
     phase = lattice_momentum_phase(psi.spec, dlam, psi.mass)
     field, lam = psi.field, psi.lam
     if steps:
@@ -110,10 +112,13 @@ def gaussian_packet(spec: LatticeSpec, center, width, momentum, mass: float,
 
     The phase uses the signed pairing p.x, so `momentum` labels a point of the
     dual grid in the evolution's own convention.  The packet is a product of
-    one 1-D complex factor per axis, broadcast to the full grid.
+    one 1-D complex factor per axis, broadcast to the full grid.  Every width
+    must be positive and finite.
     """
     center = np.asarray(center, dtype=float)
     width = np.broadcast_to(np.asarray(width, dtype=float), (spec.dimension,))
+    if not np.all((width > 0) & np.isfinite(width)):
+        raise ContractViolation(f"width must be positive and finite, got {width.tolist()}")
     momentum = np.asarray(momentum, dtype=float)
     g = metric(spec.dimension)
     values = np.ones((1,) * spec.dimension, dtype=complex)

@@ -15,7 +15,8 @@ ket is a permanent over the two-point matrix with type-matching deltas:
 
 where D is the regulated lattice propagator for plain types, its
 positive-frequency part for normal on-shell types, and the argument-reversed
-negative-frequency part for antiparticle types.
+negative-frequency part for antiparticle types.  By momentum parity
+D-(y - x) = D+(x - y), so anti types pair through the normal table.
 
 The special adjoint (denoted ‡ in the docstrings) swaps integrated-endpoint
 annihilators with start-of-path creators: psi(x,n) <-> psidag(x,n;start) and
@@ -153,10 +154,11 @@ class FieldAlgebra:
     types maps a label to a ParticleType whose conjugate flag selects the
     pairing: "plain" -> regulated lattice propagator, "normal" ->
     positive-frequency part, "anti" -> negative-frequency part with reversed
-    arguments.  Each pairing depends on the sites only through x - y, so one
-    table per label, built on first use, holds it for every displacement:
-    the time axis covers all 2 N_0 - 1 differences (the frequency parts are
-    not periodic in time) and the spatial axes are taken mod N_i.
+    arguments, which by parity is the "normal" table.  Each pairing depends
+    on the sites only through x - y, so one table per label, built on first
+    use, holds it for every displacement: the time axis covers all 2 N_0 - 1
+    differences (the frequency parts are not periodic in time) and the
+    spatial axes are taken mod N_i.
 
     A state is one row of occupation counts over the (label, tag, site)
     slots: label-major over the sorted `labels`, and within a label the start
@@ -181,14 +183,8 @@ class FieldAlgebra:
                 periodic = lattice_propagator(self.spec, ptype.mass, self.epsilon)
                 self._tables[label] = periodic[np.arange(1 - n0, n0) % n0]
             else:
-                # normal: D+(x - y); anti: D-(y - x), the reversed arguments
-                s = 1 if ptype.conjugate == "normal" else -1
-                a = s * np.array(self.spec.spacings)
-                shape = (2 * n0 - 1,) + self.spec.shape[1:]
-                self._tables[label] = np.reshape([
-                    lattice_onshell_part(self.spec, ptype.mass, s, (u[0] + 1 - n0) * a[0],
-                                         np.multiply(u[1:], a[1:]))
-                    for u in np.ndindex(*shape)], shape)
+                # normal: D+(x - y); anti: D-(y - x), which is D+(x - y) by parity
+                self._tables[label] = lattice_onshell_part(self.spec, ptype.mass, +1)
         return self._tables[label]
 
     def _sites(self, sites) -> np.ndarray:

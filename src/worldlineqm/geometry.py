@@ -99,7 +99,8 @@ class ParticleType:
     ``conjugate`` selects the two-point pairing used by typed fields:
     "plain" pairs with the full Feynman propagator, "normal" with the
     positive-frequency part, "anti" with the argument-reversed
-    negative-frequency part.  Tachyonic masses are rejected.
+    negative-frequency part, which by momentum parity is the "normal"
+    pairing.  Tachyonic masses are rejected.
     """
 
     label: str

@@ -33,7 +33,7 @@ from .errors import (
     UnsupportedSpecError,
 )
 from .geometry import FourVector, metric, minkowski_dot, onshell_energy, wick_factor
-from .lattice import ComplexField, LatticeSpec, spectral_transform
+from .lattice import ComplexField, LatticeSpec, spatial_momentum_sum, spectral_transform
 
 
 @dataclass(frozen=True)
@@ -659,22 +659,15 @@ def lattice_propagator(spec: LatticeSpec, mass: float, epsilon: float) -> np.nda
     return spectral_transform(f, "inverse").values * (2 * np.pi) ** (-spec.dimension / 2)
 
 
-def lattice_onshell_part(spec: LatticeSpec, mass: float, sign: int, dt: float,
-                         dx_spatial) -> complex:
-    """Lattice transcription of the frequency parts on the spatial sublattice.
-
-    (1 / prod L_i) sum_{p_vec} exp(i(-sign E dt + p_vec . dx_vec)) / (2 E).
-    """
+def lattice_onshell_part(spec: LatticeSpec, mass: float, sign: int) -> np.ndarray:
+    """Lattice frequency parts at every displacement u, by one spatial_momentum_sum:
+    entry (u_0 / a_0 + N_0 - 1, u_vec / a_vec), over the 2 N_0 - 1 time offsets
+    (not periodic) and the spatial displacements mod N_i, is
+    (1 / prod L_i) sum_{p_vec} exp(i(-sign E u_0 + p_vec . u_vec)) / (2 E)."""
     if sign not in (+1, -1):
         raise ContractViolation("sign must be +1 or -1")
-    dx = np.atleast_1d(np.asarray(dx_spatial, dtype=float))
-    if len(dx) != spec.dimension - 1:
-        raise ContractViolation(f"dx_spatial has length {len(dx)}, expected {spec.dimension - 1}")
-    axes = [spec.momentum_axis(mu) for mu in range(1, spec.dimension)]
-    mesh = np.meshgrid(*axes, indexing="ij") if axes else []
-    e = onshell_energy(mesh, mass)
-    phase = -sign * e * dt
-    for p, u in zip(mesh, dx):
-        phase = phase + p * u
-    vol = float(np.prod(spec.extents[1:])) if spec.dimension > 1 else 1.0
-    return complex(np.sum(np.exp(1j * phase) / (2 * e)) / vol)
+    n0, space = spec.shape[0], range(1, spec.dimension)
+    e = onshell_energy([spec.along(mu, spec.momentum_axis(mu)) for mu in space], mass)
+    u0 = np.reshape(np.arange(1 - n0, n0) * spec.spacings[0], (-1,) + (1,) * len(space))
+    values = np.exp(1j * (-sign * e * u0)) / (2 * e)
+    return spatial_momentum_sum(values) / float(np.prod(spec.extents[1:]))

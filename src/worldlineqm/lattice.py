@@ -28,8 +28,9 @@ The product multiplier * fftn(psi) is kept: the position field that
 forward again.  A chain of k multiplications then costs one fftn and k
 ifftns.  A field carrying a spectrum has read-only values and spectrum
 arrays, and the spectrum is used only while it belongs to the field's
-current `values` object, so it cannot go stale.  This module holds every FFT
-call of the package.
+current `values` object, so it cannot go stale.  `spatial_momentum_sum` is
+the unscaled inverse over the spatial axes alone.  This module holds every
+FFT call of the package.
 """
 
 from __future__ import annotations
@@ -208,3 +209,9 @@ def spectral_multiply(field: ComplexField, *multipliers: np.ndarray) -> ComplexF
     out = ComplexField(field.spec, values, "position")
     out._carried = (out.values, spectrum)
     return out
+
+
+def spatial_momentum_sum(values: np.ndarray) -> np.ndarray:
+    """sum_{p_vec} values[t, p_vec] exp(i p_vec . u_vec) at each u_vec = j a mod L,
+    for spatial momenta in FFT order on axes 1..; axis 0 (t) is untouched."""
+    return scipy.fft.ifftn(values, axes=range(1, np.ndim(values)), norm="forward")

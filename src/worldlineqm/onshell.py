@@ -124,15 +124,26 @@ def momentum_state_profile(p_spatial, mass: float, sign: int, t: float,
     # p0 - s E: both signs are the particle integral at offset s p0 - E, limit s t
     x = sign * p0 - e
     ts = sign * t
+    # every complex grid is written in place, so at most two are alive
+    z = 1j * x
+    if ts > 0:
+        # the second term (exp((i x - eps) ts) - 1) / (i x - eps) first, with
+        # z holding i x - eps; then z is rebuilt as i x
+        z -= epsilon
+        core = np.multiply(z, ts)
+        np.exp(core, out=core)
+        core -= 1.0
+        core /= z
+        np.multiply(1j, x, out=z)
+    z += epsilon  # i x + eps
     if ts == 0:
-        # exp(0) = 1 exactly: no exp over the grid, and one array built in place
-        core = 1j * x
-        core += epsilon
-        np.divide(1, core, out=core)
+        core = np.divide(1, z, out=z)  # exp(0) = 1 exactly: no exp over the grid
     elif ts < 0:
-        core = np.exp((1j * x + epsilon) * ts) / (1j * x + epsilon)
+        core = np.multiply(z, ts)
+        np.exp(core, out=core)
+        core /= z
     else:
-        core = 1.0 / (1j * x + epsilon) + (np.exp((1j * x - epsilon) * ts) - 1.0) / (1j * x - epsilon)
+        core += np.divide(1.0, z, out=z)
     np.multiply(np.exp(-1j * sign * e * t), core, out=core)
     core /= 2 * e
     return FrequencyProfile(p0, core, center=sign * e, epsilon=epsilon)

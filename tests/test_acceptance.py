@@ -326,9 +326,8 @@ def test_criterion_13_commutators():
     # antiparticle argument reversal: D-(x - x') directly
     xp, x = (2, 3), (0, 1)
     anti = commutator_value(xp, "n-", x, "n-", alg)
-    a = spec.spacings
-    direct = lattice_onshell_part(spec, 1.0, -1, -(xp[0] - x[0]) * a[0],
-                                  [-(xp[1] - x[1]) * a[1]])
+    # the sign -1 table at x - x' = (-2, -2): time row -2 + N0 - 1, spatial -2 mod 4
+    direct = lattice_onshell_part(spec, 1.0, -1)[x[0] - xp[0] + 3, (x[1] - xp[1]) % 4]
     reversal = abs(anti - direct)
     assert reversal < 1e-10
     report(13, "field commutators match lattice propagators; reversal verified",

@@ -218,6 +218,24 @@ def test_evolve_subcommand_norm_drift(tmp_path):
     assert record["outputs"]["norm_drift"] < 1e-12
 
 
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--steps", "-3", "steps must be non-negative"),
+    ("--width", "-1", "width must be positive and finite"),
+    ("--width", "0", "width must be positive and finite"),
+], ids=["negative_steps", "negative_width", "zero_width"])
+def test_evolve_rejects_bad_steps_and_widths_with_exit_4_and_no_record(capsys, tmp_path,
+                                                                     flag, value, message):
+    # each exited 0 with a record, or 4 after three RuntimeWarnings
+    out = tmp_path / "evolve.json"
+    assert run(["evolve", "--shape", "8,8", "--extent", "8,8", flag, value,
+                "--output", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Warning" not in err
+    assert not out.exists()
+
+
 def test_propagator_subcommand_momentum(tmp_path):
     out = tmp_path / "prop.json"
     assert run(["propagator", "--kind", "momentum", "--p", "0,0", "--mass", "1",

@@ -220,6 +220,22 @@ def test_evolve_rejects_non_finite_amplitudes():
         evolve(bad, 0.1)
 
 
+
+def test_evolve_rejects_a_negative_step_count():
+    # steps -3 once round-tripped the field and left lambda unchanged
+    with pytest.raises(ContractViolation, match="steps must be non-negative, got -3"):
+        evolve(packet(), 0.1, -3)
+
+
+@pytest.mark.parametrize("width", [-1.0, 0.0, np.inf, (1.0, -0.5)],
+                         ids=["negative", "zero", "infinite", "one_negative_axis"])
+def test_gaussian_packet_rejects_a_width_that_is_not_positive_and_finite(width):
+    # -1 was squared into width 1, and 0 divided by zero before the finite check
+    spec = LatticeSpec((8, 8), (8.0, 8.0))
+    with pytest.raises(ContractViolation, match="width must be positive and finite"):
+        gaussian_packet(spec, (4.0, 4.0), width, (0.0, 0.0), 1.0)
+
+
 def test_gaussian_packet_equals_the_meshgrid_form():
     spec = LatticeSpec((8, 4, 16), (5.0, 3.0, 11.0))
     center, width, momentum = (2.0, 1.0, 6.0), (1.2, 0.7, 2.1), (0.6, -1.3, 0.4)

@@ -1,4 +1,4 @@
-from itertools import permutations
+from itertools import permutations, product
 from math import factorial
 from pathlib import Path
 
@@ -45,6 +45,12 @@ TYPES = {
 
 def algebra(eps=1e-2, n_max=8):
     return FieldAlgebra(SPEC, TYPES, epsilon=eps, n_max=n_max)
+
+
+def onshell_at(table, spec, x, y):
+    """Entry of a lattice_onshell_part table at the displacement x - y."""
+    u = np.subtract(x, y)
+    return table[(u[0] + spec.shape[0] - 1, *(u[1:] % spec.shape[1:]))]
 
 
 def start_entries(*sites, label="A"):
@@ -299,14 +305,11 @@ def test_commutator_onshell_types_and_reversal():
     xp, x = (2, 3), (0, 1)
     normal = commutator_value(xp, "n+", x, "n+", alg)
     anti = commutator_value(xp, "n-", x, "n-", alg)
-    a = SPEC.spacings
-    dt = (xp[0] - x[0]) * a[0]
-    dz = (xp[1] - x[1]) * a[1]
     # normal rule: D+(x' - x); antiparticle rule: reversed arguments D-(x - x')
     assert normal == pytest.approx(
-        lattice_onshell_part(SPEC, 1.0, +1, dt, [dz]), rel=1e-12)
+        onshell_at(lattice_onshell_part(SPEC, 1.0, +1), SPEC, xp, x), rel=1e-12)
     assert anti == pytest.approx(
-        lattice_onshell_part(SPEC, 1.0, -1, -dt, [-dz]), rel=1e-12)
+        onshell_at(lattice_onshell_part(SPEC, 1.0, -1), SPEC, x, xp), rel=1e-12)
     # the reversal is NOT the swap of the normal commutator's arguments (that
     # is the conjugate); by momentum parity D-(x-x') = D+(x'-x), so the two
     # typed commutators coincide at equal arguments
@@ -372,11 +375,8 @@ def test_single_time_pairing_against_frequency_parts():
     alg = algebra()
     xp, x = (3, 1), (1, 2)
     anti = alg.two_point("n-", xp, x)
-    a = SPEC.spacings
-    dt = (xp[0] - x[0]) * a[0]
-    dz = (xp[1] - x[1]) * a[1]
     # D-(x-x') has positive energy (+E dt phase) with the momentum reversed
-    direct = lattice_onshell_part(SPEC, 1.0, -1, -dt, [-dz])
+    direct = onshell_at(lattice_onshell_part(SPEC, 1.0, -1), SPEC, x, xp)
     assert anti == pytest.approx(direct, rel=1e-12)
     assert anti == pytest.approx(alg.two_point("n+", xp, x), rel=1e-12)
 
@@ -423,15 +423,61 @@ def test_two_point_table_matches_direct_functions():
     spec = LatticeSpec((4, 2), (3.0, 2.0))
     alg = FieldAlgebra(spec, TYPES, epsilon=1e-2)
     plain = lattice_propagator(spec, 1.0, 1e-2)
-    a = spec.spacings
+    plus, minus = lattice_onshell_part(spec, 1.0, +1), lattice_onshell_part(spec, 1.0, -1)
     for x in np.ndindex(*spec.shape):
         for y in np.ndindex(*spec.shape):
-            dt, dz = (x[0] - y[0]) * a[0], (x[1] - y[1]) * a[1]
             direct = {"A": plain[(x[0] - y[0]) % 4, (x[1] - y[1]) % 2],
-                      "n+": lattice_onshell_part(spec, 1.0, +1, dt, [dz]),
-                      "n-": lattice_onshell_part(spec, 1.0, -1, -dt, [-dz])}
+                      "n+": onshell_at(plus, spec, x, y),
+                      "n-": onshell_at(minus, spec, y, x)}
             for label, value in direct.items():
                 assert alg.two_point(label, x, y) == pytest.approx(value, rel=1e-12)
+
+
+
+def _onshell_by_explicit_sum(spec, mass, sign, u):
+    """(1 / prod L_i) sum_p exp(i(-sign E u_0 + p.u)) / (2E) at the integer
+    displacement u, summed momentum by momentum over the Brillouin zone."""
+    a, total = spec.spacings, 0j
+    for k in product(*(range(-n // 2, n // 2) for n in spec.shape[1:])):
+        p = [2 * np.pi * kj / L for kj, L in zip(k, spec.extents[1:])]
+        e = np.sqrt(sum(q * q for q in p) + mass * mass)
+        phase = -sign * e * u[0] * a[0] + sum(q * uj * aj for q, uj, aj in zip(p, u[1:], a[1:]))
+        total += np.exp(1j * phase) / (2 * e)
+    return total / np.prod(spec.extents[1:])
+
+
+@pytest.mark.parametrize("shape, extents", [((4, 2), (3.0, 2.0)), ((4, 4), (4.0, 4.0))])
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_onshell_table_matches_an_explicit_momentum_sum(shape, extents, sign):
+    spec = LatticeSpec(shape, extents)
+    table = lattice_onshell_part(spec, 1.3, sign)
+    n0 = shape[0]
+    assert table.shape == (2 * n0 - 1,) + shape[1:]
+    for index in np.ndindex(*table.shape):
+        u = (index[0] + 1 - n0,) + index[1:]
+        assert table[index] == pytest.approx(_onshell_by_explicit_sum(spec, 1.3, sign, u),
+                                             rel=1e-12, abs=1e-12)
+
+
+def test_anti_and_normal_tables_of_equal_mass_are_bitwise_equal():
+    alg = algebra()
+    sites = list(np.ndindex(*SPEC.shape))
+    assert np.array_equal(alg.pairing("n-", sites, sites), alg.pairing("n+", sites, sites))
+
+
+def test_one_onshell_table_call_per_onshell_label(monkeypatch):
+    calls = []
+
+    def counting(spec, mass, sign):
+        calls.append(sign)
+        return lattice_onshell_part(spec, mass, sign)
+
+    monkeypatch.setattr(fock, "lattice_onshell_part", counting)
+    alg = algebra()
+    for _ in range(2):
+        for label in TYPES:
+            alg.two_point(label, (3, 1), (1, 2))
+    assert calls == [+1, +1]
 
 
 def test_fock_inner_tag_guards():

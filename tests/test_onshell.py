@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +112,42 @@ def test_profile_at_zero_time_is_bitwise_the_exp_form(eps):
         got = momentum_state_profile((0.3,), 1.0, sign, t, eps, sign * grid).amplitude
         expected = _exp_form_amplitude((0.3,), 1.0, sign, t, eps, sign * grid)
         assert got.tobytes() == expected.tobytes()
+
+
+
+def _temporaries_form_amplitude(p_spatial, mass, sign, t, eps, p0):
+    # the closed form of both branches written with one temporary per operation
+    e = float(np.sqrt(sum(x * x for x in p_spatial) + mass * mass))
+    x, ts = sign * np.asarray(p0, dtype=float) - e, sign * t
+    if ts <= 0:
+        core = np.exp((1j * x + eps) * ts) / (1j * x + eps)
+    else:
+        core = 1.0 / (1j * x + eps) + (np.exp((1j * x - eps) * ts) - 1.0) / (1j * x - eps)
+    return np.exp(-1j * sign * e * t) * core / (2 * e)
+
+
+@pytest.mark.parametrize("sign", [+1, -1])
+@pytest.mark.parametrize("t", [0.0, 0.7, -0.7])
+def test_profile_built_in_place_is_bitwise_the_closed_form(sign, t):
+    grid = sign * np.sqrt(0.3 ** 2 + 1.0) + np.arange(-40.0, 40.0, 1e-3 / 4)
+    got = momentum_state_profile((0.3,), 1.0, sign, t, 1e-3, grid).amplitude
+    expected = _temporaries_form_amplitude((0.3,), 1.0, sign, t, 1e-3, grid)
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("sign", [+1, -1])
+@pytest.mark.parametrize("t", [0.0, 0.7, -0.7])
+def test_profile_holds_at_most_two_complex_grids(sign, t):
+    # x (8 bytes a point) and two complex grids (16 each): the t != 0 branches
+    # once built every sum and quotient as a new array
+    grid = sign * np.sqrt(0.3 ** 2 + 1.0) + np.arange(-40.0, 40.0, 1e-3 / 4)
+    tracemalloc.start()
+    try:
+        momentum_state_profile((0.3,), 1.0, sign, t, 1e-3, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 41 * grid.size
 
 
 def lorentzian_concentration_oracle(window, eps):

@@ -17,7 +17,6 @@ from worldlineqm.kernel import (
     kernel_discretized,
     kernel_mass_superposition,
     kernel_mc,
-    lattice_onshell_part,
     propagator_momentum,
     propagator_onshell_part,
     propagator_position,
@@ -103,7 +102,6 @@ _D2, _D4 = FourVector((0.3, 0.4)), FourVector((0.3, 0.4, 0.5, 0.6))
 _ORIGIN2, _ORIGIN4 = FourVector((0.0, 0.0)), FourVector((0.0,) * 4)
 _PARAMS2, _PARAMS4 = KernelParams(1.0, 1.0, 2, "euclidean"), KernelParams(1.0, 1.0, 4, "euclidean")
 _MASS_GRID = [0.0, 1.0, 2.0]
-_LATTICE8 = LatticeSpec((8, 8), (4.0, 4.0))
 _MISMATCH_CASES = {
     "kernel_closed.long_dx": ("dx has dimension 4, expected 2",
                               lambda: kernel_closed(_D4, _PARAMS2)),
@@ -147,12 +145,6 @@ _MISMATCH_CASES = {
         "dx has dimension 2, expected 4",
         lambda: propagator_onshell_part(_D2, 1.0, 1, 1e-2, 4)),
     "segment_norm.mode": ("unknown mode 'bogus'", lambda: segment_norm(0.5, 4, "bogus")),
-    "lattice_onshell_part.long_dx": (
-        "dx_spatial has length 3, expected 1",
-        lambda: lattice_onshell_part(_LATTICE8, 1.0, 1, 0.5, (0.3, 0.9, 0.4))),
-    "lattice_onshell_part.short_dx": (
-        "dx_spatial has length 0, expected 1",
-        lambda: lattice_onshell_part(_LATTICE8, 1.0, 1, 0.5, ())),
     "self_energy_unregulated.long_p": (
         "p has dimension 4, expected 2",
         lambda: self_energy_unregulated(_D4, 1.0, 1.0, 2, float("inf"))),
