@@ -9,15 +9,14 @@ lambda) advances by the exact spectral step
 
 with p.p the signed square.  The generator is diagonal in momentum, so the
 step is a pure phase for any dlam (no stability constraint, unitary even
-though p.p + m^2 is indefinite on a spacetime lattice).  On the lattice one
-step is ifftn(phase * fftn(psi)) (`lattice.spectral_multiply`): the phase
+though p.p + m^2 is indefinite on a spacetime lattice).  On the lattice it
+multiplies the plain spectrum fftn(psi) (`lattice.plain_fftn`): the phase
 depends on p0 only through p0^2, so the time-axis sign reflection of the
 unitary transform drops out, and its two scale factors cancel exactly.
 The phase itself is a broadcast product of one 1-D factor per axis.  An
-evolved field carries its spectrum, so evolving it again skips the fftn: a
-chain of k single steps costs one fftn and k ifftns, and one call of k
-steps one of each.  Its amplitude array is read-only; bind a new array to
-`field.values` to change it.
+evolved wavefunction holds that spectrum as its state and transforms back
+only when its position values are read, so a chain of k steps costs one
+fftn and the k phase products.
 
 The equivalent differential statement, checked by the finite-difference
 residual below, is
@@ -27,55 +26,82 @@ residual below, is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ContractViolation
 from .geometry import metric
 from .kernel import lattice_momentum_phase
-from .lattice import ComplexField, LatticeSpec, spectral_multiply, spectral_transform
+from .lattice import ComplexField, LatticeSpec, plain_fftn, plain_ifftn
 
 
-@dataclass(frozen=True)
 class ParametrizedWavefunction:
-    """Complex amplitude field over the spacetime lattice at parameter lam."""
+    """Complex amplitude field over the spacetime lattice at parameter lam.
 
-    field: ComplexField
-    lam: float
-    mass: float
+    Built on a position field, or on its plain spectrum as `evolve` builds
+    it.  A spectrum stays the state: `field` is computed from it by one ifftn
+    on first read and cached with read-only values, and the spectrum stands
+    for `field` only while `field.values` is that array, so binding a new
+    array there makes the next step transform forward again.
+    """
 
-    def __post_init__(self):
-        if self.field.representation != "position":
-            raise ContractViolation("wavefunction field must be in position representation")
-        if self.mass <= 0:
+    def __init__(self, field: ComplexField, lam: float, mass: float):
+        if field.representation == "momentum":
+            raise ContractViolation("wavefunction field must be positions or their plain spectrum")
+        if not mass > 0:
             raise ContractViolation("mass must be positive")
+        self.lam, self.mass, self._state = lam, mass, field
+        self._field = field if field.representation == "position" else None
 
     @property
     def spec(self) -> LatticeSpec:
-        return self.field.spec
+        return self._state.spec
+
+    @property
+    def field(self) -> ComplexField:
+        if self._field is None:
+            self._field = plain_ifftn(self._state)
+            self._positions = self._field.values
+            self._positions.flags.writeable = False
+        return self._field
+
+    def _spectrum(self) -> ComplexField:
+        """The plain spectrum of `field`: the state while it stands for it,
+        else one fftn that is not kept."""
+        if self._state.representation == "plain" and (
+                self._field is None or self._field.values is self._positions):
+            return self._state
+        return plain_fftn(self.field)
 
 
 def norm(psi: ParametrizedWavefunction) -> float:
-    """Position-representation norm sum |psi|^2 * cell volume."""
-    return psi.field.norm_squared()
+    """Position-representation norm sum |psi|^2 * cell volume (Parseval on a
+    held spectrum)."""
+    return (psi._state if psi._field is None else psi._field).norm_squared()
 
 
 def evolve(psi: ParametrizedWavefunction, dlam: float,
            steps: int = 1) -> ParametrizedWavefunction:
-    """Advance psi by `steps` steps of dlam (any sign) with the exact spectral
-    phase, built once and applied `steps` times to the spectrum between one
-    fftn (none if psi's field carries its spectrum) and one ifftn; bitwise
-    equal to `steps` single-step calls."""
+    """Advance psi by `steps` steps of dlam (any finite sign) with the exact
+    spectral phase, built once and multiplied `steps` times into psi's plain
+    spectrum (one fftn unless psi holds it, and no ifftn); bitwise equal to
+    `steps` single-step calls."""
     if steps < 0:
         raise ContractViolation(f"steps must be non-negative, got {steps}")
-    phase = lattice_momentum_phase(psi.spec, dlam, psi.mass)
-    field, lam = psi.field, psi.lam
-    if steps:
-        field = spectral_multiply(field, *(phase,) * steps)
+    lam = psi.lam
     for _ in range(steps):
         lam += dlam
-    return ParametrizedWavefunction(field, lam, psi.mass)
+    # the phase's largest exponent is dlam times m^2 or a Nyquist (pi / a_mu)^2
+    top = max(psi.mass * psi.mass, *((np.pi / a) ** 2 for a in psi.spec.spacings))
+    if not (np.isfinite(lam) and np.isfinite(dlam * top)):
+        raise ContractViolation(f"dlam must be finite, as must lambda and dlam (p.p + m^2), "
+                                f"got dlam {dlam}")
+    if not steps:
+        return ParametrizedWavefunction(psi.field, lam, psi.mass)
+    phase = lattice_momentum_phase(psi.spec, dlam, psi.mass)
+    values = psi._spectrum().values * phase  # a new array: psi's spectrum is kept
+    for _ in range(steps - 1):
+        values *= phase
+    return ParametrizedWavefunction(ComplexField(psi.spec, values, "plain"), lam, psi.mass)
 
 
 def inner_product(a: ParametrizedWavefunction, b: ParametrizedWavefunction) -> complex:
@@ -97,12 +123,10 @@ def stueckelberg_residual(psi: ParametrizedWavefunction, dlam_probe: float) -> f
         raise ContractViolation("dlam_probe must be positive")
     spec = psi.spec
     w = spec.p_squared("minkowski") + psi.mass ** 2
-    tilde = spectral_transform(psi.field, "forward")
     # -i times centered difference of exp(-i h W) phases: -sin(h W)/h
     diff_mult = -np.sin(dlam_probe * w) / dlam_probe
     # (box - m^2) in momentum space is -(p.p + m^2)
-    residual_tilde = (diff_mult + w) * tilde.values
-    res = ComplexField(spec, residual_tilde, "momentum")
+    res = ComplexField(spec, (diff_mult + w) * psi._spectrum().values, "plain")
     return float(np.sqrt(res.norm_squared()))
 
 
@@ -112,14 +136,18 @@ def gaussian_packet(spec: LatticeSpec, center, width, momentum, mass: float,
 
     The phase uses the signed pairing p.x, so `momentum` labels a point of the
     dual grid in the evolution's own convention.  The packet is a product of
-    one 1-D complex factor per axis, broadcast to the full grid.  Every width
-    must be positive and finite.
+    one 1-D complex factor per axis, broadcast to the full grid.  `center` and
+    `momentum` have one component per axis, and `width` one or one per axis,
+    each positive and finite.
     """
-    center = np.asarray(center, dtype=float)
-    width = np.broadcast_to(np.asarray(width, dtype=float), (spec.dimension,))
+    d = spec.dimension
+    center, width, momentum = (np.asarray(v, dtype=float) for v in (center, width, momentum))
+    for name, v in (("center", center), ("width", width), ("momentum", momentum)):
+        if v.shape != (d,) and not (name == "width" and v.ndim == 0):
+            raise ContractViolation(f"{name} has dimension {v.size}, expected {d}")
+    width = np.broadcast_to(width, (d,))
     if not np.all((width > 0) & np.isfinite(width)):
         raise ContractViolation(f"width must be positive and finite, got {width.tolist()}")
-    momentum = np.asarray(momentum, dtype=float)
     g = metric(spec.dimension)
     values = np.ones((1,) * spec.dimension, dtype=complex)
     for mu in range(spec.dimension):

@@ -12,25 +12,21 @@ prod(2 pi / L_mu).  Both directions are unitary with respect to the
 cell-volume weighted norms (Parseval).
 
 A multiplier that depends on p0 only through p0^2, such as the evolution
-phase exp(-i dlam (p.p + m^2)), is applied by `spectral_multiply` as
+phase exp(-i dlam (p.p + m^2)), acts on the plain spectrum F = fftn(psi)
+(`plain_fftn`, unscaled, inverted by `plain_ifftn`) as on the unitary
+momentum amplitudes: ifftn(multiplier * fftn(psi)) equals
 
-    ifftn(multiplier * fftn(psi)).
+    spectral_transform(multiplier * spectral_transform(psi, "forward"), "inverse").
 
 The signed time axis is the index reflection k0 -> -k0 of a plain fftn, and
 that reflection leaves such a multiplier unchanged (fftfreq's Nyquist entry
 maps to itself), so it drops out of forward-then-inverse.  The two scale
 factors cancel too: prod(a) * prod(2 pi / L) * (2 pi)^(-D) * N = 1, with N
-the site count that ifftn divides by.
-
-The product multiplier * fftn(psi) is kept: the position field that
-`spectral_multiply` returns carries it as its plain spectrum, and the next
-`spectral_multiply` on that field multiplies it instead of transforming
-forward again.  A chain of k multiplications then costs one fftn and k
-ifftns.  A field carrying a spectrum has read-only values and spectrum
-arrays, and the spectrum is used only while it belongs to the field's
-current `values` object, so it cannot go stale.  `spatial_momentum_sum` is
-the unscaled inverse over the spatial axes alone.  This module holds every
-FFT call of the package.
+the site count that ifftn divides by.  For the same reasons the norm of
+multiplier * psi~ is that of multiplier * F with the cell volume prod(a) / N
+of the "plain" representation (Parseval).  `spatial_momentum_sum` is the
+unscaled inverse over the spatial axes alone.  This module holds every FFT
+call of the package.
 """
 
 from __future__ import annotations
@@ -116,20 +112,12 @@ class LatticeSpec:
 
 @dataclass
 class ComplexField:
-    """Complex amplitudes on a lattice, in position or momentum representation.
-
-    A position field returned by `spectral_multiply` also carries its plain
-    spectrum, the array whose ifftn is `values`, for the next
-    `spectral_multiply` to multiply in place of fftn(values).  Its
-    values and spectrum arrays are read-only, so an in-place write raises
-    ValueError; binding a new array to `values` makes the carried spectrum
-    unused, since it is read only while its values array is `values` itself.
-    """
+    """Complex amplitudes on a lattice: position values, unitary momentum
+    amplitudes, or the plain spectrum fftn(position values) (`plain_fftn`)."""
 
     spec: LatticeSpec
     values: np.ndarray
-    representation: str = "position"  # "position" | "momentum"
-    _carried = None  # (values, spectrum) from spectral_multiply
+    representation: str = "position"  # "position" | "momentum" | "plain"
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=complex)
@@ -137,13 +125,15 @@ class ComplexField:
             raise ContractViolation(
                 f"field shape {values.shape} does not match lattice {self.spec.shape}"
             )
-        if self.representation not in ("position", "momentum"):
+        if self.representation not in ("position", "momentum", "plain"):
             raise ContractViolation(f"unknown representation {self.representation!r}")
         self.values = values
 
     def norm_squared(self) -> float:
         """Sum of |amplitude|^2 times the cell volume of this representation."""
-        w = self.spec.cell_volume if self.representation == "position" else self.spec.momentum_cell_volume
+        spec = self.spec
+        w = {"position": spec.cell_volume, "momentum": spec.momentum_cell_volume,
+             "plain": spec.cell_volume / self.values.size}[self.representation]
         return float(np.sum(np.abs(self.values) ** 2) * w)
 
 
@@ -180,35 +170,17 @@ def spectral_transform(field: ComplexField, direction: str) -> ComplexField:
     raise ContractViolation(f"unknown direction {direction!r}")
 
 
-def spectral_multiply(field: ComplexField, *multipliers: np.ndarray) -> ComplexField:
-    """Position field whose momentum amplitudes are those of field times each
-    multiplier in turn.
-
-    Equal to spectral_transform(multiplier * spectral_transform(field,
-    "forward"), "inverse") per multiplier only when each is even in p0, i.e.
-    takes the same value at k0 and -k0 (mod N0) on the time axis, as any
-    function of p0^2 does.  Then it is one fftn, the products in order and one
-    ifftn.  The result carries its plain spectrum (see `ComplexField`); when
-    field carries one for its current values, the fftn is skipped and that
-    spectrum is multiplied instead, with the same bits as the fftn path.
-    """
+def plain_fftn(field: ComplexField) -> ComplexField:
+    """The plain spectrum fftn(values) of a finite position field."""
     if field.representation != "position":
-        raise ContractViolation("spectral_multiply expects a position-representation field")
+        raise ContractViolation("plain_fftn expects a position-representation field")
     _check_finite(field)
-    carried = field._carried
-    if carried is not None and carried[0] is field.values:
-        spectrum = carried[1]
-    else:
-        spectrum = scipy.fft.fftn(field.values)
-    for multiplier in multipliers:
-        # the carried spectrum is read-only: the first product is a new array
-        spectrum = np.multiply(spectrum, multiplier,
-                               out=spectrum if spectrum.flags.writeable else None)
-    values = scipy.fft.ifftn(spectrum)
-    values.flags.writeable = spectrum.flags.writeable = False
-    out = ComplexField(field.spec, values, "position")
-    out._carried = (out.values, spectrum)
-    return out
+    return ComplexField(field.spec, scipy.fft.fftn(field.values), "plain")
+
+
+def plain_ifftn(field: ComplexField) -> ComplexField:
+    """The position field ifftn(values) of a plain spectrum."""
+    return ComplexField(field.spec, scipy.fft.ifftn(field.values), "position")
 
 
 def spatial_momentum_sum(values: np.ndarray) -> np.ndarray:

@@ -223,10 +223,18 @@ def test_evolve_subcommand_norm_drift(tmp_path):
     ("--steps", "-3", "steps must be non-negative"),
     ("--width", "-1", "width must be positive and finite"),
     ("--width", "0", "width must be positive and finite"),
-], ids=["negative_steps", "negative_width", "zero_width"])
+    ("--dlam", "inf", "dlam must be finite"),
+    ("--dlam", "1e308", "dlam must be finite"),
+    ("--momentum", "0,0.5,7", "momentum has dimension 3, expected 2"),
+    ("--momentum", "0", "momentum has dimension 1, expected 2"),
+    ("--center", "4", "center has dimension 1, expected 2"),
+], ids=["negative_steps", "negative_width", "zero_width", "infinite_dlam", "huge_dlam", "long_momentum",
+        "short_momentum", "short_center"])
 def test_evolve_rejects_bad_steps_and_widths_with_exit_4_and_no_record(capsys, tmp_path,
                                                                      flag, value, message):
-    # each exited 0 with a record, or 4 after three RuntimeWarnings
+    # each exited 0 with a record, or 4 after three RuntimeWarnings; an infinite
+    # or overflowing dlam was caught only by the residual's finiteness scan, a
+    # long momentum lost its last component and a short one raised IndexError
     out = tmp_path / "evolve.json"
     assert run(["evolve", "--shape", "8,8", "--extent", "8,8", flag, value,
                 "--output", str(out)]) == 4

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.fft
 
+from worldlineqm import cli
 from worldlineqm.evolution import (
     ParametrizedWavefunction,
     evolve,
@@ -174,15 +177,64 @@ def _count_transforms(monkeypatch):
 
 
 def test_a_chain_of_steps_transforms_forward_once(monkeypatch):
+    # an evolved wavefunction holds its spectrum: nothing transforms back
+    # until its positions are read, and then only once
     calls = _count_transforms(monkeypatch)
     psi = packet()
     state = psi
     for _ in range(16):
         state = evolve(state, 0.05)
-    assert calls == {"fftn": 1, "ifftn": 16}
+    assert calls == {"fftn": 1, "ifftn": 0}
+    norm(state), stueckelberg_residual(state, 1e-3)
+    assert calls == {"fftn": 1, "ifftn": 0}
+    state.field.values
+    assert calls == {"fftn": 1, "ifftn": 1}
+    state.field.values
+    assert calls == {"fftn": 1, "ifftn": 1}
     calls.update(fftn=0, ifftn=0)
     evolve(psi, 0.05, 16)
-    assert calls == {"fftn": 1, "ifftn": 1}
+    assert calls == {"fftn": 1, "ifftn": 0}
+
+
+def test_the_cli_evolve_route_transforms_forward_once(monkeypatch, tmp_path):
+    calls = _count_transforms(monkeypatch)
+    assert cli.run(["evolve", "--shape", "8,8", "--extent", "8,8", "--steps", "5",
+                    "--output", str(tmp_path / "evolve.json")]) == 0
+    assert calls == {"fftn": 1, "ifftn": 0}
+
+
+@_ANISOTROPIC_PACKETS
+def test_the_parseval_norm_matches_the_position_sum(shape, extents, center, momentum):
+    out = evolve(_anisotropic_packet(shape, extents, center, momentum), 0.37, 3)
+    held = norm(out)  # Parseval on the held spectrum, before positions exist
+    positions = np.sum(np.abs(out.field.values) ** 2) * out.spec.cell_volume
+    assert held == pytest.approx(positions, rel=1e-14)
+
+
+def _held_bytes(work):
+    # bytes still allocated once work() has returned, with its result kept
+    tracemalloc.start()
+    try:
+        kept = work()
+        return tracemalloc.get_traced_memory()[0], kept
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_position_built_wavefunction_keeps_no_spectrum():
+    psi = packet(LatticeSpec((64, 64), (32.0, 32.0)))
+    grid = 16 * psi.field.values.size
+    held, _ = _held_bytes(lambda: (evolve(psi, 0.3), stueckelberg_residual(psi, 1e-3))[1])
+    assert held < grid / 4
+
+
+def test_an_evolved_wavefunction_holds_one_grid_until_its_positions_are_read():
+    psi = packet(LatticeSpec((64, 64), (32.0, 32.0)))
+    grid = 16 * psi.field.values.size
+    held, out = _held_bytes(lambda: evolve(psi, 0.3, 4))
+    assert grid <= held < 1.25 * grid
+    held, _ = _held_bytes(lambda: out.field)
+    assert grid <= held < 1.25 * grid
 
 
 def test_an_evolved_field_is_read_only():
@@ -199,6 +251,7 @@ def test_rebinding_the_values_drops_the_carried_spectrum(monkeypatch):
     psi.field.values = new_values
     calls = _count_transforms(monkeypatch)
     out = evolve(psi, 0.3)
+    out.field.values  # the positions are computed on this first read
     assert calls == {"fftn": 1, "ifftn": 1}
     reference = _composed_step(ComplexField(psi.spec, new_values, "position"), 0.3, psi.mass)
     assert np.max(np.abs(out.field.values - reference.values)) < 1e-13 * np.max(np.abs(new_values))
@@ -219,6 +272,18 @@ def test_evolve_rejects_non_finite_amplitudes():
     with pytest.raises(ContractViolation):
         evolve(bad, 0.1)
 
+
+@pytest.mark.parametrize("dlam, steps", [(np.nan, 1), (np.inf, 1), (-np.inf, 1), (np.nan, 0),
+                                         (1e308, 1), (1e306, 1000)],
+                         ids=["nan", "inf", "minus_inf", "nan_no_steps", "phase_overflows",
+                              "lambda_overflows"])
+def test_evolve_rejects_a_step_that_is_not_finite(dlam, steps, monkeypatch):
+    # each once returned NaN amplitudes or an infinite lam, or went unchecked
+    # with no steps; the residual's finiteness scan caught some of them later
+    calls = _count_transforms(monkeypatch)
+    with pytest.raises(ContractViolation, match="dlam must be finite"):
+        evolve(packet(), dlam, steps)
+    assert calls == {"fftn": 0, "ifftn": 0}
 
 
 def test_evolve_rejects_a_negative_step_count():

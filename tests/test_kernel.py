@@ -607,6 +607,34 @@ def test_onshell_part_d2_meets_1e_12():
     assert abs(value - oracle) < 1e-12 * abs(oracle)
 
 
+def schroedinger_gap_slope(dimension, rest_phase=True, normalisation=True):
+    """Log-log slope in m of the relative gap between 2m e^{imt} times the
+    positive-frequency part and the damped Schroedinger kernel
+    (4 pi a)^(-d/2) exp(-r^2/4a), a = eta + it/2m, at t = 1, r = 0.3."""
+    t, r, eta, masses = 1.0, 0.3, 1e-2, np.array([160.0, 320.0, 640.0, 1280.0])
+    dx = FourVector((t, r) + (0.0,) * (dimension - 2))
+    gaps = []
+    for m in masses:
+        value = propagator_onshell_part(dx, m, +1, eta, dimension)
+        value *= (np.exp(1j * m * t) if rest_phase else 1) * (2 * m if normalisation else 1)
+        a = eta + 1j * t / (2 * m)
+        oracle = (4 * np.pi * a) ** (-(dimension - 1) / 2) * np.exp(-r * r / (4 * a))
+        gaps.append(abs(value - oracle) / abs(oracle))
+    return np.polyfit(np.log(masses), np.log(gaps), 1)[0]
+
+
+@pytest.mark.parametrize("dimension", [2, 4])
+def test_onshell_part_tends_to_the_schroedinger_kernel_as_m_to_the_minus_2(dimension):
+    # the non-relativistic reduction in position space
+    assert -2.3 <= schroedinger_gap_slope(dimension) <= -1.7
+
+
+@pytest.mark.parametrize("dropped", ["rest_phase", "normalisation"])
+@pytest.mark.parametrize("dimension", [2, 4])
+def test_the_reduction_needs_the_rest_phase_and_the_2m_normalisation(dimension, dropped):
+    assert not -2.3 <= schroedinger_gap_slope(dimension, **{dropped: False}) <= -1.7
+
+
 def d4_from_d2_recursion(f2, r):
     """f_4(r) = -(1/2 pi r) d f_2/dr for a function of |dx_vec| whose D=2 and
     D=4 forms share one radial momentum profile; the derivative is the

@@ -39,8 +39,11 @@ def _profile():
     return momentum_state_profile((0.3,), 1.0, 1, 0.0, 0.01, [1.0, 1.1])
 
 
+_LATTICE2 = LatticeSpec((4, 4), (4.0, 4.0))
+
+
 def _packet():
-    return gaussian_packet(LatticeSpec((4, 4), (4.0, 4.0)), (2.0, 2.0), 1.0, (0.0, 0.0), 1.0)
+    return gaussian_packet(_LATTICE2, (2.0, 2.0), 1.0, (0.0, 0.0), 1.0)
 
 
 def _legs(p):
@@ -83,6 +86,8 @@ _NAN_CASES = {
                              lambda: concentration(_profile(), NAN)),
     "segment_norm.dlam": (DegeneratePathError, "segment length must be positive",
                           lambda: segment_norm(NAN, 2, "euclidean")),
+    "gaussian_packet.mass": (ContractViolation, "mass must be positive",
+                             lambda: gaussian_packet(_LATTICE2, (2.0, 2.0), 1.0, (0.0, 0.0), NAN)),
     "stueckelberg_residual.dlam_probe": (ContractViolation, "dlam_probe must be positive",
                                          lambda: stueckelberg_residual(_packet(), NAN)),
     "ScatterSpec.momentum": (ContractViolation, "off the grid",
@@ -163,6 +168,21 @@ _MISMATCH_CASES = {
     "divergence_scan.short_p": (
         "p has dimension 2, expected 4",
         lambda: divergence_scan(_D2, 1.0, 1.0, 4, (0.02, 0.01))),
+    "gaussian_packet.long_center": (
+        "center has dimension 3, expected 2",
+        lambda: gaussian_packet(_LATTICE2, (2.0, 2.0, 2.0), 1.0, (0.0, 0.0), 1.0)),
+    "gaussian_packet.short_center": (
+        "center has dimension 1, expected 2",
+        lambda: gaussian_packet(_LATTICE2, (2.0,), 1.0, (0.0, 0.0), 1.0)),
+    "gaussian_packet.long_momentum": (
+        "momentum has dimension 3, expected 2",
+        lambda: gaussian_packet(_LATTICE2, (2.0, 2.0), 1.0, (0.0, 0.5, 7.0), 1.0)),
+    "gaussian_packet.short_momentum": (
+        "momentum has dimension 1, expected 2",
+        lambda: gaussian_packet(_LATTICE2, (2.0, 2.0), 1.0, (0.0,), 1.0)),
+    "gaussian_packet.long_width": (
+        "width has dimension 3, expected 2",
+        lambda: gaussian_packet(_LATTICE2, (2.0, 2.0), (1.0, 1.0, 1.0), (0.0, 0.0), 1.0)),
 }
 
 
