@@ -24,8 +24,9 @@ Subpackage map:
                      the weight at a finite correlation length: spectral
                      density, regulated self-energy via two routes,
                      cancellation conditions, divergence scans
-- ``quadrature``     the one quadrature layer: adaptive integration of
-                     complex integrands, Gauss-Legendre panel rules, the
+- ``quadrature``     the one quadrature layer: adaptive Gauss-Kronrod
+                     integration of complex integrands evaluated on node
+                     arrays, Gauss-Legendre panel rules, the QUADPACK
                      Fourier-weighted tail integral (fourier_tail)
 - ``cli``            batch front end with JSON configs and CSV/JSON records
 """

@@ -19,7 +19,7 @@ from .errors import ContractViolation
 MODES = ("euclidean", "minkowski")  # the two signatures, by name
 
 
-@functools.cache  # a quadrature asks for it at every node
+@functools.cache  # a kernel asks for it at every evaluation
 def metric(dimension: int, mode: str = "minkowski") -> tuple[float, ...]:
     """Diagonal of the metric: (-1, +1, ..., +1) in minkowski mode, all +1 in
     euclidean mode.  The one check of a mode name."""

@@ -75,7 +75,7 @@ class WeightFunction:
             raise ContractViolation("threshold must be >= 0 and finite")
 
     def __call__(self, t):
-        """f(t): a float for a float t (the quadrature nodes), else f over the
+        """f(t): a float for a float t (the Fourier tail's nodes), else f over the
         array t (a numpy scalar for 0-d t).  The exponent -(t/dlam)^2 / 2 is
         exactly 0 at dlam = inf."""
         if isinstance(t, float):
@@ -126,15 +126,16 @@ def _axis_widths(t, g, z, damping: float = 0.0, damp_time_only: bool = False):
     return [(space_damping if mu else damping) + z * g_mu * t for mu, g_mu in enumerate(g)]
 
 
-def _kernel_value(dx, t: float, mass_squared, mode: str,
-                  damping: float = 0.0, damp_time_only: bool = False) -> complex:
-    """Kernel value at one length t from the per-axis Gaussian factors of the
-    len(dx) axes."""
+def _kernel_value(dx, t, mass_squared, mode: str,
+                  damping: float = 0.0, damp_time_only: bool = False):
+    """Kernel value from the per-axis Gaussian factors of the len(dx) axes:
+    a complex at one length t, else an array over the lengths t."""
     z = wick_factor(mode)
     value = 1.0
     for mu, a in enumerate(_axis_widths(t, metric(len(dx), mode), z, damping, damp_time_only)):
         value = value * np.sqrt(np.pi / a) / (2 * np.pi) * np.exp(-dx[mu] ** 2 / (4 * a))
-    return complex(value * np.exp(-z * t * mass_squared))
+    value = value * np.exp(-z * t * mass_squared)
+    return complex(value) if np.ndim(t) == 0 else value
 
 
 def kernel_closed(dx: FourVector, params: KernelParams) -> complex:

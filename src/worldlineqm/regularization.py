@@ -95,14 +95,15 @@ def spectral_density(mass_squared: float, spec: RegulatorSpec) -> complex:
 
 
 def bubble(line, p_norm: float, m_b: float, dimension: int, top: float,
-           points=None) -> tuple[complex, float]:
+           points=None, **tolerance) -> tuple[complex, float]:
     """Int_{|k|<top} d^Dk line(k^2) [(p-k)^2 + m_b^2]^(-1), |p| = p_norm.
 
     Adaptive radial quadrature with the angular integral in closed form:
     D=2: Int dtheta / (A - B cos) = 2 pi / sqrt(A^2 - B^2);
     D=4: 4 pi Int sin^2 / (A - B cos) dpsi = 4 pi^2 / (A + sqrt(A^2 - B^2)),
     which does not cancel at small B, with A = k^2 + p^2 + m_b^2 and
-    B = 2 k |p|.  Returns (value, error).
+    B = 2 k |p|.  line takes an array of k^2.  `tolerance` (epsabs, epsrel)
+    goes to the radial quadrature.  Returns (value, error).
     """
     def radial(k):
         ksq = k * k
@@ -112,7 +113,7 @@ def bubble(line, p_norm: float, m_b: float, dimension: int, top: float,
             return k * line(ksq) * (2 * np.pi / np.sqrt(a * a - b * b))
         return k ** 3 * line(ksq) * (4 * np.pi ** 2 / (a + np.sqrt(a * a - b * b)))
 
-    return quadrature.adaptive(radial, 0.0, top, limit=400, points=points)
+    return quadrature.adaptive(radial, 0.0, top, limit=400, points=points, **tolerance)
 
 
 def self_energy_regulated(p: FourVector, m_a: float, m_b: float, dimension: int,
@@ -145,10 +146,15 @@ def self_energy_regulated(p: FourVector, m_a: float, m_b: float, dimension: int,
         w, wts = quadrature.panels(
             np.concatenate(([0.0], np.geomspace(window * 1e-5, window, 80))))
         coef = wts * spec.transform(-1j * w) / (2 * np.pi)  # wts * F(w)
-        shift = m_a * m_a + 1j * w
-        # only the real part is kept, so only the real part is integrated
-        value, err = bubble(lambda ksq: np.sum(coef / (ksq + shift)).real,
-                            p_norm, m_b, dimension, top)
+
+        def line(ksq):
+            # only the real part is kept, so only the real part is integrated:
+            # Re coef / (t + i w) = (t Re coef + w Im coef) / (t^2 + w^2)
+            t = (ksq + m_a * m_a)[..., None]
+            return np.sum((t * coef.real + w * coef.imag) / (t * t + w * w), axis=-1)
+
+        # to the 1e-10 at which the route is checked against per-node bubbles
+        value, err = bubble(line, p_norm, m_b, dimension, top, epsabs=0.0, epsrel=1e-10)
         return SelfEnergyResult(complex(2 * value.real), 2 * err, "mass-spectrum",
                                 {**metadata, "window": window})
     raise ContractViolation(f"unknown route {route!r}")
