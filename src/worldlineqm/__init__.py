@@ -26,8 +26,7 @@ Subpackage map:
                      cancellation conditions, divergence scans
 - ``quadrature``     the one quadrature layer: adaptive Gauss-Kronrod
                      integration of complex integrands evaluated on node
-                     arrays, Gauss-Legendre panel rules, the QUADPACK
-                     Fourier-weighted tail integral (fourier_tail)
+                     arrays, Gauss-Legendre panel rules
 - ``cli``            batch front end with JSON configs and CSV/JSON records
 """
 

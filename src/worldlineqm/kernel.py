@@ -75,15 +75,12 @@ class WeightFunction:
             raise ContractViolation("threshold must be >= 0 and finite")
 
     def __call__(self, t):
-        """f(t): a float for a float t (the Fourier tail's nodes), else f over the
-        array t (a numpy scalar for 0-d t).  The exponent -(t/dlam)^2 / 2 is
-        exactly 0 at dlam = inf."""
-        if isinstance(t, float):
-            r = t / self.correlation_length
-            return float(np.exp(-0.5 * r * r)) if t >= self.threshold else 0.0
-        t = np.asarray(t, dtype=float)
+        """f over the array t, real or complex, with the threshold test on Re t
+        (a numpy scalar for 0-d t).  The exponent -(t/dlam)^2 / 2 is exactly 0
+        at dlam = inf."""
+        t = np.asarray(t)
         r = t / self.correlation_length
-        return np.where(t >= self.threshold, np.exp(-0.5 * r * r), 0.0)[()]
+        return np.where(t.real >= self.threshold, np.exp(-0.5 * r * r), 0.0)[()]
 
     def transform(self, s):
         """T(s) = Int_delta^inf f(lam) exp(-s lam) dlam for complex s, in
@@ -153,7 +150,7 @@ def kernel_damped(dx: FourVector, total_length: float, mass_squared, damping: fl
     frequency axis (the spatial axes stay exact Fresnel factors), which is the
     variant reconstructed by the mass-superposition route.
     """
-    if damping < 0:
+    if not damping >= 0:
         raise DomainError("damping must be >= 0")
     return _kernel_value(dx.as_array(), total_length, mass_squared, mode, damping,
                          damp_time_only)
@@ -398,7 +395,7 @@ def _thin_marks(rng, start, dx, tau, counts, mass_sq_fn, bound):
 # proper-time propagators
 
 
-TAIL_START = 20.0  # proper time where the minkowski integral switches to its tail rule
+TAIL_START = 20.0  # proper time where the minkowski integral turns onto its tail contour
 
 
 def propagator_position(dx: FourVector, mass: float, epsilon: float,
@@ -409,44 +406,49 @@ def propagator_position(dx: FourVector, mass: float, epsilon: float,
     Euclidean mode integrates the real heat kernel adaptively over the whole
     half-line.  Minkowski mode uses the Gaussian-damped kernel and requires
     damping > 0; the result approaches the Feynman propagator as
-    (epsilon, damping) -> 0.  It integrates [lo, TAIL_START] adaptively and
-    the tail with the factor exp(-i T m^2) as QUADPACK's Fourier weight
-    (quadrature.fourier_tail) when m^2 is at least the tail's decay rate,
-    epsilon + 1/dlam; below that the tail oscillates no faster than it
-    decays and is integrated adaptively as well.  The integral starts at the
+    (epsilon, damping) -> 0.  It integrates [lo, split] on the real axis,
+    split = max(lo, TAIL_START), and, by Cauchy's theorem, the tail on a
+    contour into the lower half-plane, where the damped kernel is analytic
+    for Re T > 0: down to T = split - i depth, then across to infinity.
+    When m^2 is at least the tail's decay rate epsilon + 1/dlam, depth =
+    min(m^2 dlam^2, 40/m^2); at m^2 dlam^2 the weight's phase cancels
+    exp(-i T m^2), so the leg across does not oscillate.  Below that rate
+    the tail oscillates no faster than it decays and stays on the real axis.
+    Each leg is one quadrature.adaptive call.  The integral starts at the
     weight's threshold, and a weight of infinite dlam needs epsilon > 0.
     """
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise DomainError("epsilon must be >= 0")
     if epsilon == 0 and weight.correlation_length == np.inf:
         raise DomainError("a weight of infinite correlation_length needs epsilon > 0 "
                           "for the T-integral")
     metric(dimension, mode)  # checks the dimension and the mode
     dx.check_dimension(dimension, "dx")
-    if mode == "minkowski" and damping <= 0:
+    if mode == "minkowski" and not damping > 0:
         raise DomainError("minkowski proper-time integral needs damping > 0")
     dxa = dx.as_array()
     msq = mass * mass
     damping = damping if mode == "minkowski" else 0.0
 
-    def integrand(t, mass_squared=msq):
-        # mass_squared 0 leaves the factor of exp(-i T m^2) in minkowski mode
-        return (weight(t) * _kernel_value(dxa, t, mass_squared, mode, damping)
-                * np.exp(-epsilon * t))
+    def integrand(t):
+        return weight(t) * _kernel_value(dxa, t, msq, mode, damping) * np.exp(-epsilon * t)
     lo = weight.threshold
     if mode == "euclidean":
         value, _ = quadrature.adaptive(integrand, lo, np.inf, limit=300)
         return value
     split = max(lo, TAIL_START)
-    head, _ = quadrature.adaptive(integrand, lo, split, limit=400)
-    # QAWF misses the tail when its first cycle, pi/m^2, is much longer than
-    # the tail's decay length: 1/epsilon, and about dlam when dlam is finite
-    decay_rate = epsilon + 1.0 / weight.correlation_length
-    if msq >= decay_rate:
-        tail, _ = quadrature.fourier_tail(lambda t: integrand(t, 0.0), split, msq)
-    else:
-        tail, _ = quadrature.adaptive(integrand, split, np.inf, limit=400)
-    return head + tail
+    value, _ = quadrature.adaptive(integrand, lo, split, limit=400)
+    corner = split
+    if msq >= epsilon + 1.0 / weight.correlation_length:
+        # at depth 40/m^2 exp(-i T m^2) has fallen by e^-40, and the weight
+        # has grown by less than e^20 on the way down
+        depth = min(msq * weight.correlation_length ** 2, 40.0 / msq)
+        down, _ = quadrature.adaptive(lambda s: integrand(split - 1j * s), 0.0, depth,
+                                      limit=400)
+        value -= 1j * down
+        corner = split - 1j * depth
+    tail, _ = quadrature.adaptive(lambda x: integrand(corner + x), 0.0, np.inf, limit=400)
+    return value + tail
 
 
 def propagator_momentum(p: FourVector, mass: float, epsilon: float) -> complex:
@@ -511,9 +513,9 @@ def fixed_mass_propagator(dx: FourVector, mass_squared: float, epsilon: float,
     T-integral of the time-axis-damped kernel, expressed without the long
     oscillatory proper-time tail.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise DomainError("epsilon must be positive")
-    if damping <= 0:
+    if not damping > 0:
         raise DomainError("damping must be positive")
     d = dx.dimension - 1
     if d not in (1, 3):
@@ -559,7 +561,7 @@ def euclidean_mass_propagator_batch(dx: FourVector, mass_squared) -> np.ndarray:
     with m' the principal square root and D = dx.dimension; needs |dx| > 0.
     """
     msq = np.atleast_1d(np.asarray(mass_squared, dtype=complex))
-    if np.any(np.real(msq) <= 0):
+    if not np.all(np.real(msq) > 0):
         raise DomainError("need Re(mass_squared) > 0 in euclidean mode")
     dxa = dx.as_array()
     r = float(np.linalg.norm(dxa))
@@ -597,7 +599,7 @@ def kernel_mass_superposition(dx: FourVector, total_length: float, mass: float,
     grid = np.asarray(mass_sq_grid, dtype=float)
     if grid.ndim != 1:
         raise ContractViolation("mass_sq_grid must be one-dimensional")
-    if total_length <= 0:
+    if not total_length > 0:
         raise DomainError("T must be positive")
     if grid.size < 2:
         # degenerate window: zero measure under the trapezoid convention
@@ -653,7 +655,7 @@ def lattice_propagator(spec: LatticeSpec, mass: float, epsilon: float) -> np.nda
     D(u) = (1 / prod L_mu) sum_p exp(i p.u) * (-i) / (p.p + m^2 - i epsilon),
     indexed by the lattice displacement u (periodic).
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise DomainError("epsilon must be positive")
     values = -1j / (spec.p_squared("minkowski") + mass * mass - 1j * epsilon)
     f = ComplexField(spec, values, "momentum")

@@ -3,15 +3,12 @@
 ``adaptive`` is an adaptive Gauss-Kronrod (21-point) quadrature of a
 (possibly complex) integrand on a finite interval or a half-line, evaluating
 the integrand once per round on the nodes of every interval it refines, as
-one array; ``fourier_tail`` is QUADPACK's Fourier-weighted rule (QAWF) for an
-oscillatory factor exp(-i omega T) on a half-line; ``panels`` is a fixed
+one array; every proper-time integral runs on it.  ``panels`` is a fixed
 Gauss-Legendre rule on a sequence of panels for integrands evaluated on a
 shared node array.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -136,29 +133,6 @@ def adaptive(func, a: float, b: float, limit: int, points=None, *,
     if total.size == 1:
         return complex(total[0]), float(summed[0])
     return complex(total[0], total[1]), float(np.hypot(summed[0], summed[1]))
-
-
-def fourier_tail(func, a: float, omega: float) -> tuple[complex, float]:
-    """Int_a^inf func(T) exp(-i omega T) dT for omega > 0; returns (value, error).
-
-    func takes a float T and should vary slowly on the scale 1/omega and
-    decay at infinity.  Its real and imaginary parts are integrated against
-    cos and sin weights, four QAWF passes sharing one cache of func.  QAWF is
-    unreliable as omega approaches 0 (at omega = 0 it integrates from 0, not
-    from a), so callers keep omega bounded away from it.  The error is the
-    modulus of the four error estimates.
-    """
-    from scipy import integrate  # QUADPACK is loaded by the Fourier tail only
-
-    func = functools.cache(func)
-    (rc, e1), (rs, e2), (ic, e3), (is_, e4) = (
-        integrate.quad(part, a, np.inf, weight=weight, wvar=omega)
-        for part in (lambda t: func(t).real, lambda t: func(t).imag)
-        for weight in ("cos", "sin"))
-    # (re + i im)(cos - i sin) = re cos + im sin + i (im cos - re sin)
-    value = complex(rc + is_, ic - rs)
-    err = float(np.hypot(np.hypot(e1, e2), np.hypot(e3, e4)))
-    return value, err
 
 
 def panels(edges) -> tuple[np.ndarray, np.ndarray]:

@@ -120,7 +120,7 @@ def test_weight_scalar_and_array_calls_agree():
                    WeightFunction.gaussian(np.inf, 0.5)):
         values = weight(t)
         scalars = [weight(float(x)) for x in t]
-        assert all(type(v) is float for v in scalars)
+        assert all(isinstance(v, float) for v in scalars)
         assert scalars == values.tolist()
     assert WeightFunction.uniform()(t).tolist() == [1.0] * t.size
     assert WeightFunction.uniform()(1e300) == WeightFunction.uniform()(np.array(1e300)) == 1.0
@@ -133,13 +133,13 @@ def test_weight_scalar_and_array_calls_agree():
 # which the family's uniform point dlam = inf, delta = 0 reproduces bitwise
 UNIFORM_WEIGHT_VALUES = [
     ((0.6, 0.8), 1.0, 1e-10, "euclidean", 0.0, 0.06700812050368496 + 0j),
-    ((1.2, 0.3), 1.0, 1e-3, "minkowski", 1e-3, -0.05052005161139449 - 0.17243114253898448j),
+    ((1.2, 0.3), 1.0, 1e-3, "minkowski", 1e-3, -0.05052005164720507 - 0.17243114251937314j),
     ((1.2, 0.3), 0.05, 1e-2, "minkowski", 1e-2, 0.3615490369366598 - 0.14263421870770468j),
 ]
 
 
 @pytest.mark.parametrize("dx, mass, eps, mode, damping, before", UNIFORM_WEIGHT_VALUES,
-                         ids=["euclidean", "minkowski-qawf-tail", "minkowski-adaptive-tail"])
+                         ids=["euclidean", "minkowski-contour-tail", "minkowski-adaptive-tail"])
 def test_uniform_weight_is_the_infinite_correlation_length_point(dx, mass, eps, mode,
                                                                   damping, before):
     values = [propagator_position(FourVector(dx), mass, eps, weight, 2, mode, damping=damping)
@@ -689,32 +689,52 @@ def test_decomposition_error_decreases_with_damping():
     assert errs[0] > errs[1] > errs[2]
 
 
-# Reference values of the D=2 minkowski proper-time integral at dx=(1.2, 0.3)
-# with epsilon = damping, made with 20-point Gauss-Legendre panels of width
-# 1e-3 on [0, 1] (where the kernel's phase dx^2/4T turns fastest) and 0.05
-# beyond, out to T = 45/epsilon; halving both widths moved each value by less
-# than 5e-16.  m = 0.05 has 0 < m^2 < epsilon, so its tail is not QAWF's.
+# Reference values of the minkowski proper-time integral with epsilon =
+# damping, made with 20-point Gauss-Legendre panels from the threshold delta
+# out to T = 45/epsilon under the uniform weight, or delta + 9 dlam under a
+# gaussian one.  At D=2, dx=(1.2, 0.3) the panels are 1e-3 wide on [0, 1]
+# (where the kernel's phase dx^2/4T turns fastest) and 0.05 beyond; in the
+# last three cases 5e-4 on [delta, delta + 1] and 0.025 beyond.  Halving
+# both widths moved each value by at most 3e-14.  m = 0.05 has
+# 0 < m^2 < epsilon, so its tail stays on the real axis; the last three
+# cases are ones that QUADPACK's Fourier-weighted tail (QAWF) missed by
+# 1.3e-7 to 3.7e-5.
+_UNIFORM, _GAUSSIAN = WeightFunction.uniform(), WeightFunction.gaussian(30.0, 25.0)
 MINKOWSKI_REFERENCES = [
-    (1.0, 1e-2, -0.046303044658270155 - 0.1719791784317462j),
-    (1.0, 1e-3, -0.050520051647205105 - 0.1724311425193733j),
-    (2.5, 1e-3, -0.1012449339462388 + 0.05564841610163211j),
-    (0.0, 1e-2, 0.36433008942534084 - 0.12325234759227403j),
-    (0.0, 1e-3, 0.5445822662826472 - 0.12476268046580227j),
-    (0.05, 1e-2, 0.36154903693666096 - 0.14263421870771473j),
-]
+    pytest.param(dx, mass, eps, weight, reference, id=name)
+    for name, dx, mass, eps, weight, reference in [
+        ("m1-eps0.01", (1.2, 0.3), 1.0, 1e-2, _UNIFORM,
+         -0.046303044658270155 - 0.1719791784317462j),
+        ("m1-eps0.001", (1.2, 0.3), 1.0, 1e-3, _UNIFORM,
+         -0.050520051647205105 - 0.1724311425193733j),
+        ("m2.5-eps0.001", (1.2, 0.3), 2.5, 1e-3, _UNIFORM,
+         -0.1012449339462388 + 0.05564841610163211j),
+        ("m0-eps0.01", (1.2, 0.3), 0.0, 1e-2, _UNIFORM,
+         0.36433008942534084 - 0.12325234759227403j),
+        ("m0-eps0.001", (1.2, 0.3), 0.0, 1e-3, _UNIFORM,
+         0.5445822662826472 - 0.12476268046580227j),
+        ("m0.05-eps0.01", (1.2, 0.3), 0.05, 1e-2, _UNIFORM,
+         0.36154903693666096 - 0.14263421870771473j),
+        ("D2-gaussian-m1-eps0.01", (-1.0, 0.2), 1.0, 1e-2, _GAUSSIAN,
+         0.0003480305638863169 - 0.0017113571812864131j),
+        ("D4-m3-eps0.001", (0.3, 1.4, 0.0, 0.0), 3.0, 1e-3, _UNIFORM,
+         0.0006278336778039579 + 1.2736935817432892e-07j),
+        ("D4-gaussian-m1-eps0.01", (-0.5, 1.2, 0.4, 0.6), 1.0, 1e-2, _GAUSSIAN,
+         -5.328398266029302e-06 - 1.4555248064194243e-06j),
+    ]]
 
 
-@pytest.mark.parametrize("mass, eps, reference", MINKOWSKI_REFERENCES,
-                         ids=[f"m{m:g}-eps{e:g}" for m, e, _ in MINKOWSKI_REFERENCES])
-def test_minkowski_propagator_matches_reference_values(mass, eps, reference):
-    value = propagator_position(FourVector((1.2, 0.3)), mass, eps, WeightFunction.uniform(),
-                                2, "minkowski", damping=eps)
+@pytest.mark.parametrize("dx, mass, eps, weight, reference", MINKOWSKI_REFERENCES)
+def test_minkowski_propagator_matches_reference_values(dx, mass, eps, weight, reference):
+    value = propagator_position(FourVector(dx), mass, eps, weight, len(dx), "minkowski",
+                                damping=eps)
     assert abs(value - reference) < 1e-8 * abs(reference)
 
 
 def test_minkowski_propagator_gaussian_weight_small_mass():
     # epsilon = 0 under a gaussian weight with dlam = 10: the tail decays over
-    # about dlam, far shorter than QAWF's first cycle pi/m^2 at m^2 = 1e-6.
+    # about dlam, far shorter than the first cycle pi/m^2 at m^2 = 1e-6, so
+    # it stays on the real axis.
     # Reference made as above, out to T = 120 (where the weight is e^-72).
     value = propagator_position(FourVector((1.2, 0.3)), 1e-3, 0.0,
                                 WeightFunction.gaussian(10.0, 0.0), 2, "minkowski",

@@ -13,10 +13,14 @@ from worldlineqm.interaction import (
 from worldlineqm.kernel import (
     KernelParams,
     WeightFunction,
+    euclidean_mass_propagator_batch,
+    fixed_mass_propagator,
     kernel_closed,
+    kernel_damped,
     kernel_discretized,
     kernel_mass_superposition,
     kernel_mc,
+    lattice_propagator,
     propagator_momentum,
     propagator_onshell_part,
     propagator_position,
@@ -92,6 +96,31 @@ _NAN_CASES = {
                                          lambda: stueckelberg_residual(_packet(), NAN)),
     "ScatterSpec.momentum": (ContractViolation, "off the grid",
                              lambda: ScatterSpec(_legs(NAN), _legs(0.5), MomentumGrid(1, 9, 0.5))),
+    "kernel_damped.damping": (DomainError, "damping must be >= 0",
+                              lambda: kernel_damped(FourVector((0.3, 0.4)), 1.0, 1.0, NAN)),
+    "propagator_position.epsilon": (
+        DomainError, "epsilon must be >= 0",
+        lambda: propagator_position(FourVector((0.3, 0.4)), 1.0, NAN, WeightFunction.uniform(), 2,
+                                    "minkowski", damping=1e-2)),
+    "propagator_position.minkowski.damping": (
+        DomainError, "needs damping > 0",
+        lambda: propagator_position(FourVector((0.3, 0.4)), 1.0, 1e-2, WeightFunction.uniform(),
+                                    2, "minkowski", damping=NAN)),
+    "fixed_mass_propagator.epsilon": (
+        DomainError, "epsilon must be positive",
+        lambda: fixed_mass_propagator(FourVector((0.3, 0.4)), 1.0, NAN, 1e-2)),
+    "fixed_mass_propagator.damping": (
+        DomainError, "damping must be positive",
+        lambda: fixed_mass_propagator(FourVector((0.3, 0.4)), 1.0, 1e-2, NAN)),
+    "kernel_mass_superposition.total_length": (
+        DomainError, "T must be positive",
+        lambda: kernel_mass_superposition(FourVector((0.3, 0.4)), NAN, 1.0, 1e-3,
+                                          [0.0, 1.0, 2.0], 2)),
+    "lattice_propagator.epsilon": (DomainError, "epsilon must be positive",
+                                   lambda: lattice_propagator(_LATTICE2, 1.0, NAN)),
+    "euclidean_mass_propagator_batch.mass_squared": (
+        DomainError, "need Re\\(mass_squared\\) > 0",
+        lambda: euclidean_mass_propagator_batch(FourVector((0.3, 0.4)), [1.0, NAN])),
 }
 
 

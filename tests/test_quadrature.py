@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -88,24 +89,6 @@ def test_adaptive_raises_when_the_limit_is_reached():
     assert abs(value - np.sin(400.0) / 40) <= err <= epsabs
 
 
-def test_fourier_tail_against_closed_form():
-    # Int_a^inf exp(-z T) dT = exp(-z a) / z, split as a slowly turning
-    # complex factor times exp(-i omega T)
-    a, omega = 2.0, 3.0
-    z = 1.0 + 1j * (omega - 0.3)
-    nodes = []
-
-    def func(t):
-        nodes.append(t)
-        return np.exp(-t + 0.3j * t)
-
-    value, err = quadrature.fourier_tail(func, a, omega)
-    exact = np.exp(-z * a) / z
-    assert abs(value - exact) < 1e-12 * abs(exact)
-    assert 0.0 <= err < 1e-8
-    assert len(nodes) == len(set(nodes))
-
-
 def test_mass_spectrum_route_is_one_adaptive_quadrature(monkeypatch):
     calls = []
     adaptive = quadrature.adaptive
@@ -124,19 +107,31 @@ def test_mass_spectrum_route_is_one_adaptive_quadrature(monkeypatch):
 
 
 def test_quadrature_module_is_the_only_caller_of_quad_and_leggauss():
-    for path in sorted(SRC.glob("*.py")):
+    # QUADPACK is gone from the package: no module names scipy.integrate or
+    # its quad, and only the quadrature layer builds Gauss-Legendre rules
+    quadpack = re.compile(r"scipy\.integrate|integrate\.quad|from scipy import[^\n]*\bintegrate\b")
+    for path in sorted(SRC.rglob("*.py")):
         text = path.read_text()
-        if path.name == "quadrature.py":
-            assert "integrate.quad" in text and "leggauss" in text
-            continue
-        assert "integrate.quad" not in text, path.name
-        assert "leggauss" not in text, path.name
+        assert not quadpack.search(text), path.name
+        assert ("leggauss" in text) == (path.name == "quadrature.py"), path.name
 
 
-def test_importing_the_cli_leaves_quadpack_unloaded():
-    # only the Fourier tail needs scipy.integrate, and it imports it on call
-    code = "import sys, worldlineqm.cli; print('scipy.integrate' in sys.modules)"
+def _fresh_process_loads_quadpack(code):
+    code = f"import sys\n{code}\nprint('scipy.integrate' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_importing_the_cli_leaves_quadpack_unloaded():
+    assert not _fresh_process_loads_quadpack("import worldlineqm.cli")
+
+
+def test_minkowski_propagator_leaves_quadpack_unloaded():
+    # the minkowski tail ran on QUADPACK's QAWF, imported on call
+    assert not _fresh_process_loads_quadpack(
+        "from worldlineqm.geometry import FourVector\n"
+        "from worldlineqm.kernel import WeightFunction, propagator_position\n"
+        "propagator_position(FourVector((1.2, 0.3)), 1.0, 1e-3, WeightFunction.uniform(), 2,\n"
+        "                    'minkowski', damping=1e-3)")
