@@ -130,11 +130,12 @@ class ComplexField:
         self.values = values
 
     def norm_squared(self) -> float:
-        """Sum of |amplitude|^2 times the cell volume of this representation."""
+        """Sum of |amplitude|^2 times the cell volume of this representation,
+        as one dot product: no |v| or |v|^2 grid is built."""
         spec = self.spec
         w = {"position": spec.cell_volume, "momentum": spec.momentum_cell_volume,
              "plain": spec.cell_volume / self.values.size}[self.representation]
-        return float(np.sum(np.abs(self.values) ** 2) * w)
+        return float(np.vdot(self.values, self.values).real * w)
 
 
 def _check_finite(field: ComplexField) -> None:

@@ -110,55 +110,72 @@ def momentum_state_profile(p_spatial, mass: float, sign: int, t: float,
     exp(-i s E t) (2E)^-1 Int dt0 exp(i (p0 - s E) t0 - eps |t0|)
     with the t0 range (-inf, t] for particles (s = +1) and [t, inf) for
     antiparticles (s = -1).  At t = 0 the squared profile is a Lorentzian of
-    half-width eps centered at p0 = s E.
+    half-width eps centered at p0 = s E.  `t` and every p0 must be finite.
+
+    Beyond p0_grid itself the evaluation holds one complex grid at t = 0, the
+    amplitude, and two otherwise.
     """
     if sign not in (+1, -1):
         raise ContractViolation("sign must be +1 or -1")
     if not epsilon > 0:
         raise DomainError("epsilon must be positive")
+    if not np.isfinite(t):
+        raise DomainError(f"t must be finite, got {t}")
     p0 = np.asarray(p0_grid, dtype=float)
     if p0.ndim != 1:
         raise ContractViolation("p0_grid must be one-dimensional")
+    if not np.all(np.isfinite(p0)):
+        raise DomainError("p0_grid entries must be finite")
     e = float(onshell_energy(np.atleast_1d(p_spatial), mass))
     # t0 -> -t0 maps the antiparticle range [t, inf) onto (-inf, -t] and flips
-    # p0 - s E: both signs are the particle integral at offset s p0 - E, limit s t
-    x = sign * p0 - e
+    # p0 - s E: both signs are the particle integral at offset x = s p0 - E,
+    # limit s t.  z = i x + eps is written part by part into one complex grid
     ts = sign * t
-    # every complex grid is written in place, so at most two are alive
-    z = 1j * x
+    z = np.empty(p0.shape, dtype=complex)
+    np.multiply(p0, sign, out=z.imag)
+    z.imag -= e
     if ts > 0:
         # the second term (exp((i x - eps) ts) - 1) / (i x - eps) first, with
-        # z holding i x - eps; then z is rebuilt as i x
-        z -= epsilon
+        # z holding i x - eps
+        z.real = -epsilon
         core = np.multiply(z, ts)
         np.exp(core, out=core)
         core -= 1.0
         core /= z
-        np.multiply(1j, x, out=z)
-    z += epsilon  # i x + eps
+    z.real = epsilon
     if ts == 0:
-        core = np.divide(1, z, out=z)  # exp(0) = 1 exactly: no exp over the grid
-    elif ts < 0:
-        core = np.multiply(z, ts)
-        np.exp(core, out=core)
-        core /= z
+        # exp(0) = 1: no exp over the grid, and no phase, which would change no
+        # bit since the real part of 1 / z is never zero
+        core = np.divide(1, z, out=z)
     else:
-        core += np.divide(1.0, z, out=z)
-    np.multiply(np.exp(-1j * sign * e * t), core, out=core)
+        if ts < 0:
+            core = np.multiply(z, ts)
+            np.exp(core, out=core)
+            core /= z
+        else:
+            core += np.divide(1.0, z, out=z)
+        np.multiply(np.exp(-1j * sign * e * t), core, out=core)
     core /= 2 * e
     return FrequencyProfile(p0, core, center=sign * e, epsilon=epsilon)
 
 
 def concentration(profile: FrequencyProfile, window_halfwidth: float) -> float:
-    """Fraction of |amplitude|^2 weight within |p0 - center| < window."""
+    """Fraction of |amplitude|^2 weight in the open window
+    (center - w, center + w), w = window_halfwidth.
+
+    Both sums are dot products and the window is two boolean masks, so no
+    float grid is built.
+    """
     if not window_halfwidth > 0:
         raise ContractViolation("window_halfwidth must be positive")
-    weights = np.abs(profile.amplitude) ** 2
-    total = float(np.sum(weights))
+    a, p0, c = profile.amplitude, profile.p0, profile.center
+    total = np.vdot(a, a).real
     if total == 0.0:
         return 0.0
-    mask = np.abs(profile.p0 - profile.center) < window_halfwidth
-    return float(np.sum(weights[mask]) / total)
+    inside = p0 > c - window_halfwidth
+    inside &= p0 < c + window_halfwidth
+    window = a[inside]
+    return float(np.vdot(window, window).real / total)
 
 
 def identity_resolution_apply(psi: np.ndarray, grid: MomentumGrid, mass: float) -> np.ndarray:

@@ -270,6 +270,16 @@ def test_onshell_subcommand_concentration(tmp_path):
     assert abs(conc - oracle) / oracle < 1e-2
 
 
+# an infinite t once wrote a NaN concentration after RuntimeWarnings (the
+# config cast rejects NaN with exit 2)
+@pytest.mark.parametrize("t", ["inf", "-inf"])
+def test_onshell_infinite_t_exits_4_without_a_record(capsys, tmp_path, t):
+    out = tmp_path / "onshell.json"
+    assert run(["onshell", "--p0-points", "201", f"--t={t}", "--output", str(out)]) == 4
+    assert "t must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_scatter_d3_inputs_round_trip(tmp_path):
     config = {
         "coupling": 0.9, "mass_a": 1.0, "mass_b": 1.5, "epsilon": 1e-3,

@@ -635,6 +635,44 @@ def test_the_reduction_needs_the_rest_phase_and_the_2m_normalisation(dimension, 
     assert not -2.3 <= schroedinger_gap_slope(dimension, **{dropped: False}) <= -1.7
 
 
+def invariant_gap_slope(dt, r, dimension, interval=True):
+    """Log-log slope in damping, and the gap at the last damping, of the
+    positive-frequency part against its Lorentz-invariant closed form:
+    K_0(m s) / 2 pi in D=2 and m K_1(m s) / (4 pi^2 s) in D=4, with
+    s = sqrt(r^2 - (t - i0)^2) on the principal branch and m = 1.  The
+    Gaussian damping of the spatial momenta is frame-dependent, so the gap
+    is linear in it."""
+    dampings = np.array([3e-3, 1e-3, 3e-4, 1e-4])
+    # the signed zero puts r^2 - t^2 < 0 on the side of the cut that -(t - i0)^2 picks
+    s = np.sqrt(complex(r * r - (dt * dt if interval else 0.0), np.copysign(0.0, dt)))
+    oracle = special.kv(0, s) / (2 * np.pi) if dimension == 2 else special.kv(1, s) / (
+        4 * np.pi ** 2 * s)
+    dx = FourVector((dt, r) + (0.0,) * (dimension - 2))
+    gaps = [abs(propagator_onshell_part(dx, 1.0, +1, damping, dimension) - oracle) / abs(oracle)
+            for damping in dampings]
+    return np.polyfit(np.log(dampings), np.log(gaps), 1)[0], gaps[-1]
+
+
+_SEPARATIONS = pytest.mark.parametrize("dt, r", [(1.2, 0.4), (0.3, 0.9), (-0.8, 0.5), (0.5, 1.5)],
+                                       ids=["timelike", "spacelike", "past", "far"])
+
+
+@_SEPARATIONS
+@pytest.mark.parametrize("dimension", [2, 4])
+def test_onshell_part_tends_to_its_lorentz_invariant_closed_form(dimension, dt, r):
+    slope, gap = invariant_gap_slope(dt, r, dimension)
+    assert 0.9 <= slope <= 1.1
+    assert gap < 3e-3
+
+
+@_SEPARATIONS
+@pytest.mark.parametrize("dimension", [2, 4])
+def test_the_closed_form_needs_the_time_in_the_interval(dimension, dt, r):
+    slope, gap = invariant_gap_slope(dt, r, dimension, interval=False)
+    assert not 0.9 <= slope <= 1.1
+    assert gap > 1e-2
+
+
 def d4_from_d2_recursion(f2, r):
     """f_4(r) = -(1/2 pi r) d f_2/dr for a function of |dx_vec| whose D=2 and
     D=4 forms share one radial momentum profile; the derivative is the

@@ -1,4 +1,5 @@
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +72,18 @@ def test_parseval_identity():
     f = random_field(spec, seed=7)
     g = spectral_transform(f, "forward")
     assert g.norm_squared() == pytest.approx(f.norm_squared(), rel=1e-12)
+
+
+def test_norm_squared_builds_no_grid():
+    # |v| and |v|^2 were once float grids of 8 bytes a point each
+    f = random_field(LatticeSpec((128, 128), (8.0, 8.0)), seed=5)
+    tracemalloc.start()
+    try:
+        f.norm_squared()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < f.values.size
 
 
 def test_plane_wave_against_direct_summation():

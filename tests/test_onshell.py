@@ -8,11 +8,12 @@ import pytest
 from scipy import integrate
 
 from worldlineqm import cli
-from worldlineqm.errors import ContractViolation
+from worldlineqm.errors import ContractViolation, DomainError
 from worldlineqm.geometry import FourVector, minkowski_dot, onshell_energy
 from worldlineqm.onshell import (
     INDUCED_2E,
     SYMMETRIC_SQRT2E,
+    FrequencyProfile,
     MomentumGrid,
     OnShellState,
     concentration,
@@ -138,8 +139,9 @@ def test_profile_built_in_place_is_bitwise_the_closed_form(sign, t):
 @pytest.mark.parametrize("sign", [+1, -1])
 @pytest.mark.parametrize("t", [0.0, 0.7, -0.7])
 def test_profile_holds_at_most_two_complex_grids(sign, t):
-    # x (8 bytes a point) and two complex grids (16 each): the t != 0 branches
-    # once built every sum and quotient as a new array
+    # one complex grid (16 bytes a point) at t = 0 and two otherwise: the
+    # profile once held a real grid x and the t != 0 branches once built every
+    # sum and quotient as a new array
     grid = sign * np.sqrt(0.3 ** 2 + 1.0) + np.arange(-40.0, 40.0, 1e-3 / 4)
     tracemalloc.start()
     try:
@@ -147,7 +149,21 @@ def test_profile_holds_at_most_two_complex_grids(sign, t):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 41 * grid.size
+    assert peak < (17 if t == 0 else 33) * grid.size
+
+
+def test_concentration_builds_no_float_grid():
+    # two boolean masks (one byte a point each) and the window's amplitudes:
+    # |a|^2 and |p0 - center| were once float grids of 8 bytes a point
+    grid = np.sqrt(0.3 ** 2 + 1.0) + np.arange(-40.0, 40.0, 1e-3 / 4)
+    prof = momentum_state_profile((0.3,), 1.0, +1, 0.0, 1e-3, grid)
+    tracemalloc.start()
+    try:
+        concentration(prof, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * grid.size
 
 
 def lorentzian_concentration_oracle(window, eps):
@@ -171,6 +187,26 @@ def test_concentration_equal_window():
     grid = 1.0 + np.arange(-100.0, 100.0, eps / 6)
     prof = momentum_state_profile((0.0,), 1.0, +1, 0.0, eps, grid)
     assert concentration(prof, eps) == pytest.approx(0.5, abs=2e-2)
+
+
+def test_concentration_window_is_open():
+    # grid points exactly at center +- w lie outside, and the points one ulp
+    # inside them lie inside
+    center, w = 1.0, 0.5
+    p0 = np.array([0.25, 0.5, np.nextafter(0.5, 1.0), 1.0, np.nextafter(1.5, 1.0), 1.5, 1.75])
+    prof = FrequencyProfile(p0, np.array([1, 2, 4, 8, 16, 32, 64], dtype=complex),
+                            center, 1e-2)
+    total = 1 + 4 + 16 + 64 + 256 + 1024 + 4096
+    assert concentration(prof, w) == (16 + 64 + 256) / total
+
+
+def test_profile_rejects_non_finite_times_and_frequencies():
+    for t in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError, match="t must be finite"):
+            momentum_state_profile((0.3,), 1.0, +1, t, 1e-2, [1.0])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError, match="p0_grid entries must be finite"):
+            momentum_state_profile((0.3,), 1.0, -1, 0.0, 1e-2, [0.5, bad, 1.5])
 
 
 def test_concentration_of_a_vanishing_profile_is_zero():

@@ -54,8 +54,8 @@ def _legs(p):
     return (ScatterLeg((p,), "A"), ScatterLeg((0.0,), "A"))
 
 
-# each check with NaN in place of one positive (or non-negative) parameter;
-# NaN fails every comparison, so a guard written `x <= 0` let it through
+# each check with NaN in place of one positive, non-negative or finite
+# parameter; NaN fails every comparison, so a guard written `x <= 0` let it through
 _NAN_CASES = {
     "KernelParams.mass": (ContractViolation, "mass must be positive",
                           lambda: KernelParams(NAN, 1.0, 2, "euclidean")),
@@ -80,6 +80,12 @@ _NAN_CASES = {
     "momentum_state_profile.epsilon": (
         DomainError, "epsilon must be positive",
         lambda: momentum_state_profile((0.3,), 1.0, 1, 0.0, NAN, [1.0])),
+    "momentum_state_profile.t": (
+        DomainError, "t must be finite",
+        lambda: momentum_state_profile((0.3,), 1.0, 1, NAN, 0.01, [1.0])),
+    "momentum_state_profile.p0_grid": (
+        DomainError, "p0_grid entries must be finite",
+        lambda: momentum_state_profile((0.3,), 1.0, 1, 0.0, 0.01, [1.0, NAN])),
     "onshell_propagator_momentum.epsilon": (
         DomainError, "epsilon must be positive",
         lambda: onshell_propagator_momentum((1.0, 0.3), 1.0, 1, NAN)),
