@@ -304,6 +304,10 @@ def _run_evolve(c):
 def _run_onshell(c):
     p_spatial, mass, sign, eps = c["p"], c["mass"], c["sign"], c["epsilon"]
     halfrange, window = c["p0_halfrange"], c["window"]
+    if not 0 < halfrange < np.inf:
+        raise ValueError(f"p0_halfrange must be positive and finite, not {halfrange!r}")
+    if c["p0_points"] < 2:
+        raise ValueError(f"p0_points must be at least 2, not {c['p0_points']!r}")
     e = float(onshell_energy(p_spatial, mass))
     grid = sign * e + np.linspace(-halfrange, halfrange, c["p0_points"])
     prof = onshell.momentum_state_profile(p_spatial, mass, sign, c["t"], eps, grid)

@@ -121,10 +121,12 @@ def self_energy_regulated(p: FourVector, m_a: float, m_b: float, dimension: int,
                           cutoff: float | None = None) -> SelfEnergyResult:
     """Regulated self-energy T'(p) by the lambda route or the mass-spectrum
     route (euclidean-continued contour m'^2 = m_a^2 + i w); the two agree
-    within combined quadrature tolerances.
+    within combined quadrature tolerances.  spec.mass must be m_a.
     """
     if dimension not in (2, 4):
         raise ContractViolation("dimension must be 2 or 4")
+    if spec.mass != m_a:
+        raise ContractViolation(f"spec.mass {spec.mass!r} is not the line mass m_a {m_a!r}")
     p.check_dimension(dimension, "p")
     if dimension == 4 and spec.threshold == 0.0:
         raise DomainError("D=4 without a threshold is not absolutely convergent")

@@ -20,9 +20,8 @@ def _layers():
     return module.LAYERS
 
 
-def test_every_traced_layer_resolves():
-    layers = _layers()
-    assert layers
+def _unresolved(layers):
+    """The `module.attr` names of the entries that Tracer.install could not patch."""
     unresolved = []
     for module_name, attr, _ in layers:
         module = importlib.import_module(f"worldlineqm.{module_name}")
@@ -33,4 +32,18 @@ def test_every_traced_layer_resolves():
             ok = callable(getattr(module, attr, None))
         if not ok:
             unresolved.append(f"{module_name}.{attr}")
-    assert unresolved == []
+    return unresolved
+
+
+def test_every_traced_layer_resolves():
+    layers = _layers()
+    assert layers
+    assert _unresolved(layers) == []
+
+
+def test_a_deleted_or_renamed_layer_is_reported():
+    # a deleted function, a missing method and a missing class
+    gone = [("kernel", "fixed_mass_propagator", {}),
+            ("interaction", "DysonOperator.no_such_method", {}),
+            ("interaction", "NoSuchClass.method", {})]
+    assert _unresolved(list(_layers()) + gone) == [f"{m}.{a}" for m, a, _ in gone]

@@ -280,6 +280,22 @@ def test_onshell_infinite_t_exits_4_without_a_record(capsys, tmp_path, t):
     assert not out.exists()
 
 
+# an infinite halfrange raised a RuntimeWarning out of np.linspace, no points
+# failed on an empty argmax, and a negative halfrange wrote a record
+@pytest.mark.parametrize("argv, message", [
+    (["--p0-halfrange", "inf"], "p0_halfrange must be positive and finite"),
+    (["--p0-halfrange", "-5"], "p0_halfrange must be positive and finite"),
+    (["--p0-halfrange", "0"], "p0_halfrange must be positive and finite"),
+    (["--p0-points", "0"], "p0_points must be at least 2"),
+    (["--p0-points", "1"], "p0_points must be at least 2"),
+], ids=["inf_halfrange", "negative_halfrange", "zero_halfrange", "no_points", "one_point"])
+def test_onshell_grid_keys_exit_2_naming_the_key(capsys, tmp_path, argv, message):
+    out = tmp_path / "onshell.json"
+    assert run(["onshell", "--p0-points", "201"] + argv + ["--output", str(out)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_scatter_d3_inputs_round_trip(tmp_path):
     config = {
         "coupling": 0.9, "mass_a": 1.0, "mass_b": 1.5, "epsilon": 1e-3,

@@ -696,13 +696,56 @@ def test_onshell_part_d4_follows_the_dimensional_recursion(mass, dt, r, sign):
 @pytest.mark.parametrize("mass_squared", [-0.5, 0.3, 1.0, 2.5])
 @pytest.mark.parametrize("dt, r", [(0.4, 0.7), (1.3, 0.25), (-0.6, 1.5)])
 def test_fixed_mass_propagator_d4_follows_the_dimensional_recursion(mass_squared, dt, r):
-    eps = damping = 0.05
-    value = kernel.fixed_mass_propagator(FourVector((dt, 0.0, r, 0.0)), mass_squared, eps,
-                                         damping)
+    # the closed-form Feynman propagator at M^2 = m'^2 - i epsilon, epsilon = 0.05
+    msq = mass_squared - 0.05j
+    value = kernel._minkowski_mass_propagator_batch(FourVector((dt, 0.0, r, 0.0)), msq)
     oracle = d4_from_d2_recursion(
-        lambda rr: kernel.fixed_mass_propagator(FourVector((dt, rr)), mass_squared, eps,
-                                                damping), r)
+        lambda rr: kernel._minkowski_mass_propagator_batch(FourVector((dt, rr)), msq), r)
     assert abs(value - oracle) < 1e-8 * abs(oracle)
+
+
+def feynman_gap_slope(dt, r, dimension, interval=True):
+    """Log-log slope in epsilon = damping, and the gap at the last epsilon, of
+    the minkowski proper-time propagator (m = 1, uniform weight) against the
+    closed-form Feynman propagator at M^2 = m^2 - i epsilon.  exp(-epsilon T)
+    is exactly that complex mass, so the gap is the frame-dependent damping's,
+    linear in it.  interval=False puts the euclidean distance |dx| in place of
+    s = sqrt(dx.dx)."""
+    epsilons = np.array([1e-2, 1e-3, 1e-4])
+    dx = FourVector((dt, r) + (0.0,) * (dimension - 2))
+    gaps = []
+    for eps in epsilons:
+        value = propagator_position(dx, 1.0, eps, WeightFunction.uniform(), dimension,
+                                    "minkowski", damping=eps)
+        if interval:
+            oracle = kernel._minkowski_mass_propagator_batch(dx, 1.0 - 1j * eps)
+        else:
+            oracle = kernel._bessel_propagator(1.0 - 1j * eps, np.hypot(dt, r), dimension)
+        gaps.append(abs(value - oracle) / abs(oracle))
+    return np.polyfit(np.log(epsilons), np.log(gaps), 1)[0], gaps[-1]
+
+
+# the slopes read 1.02-1.07.  (0.3, 0.9) is left out: in D=4 its gap at
+# epsilon = 1e-2 (0.19) is not yet linear and the three-point fit reads 1.10,
+# though its 1e-3 -> 1e-4 step alone reads 1.01
+_FEYNMAN_SEPARATIONS = pytest.mark.parametrize(
+    "dt, r", [(1.2, 0.4), (0.5, 1.5), (-0.8, 0.5)], ids=["timelike", "spacelike", "past"])
+
+
+@_FEYNMAN_SEPARATIONS
+@pytest.mark.parametrize("dimension", [2, 4])
+def test_minkowski_propagator_tends_to_the_feynman_closed_form(dimension, dt, r):
+    slope, gap = feynman_gap_slope(dt, r, dimension)
+    assert 0.9 <= slope <= 1.1
+    assert gap < 1e-2
+
+
+@_FEYNMAN_SEPARATIONS
+@pytest.mark.parametrize("dimension", [2, 4])
+def test_the_feynman_closed_form_needs_the_signed_interval(dimension, dt, r):
+    slope, gap = feynman_gap_slope(dt, r, dimension, interval=False)
+    assert not 0.9 <= slope <= 1.1
+    assert gap > 0.1
 
 
 def test_propagator_decomposition_timelike():
@@ -799,16 +842,34 @@ def test_mass_superposition_reconstructs_kernel():
 
 def test_mass_superposition_real_axis_trend():
     # the real-axis (minkowski) grid converges slowly but monotonically
-    t, m, eps, eta = 1.0, 1.0, 1e-3, 1e-3
+    # (errors 0.358, 0.299, 0.174)
+    t, m, eps = 1.0, 1.0, 1e-3
     dx = FourVector((0.3, 0.4))
-    target = kernel_damped(dx, t, m * m, eta, damp_time_only=True) * np.exp(-eps * t)
+    target = kernel_closed(dx, KernelParams(m, t, 2, "minkowski")) * np.exp(-eps * t)
     errs = []
     for w, n in ((10.0, 161), (40.0, 641), (160.0, 2561)):
         grid = np.linspace(m * m - w, m * m + w, n)
-        res = kernel_mass_superposition(dx, t, m, eps, grid, 2, damping=eta,
-                                        mode="minkowski")
+        res = kernel_mass_superposition(dx, t, m, eps, grid, 2, mode="minkowski")
         errs.append(abs(res.value - target) / abs(target))
     assert errs[0] > errs[1] > errs[2]
+
+
+@pytest.mark.parametrize("dx", [(0.5, 0.5), (-0.5, 0.5), (0.0, 0.0), (2.0, 0.0, 0.0, 2.0)])
+def test_minkowski_superposition_rejects_a_lightlike_dx(dx):
+    # the closed form is singular at s = 0, where kv once returned NaN with a
+    # RuntimeWarning
+    grid = np.linspace(-9.0, 11.0, 41)
+    with pytest.raises(DomainError, match="off the light cone"):
+        kernel_mass_superposition(FourVector(dx), 1.0, 1.0, 1e-3, grid, len(dx),
+                                  mode="minkowski")
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -1e-3])
+def test_minkowski_superposition_needs_a_positive_epsilon(epsilon):
+    grid = np.linspace(-9.0, 11.0, 41)
+    with pytest.raises(DomainError, match="epsilon must be positive"):
+        kernel_mass_superposition(FourVector((0.3, 0.4)), 1.0, 1.0, epsilon, grid, 2,
+                                  mode="minkowski")
 
 
 def test_mass_superposition_window_flag_and_zero_window():

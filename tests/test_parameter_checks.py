@@ -14,7 +14,6 @@ from worldlineqm.kernel import (
     KernelParams,
     WeightFunction,
     euclidean_mass_propagator_batch,
-    fixed_mass_propagator,
     kernel_closed,
     kernel_damped,
     kernel_discretized,
@@ -112,12 +111,14 @@ _NAN_CASES = {
         DomainError, "needs damping > 0",
         lambda: propagator_position(FourVector((0.3, 0.4)), 1.0, 1e-2, WeightFunction.uniform(),
                                     2, "minkowski", damping=NAN)),
-    "fixed_mass_propagator.epsilon": (
+    "kernel_mass_superposition.minkowski.epsilon": (
         DomainError, "epsilon must be positive",
-        lambda: fixed_mass_propagator(FourVector((0.3, 0.4)), 1.0, NAN, 1e-2)),
-    "fixed_mass_propagator.damping": (
-        DomainError, "damping must be positive",
-        lambda: fixed_mass_propagator(FourVector((0.3, 0.4)), 1.0, 1e-2, NAN)),
+        lambda: kernel_mass_superposition(FourVector((0.3, 0.4)), 1.0, 1.0, NAN,
+                                          [0.0, 1.0, 2.0], 2, mode="minkowski")),
+    "kernel_mass_superposition.minkowski.dx": (
+        DomainError, "off the light cone",
+        lambda: kernel_mass_superposition(FourVector((NAN, 0.4)), 1.0, 1.0, 1e-3,
+                                          [0.0, 1.0, 2.0], 2, mode="minkowski")),
     "kernel_mass_superposition.total_length": (
         DomainError, "T must be positive",
         lambda: kernel_mass_superposition(FourVector((0.3, 0.4)), NAN, 1.0, 1e-3,

@@ -79,6 +79,13 @@ def test_regulator_is_the_weight_plus_the_line_mass():
         divergence_scan(P2, 1.0, 1.0, 2, [0.02, 0.01], correlation_length=np.inf)
 
 
+@pytest.mark.parametrize("route", ["lambda", "mass-spectrum"])
+def test_self_energy_rejects_a_spec_for_another_line_mass(route):
+    # both routes once ignored spec.mass: 1.0 and 2.0 gave equal values at m_a = 1
+    with pytest.raises(ContractViolation, match="spec.mass 2.0 is not the line mass m_a 1.0"):
+        self_energy_regulated(P2, 1.0, 1.0, 2, RegulatorSpec(10.0, 0.01, 2.0), route)
+
+
 def test_lambda_line_factor_is_the_spectral_density_at_imaginary_frequency(monkeypatch):
     # line(k^2) = M(w) = 2 pi F(i w) at w = k^2 + m_a^2: against the quadrature
     # of the weight itself, and bitwise against the scaled-erfc form
