@@ -15,8 +15,10 @@ depends on p0 only through p0^2, so the time-axis sign reflection of the
 unitary transform drops out, and its two scale factors cancel exactly.
 The phase itself is a broadcast product of one 1-D factor per axis.  An
 evolved wavefunction holds that spectrum as its state and transforms back
-only when its position values are read, so a chain of k steps costs one
-fftn and the k phase products.
+only when its position values are read.  A Gaussian packet is born as its
+spectrum, from one 1-D fft per axis (`lattice.product_spectrum`), so a chain
+of k steps from a packet costs no fftn, the k phase products, and one ifftn
+when positions are first read; from a position field it costs one fftn.
 
 The equivalent differential statement, checked by the finite-difference
 residual below, is
@@ -31,15 +33,16 @@ import numpy as np
 from .errors import ContractViolation
 from .geometry import metric
 from .kernel import lattice_momentum_phase
-from .lattice import ComplexField, LatticeSpec, plain_fftn, plain_ifftn
+from .lattice import ComplexField, LatticeSpec, plain_fftn, plain_ifftn, product_spectrum
 
 
 class ParametrizedWavefunction:
     """Complex amplitude field over the spacetime lattice at parameter lam.
 
-    Built on a position field, or on its plain spectrum as `evolve` builds
-    it.  A spectrum stays the state: `field` is computed from it by one ifftn
-    on first read and cached with read-only values, and the spectrum stands
+    Built on a position field, or on its plain spectrum as `evolve` and
+    `gaussian_packet` build it.  A spectrum stays the state: `field` is
+    computed from it by one ifftn on first read and cached with read-only
+    values, so two grids are held from then on, and the spectrum stands
     for `field` only while `field.values` is that array, so binding a new
     array there makes the next step transform forward again.
     """
@@ -122,11 +125,15 @@ def stueckelberg_residual(psi: ParametrizedWavefunction, dlam_probe: float) -> f
     if not dlam_probe > 0:
         raise ContractViolation("dlam_probe must be positive")
     spec = psi.spec
-    w = spec.p_squared("minkowski") + psi.mass ** 2
-    # -i times centered difference of exp(-i h W) phases: -sin(h W)/h
-    diff_mult = -np.sin(dlam_probe * w) / dlam_probe
-    # (box - m^2) in momentum space is -(p.p + m^2)
-    res = ComplexField(spec, (diff_mult + w) * psi._spectrum().values, "plain")
+    w = spec.p_squared("minkowski")
+    w += psi.mass ** 2
+    # -i times centered difference of exp(-i h W) phases is -sin(h W)/h, and
+    # (box - m^2) in momentum space is -W: the misfit W - sin(h W)/h, in one buffer
+    r = np.multiply(w, dlam_probe)
+    np.sin(r, out=r)
+    r /= -dlam_probe
+    r += w
+    res = ComplexField(spec, r * psi._spectrum().values, "plain")
     return float(np.sqrt(res.norm_squared()))
 
 
@@ -135,10 +142,17 @@ def gaussian_packet(spec: LatticeSpec, center, width, momentum, mass: float,
     """Normalized Gaussian wavepacket exp(-(x-c)^2/4w^2 + i p.x) on the lattice.
 
     The phase uses the signed pairing p.x, so `momentum` labels a point of the
-    dual grid in the evolution's own convention.  The packet is a product of
-    one 1-D complex factor per axis, broadcast to the full grid.  `center` and
-    `momentum` have one component per axis, and `width` one or one per axis,
-    each positive and finite.
+    dual grid in the evolution's own convention.  `center` and `momentum`
+    have one finite component per axis, and `width` one or one per axis, each
+    positive and finite.
+
+    The packet is a product of one 1-D complex factor per axis, each
+    normalized by its own norm sum |f_mu|^2 a_mu (the norm of the product is
+    the product of the norms), and is held as its plain spectrum: the product
+    of the factors' 1-D ffts (`lattice.product_spectrum`).  No position grid
+    is built; the first read of `field` costs one ifftn and leaves two grids
+    held.  A factor that is not finite or has zero norm (a width far below
+    the spacing, off the sites) is rejected before any full grid is built.
     """
     d = spec.dimension
     center, width, momentum = (np.asarray(v, dtype=float) for v in (center, width, momentum))
@@ -148,13 +162,20 @@ def gaussian_packet(spec: LatticeSpec, center, width, momentum, mass: float,
     width = np.broadcast_to(width, (d,))
     if not np.all((width > 0) & np.isfinite(width)):
         raise ContractViolation(f"width must be positive and finite, got {width.tolist()}")
-    g = metric(spec.dimension)
-    values = np.ones((1,) * spec.dimension, dtype=complex)
-    for mu in range(spec.dimension):
+    for name, v in (("center", center), ("momentum", momentum)):
+        if not np.all(np.isfinite(v)):
+            raise ContractViolation(f"{name} must be finite, got {v.tolist()}")
+    g = metric(d)
+    factors = []
+    for mu in range(d):
         x = spec.axis_coordinates(mu)
-        factor = np.exp(-(x - center[mu]) ** 2 / (4 * width[mu] ** 2)
-                        + 1j * g[mu] * momentum[mu] * x)
-        values = values * spec.along(mu, factor)
-    field = ComplexField(spec, values, "position")
-    field.values /= np.sqrt(field.norm_squared())
-    return ParametrizedWavefunction(field, lam, mass)
+        with np.errstate(all="ignore"):
+            factor = np.exp(-(x - center[mu]) ** 2 / (4 * width[mu] ** 2)
+                            + 1j * g[mu] * momentum[mu] * x)
+            norm_squared = np.vdot(factor, factor).real * spec.spacings[mu]
+        if not norm_squared > 0:  # also False for NaN: no non-finite factor passes
+            raise ContractViolation(
+                f"packet factor on axis {mu} is not finite or has zero norm: width "
+                f"{width[mu]}, center {center[mu]}, momentum {momentum[mu]}")
+        factors.append(factor / np.sqrt(norm_squared))
+    return ParametrizedWavefunction(product_spectrum(spec, factors), lam, mass)

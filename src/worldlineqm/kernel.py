@@ -544,7 +544,8 @@ def kernel_mass_superposition(dx: FourVector, total_length: float, mass: float,
     by one trapezoid over u = m'^2 - m^2 on the supplied grid of m'^2.  The
     window half-width W must satisfy W*T >> 2 pi; W*T < 4 pi sets
     adequate_window = False.  Every node is exact (`_bessel_propagator`);
-    the mode picks only its contour and its interval.
+    the mode picks only its contour and its interval.  epsilon must be
+    positive in both modes, though only the minkowski contour uses it.
 
     mode "euclidean" runs the continuation T -> -i tau on the contour
     m'^2 = m^2 + i u at s = |dx|: every propagator is off its pole and the
@@ -552,7 +553,7 @@ def kernel_mass_superposition(dx: FourVector, total_length: float, mass: float,
     the euclidean kernel as the window grows and the grid refines.  mode
     "minkowski" keeps the real axis, m'^2 = m^2 + u - i epsilon, with the
     Feynman propagator at each node (`_minkowski_mass_propagator_batch`;
-    needs epsilon > 0 and dx off the light cone), and tends to
+    needs dx off the light cone), and tends to
     K exp(-epsilon T).  Its sharp-window truncation error falls off only
     like (T W)^(-1/2), because of the slowly decaying tachyonic side, so it
     is exercised for its convergence trend rather than tight
@@ -567,6 +568,8 @@ def kernel_mass_superposition(dx: FourVector, total_length: float, mass: float,
         raise ContractViolation("mass_sq_grid must be one-dimensional")
     if not total_length > 0:
         raise DomainError("T must be positive")
+    if not epsilon > 0:
+        raise DomainError("epsilon must be positive")
     if grid.size < 2:
         # degenerate window: zero measure under the trapezoid convention
         return MassSuperpositionResult(0j, 0.0, 0.0, False)
@@ -577,8 +580,6 @@ def kernel_mass_superposition(dx: FourVector, total_length: float, mass: float,
     if mode == "euclidean":
         values = euclidean_mass_propagator_batch(dx, msq + 1j * u)
     else:
-        if not epsilon > 0:
-            raise DomainError("epsilon must be positive")
         values = _minkowski_mass_propagator_batch(dx, msq + u - 1j * epsilon)
     value = np.trapezoid(values * np.exp(1j * total_length * u), u) / (2 * np.pi)
     return MassSuperpositionResult(complex(value), window, spacing,

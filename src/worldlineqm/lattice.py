@@ -25,8 +25,9 @@ factors cancel too: prod(a) * prod(2 pi / L) * (2 pi)^(-D) * N = 1, with N
 the site count that ifftn divides by.  For the same reasons the norm of
 multiplier * psi~ is that of multiplier * F with the cell volume prod(a) / N
 of the "plain" representation (Parseval).  `spatial_momentum_sum` is the
-unscaled inverse over the spatial axes alone.  This module holds every FFT
-call of the package.
+unscaled inverse over the spatial axes alone, and `product_spectrum` the
+plain spectrum of a separable field from one 1-D fft per axis.  This module
+holds every FFT call of the package.
 """
 
 from __future__ import annotations
@@ -177,6 +178,22 @@ def plain_fftn(field: ComplexField) -> ComplexField:
         raise ContractViolation("plain_fftn expects a position-representation field")
     _check_finite(field)
     return ComplexField(field.spec, scipy.fft.fftn(field.values), "plain")
+
+
+def product_spectrum(spec: LatticeSpec, factors) -> ComplexField:
+    """The plain spectrum of the broadcast product of one 1-D factor per axis.
+
+    The DFT is separable, fftn(f_0 x ... x f_{D-1}) = fft(f_0) x ... x
+    fft(f_{D-1}), so D one-axis transforms replace the full-grid fftn and only
+    the final product is a full grid.
+    """
+    if [np.shape(f) for f in factors] != [(n,) for n in spec.shape]:
+        raise ContractViolation(f"product_spectrum needs one factor of length N_mu per axis "
+                                f"of {spec.shape}")
+    values = np.ones((1,) * spec.dimension, dtype=complex)
+    for mu, factor in enumerate(factors):
+        values = values * spec.along(mu, scipy.fft.fft(factor))
+    return ComplexField(spec, values, "plain")
 
 
 def plain_ifftn(field: ComplexField) -> ComplexField:

@@ -7,6 +7,7 @@ a benchmark run.  Each workload declared in BENCHMARK.json runs its
 `setup(seed, "tiny", workdir)` and its CASES in-process through
 bench/checks.Checks, from the repository root; the bench files are only read.
 Known defects (checks.KNOWN_DEFECTS) are counted apart, as the benchmark does.
+The `spectral` pass is also held to its budget of full-grid transforms.
 """
 
 import importlib
@@ -14,13 +15,13 @@ import json
 from pathlib import Path
 
 import pytest
+from test_evolution import _count_transforms
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
-@pytest.mark.parametrize("workload", WORKLOADS)
-def test_bench_workload_cases_pass(workload, tmp_path, monkeypatch):
+def _run_cases(workload, tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     monkeypatch.chdir(ROOT)
     checks = importlib.import_module("checks")
@@ -33,6 +34,20 @@ def test_bench_workload_cases_pass(workload, tmp_path, monkeypatch):
     finally:
         if hasattr(module, "teardown"):
             module.teardown(ctx)
-    summary = chk.summary()
+    return chk.summary()
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_bench_workload_cases_pass(workload, tmp_path, monkeypatch):
+    summary = _run_cases(workload, tmp_path, monkeypatch)
     assert summary["attempted"] > 0
     assert summary["failed"] == 0, summary["failures"]
+
+
+def test_the_spectral_pass_transforms_forward_never_and_back_twice(tmp_path, monkeypatch):
+    # the packet is born as its spectrum, so setup and cases run no full-grid
+    # fftn; the two ifftn are the positions read by the group-property check
+    calls = _count_transforms(monkeypatch)
+    summary = _run_cases("spectral", tmp_path, monkeypatch)
+    assert summary["failed"] == 0, summary["failures"]
+    assert calls == {"fftn": 0, "ifftn": 2}

@@ -1,6 +1,7 @@
 import argparse
 import json
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -241,6 +242,26 @@ def test_evolve_rejects_bad_steps_and_widths_with_exit_4_and_no_record(capsys, t
     err = capsys.readouterr().err
     assert message in err
     assert "Warning" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--momentum=inf,0"], "momentum must be finite"),
+    (["--center=4,-inf"], "center must be finite"),
+    (["--width=0.001", "--center=4.25,4"], "packet factor on axis 0 is not finite or has zero norm"),
+    (["--momentum=0,1e308"], "packet factor on axis 1 is not finite or has zero norm"),
+], ids=["infinite_momentum", "infinite_center", "narrow_width_off_site", "overflowing_momentum"])
+def test_evolve_packet_that_is_not_finite_exits_4_with_no_warning(capsys, tmp_path, argv,
+                                                                  message):
+    # each exited 4 only after RuntimeWarnings, at the finite check of the first fftn
+    out = tmp_path / "evolve.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(["evolve", "--shape", "16,16", "--extent", "8,8", *argv,
+                    "--output", str(out)])
+    assert code == 4
+    assert caught == []
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

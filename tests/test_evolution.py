@@ -178,29 +178,40 @@ def _count_transforms(monkeypatch):
 
 def test_a_chain_of_steps_transforms_forward_once(monkeypatch):
     # an evolved wavefunction holds its spectrum: nothing transforms back
-    # until its positions are read, and then only once
+    # until its positions are read, and then only once; a packet is born as
+    # its spectrum, so a chain from it never transforms forward, and one from
+    # a position field transforms forward once
     calls = _count_transforms(monkeypatch)
     psi = packet()
     state = psi
     for _ in range(16):
         state = evolve(state, 0.05)
-    assert calls == {"fftn": 1, "ifftn": 0}
+    assert calls == {"fftn": 0, "ifftn": 0}
     norm(state), stueckelberg_residual(state, 1e-3)
-    assert calls == {"fftn": 1, "ifftn": 0}
+    assert calls == {"fftn": 0, "ifftn": 0}
     state.field.values
-    assert calls == {"fftn": 1, "ifftn": 1}
+    assert calls == {"fftn": 0, "ifftn": 1}
     state.field.values
-    assert calls == {"fftn": 1, "ifftn": 1}
+    assert calls == {"fftn": 0, "ifftn": 1}
     calls.update(fftn=0, ifftn=0)
     evolve(psi, 0.05, 16)
-    assert calls == {"fftn": 1, "ifftn": 0}
+    assert calls == {"fftn": 0, "ifftn": 0}
+    positions = _position_built(psi)
+    assert calls == {"fftn": 0, "ifftn": 1}
+    state = positions
+    for _ in range(16):
+        state = evolve(state, 0.05)
+    norm(state), stueckelberg_residual(state, 1e-3)
+    assert calls == {"fftn": 1, "ifftn": 1}
+    evolve(positions, 0.05, 16)
+    assert calls == {"fftn": 2, "ifftn": 1}
 
 
-def test_the_cli_evolve_route_transforms_forward_once(monkeypatch, tmp_path):
+def test_the_cli_evolve_route_runs_no_forward_transform(monkeypatch, tmp_path):
     calls = _count_transforms(monkeypatch)
     assert cli.run(["evolve", "--shape", "8,8", "--extent", "8,8", "--steps", "5",
                     "--output", str(tmp_path / "evolve.json")]) == 0
-    assert calls == {"fftn": 1, "ifftn": 0}
+    assert calls == {"fftn": 0, "ifftn": 0}
 
 
 @_ANISOTROPIC_PACKETS
@@ -209,6 +220,12 @@ def test_the_parseval_norm_matches_the_position_sum(shape, extents, center, mome
     held = norm(out)  # Parseval on the held spectrum, before positions exist
     positions = np.sum(np.abs(out.field.values) ** 2) * out.spec.cell_volume
     assert held == pytest.approx(positions, rel=1e-14)
+
+
+def _position_built(psi):
+    # psi rebuilt on a writable copy of its positions: it holds no spectrum
+    return ParametrizedWavefunction(ComplexField(psi.spec, psi.field.values.copy(), "position"),
+                                    psi.lam, psi.mass)
 
 
 def _held_bytes(work):
@@ -222,7 +239,7 @@ def _held_bytes(work):
 
 
 def test_a_position_built_wavefunction_keeps_no_spectrum():
-    psi = packet(LatticeSpec((64, 64), (32.0, 32.0)))
+    psi = _position_built(packet(LatticeSpec((64, 64), (32.0, 32.0))))
     grid = 16 * psi.field.values.size
     held, _ = _held_bytes(lambda: (evolve(psi, 0.3), stueckelberg_residual(psi, 1e-3))[1])
     assert held < grid / 4
@@ -301,17 +318,52 @@ def test_gaussian_packet_rejects_a_width_that_is_not_positive_and_finite(width):
         gaussian_packet(spec, (4.0, 4.0), width, (0.0, 0.0), 1.0)
 
 
-def test_gaussian_packet_equals_the_meshgrid_form():
-    spec = LatticeSpec((8, 4, 16), (5.0, 3.0, 11.0))
-    center, width, momentum = (2.0, 1.0, 6.0), (1.2, 0.7, 2.1), (0.6, -1.3, 0.4)
+_MESHGRID_PACKET = (LatticeSpec((8, 4, 16), (5.0, 3.0, 11.0)),
+                    (2.0, 1.0, 6.0), (1.2, 0.7, 2.1), (0.6, -1.3, 0.4))
+
+
+def _meshgrid_packet(spec, center, width, momentum):
     coords = np.meshgrid(*[spec.axis_coordinates(mu) for mu in range(3)], indexing="ij")
     envelope = sum(-(x - c) ** 2 / (4 * w ** 2) for x, c, w in zip(coords, center, width))
     phase = sum(s * p * x for x, s, p in zip(coords, (-1.0, 1.0, 1.0), momentum))
     values = np.exp(envelope + 1j * phase)
-    values /= np.sqrt(np.sum(np.abs(values) ** 2) * spec.cell_volume)
-    got = gaussian_packet(spec, center, width, momentum, 1.0).field.values
-    assert got.shape == spec.shape
+    return values / np.sqrt(np.sum(np.abs(values) ** 2) * spec.cell_volume)
+
+
+def test_gaussian_packet_equals_the_meshgrid_form():
+    values = _meshgrid_packet(*_MESHGRID_PACKET)
+    got = gaussian_packet(*_MESHGRID_PACKET, 1.0).field.values
+    assert got.shape == values.shape
     assert np.max(np.abs(got - values)) < 1e-14 * np.max(np.abs(values))
+
+
+def test_gaussian_packet_is_born_as_the_spectrum_of_the_meshgrid_form(monkeypatch):
+    want = scipy.fft.fftn(_meshgrid_packet(*_MESHGRID_PACKET))
+    calls = _count_transforms(monkeypatch)
+    psi = gaussian_packet(*_MESHGRID_PACKET, 1.0)
+    got = psi._spectrum()
+    assert calls == {"fftn": 0, "ifftn": 0}
+    assert got.representation == "plain"
+    assert np.max(np.abs(got.values - want)) < 1e-13 * np.max(np.abs(want))
+    assert norm(psi) == pytest.approx(1.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("center, width, momentum, axis", [
+    ((4.25, 4.0), 0.001, (0.0, 0.0), 0),  # every site underflows: a zero norm
+    ((4.0, 4.0), (1.0, 1e-200), (0.0, 0.0), 1),  # 0/0 at the centre site
+    ((4.0, 4.0), 1.0, (0.0, 1e308), 1),  # the phase p x overflows
+], ids=["narrow_width_off_site", "width_squared_underflows", "phase_overflows"])
+def test_gaussian_packet_rejects_a_factor_that_is_not_finite_or_has_zero_norm(
+        monkeypatch, center, width, momentum, axis):
+    # each once returned NaN amplitudes after a RuntimeWarning, caught only by
+    # the first fftn; the check runs before the spectrum grid is built
+    def no_grid(*args):
+        raise AssertionError("a full grid was built")
+    monkeypatch.setattr("worldlineqm.evolution.product_spectrum", no_grid)
+    spec = LatticeSpec((16, 16), (8.0, 8.0))
+    with pytest.raises(ContractViolation, match=f"packet factor on axis {axis} is not finite "
+                                                f"or has zero norm: width"):
+        gaussian_packet(spec, center, width, momentum, 1.0)
 
 
 def test_residual_plane_wave_oracle():

@@ -864,6 +864,15 @@ def test_minkowski_superposition_rejects_a_lightlike_dx(dx):
                                   mode="minkowski")
 
 
+@pytest.mark.parametrize("epsilon", [0.0, -5.0])
+def test_euclidean_superposition_needs_a_positive_epsilon(epsilon):
+    # the euclidean contour does not use epsilon, and once returned the
+    # epsilon = 1e-3 value for any epsilon
+    grid = np.linspace(-39.0, 41.0, 641)
+    with pytest.raises(DomainError, match="epsilon must be positive"):
+        kernel_mass_superposition(FourVector((0.9, 1.2)), 1.0, 1.0, epsilon, grid, 2)
+
+
 @pytest.mark.parametrize("epsilon", [0.0, -1e-3])
 def test_minkowski_superposition_needs_a_positive_epsilon(epsilon):
     grid = np.linspace(-9.0, 11.0, 41)

@@ -4,9 +4,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from worldlineqm.errors import ContractViolation, UnsupportedSpecError
-from worldlineqm.lattice import ComplexField, LatticeSpec, spectral_transform
+from worldlineqm.lattice import ComplexField, LatticeSpec, product_spectrum, spectral_transform
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "worldlineqm"
 
@@ -168,3 +169,22 @@ def test_lattice_is_the_one_fft_site():
     users = {path.name: _fft_uses(path) for path in sorted(SRC.glob("*.py"))}
     assert users.pop("lattice.py")
     assert {name: uses for name, uses in users.items() if uses} == {}
+
+
+@pytest.mark.parametrize("shape", [(2,), (8, 4, 16), (4, 2, 8, 2)])
+def test_product_spectrum_equals_fftn_of_the_meshgrid_product(shape):
+    rng = np.random.default_rng(len(shape))
+    spec = LatticeSpec(shape, (3.0,) * len(shape))
+    factors = [rng.normal(size=n) + 1j * rng.normal(size=n) for n in shape]
+    grids = np.meshgrid(*factors, indexing="ij")
+    want = scipy.fft.fftn(np.prod(grids, axis=0))
+    got = product_spectrum(spec, factors)
+    assert got.representation == "plain"
+    assert np.max(np.abs(got.values - want)) < 1e-13 * np.max(np.abs(want))
+
+
+def test_product_spectrum_needs_one_factor_per_axis():
+    spec = LatticeSpec((4, 8), (3.0, 3.0))
+    for factors in ([np.ones(4)], [np.ones(8), np.ones(4)], [np.ones(4), np.ones((8, 1))]):
+        with pytest.raises(ContractViolation, match="one factor of length N_mu per axis"):
+            product_spectrum(spec, factors)

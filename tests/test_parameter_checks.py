@@ -97,6 +97,11 @@ _NAN_CASES = {
                           lambda: segment_norm(NAN, 2, "euclidean")),
     "gaussian_packet.mass": (ContractViolation, "mass must be positive",
                              lambda: gaussian_packet(_LATTICE2, (2.0, 2.0), 1.0, (0.0, 0.0), NAN)),
+    "gaussian_packet.center": (ContractViolation, "center must be finite",
+                               lambda: gaussian_packet(_LATTICE2, (2.0, NAN), 1.0, (0.0, 0.0), 1.0)),
+    "gaussian_packet.momentum": (
+        ContractViolation, "momentum must be finite",
+        lambda: gaussian_packet(_LATTICE2, (2.0, 2.0), 1.0, (NAN, 0.0), 1.0)),
     "stueckelberg_residual.dlam_probe": (ContractViolation, "dlam_probe must be positive",
                                          lambda: stueckelberg_residual(_packet(), NAN)),
     "ScatterSpec.momentum": (ContractViolation, "off the grid",
@@ -115,6 +120,13 @@ _NAN_CASES = {
         DomainError, "epsilon must be positive",
         lambda: kernel_mass_superposition(FourVector((0.3, 0.4)), 1.0, 1.0, NAN,
                                           [0.0, 1.0, 2.0], 2, mode="minkowski")),
+    "kernel_mass_superposition.euclidean.epsilon": (
+        DomainError, "epsilon must be positive",
+        lambda: kernel_mass_superposition(FourVector((0.3, 0.4)), 1.0, 1.0, NAN,
+                                          [0.0, 1.0, 2.0], 2, mode="euclidean")),
+    "kernel_mass_superposition.one_node.epsilon": (
+        DomainError, "epsilon must be positive",
+        lambda: kernel_mass_superposition(FourVector((0.3, 0.4)), 1.0, 1.0, NAN, [1.0], 2)),
     "kernel_mass_superposition.minkowski.dx": (
         DomainError, "off the light cone",
         lambda: kernel_mass_superposition(FourVector((NAN, 0.4)), 1.0, 1.0, 1e-3,
