@@ -13,12 +13,16 @@ though p.p + m^2 is indefinite on a spacetime lattice).  On the lattice it
 multiplies the plain spectrum fftn(psi) (`lattice.plain_fftn`): the phase
 depends on p0 only through p0^2, so the time-axis sign reflection of the
 unitary transform drops out, and its two scale factors cancel exactly.
-The phase itself is a broadcast product of one 1-D factor per axis.  An
-evolved wavefunction holds that spectrum as its state and transforms back
-only when its position values are read.  A Gaussian packet is born as its
-spectrum, from one 1-D fft per axis (`lattice.product_spectrum`), so a chain
-of k steps from a packet costs no fftn, the k phase products, and one ifftn
-when positions are first read; from a position field it costs one fftn.
+The phase is a product of one 1-D factor per axis
+(`kernel.lattice_momentum_phase_factors`), so a spectrum held as a product
+of broadcast-shaped factors stays one under it: each factor takes the phase
+over its own axes.  An evolved wavefunction holds its spectrum this way and
+transforms back only when its position values are read, one factor at a
+time (`lattice.plain_ifftn`).  A Gaussian packet is born as D one-axis
+factors, from one 1-D fft per axis (`lattice.product_spectrum`), so a chain
+of k steps from a packet builds no full grid until its positions are read,
+and then only the product of D 1-D iffts; from a position field it costs
+one fftn, the k full-grid phase products and one ifftn.
 
 The equivalent differential statement, checked by the finite-difference
 residual below, is
@@ -28,66 +32,96 @@ residual below, is
 
 from __future__ import annotations
 
+import copy
+from functools import reduce
+from math import prod
+from operator import mul
+
 import numpy as np
 
 from .errors import ContractViolation
 from .geometry import metric
-from .kernel import lattice_momentum_phase
+from .kernel import lattice_momentum_phase_factors
 from .lattice import ComplexField, LatticeSpec, plain_fftn, plain_ifftn, product_spectrum
+
+
+def _positive(mass: float) -> float:
+    if not mass > 0:
+        raise ContractViolation("mass must be positive")
+    return mass
 
 
 class ParametrizedWavefunction:
     """Complex amplitude field over the spacetime lattice at parameter lam.
 
-    Built on a position field, or on its plain spectrum as `evolve` and
-    `gaussian_packet` build it.  A spectrum stays the state: `field` is
-    computed from it by one ifftn on first read and cached with read-only
-    values, so two grids are held from then on, and the spectrum stands
-    for `field` only while `field.values` is that array, so binding a new
-    array there makes the next step transform forward again.
+    Built on a position field or on its plain spectrum, or, as `evolve` and
+    `gaussian_packet` build it, on a plain spectrum held as the product of
+    broadcast-shaped factors that span disjoint axes in axis order: D
+    one-axis factors for a packet, one full grid otherwise.  A held spectrum
+    stays the state: `field` is computed from it on first read (one 1-D ifft
+    per one-axis factor, one ifftn per full-grid one) and cached with
+    read-only values, and the factors stand for `field` only while
+    `field.values` is that array, so binding a new array there makes the
+    next step transform forward again.
     """
 
     def __init__(self, field: ComplexField, lam: float, mass: float):
         if field.representation == "momentum":
             raise ContractViolation("wavefunction field must be positions or their plain spectrum")
-        if not mass > 0:
-            raise ContractViolation("mass must be positive")
-        self.lam, self.mass, self._state = lam, mass, field
-        self._field = field if field.representation == "position" else None
+        plain = field.representation == "plain"
+        self.spec, self.lam, self.mass = field.spec, lam, _positive(mass)
+        self._factors = (field.values,) if plain else None
+        self._field = None if plain else field
 
-    @property
-    def spec(self) -> LatticeSpec:
-        return self._state.spec
+    @classmethod
+    def _holding(cls, spec: LatticeSpec, factors: tuple, lam: float,
+                 mass: float) -> ParametrizedWavefunction:
+        """The wavefunction whose plain spectrum is the product of `factors`,
+        at a mass already checked."""
+        psi = cls.__new__(cls)
+        psi.spec, psi.lam, psi.mass, psi._factors, psi._field = spec, lam, mass, factors, None
+        return psi
 
     @property
     def field(self) -> ComplexField:
         if self._field is None:
-            self._field = plain_ifftn(self._state)
+            self._field = plain_ifftn(self.spec, self._factors)
             self._positions = self._field.values
             self._positions.flags.writeable = False
         return self._field
 
-    def _spectrum(self) -> ComplexField:
-        """The plain spectrum of `field`: the state while it stands for it,
-        else one fftn that is not kept."""
-        if self._state.representation == "plain" and (
+    def _held(self) -> tuple:
+        """Factors whose product is the plain spectrum of `field`: the held
+        ones while they stand for it, else the one fftn, which is not kept."""
+        if self._factors is not None and (
                 self._field is None or self._field.values is self._positions):
-            return self._state
-        return plain_fftn(self.field)
+            return self._factors
+        return (plain_fftn(self.field).values,)
+
+    def _spectrum(self) -> ComplexField:
+        """The plain spectrum of `field` as one grid: the held one itself if
+        it is a single factor."""
+        return ComplexField(self.spec, reduce(mul, self._held()), "plain")
 
 
 def norm(psi: ParametrizedWavefunction) -> float:
-    """Position-representation norm sum |psi|^2 * cell volume (Parseval on a
-    held spectrum)."""
-    return (psi._state if psi._field is None else psi._field).norm_squared()
+    """Position-representation norm sum |psi|^2 * cell volume, or Parseval
+    on a held spectrum whose positions are not read: the product of the
+    factors' sums |f|^2 times the plain cell volume prod(a) / N."""
+    if psi._field is not None:
+        return psi._field.norm_squared()
+    sums = reduce(mul, (np.vdot(f, f).real for f in psi._factors))
+    return float(sums * (psi.spec.cell_volume / prod(psi.spec.shape)))
 
 
 def evolve(psi: ParametrizedWavefunction, dlam: float,
            steps: int = 1) -> ParametrizedWavefunction:
     """Advance psi by `steps` steps of dlam (any finite sign) with the exact
-    spectral phase, built once and multiplied `steps` times into psi's plain
-    spectrum (one fftn unless psi holds it, and no ifftn); bitwise equal to
-    `steps` single-step calls."""
+    spectral phase.  Each factor of psi's held spectrum (one fftn of its
+    positions if it holds none) is multiplied `steps` times by the phase over
+    its own axes, built once; no ifftn is run.  Bitwise equal to `steps`
+    single-step calls; zero steps return psi's held state at the new lam.
+    """
     if steps < 0:
         raise ContractViolation(f"steps must be non-negative, got {steps}")
     lam = psi.lam
@@ -99,12 +133,20 @@ def evolve(psi: ParametrizedWavefunction, dlam: float,
         raise ContractViolation(f"dlam must be finite, as must lambda and dlam (p.p + m^2), "
                                 f"got dlam {dlam}")
     if not steps:
-        return ParametrizedWavefunction(psi.field, lam, psi.mass)
-    phase = lattice_momentum_phase(psi.spec, dlam, psi.mass)
-    values = psi._spectrum().values * phase  # a new array: psi's spectrum is kept
-    for _ in range(steps - 1):
-        values *= phase
-    return ParametrizedWavefunction(ComplexField(psi.spec, values, "plain"), lam, psi.mass)
+        out = copy.copy(psi)
+        out.lam = lam
+        return out
+    phases = lattice_momentum_phase_factors(psi.spec, dlam, psi.mass)
+    factors = []
+    for held in psi._held():
+        # the phase over this factor's axes; the first factor, which spans
+        # axis 0, takes the scalar exp(-i dlam m^2)
+        phase = reduce(mul, (p for p, n in zip(phases, held.shape) if n > 1))
+        values = held * phase  # a new array: psi's spectrum is kept
+        for _ in range(steps - 1):
+            values *= phase
+        factors.append(values)
+    return ParametrizedWavefunction._holding(psi.spec, tuple(factors), lam, psi.mass)
 
 
 def inner_product(a: ParametrizedWavefunction, b: ParametrizedWavefunction) -> complex:
@@ -148,12 +190,15 @@ def gaussian_packet(spec: LatticeSpec, center, width, momentum, mass: float,
 
     The packet is a product of one 1-D complex factor per axis, each
     normalized by its own norm sum |f_mu|^2 a_mu (the norm of the product is
-    the product of the norms), and is held as its plain spectrum: the product
-    of the factors' 1-D ffts (`lattice.product_spectrum`).  No position grid
-    is built; the first read of `field` costs one ifftn and leaves two grids
-    held.  A factor that is not finite or has zero norm (a width far below
-    the spacing, off the sites) is rejected before any full grid is built.
+    the product of the norms), and is held as its plain spectrum in D
+    one-axis factors, the factors' 1-D ffts (`lattice.product_spectrum`).
+    No full grid is built, and none is held until `field` is read: that
+    costs D 1-D iffts and leaves one grid held.  The mass and every factor
+    are checked before any factor's spectrum is built: a factor that is not
+    finite or has zero norm (a width far below the spacing, off the sites)
+    is rejected.
     """
+    _positive(mass)
     d = spec.dimension
     center, width, momentum = (np.asarray(v, dtype=float) for v in (center, width, momentum))
     for name, v in (("center", center), ("width", width), ("momentum", momentum)):
@@ -178,4 +223,4 @@ def gaussian_packet(spec: LatticeSpec, center, width, momentum, mass: float,
                 f"packet factor on axis {mu} is not finite or has zero norm: width "
                 f"{width[mu]}, center {center[mu]}, momentum {momentum[mu]}")
         factors.append(factor / np.sqrt(norm_squared))
-    return ParametrizedWavefunction(product_spectrum(spec, factors), lam, mass)
+    return ParametrizedWavefunction._holding(spec, product_spectrum(spec, factors), lam, mass)

@@ -23,6 +23,8 @@ closed form in the interval dx.dx.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import mul
 
 import numpy as np
 from scipy import special
@@ -590,18 +592,27 @@ def kernel_mass_superposition(dx: FourVector, total_length: float, mass: float,
 # lattice kernels (exact composition algebra)
 
 
+def lattice_momentum_phase_factors(spec: LatticeSpec, dlam: float,
+                                   mass: float) -> tuple[np.ndarray, ...]:
+    """The phase exp(-i dlam (p.p + m^2)) on the lattice as one broadcast 1-D
+    factor exp(-i dlam g_mu p_mu^2) per axis, with g the metric, and the
+    scalar exp(-i dlam m^2) on the axis-0 factor: their product, in axis
+    order, is `lattice_momentum_phase`.
+    """
+    g = metric(spec.dimension)
+    factors = [spec.along(mu, np.exp(-1j * dlam * g[mu] * spec.momentum_axis(mu) ** 2))
+               for mu in range(spec.dimension)]
+    factors[0] = np.exp(-1j * dlam * mass * mass) * factors[0]
+    return tuple(factors)
+
+
 def lattice_momentum_phase(spec: LatticeSpec, dlam: float, mass: float) -> np.ndarray:
     """Momentum-representation kernel exp(-i dlam (p.p + m^2)) on the lattice.
 
-    Separable: exp(-i dlam m^2) times one 1-D factor exp(-i dlam g_mu p_mu^2)
-    per axis, with g the metric, broadcast so that only the final product is
-    a full grid.
+    Separable: the product of `lattice_momentum_phase_factors`, broadcast so
+    that only the final product is a full grid.
     """
-    g = metric(spec.dimension)
-    phase = np.exp(-1j * dlam * mass * mass)
-    for mu in range(spec.dimension):
-        phase = phase * spec.along(mu, np.exp(-1j * dlam * g[mu] * spec.momentum_axis(mu) ** 2))
-    return phase
+    return reduce(mul, lattice_momentum_phase_factors(spec, dlam, mass))
 
 
 def lattice_kernel(spec: LatticeSpec, dlam: float, mass: float) -> np.ndarray:

@@ -25,14 +25,22 @@ factors cancel too: prod(a) * prod(2 pi / L) * (2 pi)^(-D) * N = 1, with N
 the site count that ifftn divides by.  For the same reasons the norm of
 multiplier * psi~ is that of multiplier * F with the cell volume prod(a) / N
 of the "plain" representation (Parseval).  `spatial_momentum_sum` is the
-unscaled inverse over the spatial axes alone, and `product_spectrum` the
-plain spectrum of a separable field from one 1-D fft per axis.  This module
-holds every FFT call of the package.
+unscaled inverse over the spatial axes alone.
+
+The DFT is separable, so a plain spectrum can be held as broadcast-shaped
+factors that span disjoint axes, whose product it is: `product_spectrum`
+gives those of a product of one 1-D factor per axis from one 1-D fft per
+axis, and `plain_ifftn` inverts each factor over its own axes (one 1-D ifft
+for a one-axis factor, ifftn for a full-grid one), so only the product of
+the inverses is a full grid.  The package calls fft, ifft, fftn and ifftn
+here and nowhere else.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import mul
 
 import numpy as np
 import scipy.fft
@@ -180,25 +188,34 @@ def plain_fftn(field: ComplexField) -> ComplexField:
     return ComplexField(field.spec, scipy.fft.fftn(field.values), "plain")
 
 
-def product_spectrum(spec: LatticeSpec, factors) -> ComplexField:
-    """The plain spectrum of the broadcast product of one 1-D factor per axis.
+def product_spectrum(spec: LatticeSpec, factors) -> tuple[np.ndarray, ...]:
+    """The plain spectrum of the broadcast product of one 1-D factor per axis,
+    as the broadcast-shaped factors whose product it is.
 
     The DFT is separable, fftn(f_0 x ... x f_{D-1}) = fft(f_0) x ... x
-    fft(f_{D-1}), so D one-axis transforms replace the full-grid fftn and only
-    the final product is a full grid.
+    fft(f_{D-1}), so D one-axis transforms replace the full-grid fftn and no
+    full grid is built.
     """
     if [np.shape(f) for f in factors] != [(n,) for n in spec.shape]:
         raise ContractViolation(f"product_spectrum needs one factor of length N_mu per axis "
                                 f"of {spec.shape}")
-    values = np.ones((1,) * spec.dimension, dtype=complex)
-    for mu, factor in enumerate(factors):
-        values = values * spec.along(mu, scipy.fft.fft(factor))
-    return ComplexField(spec, values, "plain")
+    return tuple(spec.along(mu, scipy.fft.fft(factor)) for mu, factor in enumerate(factors))
 
 
-def plain_ifftn(field: ComplexField) -> ComplexField:
-    """The position field ifftn(values) of a plain spectrum."""
-    return ComplexField(field.spec, scipy.fft.ifftn(field.values), "position")
+def plain_ifftn(spec: LatticeSpec, factors) -> ComplexField:
+    """The position field ifftn(F) of the plain spectrum F held as the product
+    of broadcast-shaped factors that span disjoint axes.
+
+    ifftn is separable like fftn: each factor is inverted over its own axes,
+    by one 1-D ifft if it spans one, and the inverses are multiplied in
+    order.  A single full-grid factor F gives ifftn(F) itself.
+    """
+    inverses = []
+    for factor in factors:
+        own = [mu for mu, n in enumerate(factor.shape) if n > 1]
+        inverses.append(scipy.fft.ifft(factor, axis=own[0]) if len(own) == 1
+                        else scipy.fft.ifftn(factor))
+    return ComplexField(spec, reduce(mul, inverses), "position")
 
 
 def spatial_momentum_sum(values: np.ndarray) -> np.ndarray:

@@ -44,10 +44,11 @@ def test_bench_workload_cases_pass(workload, tmp_path, monkeypatch):
     assert summary["failed"] == 0, summary["failures"]
 
 
-def test_the_spectral_pass_transforms_forward_never_and_back_twice(tmp_path, monkeypatch):
-    # the packet is born as its spectrum, so setup and cases run no full-grid
-    # fftn; the two ifftn are the positions read by the group-property check
+def test_the_spectral_pass_runs_no_full_grid_transform(tmp_path, monkeypatch):
+    # the packet is born as D one-axis spectra and its evolution keeps them
+    # so, so setup and cases run no full-grid fftn, and the positions read by
+    # the group-property check come from 1-D iffts, not from an ifftn
     calls = _count_transforms(monkeypatch)
     summary = _run_cases("spectral", tmp_path, monkeypatch)
     assert summary["failed"] == 0, summary["failures"]
-    assert calls == {"fftn": 0, "ifftn": 2}
+    assert calls == {"fftn": 0, "ifftn": 0}

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from worldlineqm import cli
+from worldlineqm import cli, evolution
 from worldlineqm.evolution import (
     ParametrizedWavefunction,
     evolve,
@@ -166,6 +166,59 @@ def test_carried_spectrum_steps_match_the_two_transform_composition(shape, exten
     assert np.max(np.abs(carried.field.values - reference.values)) < 1e-13 * scale
 
 
+def _per_axis_misfit(psi, reference, dlam, steps):
+    # psi, a packet, evolved on its D one-axis factors, and the relative
+    # misfit of its positions against the grid-evolved reference
+    factored = evolve(psi, dlam, steps)
+    assert len(psi._factors) == psi.spec.dimension
+    assert [f.shape for f in factored._factors] == [f.shape for f in psi._factors]
+    scale = np.max(np.abs(reference.field.values))
+    return np.max(np.abs(factored.field.values - reference.field.values)) / scale, factored
+
+
+@_ANISOTROPIC_PACKETS
+@pytest.mark.parametrize("steps", [1, 16])
+def test_a_packet_evolved_per_axis_matches_its_positions_evolved_on_the_grid(
+        shape, extents, center, momentum, steps):
+    psi = _anisotropic_packet(shape, extents, center, momentum)
+    for dlam in (0.37, -0.8, 2.5):
+        reference = evolve(_position_built(psi), dlam, steps)
+        assert [f.shape for f in reference._factors] == [psi.spec.shape]
+        misfit, factored = _per_axis_misfit(psi, reference, dlam, steps)
+        assert misfit < 1e-13
+        assert stueckelberg_residual(factored, 1e-3) == pytest.approx(
+            stueckelberg_residual(reference, 1e-3), rel=1e-12)
+
+
+@_ANISOTROPIC_PACKETS
+def test_multi_step_call_on_a_packet_equals_single_steps_bitwise(shape, extents, center,
+                                                                   momentum):
+    psi = _anisotropic_packet(shape, extents, center, momentum)
+    for dlam in (0.37, -0.8, 2.5):
+        for steps in (1, 16):
+            looped = psi
+            for _ in range(steps):
+                looped = evolve(looped, dlam)
+            batched = evolve(psi, dlam, steps)
+            assert all(np.array_equal(a, b) for a, b in zip(batched._factors, looped._factors))
+            assert np.array_equal(batched.field.values, looped.field.values)
+            assert batched.lam == looped.lam
+
+
+def test_the_per_axis_oracle_sees_a_dropped_mass_phase(monkeypatch):
+    # the per-axis route without its scalar exp(-i dlam m^2) misses the grid
+    # route by |1 - exp(-i dlam m^2)|, about 0.6 here; the residual, blind to
+    # a constant phase, cannot see it
+    psi = _anisotropic_packet((4, 8, 2, 16), (3.0, 5.0, 2.0, 9.0), (1.0, 2.5, 1.0, 4.0),
+                              (0.8, -0.5, 0.3, 1.2))
+    reference = evolve(_position_built(psi), 0.37)
+    phase_factors = evolution.lattice_momentum_phase_factors
+    monkeypatch.setattr(evolution, "lattice_momentum_phase_factors",
+                        lambda spec, dlam, mass: phase_factors(spec, dlam, 0.0))
+    misfit, _ = _per_axis_misfit(psi, reference, 0.37, 1)
+    assert misfit > 0.5 * abs(1 - np.exp(-1j * 0.37 * psi.mass ** 2))
+
+
 def _count_transforms(monkeypatch):
     calls = {"fftn": 0, "ifftn": 0}
     for name in calls:
@@ -178,33 +231,43 @@ def _count_transforms(monkeypatch):
 
 def test_a_chain_of_steps_transforms_forward_once(monkeypatch):
     # an evolved wavefunction holds its spectrum: nothing transforms back
-    # until its positions are read, and then only once; a packet is born as
-    # its spectrum, so a chain from it never transforms forward, and one from
-    # a position field transforms forward once
+    # until its positions are read, and then only once; a packet's spectrum
+    # stays D one-axis factors, so a chain from it runs no full-grid
+    # transform even when its positions are read, and one from a position
+    # field transforms forward once and back once
     calls = _count_transforms(monkeypatch)
     psi = packet()
     state = psi
     for _ in range(16):
         state = evolve(state, 0.05)
-    assert calls == {"fftn": 0, "ifftn": 0}
     norm(state), stueckelberg_residual(state, 1e-3)
-    assert calls == {"fftn": 0, "ifftn": 0}
     state.field.values
-    assert calls == {"fftn": 0, "ifftn": 1}
     state.field.values
-    assert calls == {"fftn": 0, "ifftn": 1}
-    calls.update(fftn=0, ifftn=0)
-    evolve(psi, 0.05, 16)
-    assert calls == {"fftn": 0, "ifftn": 0}
+    evolve(psi, 0.05, 16).field.values
     positions = _position_built(psi)
-    assert calls == {"fftn": 0, "ifftn": 1}
+    assert calls == {"fftn": 0, "ifftn": 0}
     state = positions
     for _ in range(16):
         state = evolve(state, 0.05)
     norm(state), stueckelberg_residual(state, 1e-3)
+    assert calls == {"fftn": 1, "ifftn": 0}
+    state.field.values
+    state.field.values
     assert calls == {"fftn": 1, "ifftn": 1}
     evolve(positions, 0.05, 16)
     assert calls == {"fftn": 2, "ifftn": 1}
+
+
+def test_a_zero_step_keeps_the_held_spectrum(monkeypatch):
+    # zero steps once returned the positions, read by one ifftn, so the next
+    # step transformed forward again
+    grid = evolve(_position_built(packet()), 0.3)
+    calls = _count_transforms(monkeypatch)
+    for psi in (packet(), evolve(packet(), 0.3), grid):
+        out = evolve(psi, 0.2, 0)
+        assert out.lam == psi.lam and out.mass == psi.mass
+        norm(out), stueckelberg_residual(out, 1e-3), evolve(out, 0.05)
+    assert calls == {"fftn": 0, "ifftn": 0}
 
 
 def test_the_cli_evolve_route_runs_no_forward_transform(monkeypatch, tmp_path):
@@ -246,11 +309,16 @@ def test_a_position_built_wavefunction_keeps_no_spectrum():
 
 
 def test_an_evolved_wavefunction_holds_one_grid_until_its_positions_are_read():
+    # a chain from a packet holds D one-axis factors, no grid, until its
+    # positions are read; one from a position field holds one grid
     psi = packet(LatticeSpec((64, 64), (32.0, 32.0)))
     grid = 16 * psi.field.values.size
     held, out = _held_bytes(lambda: evolve(psi, 0.3, 4))
-    assert grid <= held < 1.25 * grid
+    assert held < grid / 4
     held, _ = _held_bytes(lambda: out.field)
+    assert grid <= held < 1.25 * grid
+    positions = _position_built(psi)
+    held, _ = _held_bytes(lambda: evolve(positions, 0.3, 4))
     assert grid <= held < 1.25 * grid
 
 
@@ -364,6 +432,25 @@ def test_gaussian_packet_rejects_a_factor_that_is_not_finite_or_has_zero_norm(
     with pytest.raises(ContractViolation, match=f"packet factor on axis {axis} is not finite "
                                                 f"or has zero norm: width"):
         gaussian_packet(spec, center, width, momentum, 1.0)
+
+
+@pytest.mark.parametrize("mass", [np.nan, 0.0, -1.0])
+def test_gaussian_packet_rejects_a_bad_mass_before_building_a_factor(monkeypatch, mass):
+    # a 32^4 packet of mass NaN once peaked at 16.8 MiB, one grid, before
+    # the wavefunction rejected it
+    def no_spectrum(*args):
+        raise AssertionError("a factor's spectrum was built")
+    monkeypatch.setattr("worldlineqm.evolution.product_spectrum", no_spectrum)
+    spec = LatticeSpec((32, 32, 32, 32), (16.0,) * 4)
+    grid = 16 * 32 ** 4
+    tracemalloc.start()
+    try:
+        with pytest.raises(ContractViolation, match="mass must be positive"):
+            gaussian_packet(spec, (8.0,) * 4, 1.5, (0.1, 0.2, -0.3, 0.4), mass)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < grid / 4
 
 
 def test_residual_plane_wave_oracle():

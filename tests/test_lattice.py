@@ -7,7 +7,8 @@ import pytest
 import scipy.fft
 
 from worldlineqm.errors import ContractViolation, UnsupportedSpecError
-from worldlineqm.lattice import ComplexField, LatticeSpec, product_spectrum, spectral_transform
+from worldlineqm.lattice import (ComplexField, LatticeSpec, plain_ifftn, product_spectrum,
+                                 spectral_transform)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "worldlineqm"
 
@@ -179,8 +180,10 @@ def test_product_spectrum_equals_fftn_of_the_meshgrid_product(shape):
     grids = np.meshgrid(*factors, indexing="ij")
     want = scipy.fft.fftn(np.prod(grids, axis=0))
     got = product_spectrum(spec, factors)
-    assert got.representation == "plain"
-    assert np.max(np.abs(got.values - want)) < 1e-13 * np.max(np.abs(want))
+    # one broadcast-shaped factor per axis, whose product is the spectrum
+    assert [f.shape for f in got] == [spec.along(mu, f).shape for mu, f in enumerate(factors)]
+    got = np.prod(np.broadcast_arrays(*got), axis=0)
+    assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
 
 
 def test_product_spectrum_needs_one_factor_per_axis():
@@ -188,3 +191,18 @@ def test_product_spectrum_needs_one_factor_per_axis():
     for factors in ([np.ones(4)], [np.ones(8), np.ones(4)], [np.ones(4), np.ones((8, 1))]):
         with pytest.raises(ContractViolation, match="one factor of length N_mu per axis"):
             product_spectrum(spec, factors)
+
+
+@pytest.mark.parametrize("shape", [(2,), (8, 4, 16), (4, 2, 8, 2)])
+def test_plain_ifftn_of_factors_equals_ifftn_of_their_product(shape):
+    # one-axis factors, and a full-grid one, whose product is inverted whole
+    rng = np.random.default_rng(len(shape) + 7)
+    spec = LatticeSpec(shape, (3.0,) * len(shape))
+    factors = tuple(spec.along(mu, rng.normal(size=n) + 1j * rng.normal(size=n))
+                    for mu, n in enumerate(shape))
+    grid = np.prod(np.broadcast_arrays(*factors), axis=0)
+    want = scipy.fft.ifftn(grid)
+    got = plain_ifftn(spec, factors)
+    assert got.representation == "position"
+    assert np.max(np.abs(got.values - want)) < 1e-13 * np.max(np.abs(want))
+    assert np.array_equal(plain_ifftn(spec, (grid,)).values, want)
