@@ -54,24 +54,22 @@ def _positive(mass: float) -> float:
 class ParametrizedWavefunction:
     """Complex amplitude field over the spacetime lattice at parameter lam.
 
-    Built on a position field or on its plain spectrum, or, as `evolve` and
-    `gaussian_packet` build it, on a plain spectrum held as the product of
-    broadcast-shaped factors that span disjoint axes in axis order: D
-    one-axis factors for a packet, one full grid otherwise.  A held spectrum
-    stays the state: `field` is computed from it on first read (one 1-D ifft
-    per one-axis factor, one ifftn per full-grid one) and cached with
-    read-only values, and the factors stand for `field` only while
-    `field.values` is that array, so binding a new array there makes the
-    next step transform forward again.
+    Built on a position field, or, as `evolve` and `gaussian_packet` build
+    it, on a plain spectrum held as the product of broadcast-shaped factors
+    that span disjoint axes in axis order: D one-axis factors for a packet,
+    one full grid otherwise.  A held spectrum stays the state: `field` is
+    computed from it on first read (one 1-D ifft per one-axis factor, one
+    ifftn per full-grid one) and cached with read-only values, and the
+    factors stand for `field` only while `field.values` is that array, so
+    binding a new array there makes the next step transform forward again.
     """
 
     def __init__(self, field: ComplexField, lam: float, mass: float):
-        if field.representation == "momentum":
-            raise ContractViolation("wavefunction field must be positions or their plain spectrum")
-        plain = field.representation == "plain"
+        if field.representation != "position":
+            raise ContractViolation("a wavefunction is built from a position field, "
+                                    f"not a {field.representation!r} one")
         self.spec, self.lam, self.mass = field.spec, lam, _positive(mass)
-        self._factors = (field.values,) if plain else None
-        self._field = None if plain else field
+        self._factors, self._field = None, field
 
     @classmethod
     def _holding(cls, spec: LatticeSpec, factors: tuple, lam: float,

@@ -16,8 +16,8 @@ Oscillatory minkowski integrals are always evaluated with explicit damping:
 a convergence factor exp(-T epsilon) on proper-time integrals and a Gaussian
 factor exp(-damping |p|_E^2) on momentum integrals.  Quoted tolerances of
 the damped routes scale with the damping used.  The fixed-mass propagators
-of the mass superposition need no damping: both signatures use one Bessel
-closed form in the interval dx.dx.
+need no damping: both signatures use one Bessel closed form in the interval
+dx.dx.  The mass superposition runs on the euclidean contour only.
 """
 
 from __future__ import annotations
@@ -400,12 +400,13 @@ def propagator_position(dx: FourVector, mass: float, epsilon: float,
     """Proper-time propagator Int_0^inf dT f(T) K(dx; T) exp(-T epsilon).
 
     Euclidean mode integrates the real heat kernel adaptively over the whole
-    half-line.  Minkowski mode uses the Gaussian-damped kernel and requires
-    damping > 0; the result approaches the Feynman propagator as
-    (epsilon, damping) -> 0.  It integrates [lo, split] on the real axis,
-    split = max(lo, TAIL_START), and, by Cauchy's theorem, the tail on a
-    contour into the lower half-plane, where the damped kernel is analytic
-    for Re T > 0: down to T = split - i depth, then across to infinity.
+    half-line and takes no damping (damping must be 0).  Minkowski mode uses
+    the Gaussian-damped kernel and requires damping > 0; the result
+    approaches the Feynman propagator as (epsilon, damping) -> 0.  It
+    integrates [lo, split] on the real axis, split = max(lo, TAIL_START),
+    and, by Cauchy's theorem, the tail on a contour into the lower
+    half-plane, where the damped kernel is analytic for Re T > 0: down to
+    T = split - i depth, then across to infinity.
     When m^2 is at least the tail's decay rate epsilon + 1/dlam, depth =
     min(m^2 dlam^2, 40/m^2); at m^2 dlam^2 the weight's phase cancels
     exp(-i T m^2), so the leg across does not oscillate.  Below that rate
@@ -422,9 +423,11 @@ def propagator_position(dx: FourVector, mass: float, epsilon: float,
     dx.check_dimension(dimension, "dx")
     if mode == "minkowski" and not damping > 0:
         raise DomainError("minkowski proper-time integral needs damping > 0")
+    if mode == "euclidean" and damping != 0:  # also rejects NaN
+        raise DomainError("euclidean proper-time integral takes no damping; "
+                          f"need damping = 0, got {damping!r}")
     dxa = dx.as_array()
     msq = mass * mass
-    damping = damping if mode == "minkowski" else 0.0
 
     def integrand(t):
         return weight(t) * _kernel_value(dxa, t, msq, mode, damping) * np.exp(-epsilon * t)
@@ -512,15 +515,14 @@ def euclidean_mass_propagator_batch(dx: FourVector, mass_squared) -> np.ndarray:
 
     The proper-time integral Int_0^inf dT (4 pi T)^(-D/2) exp(-|dx|^2/4T - T m'^2)
     in closed form, `_bessel_propagator` at s = |dx| with D = dx.dimension;
-    needs |dx| > 0.
+    needs a finite |dx| > 0.
     """
     msq = np.atleast_1d(np.asarray(mass_squared, dtype=complex))
     if not np.all(np.real(msq) > 0):
         raise DomainError("need Re(mass_squared) > 0 in euclidean mode")
-    dxa = dx.as_array()
-    r = float(np.linalg.norm(dxa))
-    if r == 0.0:
-        raise DomainError("euclidean mass propagator needs |dx| > 0")
+    r = float(np.linalg.norm(dx.as_array()))
+    if not 0.0 < r < np.inf:  # also rejects NaN
+        raise DomainError("euclidean mass propagator needs a finite |dx| > 0")
     return _bessel_propagator(msq, r, dx.dimension)
 
 
@@ -539,31 +541,27 @@ def _minkowski_mass_propagator_batch(dx: FourVector, mass_squared) -> np.ndarray
 def kernel_mass_superposition(dx: FourVector, total_length: float, mass: float,
                               epsilon: float, mass_sq_grid, dimension: int,
                               mode: str = "euclidean") -> MassSuperpositionResult:
-    """Reconstruct K(dx; T) as a superposition of fixed-mass propagators,
+    """Reconstruct the euclidean kernel K(dx; T) as a superposition of
+    fixed-mass propagators,
 
-        K = (2 pi)^-1 Int du exp(i T u) prop(dx; m^2 + u),
+        K = (2 pi)^-1 Int du exp(i T u) prop(dx; m^2 + i u),
 
-    by one trapezoid over u = m'^2 - m^2 on the supplied grid of m'^2.  The
-    window half-width W must satisfy W*T >> 2 pi; W*T < 4 pi sets
-    adequate_window = False.  Every node is exact (`_bessel_propagator`);
-    the mode picks only its contour and its interval.  epsilon must be
-    positive in both modes, though only the minkowski contour uses it.
+    by one trapezoid over u = m'^2 - m^2 on the supplied grid of m'^2.  This
+    is the continuation T -> -i tau on the contour m'^2 = m^2 + i u at
+    s = |dx|: every node is an exact propagator off its pole
+    (`euclidean_mass_propagator_batch`) and the integrand decays
+    exponentially in u, so the reconstruction converges to the euclidean
+    kernel as the window grows and the grid refines.  The window half-width
+    W must satisfy W*T >> 2 pi; W*T < 4 pi sets adequate_window = False.
 
-    mode "euclidean" runs the continuation T -> -i tau on the contour
-    m'^2 = m^2 + i u at s = |dx|: every propagator is off its pole and the
-    integrand decays exponentially in u, so the reconstruction converges to
-    the euclidean kernel as the window grows and the grid refines.  mode
-    "minkowski" keeps the real axis, m'^2 = m^2 + u - i epsilon, with the
-    Feynman propagator at each node (`_minkowski_mass_propagator_batch`;
-    needs dx off the light cone), and tends to
-    K exp(-epsilon T).  Its sharp-window truncation error falls off only
-    like (T W)^(-1/2), because of the slowly decaying tachyonic side, so it
-    is exercised for its convergence trend rather than tight
-    reconstruction.  In D = 4 it does not converge: at T = 1 and
-    dx = (0.3, 0.4, 0, 0) the relative error is 9.1 at W = 10 and 22 at
-    W = 160.
+    mode "minkowski" raises UnsupportedSpecError: on the real axis the
+    tachyonic side of the u-integral does not decay, and the reconstruction
+    does not converge.  epsilon must be positive but no longer enters the
+    value; it and mode are kept only for existing call sites.
     """
     metric(dimension, mode)  # checks the dimension and the mode
+    if mode != "euclidean":
+        raise UnsupportedSpecError("the real-axis minkowski mass superposition is not supported")
     dx.check_dimension(dimension, "dx")
     grid = np.asarray(mass_sq_grid, dtype=float)
     if grid.ndim != 1:
@@ -579,10 +577,7 @@ def kernel_mass_superposition(dx: FourVector, total_length: float, mass: float,
     spacing = float(np.mean(np.diff(grid)))
     msq = mass * mass
     u = grid - msq
-    if mode == "euclidean":
-        values = euclidean_mass_propagator_batch(dx, msq + 1j * u)
-    else:
-        values = _minkowski_mass_propagator_batch(dx, msq + u - 1j * epsilon)
+    values = euclidean_mass_propagator_batch(dx, msq + 1j * u)
     value = np.trapezoid(values * np.exp(1j * total_length * u), u) / (2 * np.pi)
     return MassSuperpositionResult(complex(value), window, spacing,
                                    adequate_window=window * total_length >= 4 * np.pi)

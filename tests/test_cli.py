@@ -646,6 +646,27 @@ def test_accuracy_error_exits_3(capsys, monkeypatch, tmp_path):
     assert not out.exists()
 
 
+def test_onshell_part_at_small_damping_exits_3_without_a_record(capsys, tmp_path):
+    # the adaptive rule reaches its 400-interval limit at error 1.74e-7; the
+    # Bessel form of the on-shell part (ROADMAP item 16) will give this route
+    # a value
+    out = tmp_path / "propagator.json"
+    assert run(["propagator", "--kind", "onshell-part", "--dx", "1.2,0.4",
+                "--damping", "1e-5", "--output", str(out)]) == 3
+    assert "accuracy error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_euclidean_position_propagator_with_damping_exits_4_without_a_record(capsys,
+                                                                            tmp_path):
+    # it exited 0 with the undamped value and echoed damping -5 in the record
+    out = tmp_path / "propagator.json"
+    assert run(["propagator", "--kind", "position", "--mode", "euclidean", "--dx", "0.3,0.4",
+                "--damping", "-5", "--output", str(out)]) == 4
+    assert "takes no damping" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_main_exits_with_the_code_of_run(monkeypatch, tmp_path):
     monkeypatch.setattr("sys.argv", ["worldlineqm", "kernel", "--tau", "-1",
                                      "--output", str(tmp_path / "x.json")])

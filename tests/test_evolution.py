@@ -349,6 +349,14 @@ def test_evolve_leaves_the_input_untouched():
     np.testing.assert_array_equal(psi.field.values, before)
 
 
+@pytest.mark.parametrize("representation", ["plain", "momentum"])
+def test_wavefunction_is_built_from_positions_only(representation):
+    spec = LatticeSpec((4, 4), (4.0, 4.0))
+    field = ComplexField(spec, np.ones(spec.shape, dtype=complex), representation)
+    with pytest.raises(ContractViolation, match="built from a position field"):
+        ParametrizedWavefunction(field, 0.0, 1.0)
+
+
 def test_evolve_rejects_non_finite_amplitudes():
     psi = packet()
     values = psi.field.values.copy()

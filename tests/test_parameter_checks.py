@@ -54,7 +54,8 @@ def _legs(p):
 
 
 # each check with NaN in place of one positive, non-negative or finite
-# parameter; NaN fails every comparison, so a guard written `x <= 0` let it through
+# parameter; NaN fails every comparison, so a guard written `x <= 0` let it
+# through.  The infinite dx returned nan+nanj with a RuntimeWarning
 _NAN_CASES = {
     "KernelParams.mass": (ContractViolation, "mass must be positive",
                           lambda: KernelParams(NAN, 1.0, 2, "euclidean")),
@@ -116,10 +117,6 @@ _NAN_CASES = {
         DomainError, "needs damping > 0",
         lambda: propagator_position(FourVector((0.3, 0.4)), 1.0, 1e-2, WeightFunction.uniform(),
                                     2, "minkowski", damping=NAN)),
-    "kernel_mass_superposition.minkowski.epsilon": (
-        DomainError, "epsilon must be positive",
-        lambda: kernel_mass_superposition(FourVector((0.3, 0.4)), 1.0, 1.0, NAN,
-                                          [0.0, 1.0, 2.0], 2, mode="minkowski")),
     "kernel_mass_superposition.euclidean.epsilon": (
         DomainError, "epsilon must be positive",
         lambda: kernel_mass_superposition(FourVector((0.3, 0.4)), 1.0, 1.0, NAN,
@@ -127,10 +124,10 @@ _NAN_CASES = {
     "kernel_mass_superposition.one_node.epsilon": (
         DomainError, "epsilon must be positive",
         lambda: kernel_mass_superposition(FourVector((0.3, 0.4)), 1.0, 1.0, NAN, [1.0], 2)),
-    "kernel_mass_superposition.minkowski.dx": (
-        DomainError, "off the light cone",
+    "kernel_mass_superposition.euclidean.dx": (
+        DomainError, "needs a finite \\|dx\\| > 0",
         lambda: kernel_mass_superposition(FourVector((NAN, 0.4)), 1.0, 1.0, 1e-3,
-                                          [0.0, 1.0, 2.0], 2, mode="minkowski")),
+                                          [0.0, 1.0, 2.0], 2)),
     "kernel_mass_superposition.total_length": (
         DomainError, "T must be positive",
         lambda: kernel_mass_superposition(FourVector((0.3, 0.4)), NAN, 1.0, 1e-3,
@@ -140,6 +137,9 @@ _NAN_CASES = {
     "euclidean_mass_propagator_batch.mass_squared": (
         DomainError, "need Re\\(mass_squared\\) > 0",
         lambda: euclidean_mass_propagator_batch(FourVector((0.3, 0.4)), [1.0, NAN])),
+    "euclidean_mass_propagator_batch.infinite_dx": (
+        DomainError, "needs a finite \\|dx\\| > 0",
+        lambda: euclidean_mass_propagator_batch(FourVector((0.3, float("inf"))), 1.0)),
 }
 
 
@@ -176,12 +176,6 @@ _MISMATCH_CASES = {
     "kernel_mass_superposition.euclidean.short_dx": (
         "dx has dimension 2, expected 4",
         lambda: kernel_mass_superposition(_D2, 1.0, 1.0, 1e-3, _MASS_GRID, 4)),
-    "kernel_mass_superposition.minkowski.long_dx": (
-        "dx has dimension 4, expected 2",
-        lambda: kernel_mass_superposition(_D4, 1.0, 1.0, 1e-3, _MASS_GRID, 2, mode="minkowski")),
-    "kernel_mass_superposition.minkowski.short_dx": (
-        "dx has dimension 2, expected 4",
-        lambda: kernel_mass_superposition(_D2, 1.0, 1.0, 1e-3, _MASS_GRID, 4, mode="minkowski")),
     "external_line_factor.short_p": (
         "x and p must have the same spatial dimension",
         lambda: external_line_factor(FINAL_PARTICLE, (0.3,), 1.0, _D4)),
@@ -198,6 +192,9 @@ _MISMATCH_CASES = {
         "dx has dimension 2, expected 4",
         lambda: propagator_onshell_part(_D2, 1.0, 1, 1e-2, 4)),
     "segment_norm.mode": ("unknown mode 'bogus'", lambda: segment_norm(0.5, 4, "bogus")),
+    "kernel_mass_superposition.mode": (
+        "unknown mode 'bogus'",
+        lambda: kernel_mass_superposition(_D2, 1.0, 1.0, 1e-3, _MASS_GRID, 2, mode="bogus")),
     "self_energy_unregulated.long_p": (
         "p has dimension 4, expected 2",
         lambda: self_energy_unregulated(_D4, 1.0, 1.0, 2, float("inf"))),
