@@ -37,6 +37,7 @@ module run the same engine on a whole basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import groupby, permutations
 
 import numpy as np
@@ -103,22 +104,42 @@ VACUUM = FockState(1.0 + 0j, ())
 # permanents
 
 
+_TABLE_ROWS = 7
+
+
+@cache
+def _permutation_table(k: int) -> np.ndarray:
+    """The k! permutations of range(k) in lexicographic order, one per row."""
+    table = np.array(list(permutations(range(k))), dtype=np.intp).reshape(-1, k)
+    table.setflags(write=False)  # one array is shared by every call
+    return table
+
+
 def permanent_naive(matrix: np.ndarray) -> complex:
-    """Direct permutation-sum permanent; exact reference for small n."""
+    """Direct permutation-sum permanent; exact reference for small n.
+
+    The last k = min(n, 7) rows are summed over a cached table of all k!
+    permutations, in one gather and row product per choice of columns for
+    the n - k leading rows; only those n!/k! ordered choices are looped
+    over.  The work is n! k products, and the table bounds memory at
+    7! x 7 entries (about 0.6 MiB of complex factors) for any n.
+    """
     matrix = np.asarray(matrix)
     n = matrix.shape[0]
     if matrix.shape != (n, n):
         raise ContractViolation("permanent needs a square matrix")
     if n == 0:
         return 1.0 + 0j
+    k = min(n, _TABLE_ROWS)
+    table, tail = _permutation_table(k), np.arange(n - k, n)
     total = 0j
-    rows = range(n)
-    for cols in permutations(rows):
-        term = 1.0 + 0j
-        for i in rows:
-            term *= matrix[i, cols[i]]
-        total += term
-    return total
+    for prefix in permutations(range(n), n - k):
+        lead = 1.0 + 0j
+        for i, col in enumerate(prefix):
+            lead *= matrix[i, col]
+        free = np.array([col for col in range(n) if col not in prefix], dtype=np.intp)
+        total += lead * np.prod(matrix[tail, free[table]], axis=1).sum()
+    return complex(total)
 
 
 def permanent_ryser(matrix: np.ndarray) -> complex:

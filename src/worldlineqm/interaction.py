@@ -32,6 +32,7 @@ psi'(x, B) = psi(x, B) + psidag(x, B; start).
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations_with_replacement
@@ -250,7 +251,10 @@ class DysonOperator:
     The coefficients and every matrix the methods return are scipy.sparse
     arrays on the sector basis.  Unitarity under the special adjoint is
     checked through the one series of G‡G - 1 in g: per order on all
-    columns, or summed at a coupling on the residual-clean columns.
+    columns, or summed at a coupling on the residual-clean columns.  For a
+    vertex whose terms are their own special adjoints as a multiset,
+    adjoint_coefficients hold the powers of rep(V) itself (C‡_m =
+    (-1)^m C_m); dyson_truncated represents V‡ separately only otherwise.
     """
 
     sector: Sector
@@ -288,6 +292,11 @@ class DysonOperator:
 def dyson_truncated(model: InteractionModel, sector: Sector, order: int) -> DysonOperator:
     """Truncated exponential series of the vertex with per-order bookkeeping.
 
+    When V‡ is the same multiset of coefficient-weighted generator strings
+    as V (the AB model: each term's adjoint is the other term at its site),
+    rep(V) and its powers serve as rep(V‡) and its powers, and the sector
+    matrix is built once; otherwise V‡ is represented on its own.
+
     Demands a leakage-free core: at least one basis column must survive
     2*order applications of V without touching a leaking state, else a
     LeakageError names the first escaping basis state.
@@ -298,13 +307,16 @@ def dyson_truncated(model: InteractionModel, sector: Sector, order: int) -> Dyso
     v1, leaks = _sector_matrix(expr, sector)
     if not leaks and not v1.count_nonzero():
         logging.getLogger("worldlineqm").warning("vertex operator is empty on this sector")
-    a1, _ = _sector_matrix(special_adjoint(expr), sector)
+    adjoint = special_adjoint(expr)
+    self_adjoint = Counter(adjoint.terms) == Counter(expr.terms)
+    a1 = v1 if self_adjoint else _sector_matrix(adjoint, sector)[0]
     eye = sparse.eye_array(sector.dimension, dtype=complex, format="csr")
     coeffs, adj_coeffs = {0: eye}, {0: eye}
     power, adj_power = v1, a1
     for m in range(1, order + 1):
         if m > 1:
-            power, adj_power = v1 @ power, a1 @ adj_power
+            power = v1 @ power
+            adj_power = power if self_adjoint else a1 @ adj_power
         coeffs[m] = (-1j) ** m / factorial(m) * power
         adj_coeffs[m] = (1j) ** m / factorial(m) * adj_power
     clean = _clean_columns(v1, leaks, order)

@@ -22,6 +22,7 @@ dx.dx.  The mass superposition runs on the euclidean contour only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from operator import mul
@@ -463,7 +464,9 @@ def propagator_onshell_part(dx: FourVector, mass: float, sign: int,
 
     Evaluates (2 pi)^(-d) Int d^d p exp(i(-sign E_p dx0 + p.dx)) / (2 E_p)
     with Gaussian damping exp(-damping p^2) on the spatial momentum integral
-    (d = D - 1).  sign=+1 is the positive-frequency (particle) part.
+    (d = D - 1).  sign=+1 is the positive-frequency (particle) part.  A dx
+    whose phase at the edge of the damping window reaches 2^53 radians,
+    where double precision resolves no oscillation, raises DomainError.
     """
     if sign not in (+1, -1):
         raise ContractViolation("sign must be +1 or -1")
@@ -472,14 +475,17 @@ def propagator_onshell_part(dx: FourVector, mass: float, sign: int,
     dx.check_dimension(dimension, "dx")
     d = dimension - 1
     dt = dx.time
-    r = np.linalg.norm(dx.spatial) if d else 0.0
+    r = math.hypot(*dx.spatial)
+    # the damping factor is below e^-37 outside the window |p| < half
+    half = np.sqrt(37.0 / damping)
+    if not max(abs(dt), r) * half < 2.0 ** 53:  # also rejects NaN
+        raise DomainError("dx is too long for the phase E dx0 - p.dx to be resolved "
+                          "in double precision within the damping window")
 
     if d == 1:
         def integrand(p):
             e = onshell_energy((p,), mass)
             return np.exp(1j * (-sign * e * dt + p * r) - damping * p * p) / (2 * e)
-        # the damping factor is below e^-37 outside the window
-        half = np.sqrt(37.0 / damping)
         value, _ = quadrature.adaptive(integrand, -half, half, limit=400,
                                        epsabs=1e-13, epsrel=1e-11)
         return value / (2 * np.pi)
@@ -515,15 +521,22 @@ def euclidean_mass_propagator_batch(dx: FourVector, mass_squared) -> np.ndarray:
 
     The proper-time integral Int_0^inf dT (4 pi T)^(-D/2) exp(-|dx|^2/4T - T m'^2)
     in closed form, `_bessel_propagator` at s = |dx| with D = dx.dimension;
-    needs a finite |dx| > 0.
+    needs a finite |dx| > 0.  A value out of float range (D = 4 as |dx| -> 0)
+    or out of reach of scipy's complex K_nu (NaN once |M| |dx| passes about
+    1e9) raises DomainError.
     """
     msq = np.atleast_1d(np.asarray(mass_squared, dtype=complex))
     if not np.all(np.real(msq) > 0):
         raise DomainError("need Re(mass_squared) > 0 in euclidean mode")
-    r = float(np.linalg.norm(dx.as_array()))
+    r = math.hypot(*dx.as_array())
     if not 0.0 < r < np.inf:  # also rejects NaN
         raise DomainError("euclidean mass propagator needs a finite |dx| > 0")
-    return _bessel_propagator(msq, r, dx.dimension)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _bessel_propagator(msq, r, dx.dimension)
+    if not np.all(np.isfinite(values)):
+        raise DomainError(
+            f"euclidean mass propagator has no finite Bessel value at |dx| = {r:g}")
+    return values
 
 
 def _minkowski_mass_propagator_batch(dx: FourVector, mass_squared) -> np.ndarray:

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import permutations, product
 from math import factorial
 from pathlib import Path
@@ -126,6 +127,40 @@ def test_ryser_against_gray_code_loop_and_closed_forms():
     assert permanent_ryser(np.ones((n, n), dtype=int)) == pytest.approx(factorial(n), rel=1e-9)
     with pytest.raises(ContractViolation, match="n <= 16"):
         permanent_ryser(np.ones((17, 17)))
+
+
+def _permanent_by_loop(matrix):
+    """Reference: one Python product per permutation of the columns."""
+    n = matrix.shape[0]
+    total = 0j
+    for cols in permutations(range(n)):
+        term = 1.0 + 0j
+        for i in range(n):
+            term *= matrix[i, cols[i]]
+        total += term
+    return total
+
+
+def test_naive_permanent_against_permutation_loop():
+    rng = np.random.default_rng(5)
+    for n in range(0, 9):
+        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        want = _permanent_by_loop(m)
+        assert abs(permanent_naive(m) - want) <= 1e-12 * abs(want)
+
+
+def test_naive_permanent_memory_is_bounded_by_its_table():
+    rng = np.random.default_rng(6)
+    m = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    fock._permutation_table.cache_clear()  # the peak includes building the 7! table
+    tracemalloc.start()
+    try:
+        value = permanent_naive(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(value - permanent_ryser(m)) <= 1e-12 * abs(value)
+    assert peak < 8 * 2**20
 
 
 def test_permanent_empty_and_identity():

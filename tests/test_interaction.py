@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from worldlineqm import interaction
 from worldlineqm.errors import (
     ContractViolation,
     DomainError,
@@ -116,6 +117,38 @@ def test_self_adjointness_and_negative_control():
     assert not is_self_adjoint(complex_coupling, sector)
 
 
+LONE = InteractionModel((VertexTerm(("A", "B"), ("A",)),), 1.3,
+                        InteractionModel.ab_model(1.0).types)
+
+
+@pytest.mark.parametrize("spec, b_max, n_max", [(SPEC44, 2, 8), (SPEC22, 6, 7)],
+                         ids=["dyson4x4", "criterion14"])
+def test_reused_adjoint_matches_engine_built_adjoint(spec, b_max, n_max):
+    # dyson_truncated reuses rep(V) for the self-adjoint AB vertex; the
+    # engine run on the literal V‡ expression stays the oracle
+    sector = ab_sector(spec, b_max=b_max, n_max=n_max)
+    model = InteractionModel.ab_model(1.0)
+    adjoint = (-1j) * dyson_truncated(model, sector, 1).adjoint_coefficients[1]
+    want, _ = interaction._sector_matrix(special_adjoint(model.vertex_expr(spec, 1.0)), sector)
+    assert want.count_nonzero() > 0
+    assert abs(adjoint - want).max() <= 1e-12 * abs(want).max()
+
+
+@pytest.mark.parametrize("model, runs", [(InteractionModel.ab_model(1.0), 1), (LONE, 2)],
+                         ids=["ab", "lone"])
+def test_dyson_represents_the_adjoint_only_when_it_differs(monkeypatch, model, runs):
+    calls = []
+    engine = interaction._sector_matrix
+
+    def counted(expr, sector):
+        calls.append(expr)
+        return engine(expr, sector)
+
+    monkeypatch.setattr(interaction, "_sector_matrix", counted)
+    dyson_truncated(model, ab_sector(SPEC22, b_max=2, n_max=4), 2)
+    assert len(calls) == runs
+
+
 # ---------------------------------------------------------------------------
 # the count-vector representation against the object walk
 
@@ -151,10 +184,6 @@ def assert_matches_walk(expr, sector):
         assert leaks[j].entries == state.entries
         assert abs(leaks[j].coefficient - state.coefficient) <= 1e-12 * abs(state.coefficient)
     return matrix, leaks
-
-
-LONE = InteractionModel((VertexTerm(("A", "B"), ("A",)),), 1.3,
-                        InteractionModel.ab_model(1.0).types)
 
 
 @pytest.mark.parametrize("model", [InteractionModel.ab_model(0.7), LONE],

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from worldlineqm.errors import ContractViolation, DegeneratePathError, DomainError
@@ -147,6 +148,34 @@ _NAN_CASES = {
 def test_parameter_checks_reject_nan(error, message, call):
     with pytest.raises(error, match=message):
         call()
+
+
+# |dx| and |dx⃗| once squared the components: (1e200, 1e200) and (1e300, 0)
+# warned "overflow encountered in dot", (1e-200, 0) was rejected as |dx| = 0
+# and (0.5, 1e200) warned in propagator_onshell_part.  Each now gives a
+# finite value or a DomainError, with no warning
+_EXTREME_DX = {"huge_both": (1e200, 1e200), "huge_time": (1e300, 0.0),
+               "tiny_time": (1e-200, 0.0), "huge_space": (0.5, 1e200)}
+
+
+@pytest.mark.parametrize("dimension", [2, 4])
+@pytest.mark.parametrize("components", _EXTREME_DX.values(), ids=list(_EXTREME_DX))
+def test_extreme_separations_give_a_value_or_a_domain_error(components, dimension):
+    dx = FourVector(components + (0.0,) * (dimension - 2))
+    origin = FourVector((0.0,) * dimension)
+    if components[0] == 1e-200:
+        assert propagator_onshell_part(dx, 1.0, 1, 1e-2, dimension) == pytest.approx(
+            propagator_onshell_part(origin, 1.0, 1, 1e-2, dimension), rel=1e-12)
+    else:
+        with pytest.raises(DomainError, match="too long for the phase"):
+            propagator_onshell_part(dx, 1.0, 1, 1e-2, dimension)
+    if components[0] == 1e-200 and dimension == 2:
+        # K_0(r) / 2 pi = -(log(r / 2) + gamma) / 2 pi up to O(r^2 log r)
+        want = -(np.log(0.5e-200) + np.euler_gamma) / (2 * np.pi)
+        assert euclidean_mass_propagator_batch(dx, 1.0)[0] == pytest.approx(want, rel=1e-12)
+    else:  # 1 / (4 pi^2 |dx|^2) overflows in D = 4; K_nu is NaN at large |dx|
+        with pytest.raises(DomainError, match="no finite Bessel value"):
+            euclidean_mass_propagator_batch(dx, [1.0, 2.0 + 1.0j])
 
 
 # a vector whose length disagrees with the dimension argument, and a mode
