@@ -4,7 +4,10 @@ Subpackage map:
 
 - ``geometry``       the metric, the mass shell, the signed inner product,
                      four-vectors, particle types
-- ``lattice``        periodic spacetime lattices and unitary spectral transforms
+- ``lattice``        periodic spacetime lattices, the one plain Fourier
+                     convention (a transform pair over factors and the
+                     momentum integral), and the unitary spectral transform
+                     kept as the reference it is checked against
 - ``paths``          discretized paths and the path action
 - ``kernel``         fixed-length kernels (closed form, discretized collapse,
                      euclidean Monte Carlo), the path-length weight family

@@ -10,19 +10,20 @@ lambda) advances by the exact spectral step
 with p.p the signed square.  The generator is diagonal in momentum, so the
 step is a pure phase for any dlam (no stability constraint, unitary even
 though p.p + m^2 is indefinite on a spacetime lattice).  On the lattice it
-multiplies the plain spectrum fftn(psi) (`lattice.plain_fftn`): the phase
-depends on p0 only through p0^2, so the time-axis sign reflection of the
-unitary transform drops out, and its two scale factors cancel exactly.
-The phase is a product of one 1-D factor per axis
-(`kernel.lattice_momentum_phase_factors`), so a spectrum held as a product
-of broadcast-shaped factors stays one under it: each factor takes the phase
-over its own axes.  An evolved wavefunction holds its spectrum this way and
-transforms back only when its position values are read, one factor at a
-time (`lattice.plain_ifftn`).  A Gaussian packet is born as D one-axis
-factors, from one 1-D fft per axis (`lattice.product_spectrum`), so a chain
-of k steps from a packet builds no full grid until its positions are read,
-and then only the product of D 1-D iffts; from a position field it costs
-one fftn, the k full-grid phase products and one ifftn.
+multiplies the plain spectrum fftn(psi): the phase depends on p0 only
+through p0^2, so the time-axis sign of the unitary transform drops out, and
+its two scale factors cancel exactly (see `lattice`).  The phase is a
+product of one 1-D factor per axis (`kernel.lattice_momentum_phase_factors`),
+so a spectrum held as a product of broadcast-shaped factors stays one under
+it: each factor takes the phase over its own axes.  A wavefunction holds
+its spectrum this way, and the one transform pair `lattice.plain_fftn` /
+`lattice.plain_ifftn` moves between such factors and positions, one factor
+at a time.  A Gaussian packet is born as D one-axis factors, from one 1-D
+fft per axis, so a chain of k steps from a packet builds no full grid until
+its positions are read, and then only the product of D 1-D iffts; from a
+position field it costs one fftn, the k full-grid phase products and one
+ifftn.  The Parseval weight prod(a) / N of a plain spectrum lives here
+(`_parseval`), shared by `norm` and the residual.
 
 The equivalent differential statement, checked by the finite-difference
 residual below, is
@@ -42,7 +43,7 @@ import numpy as np
 from .errors import ContractViolation
 from .geometry import metric
 from .kernel import lattice_momentum_phase_factors
-from .lattice import ComplexField, LatticeSpec, plain_fftn, plain_ifftn, product_spectrum
+from .lattice import ComplexField, LatticeSpec, plain_fftn, plain_ifftn
 
 
 def _positive(mass: float) -> float:
@@ -94,12 +95,13 @@ class ParametrizedWavefunction:
         if self._factors is not None and (
                 self._field is None or self._field.values is self._positions):
             return self._factors
-        return (plain_fftn(self.field).values,)
+        return plain_fftn((self.field.values,))
 
-    def _spectrum(self) -> ComplexField:
-        """The plain spectrum of `field` as one grid: the held one itself if
-        it is a single factor."""
-        return ComplexField(self.spec, reduce(mul, self._held()), "plain")
+
+def _parseval(spec: LatticeSpec, sum_squares: float) -> float:
+    """The norm of a position field from the sum of |F|^2 over its plain
+    spectrum F = fftn(values): times the cell volume prod(a) / N."""
+    return float(sum_squares * (spec.cell_volume / prod(spec.shape)))
 
 
 def norm(psi: ParametrizedWavefunction) -> float:
@@ -108,8 +110,7 @@ def norm(psi: ParametrizedWavefunction) -> float:
     factors' sums |f|^2 times the plain cell volume prod(a) / N."""
     if psi._field is not None:
         return psi._field.norm_squared()
-    sums = reduce(mul, (np.vdot(f, f).real for f in psi._factors))
-    return float(sums * (psi.spec.cell_volume / prod(psi.spec.shape)))
+    return _parseval(psi.spec, reduce(mul, (np.vdot(f, f).real for f in psi._factors)))
 
 
 def evolve(psi: ParametrizedWavefunction, dlam: float,
@@ -173,8 +174,8 @@ def stueckelberg_residual(psi: ParametrizedWavefunction, dlam_probe: float) -> f
     np.sin(r, out=r)
     r /= -dlam_probe
     r += w
-    res = ComplexField(spec, r * psi._spectrum().values, "plain")
-    return float(np.sqrt(res.norm_squared()))
+    res = r * reduce(mul, psi._held())
+    return float(np.sqrt(_parseval(spec, np.vdot(res, res).real)))
 
 
 def gaussian_packet(spec: LatticeSpec, center, width, momentum, mass: float,
@@ -189,7 +190,8 @@ def gaussian_packet(spec: LatticeSpec, center, width, momentum, mass: float,
     The packet is a product of one 1-D complex factor per axis, each
     normalized by its own norm sum |f_mu|^2 a_mu (the norm of the product is
     the product of the norms), and is held as its plain spectrum in D
-    one-axis factors, the factors' 1-D ffts (`lattice.product_spectrum`).
+    one-axis factors, the factors' 1-D ffts: `lattice.plain_fftn` of the
+    factors shaped along their axes.
     No full grid is built, and none is held until `field` is read: that
     costs D 1-D iffts and leaves one grid held.  The mass and every factor
     are checked before any factor's spectrum is built: a factor that is not
@@ -220,5 +222,5 @@ def gaussian_packet(spec: LatticeSpec, center, width, momentum, mass: float,
             raise ContractViolation(
                 f"packet factor on axis {mu} is not finite or has zero norm: width "
                 f"{width[mu]}, center {center[mu]}, momentum {momentum[mu]}")
-        factors.append(factor / np.sqrt(norm_squared))
-    return ParametrizedWavefunction._holding(spec, product_spectrum(spec, factors), lam, mass)
+        factors.append(spec.along(mu, factor / np.sqrt(norm_squared)))
+    return ParametrizedWavefunction._holding(spec, plain_fftn(factors), lam, mass)

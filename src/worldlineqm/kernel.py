@@ -18,6 +18,12 @@ factor exp(-damping |p|_E^2) on momentum integrals.  Quoted tolerances of
 the damped routes scale with the damping used.  The fixed-mass propagators
 need no damping: both signatures use one Bessel closed form in the interval
 dx.dx.  The mass superposition runs on the euclidean contour only.
+
+The lattice kernel, the lattice propagator and the frequency parts are each
+one `lattice.momentum_sum`, the plain-convention momentum integral.  The
+kernel's and the propagator's multipliers are even in p0, so the unitary
+transform's time-axis sign drops out; the frequency parts sum the spatial
+axes alone.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from .errors import (
     UnsupportedSpecError,
 )
 from .geometry import FourVector, metric, minkowski_dot, onshell_energy, wick_factor
-from .lattice import ComplexField, LatticeSpec, spatial_momentum_sum, spectral_transform
+from .lattice import LatticeSpec, momentum_sum
 
 
 @dataclass(frozen=True)
@@ -507,13 +513,21 @@ class MassSuperpositionResult:
     adequate_window: bool
 
 
-def _bessel_propagator(mass_squared, s, dimension: int):
+def _bessel_propagator(mass_squared, s, dimension: int, signature: str):
     """(2 pi)^(-D/2) (M/s)^(D/2-1) K_(D/2-1)(M s), M = sqrt(mass_squared): the
     fixed-mass propagator of either signature as a function of the interval
-    s = sqrt(dx.dx), both roots on numpy's principal branch (DLMF 10.32.10)."""
+    s = sqrt(dx.dx), both roots on numpy's principal branch (DLMF 10.32.10).
+    A value out of float range (D = 4 as s -> 0) or out of reach of scipy's
+    complex K_nu (NaN once |M s| passes about 1e9) raises DomainError, which
+    names the signature and |dx| = |s|."""
     order = dimension / 2 - 1
     m = np.sqrt(mass_squared)
-    return (2 * np.pi) ** (-dimension / 2) * (m / s) ** order * special.kv(order, m * s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = (2 * np.pi) ** (-dimension / 2) * (m / s) ** order * special.kv(order, m * s)
+    if not np.all(np.isfinite(values)):
+        raise DomainError(f"{signature} mass propagator has no finite Bessel value "
+                          f"at |dx| = {abs(s):g}")
+    return values
 
 
 def euclidean_mass_propagator_batch(dx: FourVector, mass_squared) -> np.ndarray:
@@ -521,9 +535,8 @@ def euclidean_mass_propagator_batch(dx: FourVector, mass_squared) -> np.ndarray:
 
     The proper-time integral Int_0^inf dT (4 pi T)^(-D/2) exp(-|dx|^2/4T - T m'^2)
     in closed form, `_bessel_propagator` at s = |dx| with D = dx.dimension;
-    needs a finite |dx| > 0.  A value out of float range (D = 4 as |dx| -> 0)
-    or out of reach of scipy's complex K_nu (NaN once |M| |dx| passes about
-    1e9) raises DomainError.
+    needs a finite |dx| > 0, and raises DomainError where the Bessel form has
+    no finite value.
     """
     msq = np.atleast_1d(np.asarray(mass_squared, dtype=complex))
     if not np.all(np.real(msq) > 0):
@@ -531,24 +544,22 @@ def euclidean_mass_propagator_batch(dx: FourVector, mass_squared) -> np.ndarray:
     r = math.hypot(*dx.as_array())
     if not 0.0 < r < np.inf:  # also rejects NaN
         raise DomainError("euclidean mass propagator needs a finite |dx| > 0")
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = _bessel_propagator(msq, r, dx.dimension)
-    if not np.all(np.isfinite(values)):
-        raise DomainError(
-            f"euclidean mass propagator has no finite Bessel value at |dx| = {r:g}")
-    return values
+    return _bessel_propagator(msq, r, dx.dimension, "euclidean")
 
 
 def _minkowski_mass_propagator_batch(dx: FourVector, mass_squared) -> np.ndarray:
     """Feynman propagators -i (2 pi)^(-D) Int d^D p exp(i p.dx) / (p.p + M^2) at
     an array of complex mass squares M^2 with Im M^2 < 0: `_bessel_propagator`
     at s = sqrt(dx.dx), signed by `geometry.metric`, so +i0 for timelike dx.
-    Needs dx off the light cone."""
-    interval = minkowski_dot(dx, dx)
+    Needs dx off the light cone, and raises DomainError where the Bessel
+    form has no finite value, as the euclidean batch does."""
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are checked below
+        interval = minkowski_dot(dx, dx)
     if not abs(interval) > 0:  # also rejects NaN
         raise DomainError("the minkowski mass propagator needs dx.dx != 0 "
                           "(dx off the light cone)")
-    return _bessel_propagator(mass_squared, np.sqrt(complex(interval)), dx.dimension)
+    return _bessel_propagator(mass_squared, np.sqrt(complex(interval)), dx.dimension,
+                              "minkowski")
 
 
 def kernel_mass_superposition(dx: FourVector, total_length: float, mass: float,
@@ -627,35 +638,31 @@ def lattice_kernel(spec: LatticeSpec, dlam: float, mass: float) -> np.ndarray:
     """Position-space kernel array K(u) with cell-volume circular convolution.
 
     sum_y a^D K(x - y) psi(y) reproduces the spectral evolution of psi by
-    exp(-i dlam (p.p + m^2)).
+    exp(-i dlam (p.p + m^2)): K is `lattice.momentum_sum` of that phase.
     """
-    phase = lattice_momentum_phase(spec, dlam, mass)
-    f = ComplexField(spec, phase * (2 * np.pi) ** (-spec.dimension / 2), "momentum")
-    return spectral_transform(f, "inverse").values
+    return momentum_sum(spec, lattice_momentum_phase(spec, dlam, mass))
 
 
 def lattice_propagator(spec: LatticeSpec, mass: float, epsilon: float) -> np.ndarray:
     """Regulated lattice Feynman propagator as a function of displacement.
 
     D(u) = (1 / prod L_mu) sum_p exp(i p.u) * (-i) / (p.p + m^2 - i epsilon),
-    indexed by the lattice displacement u (periodic).
+    indexed by the lattice displacement u (periodic): one `lattice.momentum_sum`.
     """
     if not epsilon > 0:
         raise DomainError("epsilon must be positive")
-    values = -1j / (spec.p_squared("minkowski") + mass * mass - 1j * epsilon)
-    f = ComplexField(spec, values, "momentum")
-    return spectral_transform(f, "inverse").values * (2 * np.pi) ** (-spec.dimension / 2)
+    return momentum_sum(spec, -1j / (spec.p_squared("minkowski") + mass * mass - 1j * epsilon))
 
 
 def lattice_onshell_part(spec: LatticeSpec, mass: float, sign: int) -> np.ndarray:
-    """Lattice frequency parts at every displacement u, by one spatial_momentum_sum:
-    entry (u_0 / a_0 + N_0 - 1, u_vec / a_vec), over the 2 N_0 - 1 time offsets
-    (not periodic) and the spatial displacements mod N_i, is
+    """Lattice frequency parts at every displacement u, by one
+    `lattice.momentum_sum` over the spatial axes: entry (u_0 / a_0 + N_0 - 1,
+    u_vec / a_vec), over the 2 N_0 - 1 time offsets (not periodic) and the
+    spatial displacements mod N_i, is
     (1 / prod L_i) sum_{p_vec} exp(i(-sign E u_0 + p_vec . u_vec)) / (2 E)."""
     if sign not in (+1, -1):
         raise ContractViolation("sign must be +1 or -1")
     n0, space = spec.shape[0], range(1, spec.dimension)
     e = onshell_energy([spec.along(mu, spec.momentum_axis(mu)) for mu in space], mass)
     u0 = np.reshape(np.arange(1 - n0, n0) * spec.spacings[0], (-1,) + (1,) * len(space))
-    values = np.exp(1j * (-sign * e * u0)) / (2 * e)
-    return spatial_momentum_sum(values) / float(np.prod(spec.extents[1:]))
+    return momentum_sum(spec, np.exp(1j * (-sign * e * u0)) / (2 * e), space)

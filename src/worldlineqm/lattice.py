@@ -1,39 +1,50 @@
-"""Periodic spacetime lattices and unitary spectral transforms.
+"""Periodic spacetime lattices and the one lattice Fourier convention.
 
-The transform convention matches the continuum pairing exp(i p.x) with
-p.x = -p0 x0 + p_vec . x_vec, so the frequency sign on the time axis is
-flipped relative to the space axes.  Forward maps position amplitudes to
-momentum amplitudes:
+Every lattice object is a Fourier sum over the momentum grid in the plain,
+unscaled convention of fftn/ifftn:
 
-    psi~(p) = (2 pi)^(-D/2) * prod(a_mu) * sum_x psi(x) exp(-i p.x)
+- `plain_fftn` and `plain_ifftn` are one transform pair over a spectrum
+  held as broadcast-shaped factors that span disjoint axes, whose product it
+  is.  The DFT is separable, so each factor is transformed over its own
+  axes: one 1-D fft or ifft for a one-axis factor, fftn or ifftn for a
+  full-grid one, and only the product of the results is a full grid.  A
+  product of one 1-D factor per axis (a Gaussian packet) thus has its
+  spectrum from D one-axis ffts.
+- `momentum_sum` is the continuum-normalised momentum integral
 
-and the inverse uses the conjugate kernel with the momentum cell volume
+      (1 / prod L_mu) sum_p values(p) exp(i p.u)
+
+  over the chosen axes, one unscaled ifftn divided by the volume of those
+  axes: the lattice kernel, the lattice propagator and the frequency parts
+  are each one call of it.
+
+The continuum pairing is exp(i p.x) with p.x = -p0 x0 + p_vec . x_vec, so
+the unitary transform of this pairing flips the frequency sign on the time
+axis relative to the space axes.  `spectral_transform` keeps that unitary
+transform as the reference the tests compare against.  Its forward maps
+position amplitudes to momentum amplitudes,
+
+    psi~(p) = (2 pi)^(-D/2) * prod(a_mu) * sum_x psi(x) exp(-i p.x),
+
+and its inverse uses the conjugate kernel with the momentum cell volume
 prod(2 pi / L_mu).  Both directions are unitary with respect to the
 cell-volume weighted norms (Parseval).
 
-A multiplier that depends on p0 only through p0^2, such as the evolution
-phase exp(-i dlam (p.p + m^2)), acts on the plain spectrum F = fftn(psi)
-(`plain_fftn`, unscaled, inverted by `plain_ifftn`) as on the unitary
-momentum amplitudes: ifftn(multiplier * fftn(psi)) equals
+The plain convention is enough for every multiplier that depends on p0 only
+through p0^2, such as the evolution phase exp(-i dlam (p.p + m^2)) and the
+propagator -i / (p.p + m^2 - i epsilon).  The signed time axis is the index
+reflection k0 -> -k0 of a plain fftn, and that reflection leaves such a
+multiplier unchanged (fftfreq's Nyquist entry maps to itself), so it drops
+out: ifftn(multiplier * fftn(psi)) equals
 
-    spectral_transform(multiplier * spectral_transform(psi, "forward"), "inverse").
+    spectral_transform(multiplier * spectral_transform(psi, "forward"), "inverse"),
 
-The signed time axis is the index reflection k0 -> -k0 of a plain fftn, and
-that reflection leaves such a multiplier unchanged (fftfreq's Nyquist entry
-maps to itself), so it drops out of forward-then-inverse.  The two scale
-factors cancel too: prod(a) * prod(2 pi / L) * (2 pi)^(-D) * N = 1, with N
-the site count that ifftn divides by.  For the same reasons the norm of
-multiplier * psi~ is that of multiplier * F with the cell volume prod(a) / N
-of the "plain" representation (Parseval).  `spatial_momentum_sum` is the
-unscaled inverse over the spatial axes alone.
-
-The DFT is separable, so a plain spectrum can be held as broadcast-shaped
-factors that span disjoint axes, whose product it is: `product_spectrum`
-gives those of a product of one 1-D factor per axis from one 1-D fft per
-axis, and `plain_ifftn` inverts each factor over its own axes (one 1-D ifft
-for a one-axis factor, ifftn for a full-grid one), so only the product of
-the inverses is a full grid.  The package calls fft, ifft, fftn and ifftn
-here and nowhere else.
+since the two scale factors cancel too, prod(a) * prod(2 pi / L) *
+(2 pi)^(-D) * N = 1 with N the site count that ifftn divides by.  For the
+same reasons the inverse unitary transform of (2 pi)^(-D/2) * multiplier is
+`momentum_sum` of the multiplier, and the norm of multiplier * psi~ is that
+of multiplier * fftn(psi) with the cell volume prod(a) / N (Parseval).
+The package calls fft, ifft, fftn and ifftn here and nowhere else.
 """
 
 from __future__ import annotations
@@ -121,12 +132,12 @@ class LatticeSpec:
 
 @dataclass
 class ComplexField:
-    """Complex amplitudes on a lattice: position values, unitary momentum
-    amplitudes, or the plain spectrum fftn(position values) (`plain_fftn`)."""
+    """Complex amplitudes on a lattice: position values, or the unitary
+    momentum amplitudes of `spectral_transform`."""
 
     spec: LatticeSpec
     values: np.ndarray
-    representation: str = "position"  # "position" | "momentum" | "plain"
+    representation: str = "position"  # "position" | "momentum"
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=complex)
@@ -134,21 +145,20 @@ class ComplexField:
             raise ContractViolation(
                 f"field shape {values.shape} does not match lattice {self.spec.shape}"
             )
-        if self.representation not in ("position", "momentum", "plain"):
+        if self.representation not in ("position", "momentum"):
             raise ContractViolation(f"unknown representation {self.representation!r}")
         self.values = values
 
     def norm_squared(self) -> float:
         """Sum of |amplitude|^2 times the cell volume of this representation,
         as one dot product: no |v| or |v|^2 grid is built."""
-        spec = self.spec
-        w = {"position": spec.cell_volume, "momentum": spec.momentum_cell_volume,
-             "plain": spec.cell_volume / self.values.size}[self.representation]
+        w = {"position": self.spec.cell_volume,
+             "momentum": self.spec.momentum_cell_volume}[self.representation]
         return float(np.vdot(self.values, self.values).real * w)
 
 
-def _check_finite(field: ComplexField) -> None:
-    if not np.all(np.isfinite(field.values)):
+def _check_finite(values: np.ndarray) -> None:
+    if not np.all(np.isfinite(values)):
         raise ContractViolation("field amplitudes must be finite")
 
 
@@ -160,7 +170,7 @@ def spectral_transform(field: ComplexField, direction: str) -> ComplexField:
     identity to machine precision.
     """
     spec = field.spec
-    _check_finite(field)
+    _check_finite(field.values)
     space = tuple(range(1, spec.dimension))
     if direction == "forward":
         if field.representation != "position":
@@ -180,45 +190,48 @@ def spectral_transform(field: ComplexField, direction: str) -> ComplexField:
     raise ContractViolation(f"unknown direction {direction!r}")
 
 
-def plain_fftn(field: ComplexField) -> ComplexField:
-    """The plain spectrum fftn(values) of a finite position field."""
-    if field.representation != "position":
-        raise ContractViolation("plain_fftn expects a position-representation field")
-    _check_finite(field)
-    return ComplexField(field.spec, scipy.fft.fftn(field.values), "plain")
+def _per_factor(one_axis, full_grid, factors) -> list[np.ndarray]:
+    """Each broadcast-shaped factor transformed over its own axes: by
+    `one_axis` along the one it spans, else by `full_grid`."""
+    out = []
+    for factor in factors:
+        own = [mu for mu, n in enumerate(factor.shape) if n > 1]
+        out.append(one_axis(factor, axis=own[0]) if len(own) == 1 else full_grid(factor))
+    return out
 
 
-def product_spectrum(spec: LatticeSpec, factors) -> tuple[np.ndarray, ...]:
-    """The plain spectrum of the broadcast product of one 1-D factor per axis,
-    as the broadcast-shaped factors whose product it is.
+def plain_fftn(factors) -> tuple[np.ndarray, ...]:
+    """The plain spectrum fftn(f) of the product f of finite broadcast-shaped
+    factors that span disjoint axes, as the factors' own transforms, whose
+    product it is: one 1-D fft per one-axis factor, fftn per full-grid one.
 
-    The DFT is separable, fftn(f_0 x ... x f_{D-1}) = fft(f_0) x ... x
-    fft(f_{D-1}), so D one-axis transforms replace the full-grid fftn and no
-    full grid is built.
+    fftn is separable, fftn(f_0 x ... x f_{D-1}) = fft(f_0) x ... x
+    fft(f_{D-1}), so D one-axis factors build no full grid, and a single
+    full-grid factor gives (fftn(f),).
     """
-    if [np.shape(f) for f in factors] != [(n,) for n in spec.shape]:
-        raise ContractViolation(f"product_spectrum needs one factor of length N_mu per axis "
-                                f"of {spec.shape}")
-    return tuple(spec.along(mu, scipy.fft.fft(factor)) for mu, factor in enumerate(factors))
+    for factor in factors:
+        _check_finite(factor)
+    return tuple(_per_factor(scipy.fft.fft, scipy.fft.fftn, factors))
 
 
 def plain_ifftn(spec: LatticeSpec, factors) -> ComplexField:
     """The position field ifftn(F) of the plain spectrum F held as the product
-    of broadcast-shaped factors that span disjoint axes.
-
-    ifftn is separable like fftn: each factor is inverted over its own axes,
-    by one 1-D ifft if it spans one, and the inverses are multiplied in
-    order.  A single full-grid factor F gives ifftn(F) itself.
+    of broadcast-shaped factors that span disjoint axes: the inverse of
+    `plain_fftn`.  Each factor is inverted over its own axes and the
+    inverses are multiplied in order, so a single full-grid factor F gives
+    ifftn(F) itself.
     """
-    inverses = []
-    for factor in factors:
-        own = [mu for mu, n in enumerate(factor.shape) if n > 1]
-        inverses.append(scipy.fft.ifft(factor, axis=own[0]) if len(own) == 1
-                        else scipy.fft.ifftn(factor))
-    return ComplexField(spec, reduce(mul, inverses), "position")
+    return ComplexField(spec, reduce(mul, _per_factor(scipy.fft.ifft, scipy.fft.ifftn, factors)),
+                        "position")
 
 
-def spatial_momentum_sum(values: np.ndarray) -> np.ndarray:
-    """sum_{p_vec} values[t, p_vec] exp(i p_vec . u_vec) at each u_vec = j a mod L,
-    for spatial momenta in FFT order on axes 1..; axis 0 (t) is untouched."""
-    return scipy.fft.ifftn(values, axes=range(1, np.ndim(values)), norm="forward")
+def momentum_sum(spec: LatticeSpec, values: np.ndarray, axes=None) -> np.ndarray:
+    """(1 / prod L_mu) sum_p values[p] exp(i p.u) over the momenta of `axes`
+    (all by default) in FFT order, at each displacement u = j a mod L on
+    those axes; any other axis is untouched.  The sum pairs every axis with
+    exp(+i p_mu u_mu), so where axis 0 is summed it is the signed pairing
+    only for values even in p0, as every multiplier of the package is.
+    """
+    axes = range(spec.dimension) if axes is None else axes
+    volume = float(np.prod([spec.extents[mu] for mu in axes]))
+    return scipy.fft.ifftn(values, axes=axes, norm="forward") / volume

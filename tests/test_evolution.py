@@ -349,11 +349,14 @@ def test_evolve_leaves_the_input_untouched():
     np.testing.assert_array_equal(psi.field.values, before)
 
 
-@pytest.mark.parametrize("representation", ["plain", "momentum"])
-def test_wavefunction_is_built_from_positions_only(representation):
+@pytest.mark.parametrize("representation, message", [
+    ("plain", "unknown representation 'plain'"), ("momentum", "built from a position field")],
+    ids=["plain", "momentum"])
+def test_wavefunction_is_built_from_positions_only(representation, message):
+    # a plain spectrum is held as factors, never as a field: no plain field is built
     spec = LatticeSpec((4, 4), (4.0, 4.0))
-    field = ComplexField(spec, np.ones(spec.shape, dtype=complex), representation)
-    with pytest.raises(ContractViolation, match="built from a position field"):
+    with pytest.raises(ContractViolation, match=message):
+        field = ComplexField(spec, np.ones(spec.shape, dtype=complex), representation)
         ParametrizedWavefunction(field, 0.0, 1.0)
 
 
@@ -417,10 +420,9 @@ def test_gaussian_packet_is_born_as_the_spectrum_of_the_meshgrid_form(monkeypatc
     want = scipy.fft.fftn(_meshgrid_packet(*_MESHGRID_PACKET))
     calls = _count_transforms(monkeypatch)
     psi = gaussian_packet(*_MESHGRID_PACKET, 1.0)
-    got = psi._spectrum()
+    got = np.prod(np.broadcast_arrays(*psi._held()), axis=0)
     assert calls == {"fftn": 0, "ifftn": 0}
-    assert got.representation == "plain"
-    assert np.max(np.abs(got.values - want)) < 1e-13 * np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
     assert norm(psi) == pytest.approx(1.0, rel=1e-14)
 
 
@@ -435,7 +437,7 @@ def test_gaussian_packet_rejects_a_factor_that_is_not_finite_or_has_zero_norm(
     # the first fftn; the check runs before the spectrum grid is built
     def no_grid(*args):
         raise AssertionError("a full grid was built")
-    monkeypatch.setattr("worldlineqm.evolution.product_spectrum", no_grid)
+    monkeypatch.setattr("worldlineqm.evolution.plain_fftn", no_grid)
     spec = LatticeSpec((16, 16), (8.0, 8.0))
     with pytest.raises(ContractViolation, match=f"packet factor on axis {axis} is not finite "
                                                 f"or has zero norm: width"):
@@ -448,7 +450,7 @@ def test_gaussian_packet_rejects_a_bad_mass_before_building_a_factor(monkeypatch
     # the wavefunction rejected it
     def no_spectrum(*args):
         raise AssertionError("a factor's spectrum was built")
-    monkeypatch.setattr("worldlineqm.evolution.product_spectrum", no_spectrum)
+    monkeypatch.setattr("worldlineqm.evolution.plain_fftn", no_spectrum)
     spec = LatticeSpec((32, 32, 32, 32), (16.0,) * 4)
     grid = 16 * 32 ** 4
     tracemalloc.start()

@@ -759,7 +759,8 @@ def feynman_gap_slope(dt, r, dimension, interval=True):
         if interval:
             oracle = kernel._minkowski_mass_propagator_batch(dx, 1.0 - 1j * eps)
         else:
-            oracle = kernel._bessel_propagator(1.0 - 1j * eps, np.hypot(dt, r), dimension)
+            oracle = kernel._bessel_propagator(1.0 - 1j * eps, np.hypot(dt, r), dimension,
+                                               "euclidean")
         gaps.append(abs(value - oracle) / abs(oracle))
     return np.polyfit(np.log(epsilons), np.log(gaps), 1)[0], gaps[-1]
 

@@ -7,7 +7,8 @@ import pytest
 import scipy.fft
 
 from worldlineqm.errors import ContractViolation, UnsupportedSpecError
-from worldlineqm.lattice import (ComplexField, LatticeSpec, plain_ifftn, product_spectrum,
+from worldlineqm.kernel import lattice_momentum_phase
+from worldlineqm.lattice import (ComplexField, LatticeSpec, momentum_sum, plain_fftn, plain_ifftn,
                                  spectral_transform)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "worldlineqm"
@@ -172,25 +173,135 @@ def test_lattice_is_the_one_fft_site():
     assert {name: uses for name, uses in users.items() if uses} == {}
 
 
+def _unitary_uses(source):
+    """The unitary convention in one module's source: each name of
+    `spectral_transform` and each ComplexField built "momentum"."""
+    uses = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and "ComplexField" in (getattr(node.func, "id", None),
+                                                            getattr(node.func, "attr", None)):
+            args = [*node.args, *(k.value for k in node.keywords)]
+            if any(isinstance(a, ast.Constant) and a.value == "momentum" for a in args):
+                uses.append('ComplexField("momentum")')
+        for field in ("id", "attr", "name"):  # a Name, an Attribute, an import alias
+            if getattr(node, field, None) == "spectral_transform":
+                uses.append("spectral_transform")
+    return sorted(uses)
+
+
+def test_the_routes_use_the_plain_convention():
+    # only lattice runs the unitary transform, kept as the tests' reference;
+    # the package exports it and names it nowhere else
+    uses = {path.name: _unitary_uses(path.read_text())
+            for path in sorted(SRC.glob("*.py")) if path.name != "lattice.py"}
+    assert uses.pop("__init__.py") == ["spectral_transform"]
+    assert {name: found for name, found in uses.items() if found} == {}
+
+
+def test_the_convention_scan_sees_the_unitary_transform():
+    source = """
+from .lattice import ComplexField, spectral_transform
+from . import lattice
+
+
+def table(spec, values):
+    f = ComplexField(spec, values, "momentum")
+    g = lattice.ComplexField(spec, values, representation="momentum")
+    return lattice.spectral_transform(f, "inverse"), g
+"""
+    assert _unitary_uses(source) == ['ComplexField("momentum")'] * 2 + ["spectral_transform"] * 2
+    assert _unitary_uses("ComplexField(spec, values, 'position')\nmomentum_sum(spec, v)") == []
+
+
 @pytest.mark.parametrize("shape", [(2,), (8, 4, 16), (4, 2, 8, 2)])
-def test_product_spectrum_equals_fftn_of_the_meshgrid_product(shape):
+def test_plain_fftn_equals_fftn_of_the_meshgrid_product(shape):
     rng = np.random.default_rng(len(shape))
     spec = LatticeSpec(shape, (3.0,) * len(shape))
-    factors = [rng.normal(size=n) + 1j * rng.normal(size=n) for n in shape]
-    grids = np.meshgrid(*factors, indexing="ij")
-    want = scipy.fft.fftn(np.prod(grids, axis=0))
-    got = product_spectrum(spec, factors)
+    factors = [spec.along(mu, rng.normal(size=n) + 1j * rng.normal(size=n))
+               for mu, n in enumerate(shape)]
+    want = scipy.fft.fftn(np.prod(np.broadcast_arrays(*factors), axis=0))
+    got = plain_fftn(factors)
     # one broadcast-shaped factor per axis, whose product is the spectrum
-    assert [f.shape for f in got] == [spec.along(mu, f).shape for mu, f in enumerate(factors)]
+    assert [f.shape for f in got] == [f.shape for f in factors]
     got = np.prod(np.broadcast_arrays(*got), axis=0)
     assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
 
 
-def test_product_spectrum_needs_one_factor_per_axis():
+@pytest.mark.parametrize("shape", [(2,), (16,), (8, 4, 16), (4, 2, 8, 2)])
+def test_plain_ifftn_inverts_plain_fftn(shape):
+    rng = np.random.default_rng(len(shape) + 3)
+    spec = LatticeSpec(shape, (3.0,) * len(shape))
+    factors = tuple(spec.along(mu, rng.normal(size=n) + 1j * rng.normal(size=n))
+                    for mu, n in enumerate(shape))
+    grid = np.prod(np.broadcast_arrays(*factors), axis=0)
+    for held in (factors, (grid,)):  # one-axis factors, and one full-grid factor
+        back = plain_ifftn(spec, plain_fftn(held)).values
+        assert np.max(np.abs(back - grid)) < 1e-13 * np.max(np.abs(grid))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_plain_fftn_rejects_a_factor_that_is_not_finite(bad):
     spec = LatticeSpec((4, 8), (3.0, 3.0))
-    for factors in ([np.ones(4)], [np.ones(8), np.ones(4)], [np.ones(4), np.ones((8, 1))]):
-        with pytest.raises(ContractViolation, match="one factor of length N_mu per axis"):
-            product_spectrum(spec, factors)
+    factors = [spec.along(0, np.ones(4, dtype=complex)), spec.along(1, np.ones(8, dtype=complex))]
+    factors[1][0, 5] = bad
+    grid = np.ones(spec.shape, dtype=complex)
+    grid[2, 3] = bad
+    for held in (factors, (grid,)):
+        with pytest.raises(ContractViolation, match="field amplitudes must be finite"):
+            plain_fftn(held)
+
+
+def _unitary_momentum_sum(spec, values):
+    """The inverse unitary transform of the momentum amplitudes
+    (2 pi)^(-D/2) values, (2 pi)^(-D) prod(2 pi / L) sum_p values exp(i p.u):
+    the continuum-normalised integral in the signed time convention."""
+    field = ComplexField(spec, values * (2 * np.pi) ** (-spec.dimension / 2), "momentum")
+    return spectral_transform(field, "inverse").values
+
+
+_ANISOTROPIC = pytest.mark.parametrize("shape, extents", [
+    ((16,), (3.0,)), ((8, 4), (5.0, 3.0)), ((4, 8, 2), (3.0, 5.5, 2.0)),
+    ((4, 8, 2, 16), (3.0, 5.0, 2.0, 9.0))])
+
+
+@_ANISOTROPIC
+def test_momentum_sum_equals_the_unitary_reference_for_a_multiplier_even_in_p0(shape, extents):
+    spec = LatticeSpec(shape, extents)
+    propagator = -1j / (spec.p_squared("minkowski") + 1.0 - 1e-2j)
+    phase = lattice_momentum_phase(spec, 0.37, 1.3)
+    for values in (propagator, phase):
+        want = _unitary_momentum_sum(spec, values)
+        got = momentum_sum(spec, values)
+        assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(want))
+    # negative control: a multiplier odd in p0 sees the time sign that the
+    # plain sum drops
+    odd = spec.along(0, spec.momentum_axis(0)) * propagator
+    want = _unitary_momentum_sum(spec, odd)
+    assert np.max(np.abs(momentum_sum(spec, odd) - want)) > 0.1 * np.max(np.abs(want))
+
+
+@_ANISOTROPIC
+def test_momentum_sum_over_the_spatial_axes(shape, extents):
+    # the frequency parts' sum: axis 0 untouched and of any length, each
+    # spatial axis summed with exp(+i p u) / L
+    spec = LatticeSpec(shape, extents)
+    rng = np.random.default_rng(len(shape))
+    values = rng.normal(size=(7,) + shape[1:]) + 1j * rng.normal(size=(7,) + shape[1:])
+    space = range(1, spec.dimension)
+    got = momentum_sum(spec, values, space)
+    old = scipy.fft.ifftn(values, axes=space, norm="forward") / float(np.prod(extents[1:]))
+    assert np.array_equal(got, old)
+    if spec.dimension == 1:
+        assert np.array_equal(got, values)
+        return
+    # a direct sum at one displacement
+    j = tuple(n // 2 - 1 for n in shape[1:])
+    phases = np.ones(shape[1:], dtype=complex)
+    for mu, jm in enumerate(j, start=1):
+        p = spec.along(mu, spec.momentum_axis(mu))[0]
+        phases = phases * np.exp(1j * p * jm * spec.spacings[mu])
+    want = np.sum(values * phases, axis=tuple(range(1, spec.dimension))) / np.prod(extents[1:])
+    assert np.max(np.abs(got[(slice(None),) + j] - want)) < 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("shape", [(2,), (8, 4, 16), (4, 2, 8, 2)])

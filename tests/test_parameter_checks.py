@@ -14,6 +14,7 @@ from worldlineqm.interaction import (
 from worldlineqm.kernel import (
     KernelParams,
     WeightFunction,
+    _minkowski_mass_propagator_batch,
     euclidean_mass_propagator_batch,
     kernel_closed,
     kernel_damped,
@@ -176,6 +177,25 @@ def test_extreme_separations_give_a_value_or_a_domain_error(components, dimensio
     else:  # 1 / (4 pi^2 |dx|^2) overflows in D = 4; K_nu is NaN at large |dx|
         with pytest.raises(DomainError, match="no finite Bessel value"):
             euclidean_mass_propagator_batch(dx, [1.0, 2.0 + 1.0j])
+    # the minkowski batch shares the Bessel form and its check; in float
+    # arithmetic dx.dx is NaN (inf - inf) for (1e200, 1e200) and 0 for
+    # (1e-200, 0), and the other two gave NaN values with no warning
+    lightlike = components in ((1e200, 1e200), (1e-200, 0.0))
+    with pytest.raises(DomainError, match="off the light cone" if lightlike
+                       else "minkowski mass propagator has no finite Bessel value"):
+        _minkowski_mass_propagator_batch(dx, [1.0 - 0.1j, 2.0 - 1e-3j])
+
+
+@pytest.mark.parametrize("dimension", [2, 4])
+def test_minkowski_mass_propagator_at_a_long_separation_is_a_value_or_a_domain_error(dimension):
+    # scipy's complex K_nu returns NaN once |M s| passes about 1e9, which the
+    # minkowski batch once passed on silently; at 1e8 the value decays to 0
+    pad = (0.0,) * (dimension - 2)
+    assert _minkowski_mass_propagator_batch(FourVector((0.3, 1e8) + pad), [1 - 0.1j]) == 0
+    for components in ((0.3, 1e10), (1e10, 0.3)):  # spacelike and timelike
+        with pytest.raises(DomainError, match="minkowski mass propagator has no finite "
+                                              "Bessel value at \\|dx\\| = 1e\\+10"):
+            _minkowski_mass_propagator_batch(FourVector(components + pad), [1 - 0.1j])
 
 
 # a vector whose length disagrees with the dimension argument, and a mode
