@@ -3,7 +3,8 @@
 Subpackage map:
 
 - ``geometry``       the metric, the mass shell, the signed inner product,
-                     four-vectors, particle types
+                     four-vectors, particle types, the frequency-sign and
+                     particle-mass checks
 - ``lattice``        periodic spacetime lattices, the one plain Fourier
                      convention (a transform pair over factors and the
                      momentum integral), and the unitary spectral transform
@@ -25,8 +26,9 @@ Subpackage map:
                      the unregulated self-energy
 - ``regularization`` weight-function (continuous Pauli-Villars) regulator,
                      the weight at a finite correlation length: spectral
-                     density, regulated self-energy via two routes,
-                     cancellation conditions, divergence scans
+                     density, the radial bubble and its dimensions,
+                     regulated self-energy via two routes, cancellation
+                     conditions, divergence scans
 - ``quadrature``     the one quadrature layer: adaptive Gauss-Kronrod
                      integration of complex integrands evaluated on node
                      arrays, Gauss-Legendre panel rules

@@ -35,9 +35,9 @@ from .errors import (
     SectorOverflowError,
     UnsupportedSpecError,
 )
-from .geometry import MODES, FourVector, ParticleType, onshell_energy
+from .geometry import MODES, SIGNS, FourVector, ParticleType, onshell_energy
 from .lattice import LatticeSpec
-from .records import COMPLEX_KEYS, ResultRecord, decode_value, emit
+from .records import COMPLEX_KEYS, FORMATS, ResultRecord, decode_value, emit
 
 _DOMAIN_ERRORS = (ContractViolation, DomainError, UnsupportedSpecError,
                   DegeneratePathError, SectorOverflowError, LeakageError)
@@ -136,9 +136,6 @@ def _states_file(path, where: str) -> dict:
     return _cast(payload, _STATES_SHAPE, where)
 
 
-_SIGNS = (-1, 1)
-_SELF_ENERGY_DIMS = (2, 4)  # checked before a default p is sized by dim
-
 # subcommand -> key -> (kind, static default[, flag help]); a kind as in _cast.
 # A dict or list kind is structured JSON, settable from a config file only.
 # A key with default None is left out of the typed values when not given: it is
@@ -156,7 +153,7 @@ PARAMETERS = {
         "dim": (int, 2), "mode": (MODES, "euclidean"), "mass": (float, 1.0),
         "dx": (_floats, None), "p": (_floats, None), "epsilon": (float, 1e-6),
         "weight": (("uniform", "gaussian"), "uniform"), "dlam": (float, 10.0),
-        "delta": (float, 0.01), "damping": (float, None), "sign": (_SIGNS, 1),
+        "delta": (float, 0.01), "damping": (float, None), "sign": (SIGNS, 1),
     },
     "evolve": {
         "shape": (_ints, (16, 16)), "extent": (_floats, (8.0, 8.0)),
@@ -165,7 +162,7 @@ PARAMETERS = {
     },
     "onshell": {
         "p": (_floats, (0.0,), "spatial momentum components"), "mass": (float, 1.0),
-        "sign": (_SIGNS, 1), "epsilon": (float, 1e-2), "t": (float, 0.0),
+        "sign": (SIGNS, 1), "epsilon": (float, 1e-2), "t": (float, 0.0),
         "window": (float, 1.0), "p0_halfrange": (float, 60.0), "p0_points": (int, 120001),
     },
     "fock": {
@@ -179,13 +176,13 @@ PARAMETERS = {
         "incoming": ([_LEG], None), "outgoing": ([_LEG], None),
     },
     "selfenergy": {
-        "dim": (_SELF_ENERGY_DIMS, 2), "p": (_floats, None),
+        "dim": (regularization.DIMENSIONS, 2), "p": (_floats, None),
         "ma": (float, 1.0), "mb": (float, 1.0),
         "cutoff": (float, np.inf), "regulated": (bool, False), "dlam": (float, 10.0),
-        "delta": (float, 0.01), "route": (("lambda", "mass-spectrum"), "lambda"),
+        "delta": (float, 0.01), "route": (regularization.ROUTES, "lambda"),
     },
     "scan": {
-        "dim": (_SELF_ENERGY_DIMS, 4), "p": (_floats, None),
+        "dim": (regularization.DIMENSIONS, 4), "p": (_floats, None),
         "ma": (float, 1.0), "mb": (float, 1.0),
         "deltas": (_floats, (0.02, 0.01, 0.005, 0.0025),
                    "comma-separated decreasing thresholds"),
@@ -407,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file; flags override its values")
         p.add_argument("--output", help="output file path")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--format", choices=FORMATS, default="json")
         p.add_argument("--timing", action="store_true",
                        help="embed wall time in the record (breaks byte stability)")
         for key, (kind, _, *flag_help) in PARAMETERS[name].items():

@@ -41,15 +41,9 @@ from operator import mul
 import numpy as np
 
 from .errors import ContractViolation
-from .geometry import metric
+from .geometry import check_mass, metric
 from .kernel import lattice_momentum_phase_factors
 from .lattice import ComplexField, LatticeSpec, plain_fftn, plain_ifftn
-
-
-def _positive(mass: float) -> float:
-    if not mass > 0:
-        raise ContractViolation("mass must be positive")
-    return mass
 
 
 class ParametrizedWavefunction:
@@ -69,7 +63,7 @@ class ParametrizedWavefunction:
         if field.representation != "position":
             raise ContractViolation("a wavefunction is built from a position field, "
                                     f"not a {field.representation!r} one")
-        self.spec, self.lam, self.mass = field.spec, lam, _positive(mass)
+        self.spec, self.lam, self.mass = field.spec, lam, check_mass(mass)
         self._factors, self._field = None, field
 
     @classmethod
@@ -198,7 +192,7 @@ def gaussian_packet(spec: LatticeSpec, center, width, momentum, mass: float,
     finite or has zero norm (a width far below the spacing, off the sites)
     is rejected.
     """
-    _positive(mass)
+    check_mass(mass)
     d = spec.dimension
     center, width, momentum = (np.asarray(v, dtype=float) for v in (center, width, momentum))
     for name, v in (("center", center), ("width", width), ("momentum", momentum)):

@@ -5,6 +5,9 @@ units (hbar = c = 1). Dimension D = d + 1 is a runtime parameter; D = 2 and
 D = 4 are the exercised cases.  `metric` owns the signature and the mode
 names; every signed square, phase and kernel width takes its sign from it.
 `onshell_energy` owns the mass shell: every on-shell energy E_p is its root.
+Two argument contracts that several modules share live here too: `SIGNS` and
+`check_sign` own the frequency sign (+1 particle, -1 antiparticle) of every
+on-shell route, and `check_mass` owns the positive particle mass.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import numpy as np
 from .errors import ContractViolation
 
 MODES = ("euclidean", "minkowski")  # the two signatures, by name
+SIGNS = (-1, 1)  # the frequency signs: antiparticle, particle
 
 
 @functools.cache  # a kernel asks for it at every evaluation
@@ -33,6 +37,20 @@ def metric(dimension: int, mode: str = "minkowski") -> tuple[float, ...]:
 def wick_factor(mode: str) -> complex:
     """z of the kernel exp(-z T (p.p + m^2)): i in minkowski mode, 1 in euclidean."""
     return 1j if metric(1, mode)[0] < 0 else 1.0
+
+
+def check_sign(sign: int) -> int:
+    """The one check of a frequency sign: returns it if it is in SIGNS."""
+    if sign not in SIGNS:
+        raise ContractViolation("sign must be +1 or -1")
+    return sign
+
+
+def check_mass(mass: float) -> float:
+    """The one check of a particle mass: returns it if it is positive (not NaN)."""
+    if not mass > 0:
+        raise ContractViolation("mass must be positive")
+    return mass
 
 
 def onshell_energy(p_spatial, mass: float):
@@ -108,7 +126,6 @@ class ParticleType:
     conjugate: str = "plain"  # "plain" | "normal" | "anti"
 
     def __post_init__(self):
-        if not self.mass > 0:
-            raise ContractViolation("particle mass must be strictly positive")
+        check_mass(self.mass)
         if self.conjugate not in ("plain", "normal", "anti"):
             raise ContractViolation(f"unknown conjugate flag {self.conjugate!r}")

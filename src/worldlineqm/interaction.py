@@ -53,7 +53,7 @@ from .fock import (
     fock_inner,
     special_adjoint,
 )
-from .geometry import FourVector, ParticleType, onshell_energy
+from .geometry import FourVector, ParticleType, check_sign, onshell_energy
 from .kernel import propagator_momentum
 from .onshell import SYMMETRIC_SQRT2E, MomentumGrid, localized_wavefunction
 from .regularization import SelfEnergyResult, bubble
@@ -394,8 +394,7 @@ class ScatterLeg:
     def __post_init__(self):
         object.__setattr__(self, "p_spatial",
                            tuple(float(p) for p in self.p_spatial))
-        if self.sign not in (+1, -1):
-            raise ContractViolation("sign must be +1 or -1")
+        check_sign(self.sign)
 
 
 @dataclass(frozen=True)
@@ -467,8 +466,6 @@ def self_energy_unregulated(p: FourVector, m_a: float, m_b: float, dimension: in
     integral in closed form.  Convergent as cutoff -> inf in D=2; grows like
     log(cutoff) in D=4, so D=4 needs a finite cutoff.
     """
-    if dimension not in (2, 4):
-        raise ContractViolation("dimension must be 2 or 4")
     p.check_dimension(dimension, "p")
     if dimension == 4 and not np.isfinite(cutoff):
         raise DomainError("the D=4 bubble diverges logarithmically; it needs a finite cutoff")

@@ -43,7 +43,9 @@ from .errors import (
     DomainError,
     UnsupportedSpecError,
 )
-from .geometry import FourVector, metric, minkowski_dot, onshell_energy, wick_factor
+from .geometry import (
+    FourVector, check_mass, check_sign, metric, minkowski_dot, onshell_energy, wick_factor,
+)
 from .lattice import LatticeSpec, momentum_sum
 
 
@@ -57,8 +59,7 @@ class KernelParams:
     mode: str = "minkowski"
 
     def __post_init__(self):
-        if not self.mass > 0:
-            raise ContractViolation("mass must be positive")
+        check_mass(self.mass)
         if not self.total_length > 0:
             raise DomainError("intrinsic length T must be positive")
         metric(self.dimension, self.mode)  # checks the dimension and the mode
@@ -474,8 +475,7 @@ def propagator_onshell_part(dx: FourVector, mass: float, sign: int,
     whose phase at the edge of the damping window reaches 2^53 radians,
     where double precision resolves no oscillation, raises DomainError.
     """
-    if sign not in (+1, -1):
-        raise ContractViolation("sign must be +1 or -1")
+    check_sign(sign)
     if not damping > 0:
         raise DomainError("damping must be positive")
     dx.check_dimension(dimension, "dx")
@@ -660,8 +660,7 @@ def lattice_onshell_part(spec: LatticeSpec, mass: float, sign: int) -> np.ndarra
     u_vec / a_vec), over the 2 N_0 - 1 time offsets (not periodic) and the
     spatial displacements mod N_i, is
     (1 / prod L_i) sum_{p_vec} exp(i(-sign E u_0 + p_vec . u_vec)) / (2 E)."""
-    if sign not in (+1, -1):
-        raise ContractViolation("sign must be +1 or -1")
+    check_sign(sign)
     n0, space = spec.shape[0], range(1, spec.dimension)
     e = onshell_energy([spec.along(mu, spec.momentum_axis(mu)) for mu in space], mass)
     u0 = np.reshape(np.arange(1 - n0, n0) * spec.spacings[0], (-1,) + (1,) * len(space))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, DomainError
-from .geometry import onshell_energy
+from .geometry import check_mass, check_sign, onshell_energy
 
 INDUCED_2E = "induced-2E"
 SYMMETRIC_SQRT2E = "symmetric-sqrt2E"
@@ -69,10 +69,8 @@ class OnShellState:
     mass: float
 
     def __post_init__(self):
-        if self.sign not in (+1, -1):
-            raise ContractViolation("sign must be +1 or -1")
-        if not self.mass > 0:
-            raise ContractViolation("mass must be positive")
+        check_sign(self.sign)
+        check_mass(self.mass)
         object.__setattr__(self, "p_spatial", tuple(float(p) for p in self.p_spatial))
 
 
@@ -83,8 +81,7 @@ def onshell_propagator_momentum(p, mass: float, sign: int, epsilon: float) -> co
     This is the epsilon-regularized one-sided time integral
     (2E)^-1 Int dt theta(s t) exp(i (p0 - s E) t).
     """
-    if sign not in (+1, -1):
-        raise ContractViolation("sign must be +1 or -1")
+    check_sign(sign)
     if not epsilon > 0:
         raise DomainError("epsilon must be positive")
     p0, *p_spatial = p
@@ -115,8 +112,7 @@ def momentum_state_profile(p_spatial, mass: float, sign: int, t: float,
     Beyond p0_grid itself the evaluation holds one complex grid at t = 0, the
     amplitude, and two otherwise.
     """
-    if sign not in (+1, -1):
-        raise ContractViolation("sign must be +1 or -1")
+    check_sign(sign)
     if not epsilon > 0:
         raise DomainError("epsilon must be positive")
     if not np.isfinite(t):
@@ -223,8 +219,7 @@ def localized_wavefunction(x_spatial, t: float, p_spatial, mass: float, sign: in
     """
     if convention not in _CONVENTIONS:
         raise ContractViolation(f"unknown convention {convention!r}")
-    if sign not in (+1, -1):
-        raise ContractViolation("sign must be +1 or -1")
+    check_sign(sign)
     x = np.atleast_1d(np.asarray(x_spatial, dtype=float))
     p = np.atleast_1d(np.asarray(p_spatial, dtype=float))
     if x.shape != p.shape:
@@ -245,8 +240,7 @@ def fw_phase_evolve(psi: np.ndarray, grid: MomentumGrid, mass: float, sign: int,
     In the non-relativistic regime this approaches the quadratic-Hamiltonian
     phase exp(i sign (m + p^2/2m) dt).
     """
-    if sign not in (+1, -1):
-        raise ContractViolation("sign must be +1 or -1")
+    check_sign(sign)
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != grid.shape:
         raise ContractViolation("wavefunction does not match the grid")

@@ -49,10 +49,6 @@ class DiscretePath:
     def n_segments(self) -> int:
         return self.lam.size - 1
 
-    @property
-    def total_length(self) -> float:
-        return float(self.lam[-1] - self.lam[0])
-
     def translated(self, shift) -> "DiscretePath":
         shift = np.asarray(shift, dtype=float)
         return DiscretePath(self.lam, self.points + shift, self.mode)

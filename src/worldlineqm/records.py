@@ -20,6 +20,7 @@ from .errors import ContractViolation
 
 COMPLEX_KEYS = ("re", "im")  # the JSON object of a complex value, real part first
 NONFINITE = ("inf", "-inf", "nan")  # the JSON strings of the non-finite floats
+FORMATS = ("json", "csv")  # the formats `emit` writes
 
 
 def encode_value(value):

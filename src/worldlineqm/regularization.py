@@ -34,8 +34,11 @@ cutoff, so the contour reaches past the largest k^2 in the integral, and
 W = 1000 otherwise.  The spectral density with the threshold satisfies the
 continuous Pauli-Villars cancellation conditions F~(0) = 0 and F~'(0) = 0.
 
-Both routes, and the unregulated bubble in ``interaction``, are one call of
-``bubble`` with their own line factor.
+Both routes, named in ``ROUTES``, and the unregulated bubble in
+``interaction`` are one call of ``bubble`` with their own line factor.
+``bubble`` holds the angular integral in closed form for D = 2 and D = 4
+only, so it owns the self-energy dimensions, ``DIMENSIONS``, and rejects any
+other D before it integrates.
 """
 
 from __future__ import annotations
@@ -46,8 +49,11 @@ import numpy as np
 
 from . import quadrature
 from .errors import ContractViolation, DomainError
-from .geometry import FourVector
+from .geometry import FourVector, check_mass
 from .kernel import WeightFunction
+
+DIMENSIONS = (2, 4)  # the D whose angular integral `bubble` has in closed form
+ROUTES = ("lambda", "mass-spectrum")  # the routes of self_energy_regulated
 
 
 @dataclass(frozen=True)
@@ -61,8 +67,7 @@ class RegulatorSpec(WeightFunction):
         super().__post_init__()
         if not self.correlation_length < np.inf:
             raise ContractViolation("correlation_length must be finite")
-        if not self.mass > 0:
-            raise ContractViolation("mass must be positive")
+        check_mass(self.mass)
 
 
 @dataclass(frozen=True)
@@ -102,9 +107,12 @@ def bubble(line, p_norm: float, m_b: float, dimension: int, top: float,
     D=2: Int dtheta / (A - B cos) = 2 pi / sqrt(A^2 - B^2);
     D=4: 4 pi Int sin^2 / (A - B cos) dpsi = 4 pi^2 / (A + sqrt(A^2 - B^2)),
     which does not cancel at small B, with A = k^2 + p^2 + m_b^2 and
-    B = 2 k |p|.  line takes an array of k^2.  `tolerance` (epsabs, epsrel)
-    goes to the radial quadrature.  Returns (value, error).
+    B = 2 k |p|; any other dimension raises ContractViolation.  line takes
+    an array of k^2.  `tolerance` (epsabs, epsrel) goes to the radial
+    quadrature.  Returns (value, error).
     """
+    if dimension not in DIMENSIONS:
+        raise ContractViolation("dimension must be 2 or 4")
     def radial(k):
         ksq = k * k
         a = ksq + p_norm * p_norm + m_b * m_b
@@ -123,8 +131,6 @@ def self_energy_regulated(p: FourVector, m_a: float, m_b: float, dimension: int,
     route (euclidean-continued contour m'^2 = m_a^2 + i w); the two agree
     within combined quadrature tolerances.  spec.mass must be m_a.
     """
-    if dimension not in (2, 4):
-        raise ContractViolation("dimension must be 2 or 4")
     if spec.mass != m_a:
         raise ContractViolation(f"spec.mass {spec.mass!r} is not the line mass m_a {m_a!r}")
     p.check_dimension(dimension, "p")

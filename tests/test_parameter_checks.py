@@ -1,14 +1,39 @@
+import ast
+import functools
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from worldlineqm.errors import ContractViolation, DegeneratePathError, DomainError
-from worldlineqm.evolution import gaussian_packet, stueckelberg_residual
-from worldlineqm.geometry import FourVector
+from worldlineqm.cli import run
+from worldlineqm.errors import (
+    ContractViolation,
+    DegeneratePathError,
+    DomainError,
+    UnsupportedSpecError,
+)
+from worldlineqm.evolution import gaussian_packet, inner_product, stueckelberg_residual
+from worldlineqm.fock import (
+    Entry,
+    FieldAlgebra,
+    fock_inner,
+    permanent_naive,
+    permanent_ryser,
+    symmetrize,
+)
+from worldlineqm.geometry import FourVector, ParticleType
 from worldlineqm.interaction import (
     FINAL_PARTICLE,
+    InteractionModel,
     ScatterLeg,
     ScatterSpec,
+    Sector,
+    VertexTerm,
+    amplitude_order_m,
+    dyson_truncated,
     external_line_factor,
+    scatter_tree_2to2,
     self_energy_unregulated,
 )
 from worldlineqm.kernel import (
@@ -21,21 +46,36 @@ from worldlineqm.kernel import (
     kernel_discretized,
     kernel_mass_superposition,
     kernel_mc,
+    lattice_onshell_part,
     lattice_propagator,
     propagator_momentum,
     propagator_onshell_part,
     propagator_position,
     segment_norm,
 )
-from worldlineqm.lattice import LatticeSpec
+from worldlineqm.lattice import ComplexField, LatticeSpec, spectral_transform
 from worldlineqm.onshell import (
+    INDUCED_2E,
     MomentumGrid,
     OnShellState,
     concentration,
+    fw_phase_evolve,
+    identity_resolution_apply,
+    localized_wavefunction,
     momentum_state_profile,
     onshell_propagator_momentum,
 )
-from worldlineqm.regularization import RegulatorSpec, divergence_scan, self_energy_regulated
+from worldlineqm.paths import DiscretePath
+from worldlineqm.quadrature import adaptive
+from worldlineqm.regularization import (
+    RegulatorSpec,
+    SelfEnergyResult,
+    bubble,
+    divergence_scan,
+    self_energy_regulated,
+)
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "worldlineqm"
 
 NAN = float("nan")
 
@@ -77,6 +117,8 @@ _NAN_CASES = {
                              lambda: MomentumGrid(1, 9, NAN)),
     "OnShellState.mass": (ContractViolation, "mass must be positive",
                           lambda: OnShellState(1, (0.3,), NAN)),
+    "ParticleType.mass": (ContractViolation, "mass must be positive",
+                          lambda: ParticleType("A", NAN)),
     "propagator_momentum.epsilon": (DomainError, "epsilon must be positive",
                                     lambda: propagator_momentum(FourVector((0.0, 0.0)), 1.0, NAN)),
     "momentum_state_profile.epsilon": (
@@ -284,3 +326,228 @@ _MISMATCH_CASES = {
 def test_parameter_checks_reject_mismatched_dimension_and_mode(message, call):
     with pytest.raises(ContractViolation, match=message):
         call()
+
+
+@functools.cache
+def _ab_sector():
+    model = InteractionModel.ab_model(0.5)
+    algebra = FieldAlgebra(LatticeSpec((2, 2), (2.0, 2.0)), model.types, epsilon=1e-2, n_max=3)
+    return model, Sector(algebra, {"A": (1, 1), "B": (0, 1)})
+
+
+_A_AT_ORIGIN = symmetrize([Entry((0, 0), "A", "start")])
+_D3 = FourVector((0.3, 0.4, 0.5))
+_GRID = MomentumGrid(1, 5, 0.5)
+_REGULATOR = RegulatorSpec(10.0, 0.01, 1.0)
+
+
+def _scatter(legs_in, legs_out, model=None):
+    spec = ScatterSpec(tuple(ScatterLeg((p,), label) for p, label in legs_in),
+                       tuple(ScatterLeg((p,), label) for p, label in legs_out), _GRID)
+    return scatter_tree_2to2(spec, model or InteractionModel.ab_model(0.5), 1e-3)
+
+
+# every remaining argument check, each with one value outside its contract
+_CONTRACT_CASES = {
+    "inner_product.lattices": (
+        ContractViolation, "wavefunctions live on different lattices",
+        lambda: inner_product(_packet(), gaussian_packet(LatticeSpec((4, 4), (4.0, 8.0)),
+                                                         (2.0, 2.0), 1.0, (0.0, 0.0), 1.0))),
+    "Entry.tag": (ContractViolation, "unknown tag 'bogus'",
+                  lambda: Entry((0, 0), "A", "bogus")),
+    "permanent_naive.shape": (ContractViolation, "permanent needs a square matrix",
+                              lambda: permanent_naive(np.ones((2, 3)))),
+    "permanent_ryser.shape": (ContractViolation, "permanent needs a square matrix",
+                              lambda: permanent_ryser(np.ones((2, 3)))),
+    "fock_inner.ket_tag": (
+        ContractViolation, "ket entries must carry start labels",
+        lambda: fock_inner(symmetrize([Entry((0, 0), "A", "integrated")]),
+                           symmetrize([Entry((0, 0), "A", "integrated")]),
+                           _ab_sector()[1].algebra)),
+    "FourVector.empty": (ContractViolation, "FourVector needs at least one component",
+                         lambda: FourVector(())),
+    "ParticleType.conjugate": (ContractViolation, "unknown conjugate flag 'bogus'",
+                               lambda: ParticleType("A", 1.0, "bogus")),
+    "dyson_truncated.order": (ContractViolation, "order must be >= 0",
+                              lambda: dyson_truncated(*_ab_sector(), -1)),
+    "amplitude_order_m.order": (
+        ContractViolation, "m_order must be in \\[0, 3\\]",
+        lambda: amplitude_order_m(_A_AT_ORIGIN, _A_AT_ORIGIN, _ab_sector()[0], 4,
+                                  _ab_sector()[1])),
+    "external_line_factor.kind": (
+        ContractViolation, "unknown line kind 'sideways'",
+        lambda: external_line_factor("sideways", (0.3,), 1.0, FourVector((0.0, 0.0)))),
+    "scatter_tree_2to2.legs": (
+        ContractViolation, "tree amplitude needs 2 incoming and 2 outgoing legs",
+        lambda: _scatter([(0.5, "A")], [(0.5, "A"), (0.0, "A")])),
+    "scatter_tree_2to2.leg_type": (
+        ContractViolation, "all external legs must be the conserved-line type",
+        lambda: _scatter([(0.5, "A"), (0.0, "B")], [(0.5, "A"), (0.0, "A")])),
+    "scatter_tree_2to2.exchange": (
+        ContractViolation, "model must carry exactly one exchange type",
+        lambda: _scatter([(0.5, "A"), (0.0, "A")], [(0.5, "A"), (0.0, "A")],
+                         InteractionModel((VertexTerm(("A",), ("A",)),), 0.5,
+                                          {"A": ParticleType("A", 1.0)}))),
+    "kernel_discretized.segments": (
+        ContractViolation, "segments must be a non-empty 1-d sequence",
+        lambda: kernel_discretized(_D2, _ORIGIN2, [], _PARAMS2)),
+    "kernel_mc.n_segments": (ContractViolation, "need at least one segment",
+                             lambda: kernel_mc(_D2, _ORIGIN2, _PARAMS2, 0, 1000, 0)),
+    "kernel_mc.mass_sq_bound": (
+        ContractViolation, "mass_sq_bound must be positive and finite with a mass_sq_fn",
+        lambda: kernel_mc(_D2, _ORIGIN2, _PARAMS2, 8, 1000, 0,
+                          mass_sq_fn=lambda q: np.ones(len(q)), mass_sq_bound=0.0)),
+    "propagator_onshell_part.dimension": (
+        UnsupportedSpecError, "spatial dimension d = 2 not supported",
+        lambda: propagator_onshell_part(_D3, 1.0, 1, 1e-2, 3)),
+    "kernel_mass_superposition.grid": (
+        ContractViolation, "mass_sq_grid must be one-dimensional",
+        lambda: kernel_mass_superposition(_D2, 1.0, 1.0, 1e-3, [[0.0, 1.0]], 2)),
+    "LatticeSpec.extents": (ContractViolation, "shape and extents must have equal length",
+                            lambda: LatticeSpec((4, 4), (4.0,))),
+    "LatticeSpec.extent": (ContractViolation, "all extents must be positive",
+                           lambda: LatticeSpec((4, 4), (4.0, 0.0))),
+    "ComplexField.shape": (
+        ContractViolation, "field shape \\(4, 2\\) does not match lattice \\(4, 4\\)",
+        lambda: ComplexField(_LATTICE2, np.zeros((4, 2)))),
+    "spectral_transform.direction": (
+        ContractViolation, "unknown direction 'sideways'",
+        lambda: spectral_transform(ComplexField(_LATTICE2, np.zeros((4, 4))), "sideways")),
+    "MomentumGrid.points": (ContractViolation, "need at least one point per axis",
+                            lambda: MomentumGrid(1, 0, 0.5)),
+    "identity_resolution_apply.shape": (
+        ContractViolation, "wavefunction does not match the grid",
+        lambda: identity_resolution_apply(np.ones(3), _GRID, 1.0)),
+    "fw_phase_evolve.shape": (ContractViolation, "wavefunction does not match the grid",
+                              lambda: fw_phase_evolve(np.ones(3), _GRID, 1.0, 1, 0.1)),
+    "DiscretePath.segments": (DegeneratePathError, "path needs at least one segment",
+                              lambda: DiscretePath([0.0], [[0.0, 0.0]])),
+    "DiscretePath.points": (
+        ContractViolation, "points must be \\(N\\+1, D\\) matching the lambda grid",
+        lambda: DiscretePath([0.0, 1.0], [[0.0, 0.0]])),
+    "adaptive.interval": (
+        ContractViolation, "adaptive integrates over \\[a, b\\] with a finite and a <= b",
+        lambda: adaptive(np.cos, 1.0, 0.0, 10)),
+    "SelfEnergyResult.error": (ContractViolation, "error estimate must be >= 0",
+                               lambda: SelfEnergyResult(0j, -1.0, "lambda")),
+    "self_energy_regulated.route": (
+        ContractViolation, "unknown route 'bogus'",
+        lambda: self_energy_regulated(_D2, 1.0, 1.0, 2, _REGULATOR, "bogus")),
+    # bubble has the angular integral in closed form for D = 2 and D = 4 only;
+    # it once gave every D but 2 the D = 4 formula
+    "bubble.dimension": (
+        ContractViolation, "dimension must be 2 or 4",
+        lambda: bubble(lambda ksq: 1.0 / (ksq + 1.0), 0.5, 1.0, 3, 10.0)),
+    "self_energy_unregulated.dimension": (
+        ContractViolation, "dimension must be 2 or 4",
+        lambda: self_energy_unregulated(_D3, 1.0, 1.0, 3, 100.0)),
+    "self_energy_regulated.lambda.dimension": (
+        ContractViolation, "dimension must be 2 or 4",
+        lambda: self_energy_regulated(_D3, 1.0, 1.0, 3, _REGULATOR)),
+    "self_energy_regulated.mass-spectrum.dimension": (
+        ContractViolation, "dimension must be 2 or 4",
+        lambda: self_energy_regulated(_D3, 1.0, 1.0, 3, _REGULATOR,
+                                      "mass-spectrum", cutoff=60.0)),
+    "divergence_scan.dimension": (
+        ContractViolation, "dimension must be 2 or 4",
+        lambda: divergence_scan(_D3, 1.0, 1.0, 3, (0.02, 0.01))),
+}
+
+
+@pytest.mark.parametrize("error, message, call", _CONTRACT_CASES.values(),
+                         ids=list(_CONTRACT_CASES))
+def test_parameter_checks_reject_values_outside_the_contract(error, message, call):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_a_config_file_that_is_not_an_object_is_a_config_error(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text("[1, 2]", encoding="utf-8")
+    output = tmp_path / "kernel.json"
+    assert run(["kernel", "--config", str(config), "--output", str(output)]) == 2
+    assert "config error: config file must hold a JSON object" in capsys.readouterr().err
+    assert not output.exists()
+
+
+# every public route that takes a frequency sign, called with that sign
+_SIGN_ROUTES = {
+    "OnShellState": lambda sign: OnShellState(sign, (0.3,), 1.0),
+    "onshell_propagator_momentum": lambda sign: onshell_propagator_momentum(
+        (1.0, 0.3), 1.0, sign, 1e-2),
+    "momentum_state_profile": lambda sign: momentum_state_profile(
+        (0.3,), 1.0, sign, 0.0, 1e-2, [1.0]),
+    "localized_wavefunction": lambda sign: localized_wavefunction(
+        (0.0,), 0.0, (0.3,), 1.0, sign, INDUCED_2E),
+    "fw_phase_evolve": lambda sign: fw_phase_evolve(np.ones(5), _GRID, 1.0, sign, 0.1),
+    "propagator_onshell_part": lambda sign: propagator_onshell_part(_D2, 1.0, sign, 1e-2, 2),
+    "lattice_onshell_part": lambda sign: lattice_onshell_part(_LATTICE2, 1.0, sign),
+    "ScatterLeg": lambda sign: ScatterLeg((0.5,), "A", sign),
+}
+
+
+@pytest.mark.parametrize("sign", [0, 2, -0.5, NAN])
+@pytest.mark.parametrize("route", _SIGN_ROUTES.values(), ids=list(_SIGN_ROUTES))
+def test_every_sign_route_rejects_a_sign_that_is_not_plus_or_minus_one(route, sign):
+    with pytest.raises(ContractViolation, match="sign must be \\+1 or -1"):
+        route(sign)
+
+
+# each contract that several modules share, and the one module that owns it:
+# a tuple literal of the same values in any order, or a string holding the message
+_SHARED_CONTRACTS = {
+    (-1, 1): "geometry.py",
+    "sign must be +1 or -1": "geometry.py",
+    "mass must be positive": "geometry.py",
+    "dimension must be 2 or 4": "regularization.py",
+    ("lambda", "mass-spectrum"): "regularization.py",
+    ("json", "csv"): "records.py",
+}
+
+
+def _shared_contract_uses(source):
+    """The shared contracts written in one module's source, counted per use."""
+    uses = Counter()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Tuple, ast.List)):
+            try:
+                values = ast.literal_eval(node)
+            except ValueError:  # a tuple that is not all literals
+                continue
+            key = sorted(map(repr, values))
+            uses.update(c for c in _SHARED_CONTRACTS
+                        if isinstance(c, tuple) and key == sorted(map(repr, c)))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            uses.update(c for c in _SHARED_CONTRACTS if isinstance(c, str) and c in node.value)
+    return uses
+
+
+def test_each_shared_contract_is_written_in_its_owner_only():
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        for use, count in _shared_contract_uses(path.read_text()).items():
+            found.setdefault(use, []).extend([path.name] * count)
+    assert found == {contract: [owner] for contract, owner in _SHARED_CONTRACTS.items()}
+
+
+def test_the_shared_contract_scan_sees_inline_checks():
+    source = """
+_SIGNS = (+1, -1)
+FORMATS = ["csv", "json"]
+
+
+def check(sign, mass, dimension, route):
+    if sign not in (1, -1):
+        raise ContractViolation("sign must be +1 or -1")
+    if not mass > 0:
+        raise ContractViolation(f"particle mass must be positive, got {mass}")
+    if dimension not in (2, 4):
+        raise ContractViolation("dimension must be 2 or 4")
+    return route in ("mass-spectrum", "lambda"), ("csv", "json")
+"""
+    assert _shared_contract_uses(source) == {
+        (-1, 1): 2, "sign must be +1 or -1": 1, "mass must be positive": 1,
+        "dimension must be 2 or 4": 1, ("lambda", "mass-spectrum"): 1, ("json", "csv"): 2}
+    assert _shared_contract_uses(
+        "np.reshape(x, (-1, 2))\nraise ContractViolation('mass must be finite')\n"
+        "SIGN = (1, 1)\nROUTES = ('lambda',)") == {}
