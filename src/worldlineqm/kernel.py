@@ -441,20 +441,19 @@ def propagator_position(dx: FourVector, mass: float, epsilon: float,
         return weight(t) * _kernel_value(dxa, t, msq, mode, damping) * np.exp(-epsilon * t)
     lo = weight.threshold
     if mode == "euclidean":
-        value, _ = quadrature.adaptive(integrand, lo, np.inf, limit=300)
+        value, _ = quadrature.adaptive(integrand, lo, np.inf)
         return value
     split = max(lo, TAIL_START)
-    value, _ = quadrature.adaptive(integrand, lo, split, limit=400)
+    value, _ = quadrature.adaptive(integrand, lo, split)
     corner = split
     if msq >= epsilon + 1.0 / weight.correlation_length:
         # at depth 40/m^2 exp(-i T m^2) has fallen by e^-40, and the weight
         # has grown by less than e^20 on the way down
         depth = min(msq * weight.correlation_length ** 2, 40.0 / msq)
-        down, _ = quadrature.adaptive(lambda s: integrand(split - 1j * s), 0.0, depth,
-                                      limit=400)
+        down, _ = quadrature.adaptive(lambda s: integrand(split - 1j * s), 0.0, depth)
         value -= 1j * down
         corner = split - 1j * depth
-    tail, _ = quadrature.adaptive(lambda x: integrand(corner + x), 0.0, np.inf, limit=400)
+    tail, _ = quadrature.adaptive(lambda x: integrand(corner + x), 0.0, np.inf)
     return value + tail
 
 
@@ -492,15 +491,14 @@ def propagator_onshell_part(dx: FourVector, mass: float, sign: int,
         def integrand(p):
             e = onshell_energy((p,), mass)
             return np.exp(1j * (-sign * e * dt + p * r) - damping * p * p) / (2 * e)
-        value, _ = quadrature.adaptive(integrand, -half, half, limit=400,
-                                       epsabs=1e-13, epsrel=1e-11)
+        value, _ = quadrature.adaptive(integrand, -half, half, epsabs=1e-13, epsrel=1e-11)
         return value / (2 * np.pi)
     if d == 3:
         def integrand(p):
             e = onshell_energy((p,), mass)
             ang = 4 * np.pi * np.sinc(p * r / np.pi)  # 4 pi sin(p r) / (p r)
             return p * p * ang * np.exp(-1j * sign * e * dt - damping * p * p) / (2 * e)
-        value, _ = quadrature.adaptive(integrand, 0.0, np.inf, limit=400)
+        value, _ = quadrature.adaptive(integrand, 0.0, np.inf)
         return value / (2 * np.pi) ** 3
     raise UnsupportedSpecError(f"spatial dimension d = {d} not supported")
 

@@ -1,11 +1,13 @@
 """The package's one quadrature layer.
 
-``adaptive`` is an adaptive Gauss-Kronrod (21-point) quadrature of a
-(possibly complex) integrand on a finite interval or a half-line, evaluating
-the integrand once per round on the nodes of every interval it refines, as
-one array; every proper-time integral runs on it.  ``panels`` is a fixed
-Gauss-Legendre rule on a sequence of panels for integrands evaluated on a
-shared node array.
+Both rules read one table, QUADPACK's qk21: the 21-point Gauss-Kronrod rule
+with the 10-point Gauss-Legendre rule (G10) embedded at its odd nodes.
+``adaptive`` is an adaptive Gauss-Kronrod quadrature of a (possibly complex)
+integrand on a finite interval or a half-line, evaluating the integrand once
+per round on the nodes of every interval it refines, as one array; every
+proper-time integral runs on it, within one interval budget, ``LIMIT``.
+``panels`` is the G10 rule on a sequence of panels for integrands evaluated
+on a shared node array.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 
 from .errors import AccuracyError, ContractViolation
 
-ORDER = 10  # Gauss-Legendre points per panel
+LIMIT = 400  # the intervals adaptive may use
 
 # QUADPACK's qk21: the Kronrod abscissae on [0, 1] from the outside in, with
 # the 10-point Gauss abscissae at the odd indices, and the weights of both
@@ -34,7 +36,7 @@ _WGK = np.array([
     0.149445554002916905664936468389821])
 _WG = np.array([
     0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
-    0.219086362515979508759917638637844, 0.269266719309996355091226921569469,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
     0.295524224714752870173892994651338])
 # the 21 nodes on [-1, 1] in increasing order; the rows that give the
 # Kronrod value and its gap to the Gauss value
@@ -68,20 +70,21 @@ def _kronrod(func, lo, hi, infinite_from):
     return resk, np.maximum(resasc * np.minimum(1.0, 200.0 * ratio) ** 1.5, 50 * _EPS * resabs)
 
 
-def adaptive(func, a: float, b: float, limit: int, points=None, *,
+def adaptive(func, a: float, b: float, points=None, *,
              epsabs: float = 1.49e-8, epsrel: float = 1.49e-8) -> tuple[complex, float]:
-    """Int_a^b func with at most `limit` subintervals; returns (value, error).
+    """Int_a^b func with at most LIMIT subintervals, the module's one
+    budget (or as many as `points` starts with); returns (value, error).
 
     func takes an array of nodes and returns an array of the same shape.  b
     may be +inf: the half-line maps to u in (0, 1] by T = a + (1 - u)/u.
     `points` inside (a, b) are the starting breakpoints.  Each round applies
     the 21-point Gauss-Kronrod rule to every new interval in one call of
-    func, and bisects each interval whose error is above its share (by
+    func, with its gap to the embedded G10 value as the error, and bisects each interval whose error is above its share (by
     width) of max(epsabs, epsrel |I|), until the summed error meets that
     tolerance.  The real and imaginary parts are integrated separately, each
     against its own tolerance, so a real integrand gives a zero imaginary
     part; the error is the modulus of the two parts' summed error estimates.
-    Raises AccuracyError, with that error as `achieved`, when `limit`
+    Raises AccuracyError, with that error as `achieved`, when LIMIT
     intervals are not enough.  epsabs/epsrel default to QUADPACK's.
     """
     if not (np.isfinite(a) and a <= b):
@@ -96,7 +99,7 @@ def adaptive(func, a: float, b: float, limit: int, points=None, *,
     span = edges[-1] - edges[0]
     # the intervals so far: the first n slots; a bisection keeps the left
     # half in its slot and appends the right half
-    size = max(limit, n)
+    size = max(LIMIT, n)
     lo, hi = np.empty(size), np.empty(size)
     lo[:n], hi[:n] = edges[:-1], edges[1:]
     v, e = _kronrod(func, lo[:n], hi[:n], infinite_from)
@@ -114,7 +117,7 @@ def adaptive(func, a: float, b: float, limit: int, points=None, *,
         if room == 0:
             achieved = float(np.hypot.reduce(summed))
             raise AccuracyError(
-                f"adaptive quadrature on [{a}, {b}] reached its limit of {limit} "
+                f"adaptive quadrature on [{a}, {b}] reached its limit of {LIMIT} "
                 f"intervals at error {achieved:.3g}", achieved=achieved)
         if not 0 < split.size <= room:
             # too many to bisect, or none by the shares' rounding or a nan:
@@ -136,9 +139,9 @@ def adaptive(func, a: float, b: float, limit: int, points=None, *,
 
 
 def panels(edges) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the ORDER-point Gauss-Legendre rule on each
-    panel [edges[i], edges[i+1]], flattened panel by panel."""
-    x, w = np.polynomial.legendre.leggauss(ORDER)
+    """Nodes and weights of the table's G10 rule on each panel
+    [edges[i], edges[i+1]], flattened panel by panel."""
+    x, w = _NODES[1:20:2], _GAUSS[1:20:2]
     edges = np.asarray(edges, dtype=float)
     lo, hi = edges[:-1], edges[1:]
     half = 0.5 * (hi - lo)

@@ -85,17 +85,15 @@ class SelfEnergyResult:
 def spectral_density(mass_squared: float, spec: RegulatorSpec) -> complex:
     """F(m^2) = (2 pi)^-1 Int_delta^inf dlam exp(i lam (m^2 - m_a^2)) f(lam).
 
-    Quadrature of the weight itself, the reference for its closed-form
-    transform; the Gaussian tail is truncated at 8 dlam (tail < 1e-14 of
-    the peak).
+    Adaptive quadrature of the weight itself over the whole half-line, the
+    reference for its closed-form transform.
     """
     omega = mass_squared - spec.mass ** 2
 
     def integrand(lam):
         return np.exp(1j * lam * omega) * spec(lam)
 
-    value, _ = quadrature.adaptive(integrand, spec.threshold, 8 * spec.correlation_length,
-                                   limit=800)
+    value, _ = quadrature.adaptive(integrand, spec.threshold, np.inf)
     return value / (2 * np.pi)
 
 
@@ -121,7 +119,7 @@ def bubble(line, p_norm: float, m_b: float, dimension: int, top: float,
             return k * line(ksq) * (2 * np.pi / np.sqrt(a * a - b * b))
         return k ** 3 * line(ksq) * (4 * np.pi ** 2 / (a + np.sqrt(a * a - b * b)))
 
-    return quadrature.adaptive(radial, 0.0, top, limit=400, points=points, **tolerance)
+    return quadrature.adaptive(radial, 0.0, top, points=points, **tolerance)
 
 
 def self_energy_regulated(p: FourVector, m_a: float, m_b: float, dimension: int,

@@ -11,6 +11,12 @@ are relative to the repository root, where the cases are run.
 reruns every case, prints each value that moved (its path, the new and the old
 value, and the move relative to the old) and rewrites the records.  A config with no record yet gets a JSON
 record.  tests/test_golden.py checks that the records still hold.
+
+A record's quadrature `error` output is an estimate at rounding level: any
+last-bit change of a rule's nodes or weights moves it by far more than the
+value it bounds (a weight moved by 1.2e-14 relative moved one `error` by
+2.4e-4 and its value by 3.1e-16), so a rule change regenerates the records
+whose `error` it moves.
 """
 
 from __future__ import annotations

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from scipy import special
 
-from worldlineqm import cli
+from worldlineqm import cli, quadrature
 from worldlineqm.cli import PARAMETERS, _cast, _floats, _ints, _whole, run
 from worldlineqm.errors import AccuracyError, ContractViolation
+from worldlineqm.geometry import FourVector
+from worldlineqm.kernel import WeightFunction, propagator_position
 from worldlineqm.records import ResultRecord, emit, load_record
 
 
@@ -655,6 +657,21 @@ def test_onshell_part_at_small_damping_exits_3_without_a_record(capsys, tmp_path
                 "--damping", "1e-5", "--output", str(out)]) == 3
     assert "accuracy error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_euclidean_position_propagator_exits_3_when_the_interval_budget_is_cut(
+        capsys, monkeypatch, tmp_path):
+    # the half-line heat-kernel integral needs more than two intervals
+    monkeypatch.setattr(quadrature, "LIMIT", 2)
+    out = tmp_path / "propagator.json"
+    assert run(["propagator", "--kind", "position", "--mode", "euclidean", "--dx", "0.3,0.4",
+                "--output", str(out)]) == 3
+    assert "accuracy error" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(AccuracyError, match="reached its limit of 2 intervals") as info:
+        propagator_position(FourVector((0.3, 0.4)), 1.0, 1e-10, WeightFunction.uniform(), 2,
+                            "euclidean")
+    assert info.value.achieved > 0
 
 
 def test_euclidean_position_propagator_with_damping_exits_4_without_a_record(capsys,

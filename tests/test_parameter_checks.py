@@ -427,7 +427,7 @@ _CONTRACT_CASES = {
         lambda: DiscretePath([0.0, 1.0], [[0.0, 0.0]])),
     "adaptive.interval": (
         ContractViolation, "adaptive integrates over \\[a, b\\] with a finite and a <= b",
-        lambda: adaptive(np.cos, 1.0, 0.0, 10)),
+        lambda: adaptive(np.cos, 1.0, 0.0)),
     "SelfEnergyResult.error": (ContractViolation, "error estimate must be >= 0",
                                lambda: SelfEnergyResult(0j, -1.0, "lambda")),
     "self_energy_regulated.route": (

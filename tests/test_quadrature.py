@@ -27,8 +27,22 @@ def test_panels_exact_for_degree_19_on_uneven_edges():
     assert abs(np.sum(weights * poly(nodes)) - exact) < 1e-13 * max(1.0, abs(exact))
 
 
+def test_table_gauss_rule_is_the_10_point_gauss_legendre_rule():
+    # the G10 row of the qk21 table, which both rules read, against the
+    # exact moments of x^k on [-1, 1] and against numpy's Gauss-Legendre rule
+    x, w = quadrature._NODES[1:20:2], quadrature._GAUSS[1:20:2]
+    for k in range(19):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(w @ x ** k - exact) <= 1e-15, k
+    x_ref, w_ref = np.polynomial.legendre.leggauss(10)
+    assert np.abs(x - x_ref).max() <= 1e-15
+    assert np.abs(w / w_ref - 1).max() <= 2e-15
+    nodes, weights = quadrature.panels([-1.0, 1.0])
+    assert nodes.tolist() == x.tolist() and weights.tolist() == w.tolist()
+
+
 def test_adaptive_real_integrand():
-    value, err = quadrature.adaptive(lambda x: np.exp(-x), 0.0, np.inf, limit=50)
+    value, err = quadrature.adaptive(lambda x: np.exp(-x), 0.0, np.inf)
     assert isinstance(value, complex) and isinstance(err, float)
     assert value.imag == 0.0
     assert value.real == pytest.approx(1.0, rel=1e-12)
@@ -42,7 +56,7 @@ def test_adaptive_evaluates_each_node_once():
         return np.exp(1j * x) / (1.0 + x * x)
 
     value, _ = quadrature.adaptive(lambda x: calls.append(x.copy()) or integrand(x),
-                                   0.0, 10.0, limit=50)
+                                   0.0, 10.0)
     nodes = np.concatenate([x.ravel() for x in calls])
     assert len(calls) > 1 and nodes.size == np.unique(nodes).size
     reference = scipy.integrate.quad(integrand, 0.0, 10.0, limit=50, complex_func=True)[0]
@@ -59,7 +73,7 @@ def test_adaptive_is_exact_for_degree_31_in_one_round():
         calls.append(x.size)
         return poly(x)
 
-    value, err = quadrature.adaptive(integrand, -1.3, 0.9, limit=10, epsabs=np.inf)
+    value, err = quadrature.adaptive(integrand, -1.3, 0.9, epsabs=np.inf)
     exact = poly.integ()(0.9) - poly.integ()(-1.3)
     assert calls == [21]
     assert abs(value - exact) < 1e-13 * abs(exact)
@@ -73,19 +87,19 @@ def test_adaptive_is_exact_for_degree_31_in_one_round():
      (2.0 - np.exp(-1.3)) * (1 + 1j)),
 ], ids=["exp-half-line", "kink-at-a-point", "complex-kink-on-half-line"])
 def test_adaptive_against_closed_forms(func, a, b, points, exact):
-    value, err = quadrature.adaptive(func, a, b, limit=50, points=points)
+    value, err = quadrature.adaptive(func, a, b, points=points)
     assert abs(value - exact) < 1e-13 * abs(exact)
     assert abs(value - exact) <= err < 1e-8
 
 
-def test_adaptive_raises_when_the_limit_is_reached():
+def test_adaptive_raises_when_the_limit_is_reached(monkeypatch):
     # |I| = |sin(400)| / 40 < 1, so the tolerance is epsabs
     epsabs = 1e-10
-    with pytest.raises(AccuracyError) as info:
-        quadrature.adaptive(lambda x: np.cos(40 * x), 0.0, 10.0, limit=2, epsabs=epsabs)
+    with monkeypatch.context() as patch, pytest.raises(AccuracyError) as info:
+        patch.setattr(quadrature, "LIMIT", 2)
+        quadrature.adaptive(lambda x: np.cos(40 * x), 0.0, 10.0, epsabs=epsabs)
     assert info.value.achieved > epsabs
-    value, err = quadrature.adaptive(lambda x: np.cos(40 * x), 0.0, 10.0, limit=100,
-                                     epsabs=epsabs)
+    value, err = quadrature.adaptive(lambda x: np.cos(40 * x), 0.0, 10.0, epsabs=epsabs)
     assert abs(value - np.sin(400.0) / 40) <= err <= epsabs
 
 
@@ -108,12 +122,12 @@ def test_mass_spectrum_route_is_one_adaptive_quadrature(monkeypatch):
 
 def test_quadrature_module_is_the_only_caller_of_quad_and_leggauss():
     # QUADPACK is gone from the package: no module names scipy.integrate or
-    # its quad, and only the quadrature layer builds Gauss-Legendre rules
+    # its quad, and the one Gauss-Legendre rule is the qk21 table's G10
     quadpack = re.compile(r"scipy\.integrate|integrate\.quad|from scipy import[^\n]*\bintegrate\b")
     for path in sorted(SRC.rglob("*.py")):
         text = path.read_text()
         assert not quadpack.search(text), path.name
-        assert ("leggauss" in text) == (path.name == "quadrature.py"), path.name
+        assert "leggauss" not in text, path.name
 
 
 def _fresh_process_loads_quadpack(code):

@@ -66,6 +66,14 @@ def test_closed_form_matches_quadrature_on_contour():
         assert abs(q - c) < 1e-10
 
 
+@pytest.mark.parametrize("mass_squared", [-2.0, 0.5, 1.0, 3.0, 30.0])
+def test_spectral_density_on_the_half_line_matches_the_closed_form(mass_squared):
+    # F(m^2) = T(-i (m^2 - m_a^2)) / 2 pi, with no truncation of the tail
+    spec = RegulatorSpec(10.0, 0.01, 1.0)
+    exact = spec.transform(-1j * (mass_squared - spec.mass ** 2)) / (2 * np.pi)
+    assert abs(spectral_density(mass_squared, spec) - exact) <= 1e-10 * abs(exact)
+
+
 def test_regulator_is_the_weight_plus_the_line_mass():
     spec = RegulatorSpec(10.0, 0.01, 1.3)
     weight = WeightFunction.gaussian(10.0, 0.01)
