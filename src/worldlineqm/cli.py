@@ -2,11 +2,14 @@
 
 Subcommands map one-to-one onto module operations; parameters come from
 flags or a JSON config file (flags override file values).  The PARAMETERS
-table below is the reference for every key, its kind and its default.
-_cast casts each value by one rule per kind at every depth; a malformed value
-exits 2 naming its path (`dx`, `grid.points`).  Four-vectors are
-comma-separated with the time component first; the only complex input is the
-Fock state `coefficient` in the states file, which records.py decodes.
+table below is the reference for every key, its kind and its default.  Each
+choice has one key: the `selfenergy` route ("cutoff" is the unregulated
+bubble), and the propagator weight its `dlam` and `delta` (inf and 0, the
+uniform weight, by default).  _cast casts each value by one rule per kind at
+every depth; a malformed value exits 2 naming its path (`dx`,
+`grid.points`).  Four-vectors are comma-separated with the time component
+first; the only complex input is the Fock state `coefficient` in the states
+file, which records.py decodes.
 Results are written as JSON records or CSV tables (see records.py); outputs
 are byte-stable for fixed inputs and seed.  Exit codes: 0 success, 2
 configuration error, 3 numerical-accuracy or I/O error, 4 domain or contract
@@ -89,11 +92,11 @@ def _ints(text, where: str) -> tuple[int, ...]:
 def _cast(value, kind, where: str):
     """The value cast to its kind, or a ContractViolation naming its path.
 
-    A kind is a leaf: int (_index), float (_float), bool (JSON true/false or
-    the flag), str, or a function of (value, where) such as _floats or _whole
-    (an unbounded whole number, for seeds); a tuple of allowed values; [k] for
-    a list of k; or a dict for an object, where a key ending in "?" is
-    optional, the key `str` stands for every key, and other keys are rejected.
+    A kind is a leaf: int (_index), float (_float), str, or a function of
+    (value, where) such as _floats or _whole (an unbounded whole number, for
+    seeds); a tuple of allowed values; [k] for a list of k; or a dict for an
+    object, where a key ending in "?" is optional, the key `str` stands for
+    every key, and other keys are rejected.
     """
     if isinstance(kind, list):
         if not isinstance(value, list):
@@ -116,9 +119,9 @@ def _cast(value, kind, where: str):
         if value not in kind:
             raise ContractViolation(f"{where} must be one of {list(kind)}, not {value!r}")
         return value
-    if kind in (bool, str):
-        if not isinstance(value, kind):
-            raise ContractViolation(f"{where} must be {kind.__name__}, not {type(value).__name__}")
+    if kind is str:
+        if not isinstance(value, str):
+            raise ContractViolation(f"{where} must be str, not {type(value).__name__}")
         return value
     return {int: _index, float: _float}.get(kind, kind)(value, where)
 
@@ -152,8 +155,8 @@ PARAMETERS = {
         "kind": (("position", "momentum", "onshell-part"), "position"),
         "dim": (int, 2), "mode": (MODES, "euclidean"), "mass": (float, 1.0),
         "dx": (_floats, None), "p": (_floats, None), "epsilon": (float, 1e-6),
-        "weight": (("uniform", "gaussian"), "uniform"), "dlam": (float, 10.0),
-        "delta": (float, 0.01), "damping": (float, None), "sign": (SIGNS, 1),
+        "dlam": (float, np.inf), "delta": (float, 0.0), "damping": (float, None),
+        "sign": (SIGNS, 1),
     },
     "evolve": {
         "shape": (_ints, (16, 16)), "extent": (_floats, (8.0, 8.0)),
@@ -178,15 +181,15 @@ PARAMETERS = {
     "selfenergy": {
         "dim": (regularization.DIMENSIONS, 2), "p": (_floats, None),
         "ma": (float, 1.0), "mb": (float, 1.0),
-        "cutoff": (float, np.inf), "regulated": (bool, False), "dlam": (float, 10.0),
-        "delta": (float, 0.01), "route": (regularization.ROUTES, "lambda"),
+        "cutoff": (float, np.inf), "dlam": (float, 10.0), "delta": (float, 0.01),
+        "route": (("cutoff", *regularization.ROUTES), "cutoff"),
     },
     "scan": {
         "dim": (regularization.DIMENSIONS, 4), "p": (_floats, None),
         "ma": (float, 1.0), "mb": (float, 1.0),
         "deltas": (_floats, (0.02, 0.01, 0.005, 0.0025),
                    "comma-separated decreasing thresholds"),
-        "dlam": (float, 1e3), "cutoff": (float, None),
+        "dlam": (float, 1e3), "cutoff": (float, np.inf),
     },
 }
 
@@ -268,10 +271,7 @@ def _run_propagator(c):
         outputs["value"] = kernel.propagator_momentum(FourVector(c["p"]), mass, eps)
         provenance["operation"] = "propagator_momentum"
     elif kind == "position":
-        if c["weight"] == "gaussian":
-            weight = kernel.WeightFunction.gaussian(c["dlam"], c["delta"])
-        else:
-            weight = kernel.WeightFunction.uniform()
+        weight = kernel.WeightFunction(c["dlam"], c["delta"])
         outputs["value"] = kernel.propagator_position(
             FourVector(c["dx"]), mass, eps, weight, dim, c["mode"], damping=damping)
         provenance["operation"] = "propagator_position"
@@ -355,14 +355,14 @@ def _run_scatter(c):
 def _run_selfenergy(c):
     dim, m_a, m_b, cutoff = c["dim"], c["ma"], c["mb"], c["cutoff"]
     p = FourVector(c.get("p", (0.0,) * dim))
-    if c["regulated"]:
+    if c["route"] == "cutoff":
+        res = interaction.self_energy_unregulated(p, m_a, m_b, dim, cutoff)
+        operation = "self_energy_unregulated"
+    else:
         spec = regularization.RegulatorSpec(c["dlam"], c["delta"], m_a)
         res = regularization.self_energy_regulated(
             p, m_a, m_b, dim, spec, c["route"], cutoff=cutoff)
         operation = "self_energy_regulated"
-    else:
-        res = interaction.self_energy_unregulated(p, m_a, m_b, dim, cutoff)
-        operation = "self_energy_unregulated"
     outputs = {"value": res.value, "error": res.error, "route": res.route}
     return outputs, {"module": "interaction/regularization",
                      "operation": operation}, None, None
@@ -373,7 +373,7 @@ def _run_scan(c):
     p = FourVector(c.get("p", (0.0,) * dim))
     scan = regularization.divergence_scan(
         p, c["ma"], c["mb"], dim, list(c["deltas"]),
-        correlation_length=c["dlam"], cutoff=c.get("cutoff"))
+        correlation_length=c["dlam"], cutoff=c["cutoff"])
     outputs = {"slope": scan.slope, "slope_stderr": scan.slope_stderr,
                "intercept": scan.intercept, "r_squared": scan.r_squared}
     return (outputs, {"module": "regularization", "operation": "divergence_scan"},
@@ -411,9 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
             if isinstance(kind, (dict, list)):
                 continue
             opts = {"dest": key, "help": flag_help[0] if flag_help else None}
-            if kind is bool:
-                opts.update(action="store_true", default=None)
-            elif isinstance(kind, tuple):
+            if isinstance(kind, tuple):
                 opts.update(choices=kind, type=int if isinstance(kind[0], int) else None)
             else:
                 opts["type"] = {int: int, _whole: int, float: float}.get(kind)

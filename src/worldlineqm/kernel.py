@@ -120,10 +120,6 @@ class WeightFunction:
     def uniform(cls) -> "WeightFunction":
         return cls()
 
-    @classmethod
-    def gaussian(cls, correlation_length: float, threshold: float) -> "WeightFunction":
-        return cls(correlation_length, threshold)
-
 
 # ---------------------------------------------------------------------------
 # closed-form kernels

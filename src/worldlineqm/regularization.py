@@ -124,31 +124,32 @@ def bubble(line, p_norm: float, m_b: float, dimension: int, top: float,
 
 def self_energy_regulated(p: FourVector, m_a: float, m_b: float, dimension: int,
                           spec: RegulatorSpec, route: str = "lambda",
-                          cutoff: float | None = None) -> SelfEnergyResult:
+                          cutoff: float = np.inf) -> SelfEnergyResult:
     """Regulated self-energy T'(p) by the lambda route or the mass-spectrum
     route (euclidean-continued contour m'^2 = m_a^2 + i w); the two agree
-    within combined quadrature tolerances.  spec.mass must be m_a.
+    within combined quadrature tolerances.  spec.mass must be m_a.  The
+    momentum integral runs over |k| < cutoff, and the default inf is no
+    cutoff; the D=4 mass-spectrum route needs a finite one.
     """
     if spec.mass != m_a:
         raise ContractViolation(f"spec.mass {spec.mass!r} is not the line mass m_a {m_a!r}")
     p.check_dimension(dimension, "p")
     if dimension == 4 and spec.threshold == 0.0:
         raise DomainError("D=4 without a threshold is not absolutely convergent")
-    top = np.inf if cutoff is None else cutoff
     p_norm = float(np.sqrt(p.as_array() @ p.as_array()))
-    metadata = {"dimension": dimension, "cutoff": top, "spec": spec}
+    metadata = {"dimension": dimension, "cutoff": cutoff, "spec": spec}
 
     if route == "lambda":
         value, err = bubble(lambda ksq: spec.transform(ksq + m_a * m_a),
-                            p_norm, m_b, dimension, top)
+                            p_norm, m_b, dimension, cutoff)
         return SelfEnergyResult(value, err, "lambda", metadata)
     if route == "mass-spectrum":
-        if dimension == 4 and not np.isfinite(top):
+        if dimension == 4 and not np.isfinite(cutoff):
             raise DomainError(
                 "the D=4 fixed-mass bubbles diverge individually; the "
                 "mass-spectrum route needs a common finite cutoff")
         # conjugate symmetry halves the contour: T' = 2 Re Int_0^W dw H(w) I(w)
-        window = max(1000.0, top * top) if np.isfinite(top) else 1000.0
+        window = max(1000.0, cutoff * cutoff) if np.isfinite(cutoff) else 1000.0
         w, wts = quadrature.panels(
             np.concatenate(([0.0], np.geomspace(window * 1e-5, window, 80))))
         coef = wts * spec.transform(-1j * w) / (2 * np.pi)  # wts * F(w)
@@ -160,7 +161,7 @@ def self_energy_regulated(p: FourVector, m_a: float, m_b: float, dimension: int,
             return np.sum((t * coef.real + w * coef.imag) / (t * t + w * w), axis=-1)
 
         # to the 1e-10 at which the route is checked against per-node bubbles
-        value, err = bubble(line, p_norm, m_b, dimension, top, epsabs=0.0, epsrel=1e-10)
+        value, err = bubble(line, p_norm, m_b, dimension, cutoff, epsabs=0.0, epsrel=1e-10)
         return SelfEnergyResult(complex(2 * value.real), 2 * err, "mass-spectrum",
                                 {**metadata, "window": window})
     raise ContractViolation(f"unknown route {route!r}")
@@ -211,13 +212,14 @@ class DivergenceScan:
 
 def divergence_scan(p: FourVector, m_a: float, m_b: float, dimension: int,
                     delta_sequence, correlation_length: float = 1e3,
-                    cutoff: float | None = None) -> DivergenceScan:
+                    cutoff: float = np.inf) -> DivergenceScan:
     """Regulated values along a decreasing threshold sequence.
 
     In D=4 the values grow linearly in log(1/delta) (the unregulated
     logarithmic divergence re-emerges as delta -> 0); the linear fit in
     log(1/delta) is reported with its standard error and R^2.  In D=2 the
-    values converge and the fitted slope tends to zero.
+    values converge and the fitted slope tends to zero.  Each value is the
+    lambda route at the given cutoff, inf (the default) for none.
     """
     deltas = list(delta_sequence)
     if len(deltas) < 2:

@@ -11,8 +11,10 @@ from worldlineqm import cli, quadrature
 from worldlineqm.cli import PARAMETERS, _cast, _floats, _ints, _whole, run
 from worldlineqm.errors import AccuracyError, ContractViolation
 from worldlineqm.geometry import FourVector
+from worldlineqm.interaction import self_energy_unregulated
 from worldlineqm.kernel import WeightFunction, propagator_position
 from worldlineqm.records import ResultRecord, emit, load_record
+from worldlineqm.regularization import RegulatorSpec, self_energy_regulated
 
 
 def read_json(path):
@@ -334,15 +336,16 @@ def test_scatter_d3_inputs_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize("subcommand, config", [
-    ("propagator", {"kind": "position", "dx": "0.5,1", "weight": "gausian"}),
+    ("propagator", {"kind": "position", "dx": "0.5,1", "mode": "euclidian"}),
     ("kernel", {"method": "montecarlo"}),
-    ("selfenergy", {"regulated": True, "route": "mass_spectrum"}),
+    ("selfenergy", {"route": "mass_spectrum"}),
 ])
-def test_config_file_values_checked_against_choices(tmp_path, subcommand, config):
+def test_config_file_values_checked_against_choices(capsys, tmp_path, subcommand, config):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config), encoding="utf-8")
     out = tmp_path / "x.json"
     assert run([subcommand, "--config", str(cfg), "--output", str(out)]) == 2
+    assert " must be one of " in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -476,8 +479,8 @@ _ALL_FLAGS = {
     "kernel": {"dim": 2, "mode": "euclidean", "mass": 1.0, "tau": 1.0, "dx": "0.5,0.2",
                "method": "mc", "segments": 4, "samples": 2000, "seed": 5},
     "propagator": {"kind": "onshell-part", "dim": 2, "mode": "euclidean", "mass": 1.0,
-                   "dx": "0.5,0.2", "p": "0,0", "epsilon": 1e-6, "weight": "uniform",
-                   "dlam": 10.0, "delta": 0.01, "damping": 0.01, "sign": -1},
+                   "dx": "0.5,0.2", "p": "0,0", "epsilon": 1e-6, "dlam": 10.0,
+                   "delta": 0.01, "damping": 0.01, "sign": -1},
     "evolve": {"shape": "8,8", "extent": "8,8", "mass": 1.0, "dlam": 0.05, "steps": 5,
                "center": "4,4", "width": 1.2, "momentum": "0,0.5"},
     "onshell": {"p": "0.3", "mass": 1.0, "sign": 1, "epsilon": 0.01, "t": 0.0,
@@ -485,7 +488,7 @@ _ALL_FLAGS = {
     "fock": {"states": None, "shape": "4,4", "extent": "4,4", "epsilon": 0.01},
     "scatter": {"coupling": 0.9, "mass_a": 1.0, "mass_b": 1.5, "epsilon": 0.001},
     "selfenergy": {"dim": 2, "p": "0.1,0", "ma": 1.0, "mb": 1.0, "cutoff": 200.0,
-                   "regulated": True, "dlam": 10.0, "delta": 0.01, "route": "lambda"},
+                   "dlam": 10.0, "delta": 0.01, "route": "lambda"},
     "scan": {"dim": 2, "p": "0,0", "ma": 1.0, "mb": 1.0, "deltas": "0.02,0.01",
              "dlam": 100.0, "cutoff": 200.0},
 }
@@ -503,8 +506,7 @@ def test_flag_and_file_records_identical(tmp_path, subcommand):
         }), encoding="utf-8")
     structure = _SCATTER_STRUCTURE if subcommand == "scatter" else {}
     assert set(values) | set(structure) == set(PARAMETERS[subcommand])
-    flags = [f"--{key.replace('_', '-')}" if value is True
-             else f"--{key.replace('_', '-')}={value}" for key, value in values.items()]
+    flags = [f"--{key.replace('_', '-')}={value}" for key, value in values.items()]
     (tmp_path / "structure.json").write_text(json.dumps(structure), encoding="utf-8")
     (tmp_path / "all.json").write_text(json.dumps({**values, **structure}), encoding="utf-8")
     by_flags, by_file = tmp_path / "flags.json", tmp_path / "file.json"
@@ -710,18 +712,74 @@ def test_kernel_discretized_subcommand_equals_closed_form(tmp_path):
     assert record["provenance"]["operation"] == "kernel_discretized"
 
 
-@pytest.mark.parametrize("weight, rel", [("uniform", 1e-9), ("gaussian", 1e-6)])
+@pytest.mark.parametrize("weight, rel", [
+    ([], 1e-9), (["--dlam", "1000", "--delta", "1e-6"], 1e-6),
+], ids=["uniform", "gaussian"])
 def test_propagator_position_subcommand(tmp_path, weight, rel):
     out = tmp_path / "p.json"
-    assert run(["propagator", "--kind", "position", "--weight", weight, "--dlam", "1000",
-                "--delta", "1e-6", "--dx", "0.3,0.4", "--epsilon", "1e-10",
-                "--output", str(out)]) == 0
+    assert run(["propagator", "--kind", "position", *weight, "--dx", "0.3,0.4",
+                "--epsilon", "1e-10", "--output", str(out)]) == 0
     value = read_json(out)["outputs"]["value"]
     value = complex(value["re"], value["im"])
     # the euclidean D=2 propagator K_0(m |dx|) / 2 pi; the wide gaussian
     # weight exp(-T^2 / 2 dlam^2) lowers it by about T^2 / 2 dlam^2 ~ 1e-7
     assert value.real == pytest.approx(special.k0(0.5) / (2 * np.pi), rel=rel)
     assert value.imag == 0.0
+
+
+def _value(argv, tmp_path):
+    out = tmp_path / "record.json"
+    assert run(argv + ["--output", str(out)]) == 0
+    return load_record(out).outputs
+
+
+@pytest.mark.parametrize("route", PARAMETERS["selfenergy"]["route"][0])
+def test_selfenergy_route_equals_its_library_call(tmp_path, route):
+    p = FourVector((0.3, 0.4))
+    if route == "cutoff":
+        want = self_energy_unregulated(p, 1.0, 1.2, 2, 50.0)
+    else:
+        want = self_energy_regulated(p, 1.0, 1.2, 2, RegulatorSpec(5.0, 0.02, 1.0), route,
+                                     cutoff=50.0)
+    got = _value(["selfenergy", "--route", route, "--p", "0.3,0.4", "--mb", "1.2",
+                  "--cutoff", "50", "--dlam", "5", "--delta", "0.02"], tmp_path)
+    assert (got["value"], got["error"], got["route"]) == (want.value, want.error, route)
+
+
+@pytest.mark.parametrize("mode, dlam, delta, damping", [
+    ("euclidean", np.inf, 0.0, 0.0), ("euclidean", 1000.0, 1e-6, 0.0),
+    ("minkowski", 10.0, 0.01, 1e-2),
+])
+def test_propagator_weight_is_its_dlam_and_delta(tmp_path, mode, dlam, delta, damping):
+    want = propagator_position(FourVector((1.2, 0.3)), 1.0, 1e-6, WeightFunction(dlam, delta),
+                               2, mode, damping=damping)
+    got = _value(["propagator", "--mode", mode, "--dx", "1.2,0.3", "--dlam", str(dlam),
+                  "--delta", str(delta), "--damping", str(damping)], tmp_path)
+    assert got["value"] == want
+
+
+def test_propagator_delta_alone_thresholds_the_uniform_weight(tmp_path):
+    # --delta without --dlam is the threshold on the uniform weight; it was
+    # ignored while a separate weight choice defaulted to uniform
+    dx = FourVector((0.3, 0.4))
+    want = propagator_position(dx, 1.0, 1e-6, WeightFunction(np.inf, 0.5), 2, "euclidean")
+    got = _value(["propagator", "--dx", "0.3,0.4", "--delta", "0.5"], tmp_path)["value"]
+    assert got == want
+    assert got != propagator_position(dx, 1.0, 1e-6, WeightFunction(), 2, "euclidean")
+
+
+@pytest.mark.parametrize("subcommand, flag, key, value", [
+    ("selfenergy", ["--regulated"], "regulated", True),
+    ("propagator", ["--weight", "gaussian"], "weight", "gaussian"),
+])
+def test_removed_choice_keys_exit_2(capsys, tmp_path, subcommand, flag, key, value):
+    # the route and the weight's dlam and delta are the one key of each choice
+    out = tmp_path / "x.json"
+    assert run([subcommand, *flag, "--output", str(out)]) == 2
+    (tmp_path / "cfg.json").write_text(json.dumps({key: value}), encoding="utf-8")
+    assert run([subcommand, "--config", str(tmp_path / "cfg.json"), "--output", str(out)]) == 2
+    assert f"unknown config keys for {subcommand}: ['{key}']" in capsys.readouterr().err
+    assert not out.exists()
 
 
 _INF = float("inf")
@@ -736,8 +794,8 @@ _CAST_CASES = [
     (float, float("nan"), None, " must not be NaN"), (float, "nan", None, " must not be NaN"),
     (float, 10 ** 400, None, " is too large for a float"), (float, "x", None, " must be a number"),
     (float, None, None, " must be a number"), (float, False, None, " must be a number, not False"),
-    (bool, True, True, None), (bool, False, False, None),
-    (bool, "false", None, " must be bool, not str"), (bool, 0, None, " must be bool, not int"),
+    (str, True, None, " must be str, not bool"), (str, None, None, " must be str, not NoneType"),
+    (("a", "b"), False, None, " must be str, not bool"), (("a", "b"), "false", None, " must be one of"),
     (str, "A", "A", None), (str, 1, None, " must be str, not int"),
     (("a", "b"), "b", "b", None), (("a", "b"), "c", None, " must be one of ['a', 'b']"),
     ((-1, 1), -1.0, -1, None), ((-1, 1), "1", 1, None), ((-1, 1), 0, None, " must be one of"),
@@ -783,7 +841,7 @@ def test_cast_applies_one_rule_per_kind_at_every_depth(kind, value, typed, error
 
 # each of these once exited 0 (or 1) with a result from a malformed value
 @pytest.mark.parametrize("subcommand, config, message", [
-    ("selfenergy", '{"regulated": "false", "dim": 2, "p": "0,0"}', "regulated must be bool"),
+    ("selfenergy", '{"route": false, "dim": 2, "p": "0,0"}', "route must be str, not bool"),
     ("kernel", '{"mass": 1' + "0" * 400 + "}", "mass is too large for a float"),
     ("kernel", '{"dim": true, "dx": "0.1"}', "dim must be a number, not True"),
     ("scatter", '{"coupling": 0.9, "grid": {"spatial_dimension": 1, "points": 9, "spacing": NaN},'
@@ -797,7 +855,7 @@ def test_cast_applies_one_rule_per_kind_at_every_depth(kind, value, typed, error
     ("scatter", json.dumps(dict(_SCATTER_STRUCTURE, coupling=0.9,
                                 grid={"points": 10 ** 30, "spacing": 0.5})),
      "grid.points must be at most"),
-], ids=["bool_text", "huge_mass", "bool_dim", "nan_spacing", "unknown_nested_key",
+], ids=["bool_route", "huge_mass", "bool_dim", "nan_spacing", "unknown_nested_key",
         "huge_dim", "huge_shape_item", "huge_grid_points"])
 def test_malformed_values_exit_2_naming_their_path(capsys, tmp_path, subcommand, config, message):
     (tmp_path / "cfg.json").write_text(config, encoding="utf-8")
@@ -871,8 +929,8 @@ def test_huge_steps_exit_2_before_the_runner_loops(capsys, monkeypatch, tmp_path
 # an infinite correlation length is the uniform weight, which does not regulate:
 # the lambda route read NaN and the mass-spectrum route died on a ZeroDivisionError
 @pytest.mark.parametrize("argv", [
-    ["selfenergy", "--regulated", "--route", "lambda"],
-    ["selfenergy", "--regulated", "--route", "mass-spectrum", "--cutoff", "50"],
+    ["selfenergy", "--route", "lambda"],
+    ["selfenergy", "--route", "mass-spectrum", "--cutoff", "50"],
     ["scan", "--dim", "2", "--deltas", "0.02,0.01"],
 ], ids=["selfenergy_lambda", "selfenergy_mass_spectrum", "scan"])
 def test_infinite_correlation_length_exits_4_without_a_record(capsys, tmp_path, argv):

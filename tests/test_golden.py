@@ -3,32 +3,23 @@
 Each case's config is rerun and compared with its committed records: keys,
 structure, inputs and strings exactly, numbers to 1e-12 relative, or to the
 route's oracle tolerance where that is looser.  After a deliberate change,
-`PYTHONPATH=src python tests/golden/regenerate.py` rewrites the records and
-prints every value that moved.
+`PYTHONPATH=src python tests/golden/regenerate.py` rewrites the records that
+fail this comparison and prints every value that failed.
 """
+
+import json
 
 import pytest
 
-from golden.regenerate import cases, differences, parse, records, run
+from golden.regenerate import cases, differences, failures, records, refresh, run
 
-# routes whose oracle tolerance is looser than 1e-12: (rtol, atol)
-TOLERANCES = {
-    "evolve": (1e-12, 1e-12),  # norm conservation, an absolute 1e-12
-    "propagator-position-euclidean": (1e-9, 0.0),  # K_0(m r) / 2 pi at 1e-9
-    "propagator-position-minkowski": (1e-8, 0.0),  # reference values at 1e-8
-    "selfenergy-mass-spectrum": (1e-10, 0.0),  # per-node bubbles at 1e-10
-}
 CASES = [(case, path) for case in cases() for path in records(case)]
 IDS = [path.name for _, path in CASES]
 
 
 @pytest.mark.parametrize("case, path", CASES, ids=IDS)
 def test_record_matches_its_golden_record(case, path):
-    fmt = path.suffix[1:]
-    rtol, atol = TOLERANCES.get(case, (1e-12, 0.0))
-    got = parse(run(case, fmt), fmt)
-    want = parse(path.read_text(encoding="utf-8"), fmt)
-    assert list(differences(got, want, rtol, atol)) == []
+    assert failures(case, run(case, path.suffix[1:]), path) == []
 
 
 @pytest.mark.parametrize("case, path", CASES, ids=IDS)
@@ -55,3 +46,27 @@ def test_differences_names_each_kind_of_change():
         "record.outputs"]
     mixed = {"inputs": {"p": "0,1"}, "outputs": {"v": [1.0, "x"], "n": 2, "r": "cutoff"}}
     assert [d[0] for d in differences(mixed, want)] == ["record.outputs.v"]
+
+
+def test_regenerate_rewrites_only_the_records_that_fail(tmp_path):
+    # a move inside the tolerance keeps the record's bytes; a changed input
+    # or a move past the tolerance rewrites it with the new text
+    golden = records("evolve")[0]
+    path = tmp_path / golden.name
+    record = json.loads(golden.read_text(encoding="utf-8"))
+
+    def text(**outputs):
+        return json.dumps({**record, "outputs": {**record["outputs"], **outputs}})
+
+    inside = text(norm_drift=record["outputs"]["norm_drift"] + 5e-13)
+    path.write_bytes(golden.read_bytes())
+    assert refresh("evolve", path, inside) == []
+    assert path.read_bytes() == golden.read_bytes()
+    outside = text(norm_drift=record["outputs"]["norm_drift"] + 1e-11)
+    assert [d[0] for d in refresh("evolve", path, outside)] == ["record.outputs"]
+    assert path.read_text(encoding="utf-8") == outside
+    changed = json.dumps({**json.loads(outside), "inputs": {**record["inputs"], "steps": 51}})
+    assert [d[0] for d in refresh("evolve", path, changed)] == ["record.inputs"]
+    assert path.read_text(encoding="utf-8") == changed
+    fresh = tmp_path / "new.record.json"
+    assert refresh("evolve", fresh, changed) == [] and fresh.read_text(encoding="utf-8") == changed

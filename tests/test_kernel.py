@@ -135,29 +135,29 @@ def test_kernel_requires_positive_length():
 def test_weight_function_shapes():
     uni = WeightFunction.uniform()
     assert uni(0.0) == 1.0 and uni(17.3) == 1.0
-    w = WeightFunction.gaussian(2.0, 0.5)
+    w = WeightFunction(2.0, 0.5)
     assert w(0.4) == 0.0  # below the threshold
     assert w(0.6) == pytest.approx(np.exp(-0.6 ** 2 / 8.0))
     t = np.linspace(0, 20, 200)
     vals = w(t)
     assert np.all((0.0 <= vals) & (vals <= 1.0))
     with pytest.raises(ContractViolation):
-        WeightFunction.gaussian(-1.0, 0.1)
+        WeightFunction(-1.0, 0.1)
 
 
 def test_weight_scalar_and_array_calls_agree():
     t = np.concatenate(([0.0, 0.5, 1e150], np.linspace(0.0, 30.0, 301)))
-    for weight in (WeightFunction.uniform(), WeightFunction.gaussian(2.0, 0.5),
-                   WeightFunction.gaussian(np.inf, 0.5)):
+    for weight in (WeightFunction.uniform(), WeightFunction(2.0, 0.5),
+                   WeightFunction(np.inf, 0.5)):
         values = weight(t)
         scalars = [weight(float(x)) for x in t]
         assert all(isinstance(v, float) for v in scalars)
         assert scalars == values.tolist()
     assert WeightFunction.uniform()(t).tolist() == [1.0] * t.size
     assert WeightFunction.uniform()(1e300) == WeightFunction.uniform()(np.array(1e300)) == 1.0
-    assert WeightFunction.gaussian(np.inf, 0.5)(0.4) == 0.0
+    assert WeightFunction(np.inf, 0.5)(0.4) == 0.0
     with pytest.raises(ContractViolation, match="threshold must be >= 0 and finite"):
-        WeightFunction.gaussian(10.0, np.inf)
+        WeightFunction(10.0, np.inf)
 
 
 # propagator_position under the flat weight f = 1 (computed with f as np.ones),
@@ -174,7 +174,7 @@ UNIFORM_WEIGHT_VALUES = [
 def test_uniform_weight_is_the_infinite_correlation_length_point(dx, mass, eps, mode,
                                                                   damping, before):
     values = [propagator_position(FourVector(dx), mass, eps, weight, 2, mode, damping=damping)
-              for weight in (WeightFunction.uniform(), WeightFunction.gaussian(np.inf, 0.0))]
+              for weight in (WeightFunction.uniform(), WeightFunction(np.inf, 0.0))]
     assert values == [before, before]
 
 
@@ -200,11 +200,11 @@ def test_uniform_weight_transform_needs_positive_real_part(s):
 
 def test_infinite_correlation_length_needs_epsilon():
     # a threshold does not make the T-integral of a flat weight converge
-    for weight in (WeightFunction.uniform(), WeightFunction.gaussian(np.inf, 0.5)):
+    for weight in (WeightFunction.uniform(), WeightFunction(np.inf, 0.5)):
         with pytest.raises(DomainError, match="needs epsilon > 0"):
             propagator_position(FourVector((0.0, 1.0)), 1.0, 0.0, weight, 2, "euclidean")
     finite = propagator_position(FourVector((0.0, 1.0)), 1.0, 0.0,
-                                 WeightFunction.gaussian(10.0, 0.5), 2, "euclidean")
+                                 WeightFunction(10.0, 0.5), 2, "euclidean")
     assert finite.real > 0
 
 
@@ -571,7 +571,7 @@ def test_proper_time_vs_momentum_route_many_separations():
 
 
 def test_wide_gaussian_weight_recovers_uniform():
-    wide = WeightFunction.gaussian(1e3, 1e-6)
+    wide = WeightFunction(1e3, 1e-6)
     uni = WeightFunction.uniform()
     dx = FourVector((0.3, 0.9))
     a = propagator_position(dx, 1.0, 1e-9, wide, 2, "euclidean")
@@ -820,7 +820,7 @@ def test_decomposition_error_decreases_with_damping():
 # 0 < m^2 < epsilon, so its tail stays on the real axis; the last three
 # cases are ones that QUADPACK's Fourier-weighted tail (QAWF) missed by
 # 1.3e-7 to 3.7e-5.
-_UNIFORM, _GAUSSIAN = WeightFunction.uniform(), WeightFunction.gaussian(30.0, 25.0)
+_UNIFORM, _GAUSSIAN = WeightFunction.uniform(), WeightFunction(30.0, 25.0)
 MINKOWSKI_REFERENCES = [
     pytest.param(dx, mass, eps, weight, reference, id=name)
     for name, dx, mass, eps, weight, reference in [
@@ -858,7 +858,7 @@ def test_minkowski_propagator_gaussian_weight_small_mass():
     # it stays on the real axis.
     # Reference made as above, out to T = 120 (where the weight is e^-72).
     value = propagator_position(FourVector((1.2, 0.3)), 1e-3, 0.0,
-                                WeightFunction.gaussian(10.0, 0.0), 2, "minkowski",
+                                WeightFunction(10.0, 0.0), 2, "minkowski",
                                 damping=1e-2)
     reference = 0.2313376785414744 - 0.12167179204317165j
     assert abs(value - reference) < 1e-8 * abs(reference)

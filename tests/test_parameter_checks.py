@@ -104,9 +104,9 @@ _NAN_CASES = {
     "KernelParams.total_length": (DomainError, "intrinsic length T must be positive",
                                   lambda: KernelParams(1.0, NAN, 2, "euclidean")),
     "WeightFunction.correlation_length": (ContractViolation, "correlation_length must be positive",
-                                          lambda: WeightFunction.gaussian(NAN, 0.01)),
+                                          lambda: WeightFunction(NAN, 0.01)),
     "WeightFunction.threshold": (ContractViolation, "threshold must be >= 0",
-                                 lambda: WeightFunction.gaussian(10.0, NAN)),
+                                 lambda: WeightFunction(10.0, NAN)),
     "RegulatorSpec.correlation_length": (ContractViolation, "correlation_length must be positive",
                                          lambda: RegulatorSpec(NAN, 0.01, 1.0)),
     "RegulatorSpec.threshold": (ContractViolation, "threshold must be >= 0",
